@@ -30,6 +30,7 @@ from .errors import (
     ZeroAntecedentError,
 )
 from .evaluator import (
+    PreparedQuery,
     Relation,
     evaluate,
     evaluate_naive,
@@ -52,6 +53,7 @@ from .formulas import (
     conjunction,
     conjuncts_of,
     constants_of,
+    equated_constants,
     free_variables,
     normalize,
     subformulas,
@@ -100,6 +102,7 @@ from .stats import (
     confidence,
     frequency,
     itemset_frequency,
+    prepare_query,
     support,
 )
 

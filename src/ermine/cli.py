@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .domains import explain_reference_domain, reference_domain
-from .entities import is_er_query, is_valid_for
 from .errors import (
     BiasError,
     DataError,
@@ -30,7 +29,6 @@ from .evaluator import Relation, evaluate, sorted_rows
 from .formulas import QueryDecl, normalize, to_text
 from .mining import load_bias_file, mine
 from .parser import parse_query, parse_query_file
-from .safety import check_safe
 from .schema import (
     DatabaseInstance,
     Schema,
@@ -38,7 +36,7 @@ from .schema import (
     load_instance_dir,
     load_schema_file,
 )
-from .stats import ErRule, confidence, frequency, support
+from .stats import ErRule, confidence, frequency, prepare_query, support
 
 
 @dataclass
@@ -123,37 +121,31 @@ def run_validate(session: Session) -> int:
 def run_check(session: Session, query: str) -> int:
     decl = _resolve_query(session, query)
     print(f"query: {decl.text()}")
-    body = normalize(decl.body)
-    report = check_safe(body)
-    if not report.safe:
+    q = prepare_query(session.instance, decl)
+    if not q.safety.safe:
         print("safety: FAIL")
-        for v in report.violations:
+        for v in q.safety.violations:
             print(f"  {v.describe()}")
         print("entity query: skipped (not safe)")
         print("validity: skipped (not safe)")
         return 1
     print("safety: PASS")
-    ok = True
-    er = is_er_query(body, session.instance)
-    if er.is_er:
-        names = ", ".join(sorted(er.entity_vars)) or "(none)"
+    ok = q.er.is_er
+    if q.er.is_er:
+        names = ", ".join(sorted(q.er.entity_vars)) or "(none)"
         print(f"entity query: yes (entity variables: {names})")
     else:
-        ok = False
         print("entity query: no")
-        for failure in er.failures:
+        for failure in q.er.failures:
             print(f"  {failure.variable}: {failure.reason}")
     if decl.variables:
-        validity = is_valid_for(body, decl.variables)
-        if validity.valid:
-            print(f"valid for ({', '.join(decl.variables)}): yes")
+        head = ", ".join(decl.variables)
+        if q.validity.valid:
+            print(f"valid for ({head}): yes")
         else:
             ok = False
-            where = to_text(validity.failing) if validity.failing else "?"
-            print(
-                f"valid for ({', '.join(decl.variables)}): no "
-                f"(first failing subformula: {where})"
-            )
+            where = to_text(q.validity.failing) if q.validity.failing else "?"
+            print(f"valid for ({head}): no (first failing subformula: {where})")
     return 0 if ok else 1
 
 

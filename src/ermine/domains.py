@@ -28,11 +28,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .evaluator import _eval_atom, _project
 from .formulas import (
     And,
     Atom,
     Comparison,
-    Constant,
     Exists,
     Forall,
     Formula,
@@ -40,6 +40,7 @@ from .formulas import (
     Or,
     Variable,
     conjunction,
+    equated_constants,
     to_text,
 )
 from .schema import DatabaseInstance
@@ -94,20 +95,14 @@ def _dom(inst, f: Formula, variables: tuple[str, ...], trace: bool):
     if isinstance(f, Atom):
         names = {t.name for t in f.terms if isinstance(t, Variable)}
         if set(variables) <= names:
-            members = _atom_projection(inst, f, variables)
+            members = _project(_eval_atom(inst, f), variables).rows
             return members, _node(trace, f, "atom-projection", members)
         return frozenset(), _node(trace, f, "atom-missing-variable", frozenset())
     if isinstance(f, Comparison):
+        constants = equated_constants(f)
         members = frozenset()
-        if len(variables) == 1 and f.op == "=":
-            for a, b in ((f.left, f.right), (f.right, f.left)):
-                if (
-                    isinstance(a, Variable)
-                    and a.name == variables[0]
-                    and isinstance(b, Constant)
-                ):
-                    members = frozenset({(b.value,)})
-                    break
+        if len(variables) == 1 and variables[0] in constants:
+            members = frozenset((c,) for c in constants[variables[0]])
         rule = "comparison-constant" if members else "comparison-empty"
         return members, _node(trace, f, rule, members)
     if isinstance(f, Not):
@@ -128,14 +123,16 @@ def _dom(inst, f: Formula, variables: tuple[str, ...], trace: bool):
     if isinstance(f, Forall):
         raise ValueError("reference_domain needs a normalized formula")
     if isinstance(f, And):
-        constants = _cover_constants(f, variables)
-        if constants is not None:
+        constants = equated_constants(f)
+        if all(v in constants for v in variables):
             rest = [
                 c
                 for c in f.conjuncts
-                if not _is_cover_equality(c, set(variables))
+                if not equated_constants(c).keys() & set(variables)
             ]
-            tuples = frozenset(itertools.product(*constants))
+            tuples = frozenset(
+                itertools.product(*(constants[v] for v in variables))
+            )
             if rest:
                 base, child = _dom(inst, conjunction(rest), variables, trace)
                 members = base | tuples
@@ -154,65 +151,6 @@ def _dom(inst, f: Formula, variables: tuple[str, ...], trace: bool):
                 children.append(child)
         return members, _node(trace, f, "conjunction-union", members, *children)
     raise TypeError(f"not a formula: {f!r}")
-
-
-def _atom_projection(inst, atom: Atom, variables: tuple[str, ...]) -> frozenset:
-    """Project the atom's satisfying tuples onto the variables.
-
-    This scans the table directly so that reference domains stay
-    independent from the evaluator.
-    """
-    first_pos = {}
-    for i, t in enumerate(atom.terms):
-        if isinstance(t, Variable) and t.name not in first_pos:
-            first_pos[t.name] = i
-    out = set()
-    for row in inst.rows(atom.predicate):
-        env: dict[str, object] = {}
-        ok = True
-        for t, v in zip(atom.terms, row):
-            if isinstance(t, Constant):
-                if t.value != v:
-                    ok = False
-                    break
-            elif t.name in env:
-                if env[t.name] != v:
-                    ok = False
-                    break
-            else:
-                env[t.name] = v
-        if ok:
-            out.add(tuple(row[first_pos[v]] for v in variables))
-    return frozenset(out)
-
-
-def _is_cover_equality(c: Formula, varset: set) -> bool:
-    if not (isinstance(c, Comparison) and c.op == "="):
-        return False
-    for a, b in ((c.left, c.right), (c.right, c.left)):
-        if isinstance(a, Variable) and a.name in varset and isinstance(b, Constant):
-            return True
-    return False
-
-
-def _cover_constants(f: And, variables: tuple[str, ...]):
-    """Per-variable constant lists when the conjunction equates every
-    requested variable with at least one constant, else None."""
-    eq: dict[str, list] = {v: [] for v in variables}
-    for c in f.conjuncts:
-        if not (isinstance(c, Comparison) and c.op == "="):
-            continue
-        for a, b in ((c.left, c.right), (c.right, c.left)):
-            if (
-                isinstance(a, Variable)
-                and a.name in eq
-                and isinstance(b, Constant)
-                and b.value not in eq[a.name]
-            ):
-                eq[a.name].append(b.value)
-    if all(eq[v] for v in variables):
-        return [eq[v] for v in variables]
-    return None
 
 
 def _node(trace: bool, f: Formula, rule: str, members, *children):

@@ -33,6 +33,7 @@ from .formulas import (
     Not,
     Or,
     Variable,
+    equated_constants,
     free_variables,
     normalize,
     subformulas,
@@ -60,7 +61,10 @@ class ErReport:
     failures: tuple[EntityFailure, ...]
 
 
-def _candidate_failures(f: Formula, inst: DatabaseInstance) -> dict[str, set[str]]:
+def _candidates(f: Formula, inst: DatabaseInstance):
+    """Entity variable candidates of a normalized formula, and the reasons
+    each of its other variables fails to be one."""
+    names: set[str] = set()
     failures: dict[str, set[str]] = {}
 
     def fail(var: str, reason: str):
@@ -69,11 +73,13 @@ def _candidate_failures(f: Formula, inst: DatabaseInstance) -> dict[str, set[str
     efields = entity_fields(inst.schema)
     for g in subformulas(f):
         if isinstance(g, (Exists, Forall)):
+            names.add(g.var)
             fail(g.var, REASON_QUANTIFIED)
         elif isinstance(g, Comparison):
             for side, other in ((g.left, g.right), (g.right, g.left)):
                 if not isinstance(side, Variable):
                     continue
+                names.add(side.name)
                 if g.op not in ("=", "!="):
                     fail(side.name, REASON_BAD_OP)
                 if isinstance(other, Constant) and not is_entity_constant(
@@ -84,27 +90,16 @@ def _candidate_failures(f: Formula, inst: DatabaseInstance) -> dict[str, set[str
             table = inst.schema.table(g.predicate)
             for fld, t in zip(table.fields, g.terms):
                 if isinstance(t, Variable):
+                    names.add(t.name)
                     if f"{table.name}.{fld.name}" not in efields:
                         fail(t.name, REASON_NON_ENTITY_FIELD)
-    return failures
+    return frozenset(names - failures.keys()), failures
 
 
 def entity_variable_candidates(f: Formula, inst: DatabaseInstance) -> frozenset[str]:
     """Variables of f (free or bound) that individually qualify as
     entity variable candidates."""
-    f = normalize(f)
-    failures = _candidate_failures(f, inst)
-    names = set()
-    for g in subformulas(f):
-        if isinstance(g, Atom):
-            names.update(t.name for t in g.terms if isinstance(t, Variable))
-        elif isinstance(g, Comparison):
-            for t in (g.left, g.right):
-                if isinstance(t, Variable):
-                    names.add(t.name)
-        elif isinstance(g, (Exists, Forall)):
-            names.add(g.var)
-    return frozenset(n for n in names if n not in failures)
+    return _candidates(normalize(f), inst)[0]
 
 
 def is_er_query(f: Formula, inst: DatabaseInstance) -> ErReport:
@@ -116,8 +111,7 @@ def is_er_query(f: Formula, inst: DatabaseInstance) -> ErReport:
     report = check_safe(f)
     if not report.safe:
         raise UnsafeQueryError(report)
-    failures = _candidate_failures(f, inst)
-    candidates = entity_variable_candidates(f, inst)
+    candidates, failures = _candidates(f, inst)
     linked_out: dict[str, str] = {}
     for g in subformulas(f):
         if (
@@ -164,20 +158,14 @@ def _valid(f: Formula, varset: frozenset[str]) -> ValidityReport:
             return ValidityReport(True)
         return ValidityReport(False, f)
     if isinstance(f, Comparison):
-        if len(varset) == 1 and f.op == "=":
-            (v,) = varset
-            for a, b in ((f.left, f.right), (f.right, f.left)):
-                if (
-                    isinstance(a, Variable)
-                    and a.name == v
-                    and isinstance(b, Constant)
-                ):
-                    return ValidityReport(True)
+        # One comparison equates at most one variable with a constant.
+        if varset <= equated_constants(f).keys():
+            return ValidityReport(True)
         return ValidityReport(False, f)
     if isinstance(f, Not):
         return ValidityReport(False, f)
     if isinstance(f, And):
-        if _equality_cover(f, varset):
+        if varset <= equated_constants(f).keys():
             return ValidityReport(True)
         for c in f.conjuncts:
             r = _valid(c, varset)
@@ -200,18 +188,3 @@ def _valid(f: Formula, varset: frozenset[str]) -> ValidityReport:
         raise ValueError("is_valid_for needs a normalized formula")
     raise TypeError(f"not a formula: {f!r}")
 
-
-def _equality_cover(f: And, varset: frozenset[str]) -> bool:
-    """True when the conjuncts equate every requested variable with a
-    constant."""
-    covered = set()
-    for c in f.conjuncts:
-        if isinstance(c, Comparison) and c.op == "=":
-            for a, b in ((c.left, c.right), (c.right, c.left)):
-                if (
-                    isinstance(a, Variable)
-                    and a.name in varset
-                    and isinstance(b, Constant)
-                ):
-                    covered.add(a.name)
-    return covered == set(varset)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .entities import ErReport, ValidityReport
 from .errors import EvaluationError, UnsafeQueryError
 from .formulas import (
     And,
@@ -39,14 +40,13 @@ from .formulas import (
     Not,
     Or,
     QueryDecl,
-    Variable,
     conjuncts_of,
     constants_of,
     free_variables,
     normalize,
     to_text,
 )
-from .safety import check_safe
+from .safety import SafetyReport, check_safe
 from .schema import DatabaseInstance
 
 
@@ -151,15 +151,34 @@ def evaluate_naive(
     return Relation(tuple(query.variables), frozenset(rows))
 
 
+@dataclass(frozen=True, kw_only=True)
+class PreparedQuery(QueryDecl):
+    """A query whose body is normalized and whose three gates ran once.
+
+    Built by ``stats.prepare_query`` against one instance.  ``er`` and
+    ``validity`` are None when the body is not safe, because entity
+    status and validity are only defined for safe queries.
+    """
+
+    safety: SafetyReport
+    er: ErReport | None
+    validity: ValidityReport | None
+
+
 def evaluate(
     inst: DatabaseInstance, query: QueryDecl, extra_vocabulary=()
 ) -> Relation:
     """Evaluate a safe query; result columns follow the declared head.
 
-    Raises UnsafeQueryError when the normalized body fails check_safe.
+    A PreparedQuery is evaluated as it is; any other query is normalized
+    and safety-checked first.  Raises UnsafeQueryError when the body
+    fails check_safe.
     """
-    body = normalize(query.body)
-    report = check_safe(body)
+    if isinstance(query, PreparedQuery):
+        body, report = query.body, query.safety
+    else:
+        body = normalize(query.body)
+        report = check_safe(body)
     if not report.safe:
         raise UnsafeQueryError(report)
     vocab = evaluation_vocabulary(inst, body, extra_vocabulary)
@@ -245,29 +264,18 @@ def _eval(inst, f: Formula, vocab) -> Relation:
 
 def _eval_atom(inst, atom: Atom) -> Relation:
     columns = free_variables(atom)
-    first_pos = {}
+    first_pos: dict[str, int] = {}
+    rows = inst.rows(atom.predicate)
     for i, t in enumerate(atom.terms):
-        if isinstance(t, Variable) and t.name not in first_pos:
+        if isinstance(t, Constant):
+            rows = [row for row in rows if row[i] == t.value]
+        elif t.name in first_pos:
+            j = first_pos[t.name]
+            rows = [row for row in rows if row[i] == row[j]]
+        else:
             first_pos[t.name] = i
-    out = set()
-    for row in inst.rows(atom.predicate):
-        ok = True
-        env: dict[str, object] = {}
-        for t, v in zip(atom.terms, row):
-            if isinstance(t, Constant):
-                if t.value != v:
-                    ok = False
-                    break
-            else:
-                if t.name in env:
-                    if env[t.name] != v:
-                        ok = False
-                        break
-                else:
-                    env[t.name] = v
-        if ok:
-            out.add(tuple(row[first_pos[c]] for c in columns))
-    return Relation(columns, frozenset(out))
+    idx = [first_pos[c] for c in columns]
+    return Relation(columns, frozenset(tuple(row[i] for i in idx) for row in rows))
 
 
 def _eval_conjunction(inst, f: Formula, vocab) -> Relation:

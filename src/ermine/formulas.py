@@ -134,6 +134,23 @@ def conjuncts_of(f: Formula) -> tuple[Formula, ...]:
     return (f,)
 
 
+def equated_constants(f: Formula) -> dict[str, list]:
+    """Variables that a conjunct of f equates with a constant (``X = c``
+    or ``c = X``), each with its distinct constants in first-use order.
+
+    A non-And formula counts as a conjunction with one conjunct.
+    """
+    out: dict[str, list] = {}
+    for c in conjuncts_of(f):
+        if isinstance(c, Comparison) and c.op == "=":
+            for a, b in ((c.left, c.right), (c.right, c.left)):
+                if isinstance(a, Variable) and isinstance(b, Constant):
+                    values = out.setdefault(a.name, [])
+                    if b.value not in values:
+                        values.append(b.value)
+    return out
+
+
 def free_variables(f: Formula) -> tuple[str, ...]:
     """Free variables in order of first syntactic occurrence."""
     seen: dict[str, None] = {}

@@ -8,12 +8,14 @@ negated.  Candidates failing the free-variable, safety, entity, or
 validity checks are dropped with a logged reason, so everything that
 reaches evaluation is a well-formed entity query.
 
-Mining proceeds level by level.  Because the frequency of a conjunction
+Mining proceeds level by level, and level k only extends candidates of
+level k-1 that passed the gates.  Because the frequency of a conjunction
 never exceeds the frequency of any subconjunction, extending only the
-frequent survivors of the previous level (classic Apriori pruning)
-yields the same frequent set as exhaustive enumeration; ``prune=False``
-keeps extending every evaluated candidate instead, which exists to make
-that equivalence testable.
+frequent survivors (classic Apriori pruning) finds the same frequent set
+as extending every evaluated candidate, which ``prune=False`` does to
+keep that equivalence testable.  Neither is exhaustive enumeration: the
+gates are not anti-monotone, so a candidate whose every sub-conjunction
+was dropped by a gate is never built.
 
 Bias documents are JSON:
 
@@ -34,16 +36,8 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .entities import is_er_query, is_valid_for
-from .errors import (
-    BiasError,
-    EmptyDomainError,
-    InvalidRuleError,
-    NotEntityQueryError,
-    NotValidError,
-    UnsafeQueryError,
-    ZeroAntecedentError,
-)
+from .errors import BiasError, EmptyDomainError, UnsafeQueryError
+from .evaluator import PreparedQuery, evaluate
 from .formulas import (
     And,
     Atom,
@@ -60,10 +54,9 @@ from .formulas import (
     normalize,
     to_text,
 )
-from .parser import parse_formula_text
-from .safety import check_safe
+from .parser import check_nesting, parse_formula_text
 from .schema import DatabaseInstance, Schema
-from .stats import ErRule, Frequency, confidence, frequency
+from .stats import Frequency, frequency, prepare_query
 
 log = logging.getLogger(__name__)
 
@@ -86,7 +79,7 @@ class LanguageBias:
 
 @dataclass(frozen=True)
 class Candidate:
-    """A candidate query: signed pool items plus the checked formula.
+    """A candidate query: signed pool items plus its prepared query.
 
     ``parts`` holds one formula per signed item (the item's closure,
     negated where the sign says so), so rule splitting can regroup them
@@ -95,7 +88,7 @@ class Candidate:
 
     signed_items: tuple[tuple[int, bool], ...]  # (item index, negated)
     parts: tuple[Formula, ...]
-    decl: QueryDecl
+    decl: PreparedQuery
     canonical: str
 
     @property
@@ -193,6 +186,7 @@ def load_bias(doc, schema: Schema) -> LanguageBias:
         else:
             raise BiasError("each item needs a 'pattern'")
         closed = _close_over_non_head(parse_formula_text(pattern, schema), head)
+        check_nesting(closed)
         canonical = _canonical_text(closed, head)
         if canonical in seen:
             log.debug("bias: dropping duplicate item %r", pattern)
@@ -221,24 +215,21 @@ def build_candidate(bias: LanguageBias, inst: DatabaseInstance, signed_items):
         Not(bias.items[i].formula) if negated else bias.items[i].formula
         for i, negated in signed_items
     )
-    body = normalize(conjunction(parts))
+    body = conjunction(parts)
     if set(free_variables(body)) != set(bias.head):
         return None, "free-variable-mismatch"
-    report = check_safe(body)
-    if not report.safe:
-        return None, f"unsafe ({report.violations[0].rule})"
-    er = is_er_query(body, inst)
-    if not er.is_er:
+    q = prepare_query(inst, QueryDecl(None, bias.head, body))
+    if not q.safety.safe:
+        return None, f"unsafe ({q.safety.violations[0].rule})"
+    if not q.er.is_er:
         return None, "not-an-entity-query"
-    validity = is_valid_for(body, bias.head)
-    if not validity.valid:
+    if not q.validity.valid:
         return None, "not-valid"
     parts_canonical = sorted(
         _canonical_text(normalize(p), bias.head) for p in parts
     )
     canonical = " AND ".join(parts_canonical)
-    decl = QueryDecl(None, bias.head, body)
-    return Candidate(tuple(signed_items), parts, decl, canonical), None
+    return Candidate(tuple(signed_items), parts, q, canonical), None
 
 
 def enumerate_level(
@@ -337,7 +328,12 @@ def mine_rules(
     min_confidence: Fraction,
 ) -> tuple[MinedRule, ...]:
     """Split each frequent multi-item query into antecedent -> consequent
-    rules and keep those at or above the confidence threshold."""
+    rules and keep those at or above the confidence threshold.
+
+    A split's A AND C has exactly the candidate's conjuncts, so its
+    answer count is the candidate's frequency numerator; only the
+    antecedent is evaluated.
+    """
     min_confidence = Fraction(min_confidence)
     rules = []
     for fq in sorted(frequent, key=lambda q: (q.level, q.candidate.canonical)):
@@ -357,16 +353,15 @@ def mine_rules(
                 )
                 continue
             antecedent = QueryDecl(None, head, ant_body)
-            rule = ErRule(antecedent, con_body)
             try:
-                conf = confidence(inst, rule)
-            except ZeroAntecedentError:
-                log.debug("rule from %s: empty antecedent", fq.candidate.canonical)
-                continue
-            except (UnsafeQueryError, NotEntityQueryError, NotValidError,
-                    InvalidRuleError) as exc:
+                antecedent_rows = evaluate(inst, antecedent).rows
+            except UnsafeQueryError as exc:
                 log.debug("rule from %s: %s", fq.candidate.canonical, exc)
                 continue
+            if not antecedent_rows:
+                log.debug("rule from %s: empty antecedent", fq.candidate.canonical)
+                continue
+            conf = Fraction(fq.frequency.numerator, len(antecedent_rows))
             if conf >= min_confidence:
                 rules.append(
                     MinedRule(antecedent, con_body, fq.frequency, conf)

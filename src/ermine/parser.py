@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from .errors import QueryParseError
 from .formulas import (
+    And,
     Atom,
     Comparison,
     Constant,
@@ -44,6 +45,13 @@ from .formulas import (
 from .schema import Schema
 
 KEYWORDS = frozenset({"EXISTS", "FORALL", "AND", "OR", "NOT"})
+
+# Deepest nesting of parentheses, NOT and quantifiers, and tallest formula
+# tree, that a formula may have.  The parser takes up to four stack frames
+# per nesting level and the evaluator up to four per tree level, so at this
+# depth every recursive walk stays near 500 frames, half of Python's
+# default recursion limit of 1000, leaving the rest to the caller.
+MAX_NESTING = 100
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*(?:-[A-Za-z][A-Za-z0-9_]*)*")
 _INT_RE = re.compile(r"-?[0-9]+")
@@ -137,6 +145,7 @@ class _Parser:
         self.schema = schema
         self.registry = registry or {}
         self.last_end = 0
+        self.depth = 0
 
     def peek(self, ahead=0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -158,6 +167,17 @@ class _Parser:
                 tok.start,
             )
         return self.advance()
+
+    def nested(self, parse, tok: Token) -> Formula:
+        """Run one parse step a nesting level deeper."""
+        if self.depth == MAX_NESTING:
+            raise QueryParseError(
+                f"formula nests deeper than {MAX_NESTING} levels", tok.start
+            )
+        self.depth += 1
+        f = parse()
+        self.depth -= 1
+        return f
 
     def at_keyword(self, word) -> bool:
         tok = self.peek()
@@ -217,13 +237,13 @@ class _Parser:
         tok = self.peek()
         if self.at_keyword("NOT"):
             self.advance()
-            inner = self.parse_unary()
+            inner = self.nested(self.parse_unary, tok)
             return Not(inner, span=(tok.start, self.last_end))
         if self.at_keyword("EXISTS") or self.at_keyword("FORALL"):
             self.advance()
             var = self.variable_name()
             self.expect("DOT", "'.' after the quantified variable")
-            body = self.parse_formula()
+            body = self.nested(self.parse_formula, tok)
             cls = Exists if tok.value == "EXISTS" else Forall
             return cls(var, body, span=(tok.start, self.last_end))
         return self.parse_primary()
@@ -232,7 +252,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "LPAREN":
             self.advance()
-            f = self.parse_formula()
+            f = self.nested(self.parse_formula, tok)
             self.expect("RPAREN", "')'")
             return f
         if tok.kind in ("STRING", "INT"):
@@ -303,6 +323,27 @@ class _Parser:
 
 def _start(f: Formula) -> int:
     return f.span[0] if f.span else 0
+
+
+def check_nesting(f: Formula) -> None:
+    """Refuse a formula tree taller than MAX_NESTING.
+
+    OR chains and spliced registered queries grow a tree past the nesting
+    the parser sees, and so does closing a bias item over its variables.
+    """
+    stack = [(f, 0)]
+    while stack:
+        g, height = stack.pop()
+        if height > MAX_NESTING:
+            raise QueryParseError(
+                f"formula nests deeper than {MAX_NESTING} levels", _start(g)
+            )
+        if isinstance(g, And):
+            stack.extend((c, height + 1) for c in g.conjuncts)
+        elif isinstance(g, Or):
+            stack.extend(((g.left, height + 1), (g.right, height + 1)))
+        elif isinstance(g, (Not, Exists, Forall)):
+            stack.append((g.body, height + 1))
 
 
 def _typecheck(body: Formula, schema: Schema) -> dict[str, str]:
@@ -381,6 +422,7 @@ def parse_formula_text(text: str, schema: Schema, registry=None) -> Formula:
     p = _Parser(tokenize(text), schema, registry)
     body = p.parse_formula()
     p.expect("EOF", "end of formula")
+    check_nesting(body)
     _typecheck(body, schema)
     return body
 
@@ -389,6 +431,7 @@ def parse_query(text: str, schema: Schema, registry=None) -> QueryDecl:
     """Parse ``name(vars) := body`` and check heads, arities, and types."""
     p = _Parser(tokenize(text), schema, registry)
     name, variables, body = p.parse_declaration()
+    check_nesting(body)
     if len(set(variables)) != len(variables):
         raise QueryParseError(f"query {name}: repeated head variable")
     declared = set(variables)

@@ -25,7 +25,6 @@ from .formulas import (
     And,
     Atom,
     Comparison,
-    Constant,
     Exists,
     Forall,
     Formula,
@@ -33,6 +32,7 @@ from .formulas import (
     Or,
     Variable,
     conjuncts_of,
+    equated_constants,
     free_variables,
     normalize,
     to_text,
@@ -77,16 +77,9 @@ def limited_variables(conj: Formula) -> frozenset[str]:
     limitation to a fixed point.
     """
     conjs = conjuncts_of(conj)
-    limited: set[str] = set()
+    limited = set(equated_constants(conj))
     for c in conjs:
-        if isinstance(c, Not):
-            continue
-        if isinstance(c, Comparison):
-            if c.op == "=":
-                for a, b in ((c.left, c.right), (c.right, c.left)):
-                    if isinstance(a, Variable) and isinstance(b, Constant):
-                        limited.add(a.name)
-        else:
+        if not isinstance(c, (Not, Comparison)):
             limited.update(free_variables(c))
     changed = True
     while changed:

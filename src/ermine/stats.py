@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .domains import reference_domain
-from .entities import is_er_query, is_valid_for
+from .entities import ValidityReport, is_er_query, is_valid_for
 from .errors import (
     DataError,
     EmptyDomainError,
@@ -28,7 +28,7 @@ from .errors import (
     UnsafeQueryError,
     ZeroAntecedentError,
 )
-from .evaluator import evaluate
+from .evaluator import PreparedQuery, evaluate
 from .formulas import (
     Atom,
     Constant,
@@ -70,26 +70,48 @@ class ErRule:
         return f"{to_text(self.antecedent.body)} -> {to_text(self.consequent)}"
 
 
-def checked_query(inst: DatabaseInstance, query: QueryDecl) -> QueryDecl:
-    """Normalize and verify safety, entity status, and validity.
+def prepare_query(inst: DatabaseInstance, query: QueryDecl) -> PreparedQuery:
+    """Normalize the body once and run the safety, entity, and validity
+    gates once each, keeping every report; a PreparedQuery comes back as
+    it is.  Raises nothing for a query that fails a gate.
+
+    A query with no head variables is valid for no variable list.
+    """
+    if isinstance(query, PreparedQuery):
+        return query
+    body = normalize(query.body)
+    safety = check_safe(body)
+    er = validity = None
+    if safety.safe:
+        er = is_er_query(body, inst)
+        validity = (
+            is_valid_for(body, query.variables)
+            if query.variables
+            else ValidityReport(False)
+        )
+    return PreparedQuery(
+        query.name, query.variables, body, source=query.source,
+        safety=safety, er=er, validity=validity,
+    )
+
+
+def checked_query(inst: DatabaseInstance, query: QueryDecl) -> PreparedQuery:
+    """Prepare the query and raise for the first gate it fails.
 
     Raises UnsafeQueryError, NotEntityQueryError, or NotValidError.
     """
-    body = normalize(query.body)
-    report = check_safe(body)
-    if not report.safe:
-        raise UnsafeQueryError(report)
-    er = is_er_query(body, inst)
-    if not er.is_er:
-        raise NotEntityQueryError(er)
-    validity = is_valid_for(body, query.variables)
-    if not validity.valid:
-        where = to_text(validity.failing) if validity.failing else to_text(body)
+    q = prepare_query(inst, query)
+    if not q.safety.safe:
+        raise UnsafeQueryError(q.safety)
+    if not q.er.is_er:
+        raise NotEntityQueryError(q.er)
+    if not q.validity.valid:
+        failing = q.validity.failing or q.body
         raise NotValidError(
-            f"query is not valid for ({', '.join(query.variables)}); "
-            f"first failing subformula: {where}"
+            f"query is not valid for ({', '.join(q.variables)}); "
+            f"first failing subformula: {to_text(failing)}"
         )
-    return QueryDecl(query.name, query.variables, body, source=query.source)
+    return q
 
 
 def frequency(inst: DatabaseInstance, query: QueryDecl) -> Frequency:

@@ -1,11 +1,13 @@
 """End-to-end command line tests driving ermine.cli.main."""
 
 import csv
+import json
 
 import pytest
 
 from conftest import BASKET_DIR, TV_DIR
 from ermine.cli import REPL_HELP, _repl_line, main
+from ermine.parser import MAX_NESTING
 
 SCHEMA = str(TV_DIR / "schema.json")
 DATA = str(TV_DIR / "data")
@@ -95,6 +97,65 @@ def test_check_safe_but_not_entity(capsys):
     assert "safety: PASS" in out
     assert "entity query: no" in out
     assert "  V: " in out
+
+
+def test_check_entity_but_not_valid(capsys):
+    code, out, _ = run(capsys, *BASE, "check", "q(X, Y) := TV-Program(X) AND X = Y")
+    assert code == 1
+    assert out.endswith(
+        "valid for (X, Y): no (first failing subformula: TV-Program(X) AND X = Y)\n"
+    )
+
+
+DEEP = 10_000
+DEEP_BODIES = {
+    "parentheses": "(" * DEEP + "TV-Program(P)" + ")" * DEEP,
+    "exists": "EXISTS X. " * DEEP + "TV-Program(P)",
+    "not": "NOT " * DEEP + "TV-Program(P)",
+    "or": " OR ".join(["TV-Program(P)"] * DEEP),
+}
+NESTING_ERROR = f"error: formula nests deeper than {MAX_NESTING} levels"
+
+
+@pytest.mark.parametrize("command", ["check", "eval", "freq"])
+@pytest.mark.parametrize("shape", DEEP_BODIES)
+def test_deep_query_is_a_parse_error(capsys, command, shape):
+    code, out, err = run(capsys, *BASE, command, f"q(P) := {DEEP_BODIES[shape]}")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(NESTING_ERROR)
+
+
+@pytest.mark.parametrize("shape", DEEP_BODIES)
+def test_deep_bias_item_is_a_parse_error(capsys, tmp_path, shape):
+    bias = tmp_path / "bias.json"
+    bias.write_text(json.dumps({"head": ["P"], "items": [DEEP_BODIES[shape]]}))
+    code, _, err = run(
+        capsys, *BASE, "mine", "--bias", str(bias),
+        "--min-support", "1/4", "--min-confidence", "1/2",
+    )
+    assert code == 1
+    assert err.startswith(NESTING_ERROR)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "(" * MAX_NESTING + "TV-Program(P)" + ")" * MAX_NESTING,
+        "EXISTS X. " * MAX_NESTING + "TV-Program(P)",
+        "TV-Program(P) AND NOT (" * (MAX_NESTING // 2)
+        + "TV-Program(P)"
+        + ")" * (MAX_NESTING // 2),
+        " OR ".join(["TV-Program(P)"] * (MAX_NESTING + 1)),
+    ],
+)
+def test_nesting_at_the_limit_still_evaluates(capsys, body):
+    code, out, _ = run(capsys, *BASE, "eval", f"q(P) := {body}")
+    assert code == 0
+    assert out == "P\nDaily Show\nGilmore\nHockey Night\nSimpsons\n"
+    code, _, err = run(capsys, *BASE, "eval", f"q(P) := EXISTS Y. {body}")
+    assert code == 1
+    assert err.startswith(NESTING_ERROR)
 
 
 def test_domain_of_named_query(capsys):
@@ -260,6 +321,12 @@ def test_freq_requires_validity(capsys):
     code, _, err = run(capsys, *BASE, "freq", "q(X, Y) := TV-Program(X) AND X = Y")
     assert code == 1
     assert "not valid for" in err
+
+
+def test_freq_of_a_headless_query_is_not_valid(capsys):
+    code, _, err = run(capsys, *BASE, "freq", "q() := EXISTS P. TV-Program(P)")
+    assert code == 1
+    assert "error: query is not valid for ()" in err
 
 
 @pytest.fixture()

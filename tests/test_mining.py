@@ -7,12 +7,19 @@ import pytest
 from conftest import TV_DIR
 from ermine import (
     BiasError,
+    ErRule,
     LevelStats,
     Not,
+    QueryDecl,
     QueryParseError,
+    UnsafeQueryError,
+    ZeroAntecedentError,
     build_candidate,
     check_safe,
+    confidence,
+    conjunction,
     enumerate_level,
+    free_variables,
     is_er_query,
     is_valid_for,
     load_bias,
@@ -22,6 +29,7 @@ from ermine import (
     mine_frequent,
     mine_rules,
     normalize,
+    support,
 )
 
 QUARTER = Fraction(1, 4)
@@ -281,3 +289,37 @@ def test_min_support_range(programs_bias, tv, bad):
 def test_mine_rules_needs_multi_part_queries(programs_bias, tv):
     level_one = mine_frequent(tv, programs_bias, QUARTER, max_level=1)
     assert mine_rules(tv, level_one.frequent, Fraction(0)) == ()
+
+
+def _split_rules_from_scratch(inst, frequent):
+    """Every split of every frequent query that stats.confidence accepts,
+    with its support and confidence recomputed from scratch."""
+    out = []
+    for fq in sorted(frequent, key=lambda q: (q.level, q.candidate.canonical)):
+        parts = fq.candidate.parts
+        head = fq.candidate.decl.variables
+        for mask in range(1, 2 ** len(parts) - 1):
+            ant = normalize(conjunction([p for j, p in enumerate(parts) if mask >> j & 1]))
+            con = normalize(conjunction([p for j, p in enumerate(parts) if not mask >> j & 1]))
+            if set(free_variables(ant)) != set(head):
+                continue
+            rule = ErRule(QueryDecl(None, head, ant), con)
+            try:
+                conf = confidence(inst, rule)
+            except (UnsafeQueryError, ZeroAntecedentError):
+                continue
+            out.append((rule.text(), support(inst, rule), conf))
+    return out
+
+
+@pytest.mark.parametrize("prune", [True, False])
+@pytest.mark.parametrize("bias_name", ["programs_bias", "pairs_bias"])
+def test_rule_statistics_match_stats_from_scratch(request, tv, bias_name, prune):
+    # A confidence floor this low keeps every split with a non-empty
+    # antecedent, so the rule list is compared whole.
+    bias = request.getfixturevalue(bias_name)
+    result = mine(tv, bias, Fraction(1, 100), Fraction(1, 10**9), prune=prune)
+    assert result.rules
+    assert [
+        (r.text(), r.support, r.confidence) for r in result.rules
+    ] == _split_rules_from_scratch(tv, result.frequent)
