@@ -100,6 +100,7 @@ from .stats import (
     Frequency,
     checked_query,
     confidence,
+    confidence_from_count,
     frequency,
     itemset_frequency,
     prepare_query,

@@ -36,7 +36,7 @@ from .schema import (
     load_instance_dir,
     load_schema_file,
 )
-from .stats import ErRule, confidence, frequency, prepare_query, support
+from .stats import ErRule, confidence_from_count, frequency, prepare_query, support
 
 
 @dataclass
@@ -55,8 +55,12 @@ def load_session(ns) -> Session:
     instance = load_instance_dir(schema, ns.data)
     registry: dict[str, QueryDecl] = {}
     if ns.queries:
-        with open(ns.queries, encoding="utf-8") as fh:
-            registry = parse_query_file(fh.read(), schema)
+        try:
+            with open(ns.queries, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{ns.queries}: not valid UTF-8: {exc}") from exc
+        registry = parse_query_file(text, schema)
     return Session(schema, instance, registry)
 
 
@@ -166,6 +170,8 @@ def run_domain(session: Session, query: str, vars_arg=None, explain=False) -> in
             )
     else:
         variables = decl.variables
+    if not variables:
+        raise QueryParseError("domain needs a query with head variables")
     body = normalize(decl.body)
     if explain:
         dom, tree = explain_reference_domain(session.instance, body, variables)
@@ -188,7 +194,7 @@ def run_rule(session: Session, antecedent_arg: str, consequent_arg: str) -> int:
     consequent = _resolve_query(session, consequent_arg)
     rule = ErRule(antecedent, consequent.body)
     sup = support(session.instance, rule)
-    conf = confidence(session.instance, rule)
+    conf = confidence_from_count(session.instance, antecedent, sup.numerator)
     print(
         f"rule: {antecedent.name or 'antecedent'} -> "
         f"{consequent.name or 'consequent'}"

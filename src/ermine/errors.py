@@ -10,7 +10,8 @@ class SchemaError(ErmineError):
 
 
 class DataError(ErmineError):
-    """Instance data violates its schema (arity, types, keys, references)."""
+    """Instance data violates its schema (arity, types, keys, references),
+    or an input file is not valid UTF-8."""
 
 
 class QueryParseError(ErmineError):

@@ -42,7 +42,6 @@ from .formulas import (
     QueryDecl,
     conjuncts_of,
     constants_of,
-    free_variables,
     normalize,
     to_text,
 )
@@ -235,15 +234,14 @@ def _antijoin(a: Relation, b: Relation) -> Relation:
 
 
 def _eval(inst, f: Formula, vocab) -> Relation:
-    """Evaluate a normalized safe formula; columns are its free variables
-    in first-occurrence order."""
+    """Evaluate a normalized safe formula; the columns are its free
+    variables in no fixed order (``evaluate`` orders them by the head)."""
     if isinstance(f, Atom):
         return _eval_atom(inst, f)
     if isinstance(f, Or):
-        target = free_variables(f)
-        left = _reorder(_eval(inst, f.left, vocab), target)
-        right = _reorder(_eval(inst, f.right, vocab), target)
-        return Relation(target, left.rows | right.rows)
+        left = _eval(inst, f.left, vocab)
+        right = _reorder(_eval(inst, f.right, vocab), left.columns)
+        return Relation(left.columns, left.rows | right.rows)
     if isinstance(f, Exists):
         body = _eval(inst, f.body, vocab)
         if f.var in body.columns:
@@ -263,7 +261,6 @@ def _eval(inst, f: Formula, vocab) -> Relation:
 
 
 def _eval_atom(inst, atom: Atom) -> Relation:
-    columns = free_variables(atom)
     first_pos: dict[str, int] = {}
     rows = inst.rows(atom.predicate)
     for i, t in enumerate(atom.terms):
@@ -274,7 +271,7 @@ def _eval_atom(inst, atom: Atom) -> Relation:
             rows = [row for row in rows if row[i] == row[j]]
         else:
             first_pos[t.name] = i
-    idx = [first_pos[c] for c in columns]
+    columns, idx = tuple(first_pos), tuple(first_pos.values())
     return Relation(columns, frozenset(tuple(row[i] for i in idx) for row in rows))
 
 
@@ -290,8 +287,8 @@ def _eval_conjunction(inst, f: Formula, vocab) -> Relation:
             comparisons.append(c)
         else:
             positives.append(c)
-    rel = _UNIT
-    for p in positives:
+    rel = _eval(inst, positives[0], vocab) if positives else _UNIT
+    for p in positives[1:]:
         rel = _natural_join(rel, _eval(inst, p, vocab))
 
     pending = list(comparisons)
@@ -335,7 +332,7 @@ def _eval_conjunction(inst, f: Formula, vocab) -> Relation:
                 f"conjunction"
             )
         rel = _antijoin(rel, sub)
-    return _reorder(rel, free_variables(f))
+    return rel
 
 
 def _comparand(term, rel: Relation):

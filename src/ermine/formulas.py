@@ -196,12 +196,6 @@ def subformulas(f: Formula):
         yield from subformulas(f.body)
 
 
-def quantified_variables(f: Formula) -> frozenset[str]:
-    return frozenset(
-        g.var for g in subformulas(f) if isinstance(g, (Exists, Forall))
-    )
-
-
 def constants_of(f: Formula) -> frozenset:
     out = set()
     for g in subformulas(f):

@@ -31,13 +31,12 @@ Items may also be plain pattern strings (negatable defaults to true).
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BiasError, EmptyDomainError, UnsafeQueryError
-from .evaluator import PreparedQuery, evaluate
+from .errors import BiasError, EmptyDomainError, UnsafeQueryError, ZeroAntecedentError
+from .evaluator import PreparedQuery
 from .formulas import (
     And,
     Atom,
@@ -55,8 +54,8 @@ from .formulas import (
     to_text,
 )
 from .parser import check_nesting, parse_formula_text
-from .schema import DatabaseInstance, Schema
-from .stats import Frequency, frequency, prepare_query
+from .schema import DatabaseInstance, Schema, read_json_file
+from .stats import ErRule, Frequency, confidence_from_count, frequency, prepare_query
 
 log = logging.getLogger(__name__)
 
@@ -104,14 +103,9 @@ class FrequentQuery:
 
 
 @dataclass(frozen=True)
-class MinedRule:
-    antecedent: QueryDecl
-    consequent: Formula
+class MinedRule(ErRule):
     support: Frequency
     confidence: Fraction
-
-    def text(self) -> str:
-        return f"{to_text(self.antecedent.body)} -> {to_text(self.consequent)}"
 
 
 @dataclass(frozen=True)
@@ -169,7 +163,12 @@ def load_bias(doc, schema: Schema) -> LanguageBias:
     if not isinstance(doc, dict):
         raise BiasError("bias document must be a JSON object")
     head = doc.get("head")
-    if not isinstance(head, list) or not head or len(set(head)) != len(head):
+    if (
+        not isinstance(head, list)
+        or not head
+        or not all(isinstance(v, str) for v in head)
+        or len(set(head)) != len(head)
+    ):
         raise BiasError("'head' must be a non-empty list of distinct variables")
     head = tuple(head)
     raw_items = doc.get("items")
@@ -180,11 +179,11 @@ def load_bias(doc, schema: Schema) -> LanguageBias:
     for raw in raw_items:
         if isinstance(raw, str):
             pattern, negatable = raw, True
-        elif isinstance(raw, dict) and "pattern" in raw:
+        elif isinstance(raw, dict) and isinstance(raw.get("pattern"), str):
             pattern = raw["pattern"]
             negatable = bool(raw.get("negatable", True))
         else:
-            raise BiasError("each item needs a 'pattern'")
+            raise BiasError("each item needs a string 'pattern'")
         closed = _close_over_non_head(parse_formula_text(pattern, schema), head)
         check_nesting(closed)
         canonical = _canonical_text(closed, head)
@@ -201,12 +200,7 @@ def load_bias(doc, schema: Schema) -> LanguageBias:
 
 
 def load_bias_file(path, schema: Schema) -> LanguageBias:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise BiasError(f"{path}: not valid JSON: {exc}") from exc
-    return load_bias(doc, schema)
+    return load_bias(read_json_file(path, BiasError), schema)
 
 
 def build_candidate(bias: LanguageBias, inst: DatabaseInstance, signed_items):
@@ -331,8 +325,8 @@ def mine_rules(
     rules and keep those at or above the confidence threshold.
 
     A split's A AND C has exactly the candidate's conjuncts, so its
-    answer count is the candidate's frequency numerator; only the
-    antecedent is evaluated.
+    answer count is the candidate's frequency numerator and
+    ``confidence_from_count`` evaluates only the antecedent.
     """
     min_confidence = Fraction(min_confidence)
     rules = []
@@ -354,14 +348,10 @@ def mine_rules(
                 continue
             antecedent = QueryDecl(None, head, ant_body)
             try:
-                antecedent_rows = evaluate(inst, antecedent).rows
-            except UnsafeQueryError as exc:
+                conf = confidence_from_count(inst, antecedent, fq.frequency.numerator)
+            except (UnsafeQueryError, ZeroAntecedentError) as exc:
                 log.debug("rule from %s: %s", fq.candidate.canonical, exc)
                 continue
-            if not antecedent_rows:
-                log.debug("rule from %s: empty antecedent", fq.candidate.canonical)
-                continue
-            conf = Fraction(fq.frequency.numerator, len(antecedent_rows))
             if conf >= min_confidence:
                 rules.append(
                     MinedRule(antecedent, con_body, fq.frequency, conf)

@@ -137,10 +137,6 @@ class Schema:
     def has_table(self, name: str) -> bool:
         return self._find_table(name) is not None
 
-    @property
-    def entity_tables(self) -> tuple[TableDecl, ...]:
-        return tuple(t for t in self.tables if t.is_entity)
-
 
 def entity_fields(schema: Schema) -> frozenset[str]:
     """Return ``table.field`` names of all entity fields.
@@ -167,33 +163,52 @@ def load_schema(doc) -> Schema:
         raise SchemaError("'tables' must be a list")
     tables = []
     for raw in raw_tables:
-        if not isinstance(raw, dict) or "name" not in raw or "fields" not in raw:
-            raise SchemaError("each table needs 'name' and 'fields'")
+        if (
+            not isinstance(raw, dict)
+            or not isinstance(raw.get("name"), str)
+            or not isinstance(raw.get("fields"), list)
+        ):
+            raise SchemaError("each table needs a string 'name' and a 'fields' list")
         fields = []
         for rf in raw["fields"]:
-            if not isinstance(rf, dict) or "name" not in rf or "type" not in rf:
+            if (
+                not isinstance(rf, dict)
+                or not isinstance(rf.get("name"), str)
+                or "type" not in rf
+            ):
                 raise SchemaError(
-                    f"table {raw['name']!r}: each field needs 'name' and 'type'"
+                    f"table {raw['name']!r}: each field needs a string 'name' "
+                    f"and a 'type'"
+                )
+            references = rf.get("references")
+            if references is not None and not isinstance(references, str):
+                raise SchemaError(
+                    f"{raw['name']}.{rf['name']}: 'references' must be a string"
                 )
             fields.append(
                 FieldDecl(
                     name=rf["name"],
                     value_type=rf["type"],
                     is_key=bool(rf.get("key", False)),
-                    references=rf.get("references"),
+                    references=references,
                 )
             )
         tables.append(TableDecl(raw["name"], tuple(fields)))
     return Schema(tuple(tables))
 
 
+def read_json_file(path, error: type[Exception]):
+    """Parse a UTF-8 JSON file; bad bytes, bad syntax and nesting past the
+    recursion limit raise ``error`` naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path}: not valid JSON: {exc}") from exc
+
+
 def load_schema_file(path) -> Schema:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    return load_schema(doc)
+    return load_schema(read_json_file(path, SchemaError))
 
 
 @dataclass(frozen=True)
@@ -311,33 +326,40 @@ def load_instance_dir(schema: Schema, directory) -> DatabaseInstance:
         path = os.path.join(directory, f"{t.name}.csv")
         if not os.path.exists(path):
             raise DataError(f"missing data file {path}")
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file, expected a header row") from None
-            expected = [f.name for f in t.fields]
-            if header != expected:
-                raise DataError(
-                    f"{path}: header {header!r} does not match declared fields "
-                    f"{expected!r}"
-                )
-            rows = []
-            for rno, cells in enumerate(reader, start=2):
-                if len(cells) != t.arity:
-                    raise DataError(
-                        f"{path} line {rno}: expected {t.arity} values, "
-                        f"got {len(cells)}"
-                    )
-                rows.append(
-                    tuple(
-                        _parse_cell(t, f, c, f"{path} line {rno}")
-                        for f, c in zip(t.fields, cells)
-                    )
-                )
-        tables[t.name] = rows
+        try:
+            tables[t.name] = _read_csv(t, path)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"{path}: not valid UTF-8 CSV: {exc}") from exc
     return load_instance(schema, tables)
+
+
+def _read_csv(t: TableDecl, path) -> list[tuple]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file, expected a header row") from None
+        expected = [f.name for f in t.fields]
+        if header != expected:
+            raise DataError(
+                f"{path}: header {header!r} does not match declared fields "
+                f"{expected!r}"
+            )
+        rows = []
+        for rno, cells in enumerate(reader, start=2):
+            if len(cells) != t.arity:
+                raise DataError(
+                    f"{path} line {rno}: expected {t.arity} values, "
+                    f"got {len(cells)}"
+                )
+            rows.append(
+                tuple(
+                    _parse_cell(t, f, c, f"{path} line {rno}")
+                    for f, c in zip(t.fields, cells)
+                )
+            )
+    return rows
 
 
 def save_instance_dir(inst: DatabaseInstance, directory) -> None:

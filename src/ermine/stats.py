@@ -40,7 +40,7 @@ from .formulas import (
     normalize,
     to_text,
 )
-from .safety import check_safe
+from .safety import SafetyReport
 from .schema import DatabaseInstance
 
 
@@ -75,15 +75,18 @@ def prepare_query(inst: DatabaseInstance, query: QueryDecl) -> PreparedQuery:
     gates once each, keeping every report; a PreparedQuery comes back as
     it is.  Raises nothing for a query that fails a gate.
 
+    The safety verdict is the one ``is_er_query`` reaches on its way.
     A query with no head variables is valid for no variable list.
     """
     if isinstance(query, PreparedQuery):
         return query
     body = normalize(query.body)
-    safety = check_safe(body)
-    er = validity = None
-    if safety.safe:
+    safety, er, validity = SafetyReport(()), None, None
+    try:
         er = is_er_query(body, inst)
+    except UnsafeQueryError as exc:
+        safety = exc.report
+    else:
         validity = (
             is_valid_for(body, query.variables)
             if query.variables
@@ -146,13 +149,20 @@ def support(inst: DatabaseInstance, rule: ErRule) -> Frequency:
 def confidence(inst: DatabaseInstance, rule: ErRule) -> Fraction:
     """|tuples(F AND G)| / |tuples(F)|; needs a non-empty antecedent."""
     conj = checked_query(inst, rule_conjunction(rule))
-    antecedent_rows = evaluate(inst, rule.antecedent).rows
+    return confidence_from_count(inst, rule.antecedent, len(evaluate(inst, conj).rows))
+
+
+def confidence_from_count(
+    inst: DatabaseInstance, antecedent: QueryDecl, conjunction_count: int
+) -> Fraction:
+    """Confidence of a rule F -> G whose F AND G has ``conjunction_count``
+    result tuples; evaluates only F, which must be safe and non-empty."""
+    antecedent_rows = evaluate(inst, antecedent).rows
     if not antecedent_rows:
         raise ZeroAntecedentError(
-            f"antecedent {to_text(rule.antecedent.body)} has no result tuples"
+            f"antecedent {to_text(antecedent.body)} has no result tuples"
         )
-    conj_rows = evaluate(inst, conj).rows
-    return Fraction(len(conj_rows), len(antecedent_rows))
+    return Fraction(conjunction_count, len(antecedent_rows))
 
 
 def itemset_frequency(

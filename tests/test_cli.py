@@ -182,6 +182,13 @@ def test_domain_vars_must_come_from_head(capsys):
     assert "outside the query head" in err
 
 
+def test_domain_of_a_headless_query_fails(capsys):
+    code, out, err = run(capsys, *BASE, "domain", "q() := EXISTS P. TV-Program(P)")
+    assert code == 1
+    assert out == ""
+    assert err == "error: domain needs a query with head variables\n"
+
+
 def test_domain_explain_goes_to_stderr(capsys):
     code, out, err = run(capsys, *BASE, "domain", "F1", "--explain")
     assert code == 0
@@ -207,6 +214,33 @@ def test_rule_support_and_confidence(capsys):
     assert "rule: F1 -> F2" in out
     assert "support: 1/4 = 1/4 (0.250000)" in out
     assert "confidence: 1/2 (0.500000)" in out
+
+
+EMPTY_ANTECEDENT = (
+    "a(P) := EXISTS SN. EXISTS V. EXISTS S. WeekdayTV(P, SN, V, S) AND V > 100"
+)
+
+
+@pytest.mark.parametrize(
+    "antecedent, consequent, message",
+    [
+        (EMPTY_ANTECEDENT, "F2", "has no result tuples"),
+        # F1 AND NOT F2 passes every gate; NOT F2 alone is not safe.
+        (
+            "a(P) := NOT F2",
+            "F1",
+            "error: query is not safe (R3-unlimited-var, R4-bad-negation)",
+        ),
+        ("F1", "G1", "consequent variables not in the antecedent head: SN"),
+    ],
+    ids=["empty-antecedent", "unsafe-antecedent", "stray-consequent-variable"],
+)
+def test_rule_errors(capsys, antecedent, consequent, message):
+    code, out, err = run(capsys, *BASE, "rule", antecedent, consequent)
+    assert code == 1
+    assert out == ""
+    assert message in err
+    assert len(err.splitlines()) == 1
 
 
 def test_mine_transcript(capsys):
@@ -295,6 +329,53 @@ def test_malformed_schema_file(capsys, tmp_path):
     code, _, err = run(capsys, "--schema", str(bad), "--data", DATA, "validate")
     assert code == 2
     assert "not valid JSON" in err
+
+
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
+NOT_UTF8 = b"\xff\xfe not text"
+
+
+@pytest.mark.parametrize(
+    "target, content",
+    [
+        ("schema", DEEP_JSON),
+        ("bias", DEEP_JSON),
+        ("schema", NOT_UTF8),
+        ("bias", NOT_UTF8),
+        ("queries", NOT_UTF8),
+        ("csv", NOT_UTF8),
+        ("csv", b"x" * 200_000),
+    ],
+    ids=["deep-schema", "deep-bias", "binary-schema", "binary-bias",
+         "binary-queries", "binary-csv", "huge-csv-field"],
+)
+def test_bad_input_file_is_one_error_line(capsys, tmp_path, target, content):
+    data = tmp_path / "data"
+    data.mkdir()
+    for src in (TV_DIR / "data").iterdir():
+        (data / src.name).write_bytes(src.read_bytes())
+    paths = {
+        "schema": tmp_path / "schema.json",
+        "bias": tmp_path / "bias.json",
+        "queries": tmp_path / "queries.erq",
+        "csv": data / "WeekendTV.csv",
+    }
+    paths["schema"].write_bytes((TV_DIR / "schema.json").read_bytes())
+    paths["bias"].write_bytes((TV_DIR / "bias_programs.json").read_bytes())
+    paths["queries"].write_bytes((TV_DIR / "queries.erq").read_bytes())
+    paths[target].write_bytes(content)
+    code, out, err = run(
+        capsys,
+        "--schema", str(paths["schema"]),
+        "--data", str(data),
+        "--queries", str(paths["queries"]),
+        "mine", "--bias", str(paths["bias"]),
+        "--min-support", "1/4", "--min-confidence", "1/2",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {paths[target]}: not valid ")
+    assert len(err.splitlines()) == 1
 
 
 def test_data_dir_must_match_schema(capsys):

@@ -169,6 +169,27 @@ def test_enumeration_route_agrees_on_fixture(tv, queries, combine):
         assert fast.rows == slow.rows
 
 
+@pytest.mark.parametrize("head", ["P, SN", "SN, P"])
+@pytest.mark.parametrize(
+    "body",
+    [
+        # The OR's branches meet P and SN in opposite orders.
+        "(EXISTS V. EXISTS S. WeekdayTV(P, SN, V, S) AND V > 10) OR "
+        '(EXISTS A. TV-Station(SN, A) AND A = 1 AND P = "Simpsons")',
+        # An equality binds a head variable before any atom mentions it.
+        'SN = "CBS" AND TV-Program(P)',
+        "SN = P AND TV-Program(P)",
+        '(SN = "CBS" AND TV-Program(P)) OR (EXISTS V. EXISTS S. '
+        "WeekendTV(P, SN, V, S))",
+    ],
+)
+def test_column_order_inside_the_body_does_not_matter(tv, tv_schema, head, body):
+    decl = parse_query(f"q({head}) := {body}", tv_schema)
+    fast = evaluate(tv, decl)
+    assert fast == evaluate_naive(tv, decl)
+    assert fast.rows
+
+
 def test_enumeration_on_empty_instance(tv_schema):
     empty = load_instance(tv_schema, {})
     decl = parse_query("q(X) := TV-Program(X)", tv_schema)

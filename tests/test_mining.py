@@ -79,6 +79,8 @@ def test_bias_defaults(tv_schema):
         ({"head": ["P"], "items": [{"negatable": True}]}, "pattern"),
         ({"head": ["P"], "items": ["TV-Program(P)"], "max_conjuncts": 0},
          "'max_conjuncts'"),
+        ({"head": [["P"]], "items": ["TV-Program(P)"]}, "'head'"),
+        ({"head": ["P"], "items": [{"pattern": 5}]}, "string 'pattern'"),
     ],
 )
 def test_bias_validation(tv_schema, doc, message):

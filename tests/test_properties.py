@@ -5,16 +5,20 @@ the tiny schemas in strategies.py.  The evaluation properties compare
 the set-algebra evaluator with brute-force assignment enumeration; the
 statistics properties exercise the guarantees the miner relies on:
 non-empty domains, frequency bounds, disjoint-split additivity, and the
-anti-monotonicity that justifies Apriori pruning.
+anti-monotonicity that justifies Apriori pruning.  The loader property
+feeds arbitrary JSON documents to the bias and schema loaders.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import strategies
 from ermine import (
     And,
+    ErmineError,
     Not,
     Or,
     QueryDecl,
@@ -26,6 +30,8 @@ from ermine import (
     frequency,
     is_er_query,
     is_valid_for,
+    load_bias,
+    load_schema,
     normalize,
     parse_formula_text,
     reference_domain,
@@ -132,3 +138,70 @@ def test_normalize_is_idempotent_and_keeps_free_variables(case):
     once = normalize(decl.body)
     assert normalize(once) == once
     assert set(free_variables(once)) == set(free_variables(decl.body))
+
+
+
+JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=8,
+)
+
+
+def shaped(fields):
+    """Arbitrary JSON, or an object with any subset of the given keys
+    whose values are arbitrary JSON or of the shape the loader expects."""
+    return JSON | st.fixed_dictionaries(
+        {}, optional={key: JSON | value for key, value in fields.items()}
+    )
+
+
+def listed(element):
+    return st.lists(JSON | element, max_size=3)
+
+
+BIAS_ITEM = st.sampled_from(
+    ["TV-Program(P)", 'P = "Gilmore"', "TV-Station(SN, A) AND A > 1"]
+)
+BIAS_DOCUMENTS = shaped(
+    {
+        "head": listed(st.sampled_from(["P", "SN"])),
+        "items": listed(BIAS_ITEM | shaped({"pattern": BIAS_ITEM})),
+        "max_conjuncts": st.integers(-1, 3),
+        "allow_negation": st.booleans(),
+    }
+)
+FIELD = shaped(
+    {
+        "name": st.sampled_from(["f", "g"]),
+        "type": st.sampled_from(["string", "integer"]),
+        "key": st.booleans(),
+        "references": st.sampled_from(["T.f", "U.f", "T"]),
+    }
+)
+SCHEMA_DOCUMENTS = shaped(
+    {
+        "tables": listed(
+            shaped({"name": st.sampled_from(["T", "U"]), "fields": listed(FIELD)})
+        )
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "documents, load",
+    [(BIAS_DOCUMENTS, load_bias), (SCHEMA_DOCUMENTS, lambda doc, _: load_schema(doc))],
+    ids=["bias", "schema"],
+)
+@SETTINGS
+@given(data=st.data())
+def test_loaders_raise_only_package_errors(tv_schema, documents, load, data):
+    try:
+        load(data.draw(documents), tv_schema)
+    except ErmineError:
+        pass

@@ -123,6 +123,23 @@ def test_schema_rejects_unknown_type():
 
 
 @pytest.mark.parametrize(
+    "table, message",
+    [
+        ({"name": "T", "fields": 5}, "'fields' list"),
+        ({"name": ["T"], "fields": []}, "string 'name'"),
+        ({"name": "T", "fields": [{"name": 1, "type": "string"}]}, "string 'name'"),
+        (
+            {"name": "T", "fields": [{"name": "x", "type": "string", "references": 5}]},
+            "T.x: 'references' must be a string",
+        ),
+    ],
+)
+def test_schema_rejects_malformed_shapes(table, message):
+    with pytest.raises(SchemaError, match=message):
+        load_schema(schema_doc([table]))
+
+
+@pytest.mark.parametrize(
     "references, message",
     [
         ("Nope.name", "unknown table"),
