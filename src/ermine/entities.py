@@ -38,7 +38,7 @@ from .formulas import (
     normalize,
     subformulas,
 )
-from .safety import check_safe
+from .safety import _check_normalized
 from .schema import DatabaseInstance, entity_fields, is_entity_constant
 
 REASON_QUANTIFIED = "quantified-over"
@@ -107,8 +107,12 @@ def is_er_query(f: Formula, inst: DatabaseInstance) -> ErReport:
 
     Raises UnsafeQueryError when the formula is not safe.
     """
-    f = normalize(f)
-    report = check_safe(f)
+    return _er_report(normalize(f), inst)
+
+
+def _er_report(f: Formula, inst: DatabaseInstance) -> ErReport:
+    """``is_er_query`` of a formula that is already normalized."""
+    report = _check_normalized(f)
     if not report.safe:
         raise UnsafeQueryError(report)
     candidates, failures = _candidates(f, inst)

@@ -17,6 +17,21 @@ keep that equivalence testable.  Neither is exhaustive enumeration: the
 gates are not anti-monotone, so a candidate whose every sub-conjunction
 was dropped by a gate is never built.
 
+Counting is vertical, in the manner of Eclat's tidset intersection: a
+mining run evaluates each pool item once and computes its reference
+domain once.  A candidate's answers are then the natural join (an
+intersection when every item mentions the whole head) of its positive
+items' answers, anti-joined with its negated items' answers, and its
+reference domain is the union of its items' domains.  That is what
+evaluating the body and the conjunction-union rule of reference domains
+give whenever each item normalizes to one conjunct that is not a
+conjunction, a comparison or a negation.  Other candidates are counted
+by ``stats.frequency``: an item like ``P = "Gilmore"`` can make the
+equality-cover rule decide the domain, and an item that normalizes to a
+conjunction is flattened into the candidate's.  A rule antecedent takes
+its answer count from the candidate with the same signed items where one
+was evaluated, else from the same set algebra, else from evaluating it.
+
 Bias documents are JSON:
 
     {"head": ["P"],
@@ -32,11 +47,20 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .domains import reference_domain
 from .errors import BiasError, EmptyDomainError, UnsafeQueryError, ZeroAntecedentError
-from .evaluator import PreparedQuery
+from .evaluator import (
+    PreparedQuery,
+    Relation,
+    _antijoin,
+    _eval,
+    _natural_join,
+    _reorder,
+    evaluation_vocabulary,
+)
 from .formulas import (
     And,
     Atom,
@@ -54,8 +78,16 @@ from .formulas import (
     to_text,
 )
 from .parser import check_nesting, parse_formula_text
+from .safety import _check_normalized
 from .schema import DatabaseInstance, Schema, read_json_file
-from .stats import ErRule, Frequency, confidence_from_count, frequency, prepare_query
+from .stats import (
+    ErRule,
+    Frequency,
+    check_domain,
+    confidence_from_count,
+    frequency,
+    prepare_query,
+)
 
 log = logging.getLogger(__name__)
 
@@ -81,14 +113,16 @@ class Candidate:
     """A candidate query: signed pool items plus its prepared query.
 
     ``parts`` holds one formula per signed item (the item's closure,
-    negated where the sign says so), so rule splitting can regroup them
-    without the bias at hand.
+    negated where the sign says so).  ``run`` is the mining run that
+    built the candidate; rule splitting regroups the signed items through
+    it and reuses its counts and item answers.
     """
 
     signed_items: tuple[tuple[int, bool], ...]  # (item index, negated)
     parts: tuple[Formula, ...]
     decl: PreparedQuery
     canonical: str
+    run: _Run = field(compare=False, repr=False)
 
     @property
     def level(self) -> int:
@@ -203,27 +237,161 @@ def load_bias_file(path, schema: Schema) -> LanguageBias:
     return load_bias(read_json_file(path, BiasError), schema)
 
 
-def build_candidate(bias: LanguageBias, inst: DatabaseInstance, signed_items):
-    """Assemble and check one candidate; returns (candidate, drop reason)."""
+class _Run:
+    """What one mining run works out once per pool item and shares.
+
+    Per pool item: its normalized closure, free variables and, the first
+    time a candidate that passed the gates needs them, its answers (from
+    the evaluator's ``_eval``, columns in head order) and its reference
+    domain.  Per signed item: its canonical text.  Per evaluated
+    candidate: its answer count, keyed by its signed items.
+    """
+
+    def __init__(self, bias: LanguageBias, inst: DatabaseInstance):
+        self.bias = bias
+        self.inst = inst
+        self.counts: dict[tuple, int] = {}
+        self._formulas: dict[int, Formula] = {}
+        self._free: dict[int, frozenset[str]] = {}
+        self._texts: dict[tuple[int, bool], str] = {}
+        self._answers: dict[int, Relation] = {}
+        self._domains: dict[int, frozenset] = {}
+
+    def part(self, signed) -> Formula:
+        """The normalized part of a signed item."""
+        i, negated = signed
+        f = self._formulas.get(i)
+        if f is None:
+            f = self._formulas[i] = normalize(self.bias.items[i].formula)
+        return Not(f) if negated else f
+
+    def free(self, signed_items) -> frozenset[str]:
+        """Free variables of the items' conjunction."""
+        out = frozenset()
+        for i, _ in signed_items:
+            free = self._free.get(i)
+            if free is None:
+                free = self._free[i] = frozenset(
+                    free_variables(self.part((i, False)))
+                )
+            out |= free
+        return out
+
+    def canonical(self, signed) -> str:
+        text = self._texts.get(signed)
+        if text is None:
+            text = self._texts[signed] = _canonical_text(
+                self.part(signed), self.bias.head
+            )
+        return text
+
+    def vertical(self, signed_items) -> bool:
+        """Do the items' answers and domains give the conjunction's by set
+        algebra?  They do when each item is one conjunct that evaluation
+        joins (or, negated, anti-joins) and whose domain the
+        conjunction-union rule takes: not a conjunction (flattened into
+        the candidate's), a comparison (applied after the joins, and read
+        by the equality-cover rule) or a negation (an anti-join of its
+        body)."""
+        return not any(
+            isinstance(self.part((i, False)), (And, Comparison, Not))
+            for i, _ in signed_items
+        )
+
+    def answers(self, signed_items) -> Relation:
+        """Answers of a safe vertical conjunction: the join of its
+        positive items' answers, anti-joined with its negated items'."""
+        rel = None
+        for i, negated in signed_items:
+            if not negated:
+                item = self._item_answers(i)
+                if rel is None:
+                    rel = item
+                elif rel.columns == item.columns:
+                    rel = Relation(rel.columns, rel.rows & item.rows)
+                else:
+                    rel = _natural_join(rel, item)
+        for i, negated in signed_items:
+            if negated:
+                rel = _antijoin(rel, self._item_answers(i))
+        return rel
+
+    def _item_answers(self, i: int) -> Relation:
+        # The vocabulary only matters to vacuous quantifiers, by being
+        # empty or not.  Item and body vocabularies both hold the active
+        # domain, and on an empty instance, where both can be empty, every
+        # entity query has an empty domain, so no answers are counted.
+        rel = self._answers.get(i)
+        if rel is None:
+            f = self.part((i, False))
+            rel = _eval(self.inst, f, evaluation_vocabulary(self.inst, f))
+            head = tuple(v for v in self.bias.head if v in rel.columns)
+            rel = self._answers[i] = _reorder(rel, head)
+        return rel
+
+    def _item_domain(self, i: int) -> frozenset:
+        dom = self._domains.get(i)
+        if dom is None:
+            dom = self._domains[i] = reference_domain(
+                self.inst, self.part((i, False)), self.bias.head
+            ).members
+        return dom
+
+    def frequency(self, candidate: Candidate) -> Frequency:
+        """The candidate's frequency, by set algebra where it is vertical
+        and by ``stats.frequency`` otherwise; its count is kept."""
+        signed = candidate.signed_items
+        if self.vertical(signed):
+            members = frozenset().union(*(self._item_domain(i) for i, _ in signed))
+            check_domain(members, self.bias.head)
+            fr = Frequency(len(self.answers(signed).rows), len(members))
+        else:
+            fr = frequency(self.inst, candidate.decl)
+        self.counts[signed] = fr.numerator
+        return fr
+
+    def antecedent_count(self, antecedent: QueryDecl, signed_items) -> int | None:
+        """Answer count of a rule antecedent made of some of a gate-passing
+        candidate's signed items, or None when only evaluating it tells.
+
+        Each item passed the safety check inside that candidate, so a
+        vertical antecedent is safe exactly when its positive items
+        mention every head variable; otherwise this raises the
+        UnsafeQueryError that evaluating it would.
+        """
+        count = self.counts.get(signed_items)
+        if count is not None or not self.vertical(signed_items):
+            return count
+        positives = [(i, negated) for i, negated in signed_items if not negated]
+        if self.free(positives) != set(antecedent.variables):
+            raise UnsafeQueryError(_check_normalized(antecedent.body))
+        return len(self.answers(signed_items).rows)
+
+
+def build_candidate(
+    bias: LanguageBias, inst: DatabaseInstance, signed_items, run: _Run | None = None
+):
+    """Assemble and check one candidate; returns (candidate, drop reason).
+
+    ``run`` is the mining run the candidate belongs to (a new one when
+    None)."""
+    if run is None:
+        run = _Run(bias, inst)
     parts = tuple(
         Not(bias.items[i].formula) if negated else bias.items[i].formula
         for i, negated in signed_items
     )
-    body = conjunction(parts)
-    if set(free_variables(body)) != set(bias.head):
+    if run.free(signed_items) != set(bias.head):
         return None, "free-variable-mismatch"
-    q = prepare_query(inst, QueryDecl(None, bias.head, body))
+    q = prepare_query(inst, QueryDecl(None, bias.head, conjunction(parts)))
     if not q.safety.safe:
         return None, f"unsafe ({q.safety.violations[0].rule})"
     if not q.er.is_er:
         return None, "not-an-entity-query"
     if not q.validity.valid:
         return None, "not-valid"
-    parts_canonical = sorted(
-        _canonical_text(normalize(p), bias.head) for p in parts
-    )
-    canonical = " AND ".join(parts_canonical)
-    return Candidate(tuple(signed_items), parts, q, canonical), None
+    canonical = " AND ".join(sorted(run.canonical(s) for s in signed_items))
+    return Candidate(tuple(signed_items), parts, q, canonical, run), None
 
 
 def enumerate_level(
@@ -231,12 +399,17 @@ def enumerate_level(
     inst: DatabaseInstance,
     level: int,
     previous=None,
+    run: _Run | None = None,
 ) -> list[Candidate]:
     """Candidates at a level; level k > 1 extends the given previous
     candidates by one unused item.  Duplicates (same signed items, or the
-    same query up to conjunct order and bound-variable names) collapse."""
+    same query up to conjunct order and bound-variable names) collapse.
+    ``run`` is the mining run the candidates belong to (a new one when
+    None)."""
     if level < 1:
         raise ValueError("level must be >= 1")
+    if run is None:
+        run = _Run(bias, inst)
 
     def signs_for(i):
         if bias.allow_negation and bias.items[i].negatable:
@@ -265,7 +438,7 @@ def enumerate_level(
     out = []
     seen_canonical = set()
     for signed in signed_sets:
-        candidate, reason = build_candidate(bias, inst, signed)
+        candidate, reason = build_candidate(bias, inst, signed, run)
         if candidate is None:
             log.debug("level %d: dropping %r: %s", level, signed, reason)
             continue
@@ -289,18 +462,19 @@ def mine_frequent(
     if not 0 < min_support <= 1:
         raise ValueError("min_support must be in (0, 1]")
     levels = bias.max_conjuncts if max_level is None else min(max_level, bias.max_conjuncts)
+    run = _Run(bias, inst)
     frequent: list[FrequentQuery] = []
     stats: list[LevelStats] = []
     extendable: list[Candidate] = []
     for level in range(1, levels + 1):
         candidates = enumerate_level(
-            bias, inst, level, extendable if level > 1 else None
+            bias, inst, level, extendable if level > 1 else None, run
         )
         evaluated = []
         survivors = []
         for c in candidates:
             try:
-                fr = frequency(inst, c.decl)
+                fr = run.frequency(c)
             except EmptyDomainError:
                 log.debug("level %d: empty domain for %s", level, c.canonical)
                 continue
@@ -325,37 +499,39 @@ def mine_rules(
     rules and keep those at or above the confidence threshold.
 
     A split's A AND C has exactly the candidate's conjuncts, so its
-    answer count is the candidate's frequency numerator and
-    ``confidence_from_count`` evaluates only the antecedent.
+    answer count is the candidate's frequency numerator.  The
+    antecedent's count comes from its mining run (``_Run.antecedent_count``)
+    or, failing that, from evaluating it.
     """
     min_confidence = Fraction(min_confidence)
     rules = []
     for fq in sorted(frequent, key=lambda q: (q.level, q.candidate.canonical)):
-        parts = fq.candidate.parts
-        if len(parts) < 2:
-            continue
-        head = fq.candidate.decl.variables
-        for mask in range(1, 2 ** len(parts) - 1):
-            ant_parts = [p for j, p in enumerate(parts) if mask & (1 << j)]
-            con_parts = [p for j, p in enumerate(parts) if not mask & (1 << j)]
-            ant_body = normalize(conjunction(ant_parts))
-            con_body = normalize(conjunction(con_parts))
-            if set(free_variables(ant_body)) != set(head):
+        c = fq.candidate
+        head = c.decl.variables
+        for mask in range(1, 2 ** c.level - 1):
+            ant = tuple(s for j, s in enumerate(c.signed_items) if mask >> j & 1)
+            con = tuple(s for j, s in enumerate(c.signed_items) if not mask >> j & 1)
+            if c.run.free(ant) != set(head):
                 log.debug(
-                    "rule from %s: antecedent drops head variables",
-                    fq.candidate.canonical,
+                    "rule from %s: antecedent drops head variables", c.canonical
                 )
                 continue
-            antecedent = QueryDecl(None, head, ant_body)
+            antecedent = QueryDecl(
+                None, head, conjunction([c.run.part(s) for s in ant])
+            )
             try:
-                conf = confidence_from_count(inst, antecedent, fq.frequency.numerator)
+                conf = confidence_from_count(
+                    inst,
+                    antecedent,
+                    fq.frequency.numerator,
+                    c.run.antecedent_count(antecedent, ant),
+                )
             except (UnsafeQueryError, ZeroAntecedentError) as exc:
-                log.debug("rule from %s: %s", fq.candidate.canonical, exc)
+                log.debug("rule from %s: %s", c.canonical, exc)
                 continue
             if conf >= min_confidence:
-                rules.append(
-                    MinedRule(antecedent, con_body, fq.frequency, conf)
-                )
+                con_body = conjunction([c.run.part(s) for s in con])
+                rules.append(MinedRule(antecedent, con_body, fq.frequency, conf))
     return tuple(rules)
 
 

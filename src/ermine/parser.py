@@ -105,8 +105,8 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token("STRING", "".join(buf), i, j))
             i = j
             continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            m = _INT_RE.match(text, i)
+        m = _INT_RE.match(text, i)
+        if m:
             tokens.append(Token("INT", int(m.group()), i, m.end()))
             i = m.end()
             continue

@@ -100,8 +100,13 @@ def limited_variables(conj: Formula) -> frozenset[str]:
 
 def check_safe(f: Formula) -> SafetyReport:
     """Check the safety rules; the report lists every violation found."""
+    return _check_normalized(normalize(f))
+
+
+def _check_normalized(f: Formula) -> SafetyReport:
+    """``check_safe`` of a formula that is already normalized."""
     violations: list[Violation] = []
-    _check_conjunction(normalize(f), violations)
+    _check_conjunction(f, violations)
     return SafetyReport(tuple(violations))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .domains import reference_domain
-from .entities import ValidityReport, is_er_query, is_valid_for
+from .entities import ValidityReport, _er_report, _valid
 from .errors import (
     DataError,
     EmptyDomainError,
@@ -75,20 +75,21 @@ def prepare_query(inst: DatabaseInstance, query: QueryDecl) -> PreparedQuery:
     gates once each, keeping every report; a PreparedQuery comes back as
     it is.  Raises nothing for a query that fails a gate.
 
-    The safety verdict is the one ``is_er_query`` reaches on its way.
-    A query with no head variables is valid for no variable list.
+    The safety verdict is the one the entity check reaches on its way.
+    A query with no head variables is valid for no variable list.  The
+    gates take the normalized body as it is, so it is normalized once.
     """
     if isinstance(query, PreparedQuery):
         return query
     body = normalize(query.body)
     safety, er, validity = SafetyReport(()), None, None
     try:
-        er = is_er_query(body, inst)
+        er = _er_report(body, inst)
     except UnsafeQueryError as exc:
         safety = exc.report
     else:
         validity = (
-            is_valid_for(body, query.variables)
+            _valid(body, frozenset(query.variables))
             if query.variables
             else ValidityReport(False)
         )
@@ -121,12 +122,17 @@ def frequency(inst: DatabaseInstance, query: QueryDecl) -> Frequency:
     """Exact |tuples| / |reference domain| for a valid entity query."""
     q = checked_query(inst, query)
     dom = reference_domain(inst, q.body, q.variables)
-    if not dom.members:
-        raise EmptyDomainError(
-            f"reference domain of ({', '.join(q.variables)}) is empty"
-        )
+    check_domain(dom.members, q.variables)
     rel = evaluate(inst, q)
     return Frequency(len(rel.rows), len(dom.members))
+
+
+def check_domain(members, variables) -> None:
+    """Raise EmptyDomainError when a frequency's denominator would be 0."""
+    if not members:
+        raise EmptyDomainError(
+            f"reference domain of ({', '.join(variables)}) is empty"
+        )
 
 
 def rule_conjunction(rule: ErRule) -> QueryDecl:
@@ -153,16 +159,21 @@ def confidence(inst: DatabaseInstance, rule: ErRule) -> Fraction:
 
 
 def confidence_from_count(
-    inst: DatabaseInstance, antecedent: QueryDecl, conjunction_count: int
+    inst: DatabaseInstance,
+    antecedent: QueryDecl,
+    conjunction_count: int,
+    antecedent_count: int | None = None,
 ) -> Fraction:
     """Confidence of a rule F -> G whose F AND G has ``conjunction_count``
-    result tuples; evaluates only F, which must be safe and non-empty."""
-    antecedent_rows = evaluate(inst, antecedent).rows
-    if not antecedent_rows:
+    result tuples.  F must be safe and non-empty; it is evaluated only
+    when ``antecedent_count``, its known number of result tuples, is None."""
+    if antecedent_count is None:
+        antecedent_count = len(evaluate(inst, antecedent).rows)
+    if not antecedent_count:
         raise ZeroAntecedentError(
             f"antecedent {to_text(antecedent.body)} has no result tuples"
         )
-    return Fraction(conjunction_count, len(antecedent_rows))
+    return Fraction(conjunction_count, antecedent_count)
 
 
 def itemset_frequency(

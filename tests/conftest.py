@@ -4,7 +4,21 @@ import pathlib
 
 import pytest
 
-from ermine import load_instance_dir, load_schema_file, parse_query, parse_query_file
+from ermine import (
+    ErRule,
+    QueryDecl,
+    UnsafeQueryError,
+    ZeroAntecedentError,
+    confidence,
+    conjunction,
+    free_variables,
+    load_instance_dir,
+    load_schema_file,
+    normalize,
+    parse_query,
+    parse_query_file,
+    support,
+)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 TV_DIR = FIXTURES / "tv_survey"
@@ -41,3 +55,24 @@ def combine(tv_schema, queries):
         return parse_query(text, tv_schema, queries)
 
     return parse
+
+
+def split_rules_from_scratch(inst, frequent):
+    """Every split of every frequent query that stats.confidence accepts,
+    as (rule text, support, confidence) recomputed from scratch."""
+    out = []
+    for fq in sorted(frequent, key=lambda q: (q.level, q.candidate.canonical)):
+        parts = fq.candidate.parts
+        head = fq.candidate.decl.variables
+        for mask in range(1, 2 ** len(parts) - 1):
+            ant = normalize(conjunction([p for j, p in enumerate(parts) if mask >> j & 1]))
+            con = normalize(conjunction([p for j, p in enumerate(parts) if not mask >> j & 1]))
+            if set(free_variables(ant)) != set(head):
+                continue
+            rule = ErRule(QueryDecl(None, head, ant), con)
+            try:
+                conf = confidence(inst, rule)
+            except (UnsafeQueryError, ZeroAntecedentError):
+                continue
+            out.append((rule.text(), support(inst, rule), conf))
+    return out

@@ -12,7 +12,12 @@ Every generated query has the single free variable X.  Two families:
 
 Instances stay tiny on purpose (at most four tables, four rows per
 table, five distinct constants) so the enumeration oracle stays cheap.
+
+mining_cases() makes small instances of the fixture TV schema, empty
+tables included, with a language bias over them for the miner.
 """
+
+import pathlib
 
 from hypothesis import strategies as st
 
@@ -27,8 +32,10 @@ from ermine import (
     Variable,
     conjunction,
     entity_fields,
+    load_bias,
     load_instance,
     load_schema,
+    load_schema_file,
 )
 
 NAMES = ("a", "b", "c")
@@ -258,3 +265,82 @@ def split_cases(draw):
     s = draw(_pattern(key, allow_negation=False))
     f = draw(_pattern(key, allow_negation=False))
     return inst, s, f
+
+
+TV_SCHEMA = load_schema_file(
+    pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "tv_survey" / "schema.json"
+)
+
+# Pool items per bias head.  Besides items that are one existential
+# conjunct, each pool has items the miner cannot count by set algebra:
+# bare comparisons, negations, and items over head variables only that
+# normalize to a conjunction (one of them cannot be evaluated on its own).
+# The (P, SN) pool also has items mentioning only part of the head, so
+# answers are joined rather than intersected, and constant equalities on
+# both head variables, for the equality-cover rule of reference domains.
+MINING_POOLS = {
+    ("P",): (
+        "WeekdayTV(P, SN, V, S) AND V >= 10",
+        "WeekendTV(P, SN, V, S) AND V >= 10",
+        'WeekdayTV(P, SN, V, S) AND S = "RBC"',
+        "WeekdayTV(P, SN, V, S) OR WeekendTV(P, SN, V, S)",
+        "TV-Program(P)",
+        'TV-Program(P) AND P != "Gilmore"',
+        'P = "Gilmore"',
+        'P != "Hockey"',
+        'P != "Gilmore" AND P != "Hockey"',
+        "NOT (EXISTS SN. EXISTS V. EXISTS S. WeekendTV(P, SN, V, S))",
+    ),
+    ("P", "SN"): (
+        "WeekdayTV(P, SN, V, S) AND V > 5",
+        "WeekendTV(P, SN, V, S)",
+        'WeekdayTV(P, SN, V, "RBC")',
+        "TV-Program(P)",
+        "TV-Station(SN, A) AND A > 1",
+        'P = "Gilmore"',
+        'SN = "CBS"',
+        'SN != "CBS"',
+        'WeekendTV(P, SN, 10, "Avon") AND P = "Gilmore"',
+        'NOT WeekdayTV(P, SN, 10, "RBC")',
+    ),
+}
+
+
+@st.composite
+def tv_instances(draw):
+    """A TV survey instance with up to 3 programs, 2 stations and 4
+    listings per table; any table may be empty."""
+    programs = draw(st.lists(st.sampled_from(("Gilmore", "Hockey", "Simpsons")), unique=True))
+    stations = draw(st.lists(st.sampled_from(("CBS", "CBC")), unique=True))
+    tables = {
+        "TV-Program": [(p,) for p in programs],
+        "TV-Station": [(s, draw(st.sampled_from((1, 2)))) for s in stations],
+    }
+    pairs = [(p, s) for p in programs for s in stations]
+    for name in ("WeekdayTV", "WeekendTV"):
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=4)) if pairs else []
+        tables[name] = [
+            (p, s, draw(st.sampled_from((5, 10, 15))), draw(st.sampled_from(("RBC", "Avon"))))
+            for p, s in chosen
+        ]
+    return load_instance(TV_SCHEMA, tables)
+
+
+@st.composite
+def mining_cases(draw):
+    """A TV instance and a bias with negation on over a 1- or 2-variable head."""
+    inst = draw(tv_instances())
+    head = draw(st.sampled_from(sorted(MINING_POOLS)))
+    pool = st.sampled_from(MINING_POOLS[head])
+    patterns = draw(st.lists(pool, min_size=2, max_size=5, unique=True))
+    items = [{"pattern": p, "negatable": draw(st.booleans())} for p in patterns]
+    bias = load_bias(
+        {
+            "head": list(head),
+            "items": items,
+            "max_conjuncts": draw(st.integers(2, 3)),
+            "allow_negation": True,
+        },
+        TV_SCHEMA,
+    )
+    return inst, bias

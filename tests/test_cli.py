@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -262,6 +265,23 @@ def test_mine_no_prune_matches(capsys):
     with_prune = run(capsys, *args)
     without = run(capsys, *args, "--no-prune")
     assert with_prune == without
+
+
+@pytest.mark.parametrize("prune", [[], ["--no-prune"]], ids=["pruned", "no-prune"])
+@pytest.mark.parametrize("bias", ["bias_programs.json", "bias_pairs.json"])
+def test_mine_output_does_not_depend_on_the_hash_seed(bias, prune):
+    args = [sys.executable, "-m", "ermine", *BASE, "mine",
+            "--bias", str(TV_DIR / bias),
+            "--min-support", "1/100", "--min-confidence", "1/100", *prune]
+    src = str(TV_DIR.parent.parent / "src")
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(args, env=env, capture_output=True, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert b"frequent queries" in outputs[0]
 
 
 def test_mine_writes_rule_csv(capsys, tmp_path):

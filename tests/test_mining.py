@@ -4,22 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import TV_DIR
+from conftest import TV_DIR, split_rules_from_scratch
 from ermine import (
     BiasError,
-    ErRule,
     LevelStats,
     Not,
-    QueryDecl,
     QueryParseError,
-    UnsafeQueryError,
-    ZeroAntecedentError,
     build_candidate,
     check_safe,
-    confidence,
-    conjunction,
     enumerate_level,
-    free_variables,
     is_er_query,
     is_valid_for,
     load_bias,
@@ -29,7 +22,6 @@ from ermine import (
     mine_frequent,
     mine_rules,
     normalize,
-    support,
 )
 
 QUARTER = Fraction(1, 4)
@@ -293,27 +285,6 @@ def test_mine_rules_needs_multi_part_queries(programs_bias, tv):
     assert mine_rules(tv, level_one.frequent, Fraction(0)) == ()
 
 
-def _split_rules_from_scratch(inst, frequent):
-    """Every split of every frequent query that stats.confidence accepts,
-    with its support and confidence recomputed from scratch."""
-    out = []
-    for fq in sorted(frequent, key=lambda q: (q.level, q.candidate.canonical)):
-        parts = fq.candidate.parts
-        head = fq.candidate.decl.variables
-        for mask in range(1, 2 ** len(parts) - 1):
-            ant = normalize(conjunction([p for j, p in enumerate(parts) if mask >> j & 1]))
-            con = normalize(conjunction([p for j, p in enumerate(parts) if not mask >> j & 1]))
-            if set(free_variables(ant)) != set(head):
-                continue
-            rule = ErRule(QueryDecl(None, head, ant), con)
-            try:
-                conf = confidence(inst, rule)
-            except (UnsafeQueryError, ZeroAntecedentError):
-                continue
-            out.append((rule.text(), support(inst, rule), conf))
-    return out
-
-
 @pytest.mark.parametrize("prune", [True, False])
 @pytest.mark.parametrize("bias_name", ["programs_bias", "pairs_bias"])
 def test_rule_statistics_match_stats_from_scratch(request, tv, bias_name, prune):
@@ -324,4 +295,26 @@ def test_rule_statistics_match_stats_from_scratch(request, tv, bias_name, prune)
     assert result.rules
     assert [
         (r.text(), r.support, r.confidence) for r in result.rules
-    ] == _split_rules_from_scratch(tv, result.frequent)
+    ] == split_rules_from_scratch(tv, result.frequent)
+
+
+def test_rule_antecedent_that_never_was_a_candidate(tv_schema, tv):
+    # TV-Program(P) AND EXISTS A. TV-Station(SN, A) is safe but not valid
+    # for (P, SN), so no candidate stored its count: the rule split joins
+    # the two items' answers (4 programs x 3 stations).
+    bias = load_bias(
+        {
+            "head": ["P", "SN"],
+            "items": ["WeekdayTV(P, SN, V, S)", "TV-Program(P)", "TV-Station(SN, A)"],
+        },
+        tv_schema,
+    )
+    result = mine(tv, bias, Fraction(1, 100), Fraction(1, 10**9))
+    confidences = {rule.text(): rule.confidence for rule in result.rules}
+    weekday = "EXISTS V. EXISTS S. WeekdayTV(P, SN, V, S)"
+    assert confidences[
+        f"TV-Program(P) AND (EXISTS A. TV-Station(SN, A)) -> {weekday}"
+    ] == Fraction(3, 12)
+    assert [
+        (r.text(), r.support, r.confidence) for r in result.rules
+    ] == split_rules_from_scratch(tv, result.frequent)

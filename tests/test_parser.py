@@ -51,6 +51,13 @@ def test_tokenize_negative_integer():
     assert tokenize("A-B")[0].value == "A-B"
 
 
+@pytest.mark.parametrize("text", ["²", "-٣", "X = ١"])
+def test_tokenize_rejects_non_ascii_digits(text):
+    # str.isdigit() holds for these, but integer literals are ASCII only.
+    with pytest.raises(QueryParseError, match="unexpected character"):
+        tokenize(text)
+
+
 def test_tokenize_string_escapes():
     tok = tokenize(r'"a \"quoted\" \\ name"')[0]
     assert tok.value == 'a "quoted" \\ name'

@@ -5,10 +5,15 @@ the tiny schemas in strategies.py.  The evaluation properties compare
 the set-algebra evaluator with brute-force assignment enumeration; the
 statistics properties exercise the guarantees the miner relies on:
 non-empty domains, frequency bounds, disjoint-split additivity, and the
-anti-monotonicity that justifies Apriori pruning.  The loader property
-feeds arbitrary JSON documents to the bias and schema loaders.
+anti-monotonicity that justifies Apriori pruning.  The mining property
+checks the miner's set-algebra counts against ``stats`` computed from
+scratch.  The loader property feeds arbitrary JSON documents to the bias
+and schema loaders, and the query-text property feeds arbitrary text to
+the parser and the command line.
 """
 
+import contextlib
+import io
 from fractions import Fraction
 
 import pytest
@@ -16,14 +21,20 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import strategies
+from conftest import TV_DIR, split_rules_from_scratch
 from ermine import (
     And,
+    EmptyDomainError,
     ErmineError,
+    ErRule,
+    LevelStats,
     Not,
     Or,
     QueryDecl,
     QueryParseError,
     check_safe,
+    confidence,
+    enumerate_level,
     evaluate,
     evaluate_naive,
     free_variables,
@@ -32,12 +43,16 @@ from ermine import (
     is_valid_for,
     load_bias,
     load_schema,
+    mine,
     normalize,
     parse_formula_text,
+    parse_query,
     reference_domain,
     sorted_rows,
+    support,
     to_text,
 )
+from ermine.cli import main
 
 SETTINGS = settings(
     max_examples=200,
@@ -141,6 +156,61 @@ def test_normalize_is_idempotent_and_keeps_free_variables(case):
 
 
 
+def mine_frequent_from_scratch(inst, bias, min_support, prune):
+    """``mine_frequent``'s level-wise search with every candidate counted
+    by ``stats.frequency`` on a plain copy of its query; returns the
+    (level, canonical text, frequency) of each frequent query and the
+    level statistics."""
+    frequent, levels, extendable = [], [], None
+    for level in range(1, bias.max_conjuncts + 1):
+        candidates = enumerate_level(bias, inst, level, extendable)
+        evaluated, survivors = [], []
+        for c in candidates:
+            try:
+                fr = frequency(inst, QueryDecl(None, c.decl.variables, c.decl.body))
+            except EmptyDomainError:
+                continue
+            evaluated.append(c)
+            if fr.value >= min_support:
+                survivors.append(c)
+                frequent.append((level, c.canonical, fr))
+        levels.append(LevelStats(level, len(candidates), len(survivors)))
+        extendable = survivors if prune else evaluated
+        if not extendable:
+            break
+    return sorted(frequent, key=lambda t: t[:2]), tuple(levels)
+
+
+@SETTINGS
+@given(strategies.mining_cases())
+def test_mined_statistics_match_stats(case):
+    inst, bias = case
+    min_support, min_confidence = Fraction(1, 100), Fraction(1, 10**9)
+    results = {}
+    for prune in (True, False):
+        result = results[prune] = mine(
+            inst, bias, min_support, min_confidence, prune=prune
+        )
+        for fq in result.frequent:
+            assert fq.frequency == frequency(inst, fq.candidate.decl)
+        for rule in result.rules:
+            plain = ErRule(rule.antecedent, rule.consequent)
+            assert rule.confidence == confidence(inst, plain)
+            assert rule.support == support(inst, plain)
+        # Nothing is missed: every candidate, frequent or not, and every
+        # rule split is checked against a count from scratch.
+        frequent, levels = mine_frequent_from_scratch(inst, bias, min_support, prune)
+        assert [
+            (fq.level, fq.candidate.canonical, fq.frequency) for fq in result.frequent
+        ] == frequent
+        assert result.levels == levels
+        assert [
+            (r.text(), r.support, r.confidence) for r in result.rules
+        ] == split_rules_from_scratch(inst, result.frequent)
+    assert results[False].frequent == results[True].frequent
+    assert results[False].rules == results[True].rules
+
+
 JSON = st.recursive(
     st.none()
     | st.booleans()
@@ -205,3 +275,63 @@ def test_loaders_raise_only_package_errors(tv_schema, documents, load, data):
         load(data.draw(documents), tv_schema)
     except ErmineError:
         pass
+
+
+QUERY_TOKENS = st.sampled_from(
+    [
+        "q(P) :=", "q(P, SN) :=", "q() :=", ":=", "F1", "G2", "TV-Program(P)",
+        "WeekdayTV(P, SN, V, S)", "TV-Station(SN, A)", "Nope(P)", "AND", "OR",
+        "NOT", "EXISTS V.", "FORALL S.", "(", ")", ",", ".", "=", "!=", ">=",
+        "V", "P", '"Gilmore"', '"', "10", "-1", "\\", "\u00b2", "-\u0663",
+    ]
+)
+FORMULA_TEXT = st.recursive(
+    st.sampled_from(
+        [
+            "TV-Program(P)", "EXISTS V. EXISTS S. WeekdayTV(P, SN, V, S)",
+            "EXISTS S. WeekendTV(P, SN, 10, S)", "TV-Station(SN, 2)",
+            "EXISTS A. TV-Station(SN, A) AND A > 1", 'P = "Gilmore"',
+            'SN != "CBS"', "P = SN", "V >= 10", "F1", "G1", "Nope(P)", "P",
+        ]
+    ),
+    lambda kids: st.one_of(
+        st.tuples(kids, st.sampled_from(["AND", "OR"]), kids).map(" ".join),
+        kids.map("NOT {}".format),
+        kids.map("({})".format),
+        st.tuples(
+            st.sampled_from(["EXISTS", "FORALL"]), st.sampled_from("VSAP"), kids
+        ).map(lambda t: f"{t[0]} {t[1]}. {t[2]}"),
+    ),
+    max_leaves=6,
+)
+# Declarations that parse (most fail a head check or a gate, some get
+# evaluated), and token soup for the tokenizer's and parser's errors.
+QUERY_TEXT = st.one_of(
+    st.tuples(
+        st.sampled_from(["q(P) := ", "q(P, SN) := ", "q(SN) := ", "q() := ", "q(P, P) := "]),
+        FORMULA_TEXT,
+    ).map("".join),
+    st.lists(QUERY_TOKENS | st.text(max_size=3), max_size=12).map(" ".join),
+)
+CLI_BASE = [
+    "--schema", str(TV_DIR / "schema.json"),
+    "--data", str(TV_DIR / "data"),
+    "--queries", str(TV_DIR / "queries.erq"),
+]
+
+
+@SETTINGS
+@given(QUERY_TEXT)
+def test_query_text_never_crashes(tv_schema, queries, text):
+    try:
+        parse_query(text, tv_schema, queries)
+    except ErmineError:
+        pass
+    for command in ("check", "eval", "freq"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            try:
+                code = main([*CLI_BASE, command, text])
+            except SystemExit as exc:  # argparse rejects the arguments
+                code = exc.code
+        assert code in (0, 1, 2)
