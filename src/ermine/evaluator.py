@@ -207,6 +207,8 @@ def _reorder(rel: Relation, columns: tuple[str, ...]) -> Relation:
 
 
 def _natural_join(a: Relation, b: Relation) -> Relation:
+    if a.columns == b.columns:
+        return Relation(a.columns, a.rows & b.rows)
     shared = [c for c in b.columns if c in a.columns]
     b_only = [c for c in b.columns if c not in a.columns]
     a_idx = [a.columns.index(c) for c in shared]

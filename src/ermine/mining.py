@@ -115,14 +115,15 @@ class Candidate:
     ``parts`` holds one formula per signed item (the item's closure,
     negated where the sign says so).  ``run`` is the mining run that
     built the candidate; rule splitting regroups the signed items through
-    it and reuses its counts and item answers.
+    it and reuses its counts and item answers.  A candidate built without
+    one gets a run of its own parts when its rules are mined.
     """
 
     signed_items: tuple[tuple[int, bool], ...]  # (item index, negated)
     parts: tuple[Formula, ...]
     decl: PreparedQuery
     canonical: str
-    run: _Run = field(compare=False, repr=False)
+    run: _Run | None = field(default=None, compare=False, repr=False)
 
     @property
     def level(self) -> int:
@@ -240,16 +241,18 @@ def load_bias_file(path, schema: Schema) -> LanguageBias:
 class _Run:
     """What one mining run works out once per pool item and shares.
 
-    Per pool item: its normalized closure, free variables and, the first
+    ``items`` maps each item index to the item's closed formula.  Per
+    pool item: its normalized closure, free variables and, the first
     time a candidate that passed the gates needs them, its answers (from
     the evaluator's ``_eval``, columns in head order) and its reference
     domain.  Per signed item: its canonical text.  Per evaluated
     candidate: its answer count, keyed by its signed items.
     """
 
-    def __init__(self, bias: LanguageBias, inst: DatabaseInstance):
-        self.bias = bias
+    def __init__(self, inst: DatabaseInstance, head: tuple[str, ...], items):
         self.inst = inst
+        self.head = head
+        self.items = items
         self.counts: dict[tuple, int] = {}
         self._formulas: dict[int, Formula] = {}
         self._free: dict[int, frozenset[str]] = {}
@@ -257,12 +260,24 @@ class _Run:
         self._answers: dict[int, Relation] = {}
         self._domains: dict[int, frozenset] = {}
 
+    @classmethod
+    def of_bias(cls, bias: LanguageBias, inst: DatabaseInstance) -> _Run:
+        return cls(inst, bias.head, [item.formula for item in bias.items])
+
+    @classmethod
+    def of_candidate(cls, candidate: Candidate, inst: DatabaseInstance) -> _Run:
+        items = {
+            i: part.body if negated else part
+            for (i, negated), part in zip(candidate.signed_items, candidate.parts)
+        }
+        return cls(inst, candidate.decl.variables, items)
+
     def part(self, signed) -> Formula:
         """The normalized part of a signed item."""
         i, negated = signed
         f = self._formulas.get(i)
         if f is None:
-            f = self._formulas[i] = normalize(self.bias.items[i].formula)
+            f = self._formulas[i] = normalize(self.items[i])
         return Not(f) if negated else f
 
     def free(self, signed_items) -> frozenset[str]:
@@ -280,9 +295,7 @@ class _Run:
     def canonical(self, signed) -> str:
         text = self._texts.get(signed)
         if text is None:
-            text = self._texts[signed] = _canonical_text(
-                self.part(signed), self.bias.head
-            )
+            text = self._texts[signed] = _canonical_text(self.part(signed), self.head)
         return text
 
     def vertical(self, signed_items) -> bool:
@@ -305,12 +318,7 @@ class _Run:
         for i, negated in signed_items:
             if not negated:
                 item = self._item_answers(i)
-                if rel is None:
-                    rel = item
-                elif rel.columns == item.columns:
-                    rel = Relation(rel.columns, rel.rows & item.rows)
-                else:
-                    rel = _natural_join(rel, item)
+                rel = item if rel is None else _natural_join(rel, item)
         for i, negated in signed_items:
             if negated:
                 rel = _antijoin(rel, self._item_answers(i))
@@ -325,7 +333,7 @@ class _Run:
         if rel is None:
             f = self.part((i, False))
             rel = _eval(self.inst, f, evaluation_vocabulary(self.inst, f))
-            head = tuple(v for v in self.bias.head if v in rel.columns)
+            head = tuple(v for v in self.head if v in rel.columns)
             rel = self._answers[i] = _reorder(rel, head)
         return rel
 
@@ -333,7 +341,7 @@ class _Run:
         dom = self._domains.get(i)
         if dom is None:
             dom = self._domains[i] = reference_domain(
-                self.inst, self.part((i, False)), self.bias.head
+                self.inst, self.part((i, False)), self.head
             ).members
         return dom
 
@@ -343,7 +351,7 @@ class _Run:
         signed = candidate.signed_items
         if self.vertical(signed):
             members = frozenset().union(*(self._item_domain(i) for i, _ in signed))
-            check_domain(members, self.bias.head)
+            check_domain(members, self.head)
             fr = Frequency(len(self.answers(signed).rows), len(members))
         else:
             fr = frequency(self.inst, candidate.decl)
@@ -369,14 +377,14 @@ class _Run:
 
 
 def build_candidate(
-    bias: LanguageBias, inst: DatabaseInstance, signed_items, run: _Run | None = None
+    bias: LanguageBias, inst: DatabaseInstance, signed_items, *, run: _Run | None = None
 ):
     """Assemble and check one candidate; returns (candidate, drop reason).
 
     ``run`` is the mining run the candidate belongs to (a new one when
     None)."""
     if run is None:
-        run = _Run(bias, inst)
+        run = _Run.of_bias(bias, inst)
     parts = tuple(
         Not(bias.items[i].formula) if negated else bias.items[i].formula
         for i, negated in signed_items
@@ -399,6 +407,7 @@ def enumerate_level(
     inst: DatabaseInstance,
     level: int,
     previous=None,
+    *,
     run: _Run | None = None,
 ) -> list[Candidate]:
     """Candidates at a level; level k > 1 extends the given previous
@@ -409,7 +418,7 @@ def enumerate_level(
     if level < 1:
         raise ValueError("level must be >= 1")
     if run is None:
-        run = _Run(bias, inst)
+        run = _Run.of_bias(bias, inst)
 
     def signs_for(i):
         if bias.allow_negation and bias.items[i].negatable:
@@ -438,7 +447,7 @@ def enumerate_level(
     out = []
     seen_canonical = set()
     for signed in signed_sets:
-        candidate, reason = build_candidate(bias, inst, signed, run)
+        candidate, reason = build_candidate(bias, inst, signed, run=run)
         if candidate is None:
             log.debug("level %d: dropping %r: %s", level, signed, reason)
             continue
@@ -462,13 +471,13 @@ def mine_frequent(
     if not 0 < min_support <= 1:
         raise ValueError("min_support must be in (0, 1]")
     levels = bias.max_conjuncts if max_level is None else min(max_level, bias.max_conjuncts)
-    run = _Run(bias, inst)
+    run = _Run.of_bias(bias, inst)
     frequent: list[FrequentQuery] = []
     stats: list[LevelStats] = []
     extendable: list[Candidate] = []
     for level in range(1, levels + 1):
         candidates = enumerate_level(
-            bias, inst, level, extendable if level > 1 else None, run
+            bias, inst, level, extendable if level > 1 else None, run=run
         )
         evaluated = []
         survivors = []
@@ -500,37 +509,38 @@ def mine_rules(
 
     A split's A AND C has exactly the candidate's conjuncts, so its
     answer count is the candidate's frequency numerator.  The
-    antecedent's count comes from its mining run (``_Run.antecedent_count``)
-    or, failing that, from evaluating it.
+    antecedent's count comes from the candidate's mining run
+    (``_Run.antecedent_count``) or, failing that, from evaluating it.
     """
     min_confidence = Fraction(min_confidence)
     rules = []
     for fq in sorted(frequent, key=lambda q: (q.level, q.candidate.canonical)):
         c = fq.candidate
+        run = c.run or _Run.of_candidate(c, inst)
         head = c.decl.variables
         for mask in range(1, 2 ** c.level - 1):
             ant = tuple(s for j, s in enumerate(c.signed_items) if mask >> j & 1)
             con = tuple(s for j, s in enumerate(c.signed_items) if not mask >> j & 1)
-            if c.run.free(ant) != set(head):
+            if run.free(ant) != set(head):
                 log.debug(
                     "rule from %s: antecedent drops head variables", c.canonical
                 )
                 continue
             antecedent = QueryDecl(
-                None, head, conjunction([c.run.part(s) for s in ant])
+                None, head, conjunction([run.part(s) for s in ant])
             )
             try:
                 conf = confidence_from_count(
                     inst,
                     antecedent,
                     fq.frequency.numerator,
-                    c.run.antecedent_count(antecedent, ant),
+                    run.antecedent_count(antecedent, ant),
                 )
             except (UnsafeQueryError, ZeroAntecedentError) as exc:
                 log.debug("rule from %s: %s", c.canonical, exc)
                 continue
             if conf >= min_confidence:
-                con_body = conjunction([c.run.part(s) for s in con])
+                con_body = conjunction([run.part(s) for s in con])
                 rules.append(MinedRule(antecedent, con_body, fq.frequency, conf))
     return tuple(rules)
 

@@ -7,6 +7,8 @@ import pytest
 from conftest import TV_DIR, split_rules_from_scratch
 from ermine import (
     BiasError,
+    Candidate,
+    FrequentQuery,
     LevelStats,
     Not,
     QueryParseError,
@@ -300,8 +302,8 @@ def test_rule_statistics_match_stats_from_scratch(request, tv, bias_name, prune)
 
 def test_rule_antecedent_that_never_was_a_candidate(tv_schema, tv):
     # TV-Program(P) AND EXISTS A. TV-Station(SN, A) is safe but not valid
-    # for (P, SN), so no candidate stored its count: the rule split joins
-    # the two items' answers (4 programs x 3 stations).
+    # for (P, SN), so it is never a candidate: the rule split joins the
+    # two items' answers (4 programs x 3 stations).
     bias = load_bias(
         {
             "head": ["P", "SN"],
@@ -318,3 +320,19 @@ def test_rule_antecedent_that_never_was_a_candidate(tv_schema, tv):
     assert [
         (r.text(), r.support, r.confidence) for r in result.rules
     ] == split_rules_from_scratch(tv, result.frequent)
+
+
+@pytest.mark.parametrize("bias_name", ["programs_bias", "pairs_bias"])
+def test_rules_of_candidates_built_without_a_run(request, tv, bias_name):
+    bias = request.getfixturevalue(bias_name)
+    result = mine(tv, bias, Fraction(1, 100), Fraction(1, 10**9))
+    rebuilt = [
+        FrequentQuery(
+            Candidate(c.signed_items, c.parts, c.decl, c.canonical),
+            fq.frequency,
+            fq.level,
+        )
+        for fq in result.frequent
+        for c in [fq.candidate]
+    ]
+    assert mine_rules(tv, rebuilt, Fraction(1, 10**9)) == result.rules
