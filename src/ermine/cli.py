@@ -1,6 +1,7 @@
 """Command-line interface.
 
-    ermine --schema schema.json --data DIR [--queries FILE] COMMAND ...
+    ermine --schema schema.json --data DIR [--queries FILE]
+           [--log-level {warning,info,debug}] COMMAND ...
 
 Commands: validate, check, eval, domain, freq, rule, mine, repl.  Query
 arguments are either a name registered via --queries (or the repl) or a
@@ -12,7 +13,9 @@ checks), 2 on I/O and format errors (missing or malformed files).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import logging
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -207,6 +210,8 @@ def run_rule(session: Session, antecedent_arg: str, consequent_arg: str) -> int:
 def run_mine(session: Session, ns) -> int:
     bias = load_bias_file(ns.bias, session.schema)
     min_support = _parse_fraction(ns.min_support, "--min-support")
+    if not 0 < min_support <= 1:
+        raise ErmineError(f"--min-support must be in (0, 1], got {ns.min_support!r}")
     min_confidence = _parse_fraction(ns.min_confidence, "--min-confidence")
     result = mine(
         session.instance,
@@ -335,6 +340,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--schema", help="schema JSON file")
     parser.add_argument("--data", help="directory with one CSV per table")
     parser.add_argument("--queries", help="file of named query declarations")
+    parser.add_argument(
+        "--log-level",
+        choices=LOG_LEVELS,
+        default="warning",
+        help="log to stderr at this level; debug shows why the miner drops "
+        "each candidate and rule (default: warning)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="load and validate schema and data")
@@ -387,9 +399,34 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+LOG_LEVELS = ("warning", "info", "debug")
+
+
+@contextlib.contextmanager
+def _logging_to_stderr(level: str):
+    """Send the package's log records at ``level`` and above to stderr
+    while the block runs, then restore the logger as it was."""
+    logger = logging.getLogger(__package__)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    saved = logger.level
+    logger.setLevel(level.upper())
+    logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(saved)
+
+
 def main(argv=None) -> int:
     parser = build_arg_parser()
     ns = parser.parse_args(argv)
+    with _logging_to_stderr(ns.log_level):
+        return _run(ns)
+
+
+def _run(ns) -> int:
     try:
         session = load_session(ns)
         return ns.func(session, ns)

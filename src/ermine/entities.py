@@ -15,11 +15,17 @@ comparison must equate the single variable with a constant, a
 conjunction must either equate every variable with a constant or contain
 a valid conjunct, both OR branches must be valid, and EXISTS must not
 capture a requested variable.
+
+As in ``safety``, each gate is split into a summary per conjunct of a
+normalized body (``ConjunctGates``) and a combine at the conjunction
+level (``gate_reports``), which ``stats.prepare_query`` and the miner
+both use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import UnsafeQueryError
 from .formulas import (
@@ -33,12 +39,12 @@ from .formulas import (
     Not,
     Or,
     Variable,
+    conjuncts_of,
     equated_constants,
-    free_variables,
     normalize,
     subformulas,
 )
-from .safety import _check_normalized
+from .safety import SafetyReport, conjunct_safety, free_of, violations
 from .schema import DatabaseInstance, entity_fields, is_entity_constant
 
 REASON_QUANTIFIED = "quantified-over"
@@ -61,11 +67,26 @@ class ErReport:
     failures: tuple[EntityFailure, ...]
 
 
-def _candidates(f: Formula, inst: DatabaseInstance):
-    """Entity variable candidates of a normalized formula, and the reasons
-    each of its other variables fails to be one."""
+@dataclass(frozen=True)
+class EntityFacts:
+    """What the entity check needs of a formula, from one walk over its
+    subformulas: the variables it names, the reasons some of them fail
+    to be entity variable candidates, and the variable pairs its =/!=
+    comparisons link, in both directions."""
+
+    names: frozenset[str]
+    failures: dict[str, frozenset[str]]
+    links: tuple[tuple[str, str], ...]
+
+    @property
+    def candidates(self) -> frozenset[str]:
+        return self.names - self.failures.keys()
+
+
+def _entity_facts(f: Formula, inst: DatabaseInstance) -> EntityFacts:
     names: set[str] = set()
     failures: dict[str, set[str]] = {}
+    links: list[tuple[str, str]] = []
 
     def fail(var: str, reason: str):
         failures.setdefault(var, set()).add(reason)
@@ -82,6 +103,8 @@ def _candidates(f: Formula, inst: DatabaseInstance):
                 names.add(side.name)
                 if g.op not in ("=", "!="):
                     fail(side.name, REASON_BAD_OP)
+                elif isinstance(other, Variable):
+                    links.append((side.name, other.name))
                 if isinstance(other, Constant) and not is_entity_constant(
                     inst, other.value
                 ):
@@ -93,13 +116,14 @@ def _candidates(f: Formula, inst: DatabaseInstance):
                     names.add(t.name)
                     if f"{table.name}.{fld.name}" not in efields:
                         fail(t.name, REASON_NON_ENTITY_FIELD)
-    return frozenset(names - failures.keys()), failures
+    frozen = {v: frozenset(reasons) for v, reasons in failures.items()}
+    return EntityFacts(frozenset(names), frozen, tuple(links))
 
 
 def entity_variable_candidates(f: Formula, inst: DatabaseInstance) -> frozenset[str]:
     """Variables of f (free or bound) that individually qualify as
     entity variable candidates."""
-    return _candidates(normalize(f), inst)[0]
+    return _entity_facts(normalize(f), inst).candidates
 
 
 def is_er_query(f: Formula, inst: DatabaseInstance) -> ErReport:
@@ -107,29 +131,29 @@ def is_er_query(f: Formula, inst: DatabaseInstance) -> ErReport:
 
     Raises UnsafeQueryError when the formula is not safe.
     """
-    return _er_report(normalize(f), inst)
+    body = normalize(f)
+    safety, er, _ = gate_reports(body, conjunction_gates(body, inst, ()), ())
+    if not safety.safe:
+        raise UnsafeQueryError(safety)
+    return er
 
 
-def _er_report(f: Formula, inst: DatabaseInstance) -> ErReport:
-    """``is_er_query`` of a formula that is already normalized."""
-    report = _check_normalized(f)
-    if not report.safe:
-        raise UnsafeQueryError(report)
-    candidates, failures = _candidates(f, inst)
-    linked_out: dict[str, str] = {}
-    for g in subformulas(f):
-        if (
-            isinstance(g, Comparison)
-            and g.op in ("=", "!=")
-            and isinstance(g.left, Variable)
-            and isinstance(g.right, Variable)
-        ):
-            for a, b in ((g.left, g.right), (g.right, g.left)):
-                if b.name not in candidates:
-                    linked_out.setdefault(a.name, b.name)
+def _er_report(free, facts) -> ErReport:
+    """Entity status of the free variables of a conjunction whose
+    conjuncts have the given facts."""
+    if len(facts) == 1:
+        candidates, failures = facts[0].candidates, facts[0].failures
+    else:
+        names, failures = set(), {}
+        for x in facts:
+            names |= x.names
+            for v, reasons in x.failures.items():
+                failures[v] = failures.get(v, frozenset()) | reasons
+        candidates = names - failures.keys()
+    linked_out = {a for x in facts for a, b in x.links if b not in candidates}
     out_failures: list[EntityFailure] = []
     entity_vars = set()
-    for v in free_variables(f):
+    for v in free:
         problems = set(failures.get(v, ()))
         if v in linked_out:
             problems.add(REASON_EQUATED_NON_CANDIDATE)
@@ -169,13 +193,10 @@ def _valid(f: Formula, varset: frozenset[str]) -> ValidityReport:
     if isinstance(f, Not):
         return ValidityReport(False, f)
     if isinstance(f, And):
-        if varset <= equated_constants(f).keys():
-            return ValidityReport(True)
-        for c in f.conjuncts:
-            r = _valid(c, varset)
-            if r.valid:
-                return r
-        return ValidityReport(False, f)
+        return _conjunction_validity(
+            f, varset, equated_constants(f).keys(),
+            (_valid(c, varset) for c in f.conjuncts),
+        )
     if isinstance(f, Or):
         left = _valid(f.left, varset)
         if not left.valid:
@@ -192,3 +213,75 @@ def _valid(f: Formula, varset: frozenset[str]) -> ValidityReport:
         raise ValueError("is_valid_for needs a normalized formula")
     raise TypeError(f"not a formula: {f!r}")
 
+
+def _conjunction_validity(f: And, varset, cover, reports) -> ValidityReport:
+    """Validity of a conjunction of two or more conjuncts: it is valid when
+    the variables its conjuncts equate with constants (``cover``) include
+    ``varset``, or when some conjunct's report (``reports``) is valid."""
+    if varset <= cover or any(r.valid for r in reports):
+        return ValidityReport(True)
+    return ValidityReport(False, f)
+
+
+class ConjunctGates:
+    """What the safety, entity, and validity gates need of one conjunct of
+    a normalized query body.  None of it depends on the other conjuncts,
+    so a conjunct shared by many queries (a mining pool item) is
+    summarized once; ``gate_reports`` combines the summaries.
+
+    The entity facts depend on the instance (through its entity
+    constants) and the validity report on the head variables, so a
+    summary holds for one instance and one head.  Both are worked out
+    on first use, since only safe queries need them.
+    """
+
+    def __init__(self, conjunct: Formula, inst: DatabaseInstance, variables):
+        self.safety = conjunct_safety(conjunct)
+        self._inst = inst
+        self._varset = frozenset(variables)
+
+    @property
+    def conjunct(self) -> Formula:
+        return self.safety.conjunct
+
+    @cached_property
+    def entities(self) -> EntityFacts:
+        return _entity_facts(self.conjunct, self._inst)
+
+    @cached_property
+    def validity(self) -> ValidityReport:
+        return _valid(self.conjunct, self._varset)
+
+
+def conjunction_gates(
+    f: Formula, inst: DatabaseInstance, variables
+) -> tuple[ConjunctGates, ...]:
+    """The summaries of the conjuncts of a normalized body."""
+    return tuple(ConjunctGates(c, inst, variables) for c in conjuncts_of(f))
+
+
+def gate_reports(body: Formula, parts, variables):
+    """The safety, entity, and validity reports of a normalized body whose
+    conjuncts' summaries are ``parts`` (made for the same head).
+
+    Entity status and validity are only defined for a safe body, so
+    both are None for an unsafe one.  A body with no head variables is
+    valid for no variable list.
+    """
+    summaries = [p.safety for p in parts]
+    safety = SafetyReport(tuple(violations(body, summaries)))
+    if not safety.safe:
+        return safety, None, None
+    er = _er_report(free_of(summaries), [p.entities for p in parts])
+    if not variables:
+        validity = ValidityReport(False)
+    elif len(parts) == 1:
+        validity = parts[0].validity
+    else:
+        cover = frozenset().union(
+            *(p.safety.limits for p in parts if isinstance(p.conjunct, Comparison))
+        )
+        validity = _conjunction_validity(
+            body, frozenset(variables), cover, (p.validity for p in parts)
+        )
+    return safety, er, validity

@@ -5,8 +5,8 @@ Each item is parsed and existentially closed over its non-head
 variables; a candidate query at level k conjoins k distinct pool items,
 each taken positively or (when allowed and the item is negatable)
 negated.  Candidates failing the free-variable, safety, entity, or
-validity checks are dropped with a logged reason, so everything that
-reaches evaluation is a well-formed entity query.
+validity checks are dropped with a reason logged at debug level, so
+everything that reaches evaluation is a well-formed entity query.
 
 Mining proceeds level by level, and level k only extends candidates of
 level k-1 that passed the gates.  Because the frequency of a conjunction
@@ -16,6 +16,19 @@ as extending every evaluated candidate, which ``prune=False`` does to
 keep that equivalence testable.  Neither is exhaustive enumeration: the
 gates are not anti-monotone, so a candidate whose every sub-conjunction
 was dropped by a gate is never built.
+
+Gating is decided per item.  Each item is existentially closed over its
+non-head variables, so whatever the safety, entity, and validity gates
+find inside one of an item's conjuncts is the same in every candidate the
+item is part of; only the candidate's top-level conjunction differs.  A
+mining run summarizes the conjuncts of each signed item once
+(``entities.ConjunctGates``) and gates a candidate by combining its
+items' summaries with ``entities.gate_reports``, the combine
+``stats.prepare_query`` runs on the conjuncts of a single query.  Per
+candidate that leaves the fixpoint of limited variables, R3 and R4 at
+the top level, the entity status of the head from the merged facts, and
+validity as "the constant equalities cover the head, or some conjunct is
+valid".
 
 Counting is vertical, in the manner of Eclat's tidset intersection: a
 mining run evaluates each pool item once and computes its reference
@@ -51,6 +64,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .domains import reference_domain
+from .entities import ConjunctGates, conjunction_gates
 from .errors import BiasError, EmptyDomainError, UnsafeQueryError, ZeroAntecedentError
 from .evaluator import (
     PreparedQuery,
@@ -59,6 +73,7 @@ from .evaluator import (
     _eval,
     _natural_join,
     _reorder,
+    evaluate,
     evaluation_vocabulary,
 )
 from .formulas import (
@@ -78,7 +93,6 @@ from .formulas import (
     to_text,
 )
 from .parser import check_nesting, parse_formula_text
-from .safety import _check_normalized
 from .schema import DatabaseInstance, Schema, read_json_file
 from .stats import (
     ErRule,
@@ -86,7 +100,7 @@ from .stats import (
     check_domain,
     confidence_from_count,
     frequency,
-    prepare_query,
+    prepared,
 )
 
 log = logging.getLogger(__name__)
@@ -245,8 +259,13 @@ class _Run:
     pool item: its normalized closure, free variables and, the first
     time a candidate that passed the gates needs them, its answers (from
     the evaluator's ``_eval``, columns in head order) and its reference
-    domain.  Per signed item: its canonical text.  Per evaluated
-    candidate: its answer count, keyed by its signed items.
+    domain.  Per signed item: its canonical text and the gate summaries
+    of its conjuncts, from which every candidate and every rule
+    antecedent made of it is gated.  Per evaluated candidate: its answer
+    count, keyed by its signed items.
+
+    All of it is keyed by item index or signed item and holds for one
+    instance: the entity gate reads the instance's entity constants.
     """
 
     def __init__(self, inst: DatabaseInstance, head: tuple[str, ...], items):
@@ -257,6 +276,7 @@ class _Run:
         self._formulas: dict[int, Formula] = {}
         self._free: dict[int, frozenset[str]] = {}
         self._texts: dict[tuple[int, bool], str] = {}
+        self._gates: dict[tuple[int, bool], tuple[ConjunctGates, ...]] = {}
         self._answers: dict[int, Relation] = {}
         self._domains: dict[int, frozenset] = {}
 
@@ -291,6 +311,20 @@ class _Run:
                 )
             out |= free
         return out
+
+    def prepare(self, signed_items) -> PreparedQuery:
+        """The prepared conjunction of the signed items, gated by combining
+        the gate summaries of each signed item's conjuncts."""
+        parts = []
+        for signed in signed_items:
+            gates = self._gates.get(signed)
+            if gates is None:
+                gates = self._gates[signed] = conjunction_gates(
+                    self.part(signed), self.inst, self.head
+                )
+            parts += gates
+        body = conjunction([self.part(s) for s in signed_items])
+        return prepared(None, self.head, body, parts)
 
     def canonical(self, signed) -> str:
         text = self._texts.get(signed)
@@ -358,22 +392,21 @@ class _Run:
         self.counts[signed] = fr.numerator
         return fr
 
-    def antecedent_count(self, antecedent: QueryDecl, signed_items) -> int | None:
-        """Answer count of a rule antecedent made of some of a gate-passing
-        candidate's signed items, or None when only evaluating it tells.
-
-        Each item passed the safety check inside that candidate, so a
-        vertical antecedent is safe exactly when its positive items
-        mention every head variable; otherwise this raises the
-        UnsafeQueryError that evaluating it would.
+    def antecedent_count(self, signed_items) -> int:
+        """Answer count of a rule antecedent made of some of a candidate's
+        signed items: the count kept for the same signed items, else the
+        set algebra, else evaluating it.  Raises UnsafeQueryError, with
+        the report ``check_safe`` gives, when the antecedent is not safe.
         """
         count = self.counts.get(signed_items)
-        if count is not None or not self.vertical(signed_items):
+        if count is not None:
             return count
-        positives = [(i, negated) for i, negated in signed_items if not negated]
-        if self.free(positives) != set(antecedent.variables):
-            raise UnsafeQueryError(_check_normalized(antecedent.body))
-        return len(self.answers(signed_items).rows)
+        q = self.prepare(signed_items)
+        if not q.safety.safe:
+            raise UnsafeQueryError(q.safety)
+        if self.vertical(signed_items):
+            return len(self.answers(signed_items).rows)
+        return len(evaluate(self.inst, q).rows)
 
 
 def build_candidate(
@@ -391,7 +424,7 @@ def build_candidate(
     )
     if run.free(signed_items) != set(bias.head):
         return None, "free-variable-mismatch"
-    q = prepare_query(inst, QueryDecl(None, bias.head, conjunction(parts)))
+    q = run.prepare(signed_items)
     if not q.safety.safe:
         return None, f"unsafe ({q.safety.violations[0].rule})"
     if not q.er.is_er:
@@ -509,8 +542,8 @@ def mine_rules(
 
     A split's A AND C has exactly the candidate's conjuncts, so its
     answer count is the candidate's frequency numerator.  The
-    antecedent's count comes from the candidate's mining run
-    (``_Run.antecedent_count``) or, failing that, from evaluating it.
+    antecedent's count and safety verdict come from the candidate's
+    mining run (``_Run.antecedent_count``).
     """
     min_confidence = Fraction(min_confidence)
     rules = []
@@ -531,10 +564,7 @@ def mine_rules(
             )
             try:
                 conf = confidence_from_count(
-                    inst,
-                    antecedent,
-                    fq.frequency.numerator,
-                    run.antecedent_count(antecedent, ant),
+                    inst, antecedent, fq.frequency.numerator, run.antecedent_count(ant)
                 )
             except (UnsafeQueryError, ZeroAntecedentError) as exc:
                 log.debug("rule from %s: %s", c.canonical, exc)

@@ -15,6 +15,12 @@ only uses negation as a conjunct alongside limiting conjuncts:
 Safe formulas can be evaluated over any vocabulary extending the active
 domain with the same result; limitation is what pins every free variable
 to values derived from the data or from constants in the formula.
+
+The check is split in two: ``conjunct_safety`` summarizes one conjunct
+(its free variables, what it limits, and the violations inside it), and
+``violations`` combines the summaries of a conjunction's conjuncts.  A
+conjunct shared by many conjunctions, such as a mining pool item, is
+then summarized once.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from .formulas import (
     Variable,
     conjuncts_of,
     equated_constants,
-    free_variables,
     normalize,
     to_text,
 )
@@ -68,34 +73,118 @@ class SafetyReport:
         return not self.violations
 
 
-def limited_variables(conj: Formula) -> frozenset[str]:
-    """Variables limited by the conjuncts of a maximal conjunction.
+@dataclass(frozen=True)
+class ConjunctSafety:
+    """What the safety check needs of one conjunct of a maximal
+    conjunction, none of which depends on the other conjuncts.
 
-    A non-And formula counts as a conjunction with one conjunct.  Seeds:
-    free variables of non-negated, non-comparison conjuncts and variables
-    equated with a constant.  Then variable-variable equalities spread
-    limitation to a fixed point.
+    ``limits`` are the variables the conjunct limits on its own: the
+    free variables of a conjunct that is neither negated nor a
+    comparison, or the variable an ``=`` equates with a constant.
+    ``equates`` is the pair of variables an ``=`` equates, which spreads
+    limitation.  ``violations`` are those found inside the conjunct, in
+    the order ``check_safe`` lists them.
     """
-    conjs = conjuncts_of(conj)
-    limited = set(equated_constants(conj))
-    for c in conjs:
-        if not isinstance(c, (Not, Comparison)):
-            limited.update(free_variables(c))
+
+    conjunct: Formula
+    free: tuple[str, ...]  # in order of first occurrence
+    limits: frozenset[str]
+    equates: tuple[str, str] | None
+    violations: tuple[Violation, ...]
+
+
+def conjunct_safety(c: Formula) -> ConjunctSafety:
+    """Summarize one conjunct of a normalized formula.
+
+    Free variables are computed bottom-up, so every node is visited once.
+    """
+    if isinstance(c, (Atom, Comparison)):
+        terms = c.terms if isinstance(c, Atom) else (c.left, c.right)
+        free = tuple(dict.fromkeys(t.name for t in terms if isinstance(t, Variable)))
+        if isinstance(c, Atom):
+            return ConjunctSafety(c, free, frozenset(free), None, ())
+        equates = None
+        if c.op == "=" and isinstance(c.left, Variable) and isinstance(c.right, Variable):
+            equates = (c.left.name, c.right.name)
+        return ConjunctSafety(c, free, frozenset(equated_constants(c)), equates, ())
+    if isinstance(c, Not):
+        inner = conjunction_safety(c.body)
+        return ConjunctSafety(
+            c, free_of(inner), frozenset(), None, tuple(violations(c.body, inner))
+        )
+    if isinstance(c, Exists):
+        inner = conjunction_safety(c.body)
+        free = tuple(v for v in free_of(inner) if v != c.var)
+        return ConjunctSafety(
+            c, free, frozenset(free), None, tuple(violations(c.body, inner))
+        )
+    if isinstance(c, Or):
+        left, right = conjunction_safety(c.left), conjunction_safety(c.right)
+        left_free, right_free = free_of(left), free_of(right)
+        found = [Violation(RULE_DISJUNCT_VARS, c)] if set(left_free) != set(right_free) else []
+        found += violations(c.left, left)
+        found += violations(c.right, right)
+        free = tuple(dict.fromkeys(left_free + right_free))
+        return ConjunctSafety(c, free, frozenset(free), None, tuple(found))
+    if isinstance(c, (And, Forall)):
+        raise ValueError("check_safe needs a normalized formula")
+    raise TypeError(f"not a formula: {c!r}")
+
+
+def conjunction_safety(f: Formula) -> tuple[ConjunctSafety, ...]:
+    """The summaries of the conjuncts of a normalized formula."""
+    return tuple(conjunct_safety(c) for c in conjuncts_of(f))
+
+
+def free_of(parts) -> tuple[str, ...]:
+    """Free variables of a conjunction, from its conjuncts' summaries."""
+    if len(parts) == 1:
+        return parts[0].free
+    return tuple(dict.fromkeys(v for p in parts for v in p.free))
+
+
+def limited_of(parts) -> frozenset[str]:
+    """Variables limited by a conjunction, from its conjuncts' summaries:
+    what each conjunct limits on its own, spread by variable-variable
+    equalities to a fixed point."""
+    limited = set().union(*(p.limits for p in parts))
+    pairs = [set(p.equates) for p in parts if p.equates]
     changed = True
     while changed:
         changed = False
-        for c in conjs:
-            if (
-                isinstance(c, Comparison)
-                and c.op == "="
-                and isinstance(c.left, Variable)
-                and isinstance(c.right, Variable)
-            ):
-                names = {c.left.name, c.right.name}
-                if names & limited and not names <= limited:
-                    limited |= names
-                    changed = True
+        for names in pairs:
+            if names & limited and not names <= limited:
+                limited |= names
+                changed = True
     return frozenset(limited)
+
+
+def violations(f: Formula, parts):
+    """Yield the violations of the conjunction f, whose conjuncts' summaries
+    are ``parts``, in report order: R3 for f's unlimited free variables,
+    then per conjunct its R4 (a negated conjunct's first unlimited
+    variable) and the violations inside it."""
+    limited = limited_of(parts)
+    for v in free_of(parts):
+        if v not in limited:
+            yield Violation(RULE_UNLIMITED_VAR, f, v)
+    for p in parts:
+        if isinstance(p.conjunct, Not):
+            for v in p.free:
+                if v not in limited:
+                    yield Violation(RULE_BAD_NEGATION, p.conjunct, v)
+                    break
+        yield from p.violations
+
+
+def limited_variables(conj: Formula) -> frozenset[str]:
+    """Variables limited by the conjuncts of a normalized maximal
+    conjunction; a non-And formula counts as one conjunct.  Seeds: free
+    variables of non-negated, non-comparison conjuncts and variables
+    equated with a constant.  Then variable-variable equalities spread
+    limitation to a fixed point.
+    """
+    return limited_of(conjunction_safety(conj))
 
 
 def check_safe(f: Formula) -> SafetyReport:
@@ -105,34 +194,4 @@ def check_safe(f: Formula) -> SafetyReport:
 
 def _check_normalized(f: Formula) -> SafetyReport:
     """``check_safe`` of a formula that is already normalized."""
-    violations: list[Violation] = []
-    _check_conjunction(f, violations)
-    return SafetyReport(tuple(violations))
-
-
-def _check_conjunction(f: Formula, out: list[Violation]) -> None:
-    conjs = conjuncts_of(f)
-    limited = limited_variables(f)
-    for v in free_variables(f):
-        if v not in limited:
-            out.append(Violation(RULE_UNLIMITED_VAR, f, v))
-    for c in conjs:
-        if isinstance(c, (Atom, Comparison)):
-            continue
-        if isinstance(c, Not):
-            for v in free_variables(c):
-                if v not in limited:
-                    out.append(Violation(RULE_BAD_NEGATION, c, v))
-                    break
-            _check_conjunction(c.body, out)
-        elif isinstance(c, Exists):
-            _check_conjunction(c.body, out)
-        elif isinstance(c, Or):
-            if set(free_variables(c.left)) != set(free_variables(c.right)):
-                out.append(Violation(RULE_DISJUNCT_VARS, c))
-            _check_conjunction(c.left, out)
-            _check_conjunction(c.right, out)
-        elif isinstance(c, (And, Forall)):
-            raise ValueError("check_safe needs a normalized formula")
-        else:
-            raise TypeError(f"not a formula: {c!r}")
+    return SafetyReport(tuple(violations(f, conjunction_safety(f))))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .domains import reference_domain
-from .entities import ValidityReport, _er_report, _valid
+from .entities import conjunction_gates, gate_reports
 from .errors import (
     DataError,
     EmptyDomainError,
@@ -40,7 +40,6 @@ from .formulas import (
     normalize,
     to_text,
 )
-from .safety import SafetyReport
 from .schema import DatabaseInstance
 
 
@@ -75,26 +74,23 @@ def prepare_query(inst: DatabaseInstance, query: QueryDecl) -> PreparedQuery:
     gates once each, keeping every report; a PreparedQuery comes back as
     it is.  Raises nothing for a query that fails a gate.
 
-    The safety verdict is the one the entity check reaches on its way.
-    A query with no head variables is valid for no variable list.  The
-    gates take the normalized body as it is, so it is normalized once.
+    The gates summarize each conjunct of the normalized body and combine
+    the summaries (``entities.gate_reports``), as the miner does with
+    summaries it keeps per pool item.
     """
     if isinstance(query, PreparedQuery):
         return query
     body = normalize(query.body)
-    safety, er, validity = SafetyReport(()), None, None
-    try:
-        er = _er_report(body, inst)
-    except UnsafeQueryError as exc:
-        safety = exc.report
-    else:
-        validity = (
-            _valid(body, frozenset(query.variables))
-            if query.variables
-            else ValidityReport(False)
-        )
+    parts = conjunction_gates(body, inst, query.variables)
+    return prepared(query.name, query.variables, body, parts, source=query.source)
+
+
+def prepared(name, variables, body: Formula, parts, source=None) -> PreparedQuery:
+    """The PreparedQuery of a normalized body whose conjuncts' gate
+    summaries (``entities.ConjunctGates`` for this head) are ``parts``."""
+    safety, er, validity = gate_reports(body, parts, variables)
     return PreparedQuery(
-        query.name, query.variables, body, source=query.source,
+        name, variables, body, source=source,
         safety=safety, er=er, validity=validity,
     )
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -327,6 +328,43 @@ def test_mine_rejects_junk_threshold(capsys):
     )
     assert code == 1
     assert "--min-support" in err
+
+
+@pytest.mark.parametrize("threshold", ["0", "2", "-1/2"])
+def test_mine_rejects_min_support_out_of_range(capsys, threshold):
+    code, out, err = run(
+        capsys,
+        *BASE,
+        "mine",
+        "--bias", BIAS,
+        f"--min-support={threshold}",
+        "--min-confidence", "1/2",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --min-support must be in (0, 1], got {threshold!r}\n"
+
+
+@pytest.mark.parametrize("prune", [[], ["--no-prune"]], ids=["pruned", "no-prune"])
+@pytest.mark.parametrize("bias", ["bias_programs.json", "bias_pairs.json"])
+def test_debug_log_leaves_mine_stdout_alone(capsys, bias, prune):
+    argv = [
+        *BASE, "mine", "--bias", str(TV_DIR / bias),
+        "--min-support", "1/4", "--min-confidence", "1/2", *prune,
+    ]
+    code, plain, plain_err = run(capsys, *argv)
+    debug_code, debug, err = run(capsys, "--log-level", "debug", *argv)
+    assert (code, debug_code) == (0, 0)
+    assert debug == plain
+    assert plain_err == ""
+    if bias == "bias_programs.json":
+        # A lone negated item leaves the head unlimited.
+        assert (
+            "DEBUG ermine.mining: level 1: dropping ((0, True),): "
+            "unsafe (R3-unlimited-var)\n"
+        ) in err
+    logger = logging.getLogger("ermine")
+    assert logger.handlers == [] and logger.level == logging.NOTSET
 
 
 def test_missing_schema_flag(capsys):

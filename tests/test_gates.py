@@ -1,0 +1,344 @@
+"""The miner's gates against the gates of a plain query, per signed subset.
+
+A mining run gates each candidate, and each unsafe rule antecedent, by
+combining summaries it keeps per signed pool item.  These tests build
+every signed subset of up to three items of widened test pools and
+check the miner's verdict against two oracles that see only the plain
+query ``QueryDecl(None, head, conjunction(parts))``:
+
+* ``stats.prepare_query`` and ``check_safe``, the single-query path;
+* a reference written here from the rules in the ``safety`` and
+  ``entities`` module docstrings, which walks the whole body the naive
+  way and shares no code with either path beyond ``formulas``.
+
+The widened pools reach every drop reason: R2 and nested R3/R4 inside
+an item, an entity failure by a non-entity field, by a non-entity
+constant and by an equality with a non-candidate, ``EXISTS P.``
+shadowing a head variable, limitation through variable-variable
+equalities, and not-valid.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import strategies
+from ermine import (
+    And,
+    Atom,
+    Comparison,
+    Constant,
+    ErReport,
+    Exists,
+    Not,
+    Or,
+    QueryDecl,
+    SafetyReport,
+    UnsafeQueryError,
+    ValidityReport,
+    Variable,
+    Violation,
+    build_candidate,
+    check_safe,
+    conjunction,
+    entity_fields,
+    equated_constants,
+    free_variables,
+    load_bias,
+    normalize,
+    subformulas,
+)
+from ermine.entities import (
+    EntityFailure,
+    REASON_BAD_OP,
+    REASON_EQUATED_NON_CANDIDATE,
+    REASON_NON_ENTITY_CONSTANT,
+    REASON_NON_ENTITY_FIELD,
+    REASON_QUANTIFIED,
+)
+from ermine.evaluator import PreparedQuery
+from ermine.mining import _Run
+from ermine.safety import RULE_BAD_NEGATION, RULE_DISJUNCT_VARS, RULE_UNLIMITED_VAR
+from ermine.stats import prepare_query
+
+EXTRA_ITEMS = {
+    ("P",): (
+        # R2 inside the item.
+        "WeekdayTV(P, SN, V, S) OR WeekendTV(P, SN2, V2, S2)",
+        # R3 and R4 nested under NOT EXISTS.
+        "TV-Program(P) AND NOT (EXISTS SN. "
+        '(NOT WeekdayTV(P, SN, 10, "RBC") AND TV-Station(SN, 2)))',
+        # P fills a non-entity field.
+        "TV-Station(SN, P)",
+        # P is compared with a constant that is no entity.
+        'TV-Program(P) AND P != "Avon"',
+        # P is linked to S, a non-candidate.
+        "WeekdayTV(P, SN, V, S) AND P != S",
+        # EXISTS P. shadows the head variable: alone, the item has no
+        # free variable; with others, P is quantified over.
+        "EXISTS P. WeekendTV(P, SN, V, S)",
+        # P is limited inside the item only through Q = P.
+        "TV-Program(Q) AND Q = P",
+    ),
+    ("P", "SN"): (
+        # Not valid, failing on the conjunction under EXISTS A.
+        "TV-Program(P) AND TV-Station(SN, A)",
+        # SN is limited only through P = SN at the top level.
+        "P = SN",
+        "WeekdayTV(P, SN, V, S) OR WeekendTV(P, SN, V2, S2)",
+        'SN != "Avon"',
+    ),
+}
+
+POOLS = {head: strategies.MINING_POOLS[head] + EXTRA_ITEMS[head] for head in EXTRA_ITEMS}
+
+
+def wide_bias(head):
+    return load_bias(
+        {
+            "head": list(head),
+            "items": list(POOLS[head]),
+            "max_conjuncts": 3,
+            "allow_negation": True,
+        },
+        strategies.TV_SCHEMA,
+    )
+
+
+def signed_subsets(n_items, max_level=3):
+    for level in range(1, max_level + 1):
+        for items in itertools.combinations(range(n_items), level):
+            for signs in itertools.product((False, True), repeat=level):
+                yield tuple(zip(items, signs))
+
+
+def plain_parts(bias, signed):
+    return [
+        Not(bias.items[i].formula) if negated else bias.items[i].formula
+        for i, negated in signed
+    ]
+
+
+# -- the reference gates ---------------------------------------------------
+
+
+def _conjuncts(f):
+    return f.conjuncts if isinstance(f, And) else (f,)
+
+
+def _var_pair(c):
+    if isinstance(c.left, Variable) and isinstance(c.right, Variable):
+        return c.left.name, c.right.name
+    return None
+
+
+def reference_safety(f):
+    """R2-R4 on a normalized formula, every violation in report order."""
+    out = []
+
+    def check(g):
+        cs = _conjuncts(g)
+        limited = set(equated_constants(g))
+        for c in cs:
+            if not isinstance(c, (Not, Comparison)):
+                limited.update(free_variables(c))
+        pairs = [
+            set(_var_pair(c)) for c in cs
+            if isinstance(c, Comparison) and c.op == "=" and _var_pair(c)
+        ]
+        while True:
+            grown = {v for p in pairs if p & limited for v in p} - limited
+            if not grown:
+                break
+            limited |= grown
+        out.extend(
+            Violation(RULE_UNLIMITED_VAR, g, v)
+            for v in free_variables(g) if v not in limited
+        )
+        for c in cs:
+            if isinstance(c, Not):
+                unlimited = [v for v in free_variables(c) if v not in limited]
+                if unlimited:
+                    out.append(Violation(RULE_BAD_NEGATION, c, unlimited[0]))
+                check(c.body)
+            elif isinstance(c, Exists):
+                check(c.body)
+            elif isinstance(c, Or):
+                if set(free_variables(c.left)) != set(free_variables(c.right)):
+                    out.append(Violation(RULE_DISJUNCT_VARS, c))
+                check(c.left)
+                check(c.right)
+
+    check(f)
+    return SafetyReport(tuple(out))
+
+
+def reference_er(f, inst):
+    """Entity status of the free variables of a safe normalized formula."""
+    efields = entity_fields(inst.schema)
+    names, failures = set(), {}
+    for g in subformulas(f):
+        if isinstance(g, Exists):
+            names.add(g.var)
+            failures.setdefault(g.var, set()).add(REASON_QUANTIFIED)
+        elif isinstance(g, Comparison):
+            for side, other in ((g.left, g.right), (g.right, g.left)):
+                if isinstance(side, Variable):
+                    names.add(side.name)
+                    if g.op not in ("=", "!="):
+                        failures.setdefault(side.name, set()).add(REASON_BAD_OP)
+                    if (
+                        isinstance(other, Constant)
+                        and other.value not in inst.entity_constants
+                    ):
+                        failures.setdefault(side.name, set()).add(
+                            REASON_NON_ENTITY_CONSTANT
+                        )
+        elif isinstance(g, Atom):
+            table = inst.schema.table(g.predicate)
+            for fld, t in zip(table.fields, g.terms):
+                if isinstance(t, Variable):
+                    names.add(t.name)
+                    if f"{table.name}.{fld.name}" not in efields:
+                        failures.setdefault(t.name, set()).add(REASON_NON_ENTITY_FIELD)
+    candidates = names - failures.keys()
+    linked_out = {
+        a
+        for g in subformulas(f)
+        if isinstance(g, Comparison) and g.op in ("=", "!=") and _var_pair(g)
+        for a, b in (_var_pair(g), _var_pair(g)[::-1])
+        if b not in candidates
+    }
+    failed = []
+    for v in free_variables(f):
+        reasons = failures.get(v, set()) | (
+            {REASON_EQUATED_NON_CANDIDATE} if v in linked_out else set()
+        )
+        failed += [EntityFailure(v, r) for r in sorted(reasons)]
+    entity_vars = frozenset(free_variables(f)) - {x.variable for x in failed}
+    return ErReport(not failed, entity_vars, tuple(failed))
+
+
+def reference_validity(f, varset):
+    """Validity of a normalized formula for a non-empty variable set."""
+    if isinstance(f, Atom):
+        ok = varset <= {t.name for t in f.terms if isinstance(t, Variable)}
+    elif isinstance(f, Comparison):
+        ok = varset <= equated_constants(f).keys()
+    elif isinstance(f, Not):
+        ok = False
+    elif isinstance(f, And):
+        if varset <= equated_constants(f).keys() or any(
+            reference_validity(c, varset).valid for c in f.conjuncts
+        ):
+            return ValidityReport(True)
+        ok = False
+    elif isinstance(f, Or):
+        for branch in (f.left, f.right):
+            r = reference_validity(branch, varset)
+            if not r.valid:
+                return r
+        return ValidityReport(True)
+    else:
+        if f.var in varset:
+            return ValidityReport(False, f)
+        return reference_validity(f.body, varset)
+    return ValidityReport(True) if ok else ValidityReport(False, f)
+
+
+def reference_prepared(inst, decl):
+    body = normalize(decl.body)
+    safety, er, validity = reference_safety(body), None, None
+    if safety.safe:
+        er = reference_er(body, inst)
+        validity = reference_validity(body, frozenset(decl.variables))
+    return PreparedQuery(
+        None, decl.variables, body, safety=safety, er=er, validity=validity
+    )
+
+
+def reason_of(q):
+    if set(free_variables(q.body)) != set(q.variables):
+        return "free-variable-mismatch"
+    if not q.safety.safe:
+        return f"unsafe ({q.safety.violations[0].rule})"
+    if not q.er.is_er:
+        return "not-an-entity-query"
+    if not q.validity.valid:
+        return "not-valid"
+    return None
+
+
+# -- the checks ------------------------------------------------------------
+
+
+def check_subsets(inst, bias, subsets):
+    """Check each subset's verdict, and the safety report of each unsafe
+    antecedent of a passing one; returns the reasons seen."""
+    run = _Run.of_bias(bias, inst)
+    seen = set()
+    for signed in subsets:
+        parts = plain_parts(bias, signed)
+        decl = QueryDecl(None, bias.head, conjunction(parts))
+        expected = reference_prepared(inst, decl)
+        assert prepare_query(inst, decl) == expected, signed
+        reason = reason_of(expected)
+        seen.add(reason)
+        candidate, got = build_candidate(bias, inst, signed, run=run)
+        assert got == reason, signed
+        if candidate is None:
+            continue
+        assert candidate.decl == expected, signed
+        for mask in range(1, 2 ** len(signed) - 1):
+            ant = tuple(s for j, s in enumerate(signed) if mask >> j & 1)
+            body = conjunction([normalize(p) for p in plain_parts(bias, ant)])
+            if set(free_variables(body)) != set(bias.head):
+                continue
+            report = check_safe(body)
+            assert report == reference_safety(body), ant
+            if not report.safe:
+                with pytest.raises(UnsafeQueryError) as caught:
+                    run.antecedent_count(ant)
+                assert caught.value.report == report, ant
+                seen.add("unsafe antecedent")
+    return seen
+
+
+@pytest.mark.parametrize("head", sorted(POOLS))
+def test_miner_gates_match_plain_queries_on_the_fixture(tv, head):
+    bias = wide_bias(head)
+    seen = check_subsets(tv, bias, signed_subsets(len(bias.items)))
+    assert {
+        None,
+        "free-variable-mismatch",
+        "unsafe (R3-unlimited-var)",
+        "not-an-entity-query",
+        "unsafe antecedent",
+    } <= seen
+    if head == ("P",):
+        assert "unsafe (R2-disjunct-vars)" in seen
+    else:
+        assert "not-valid" in seen
+
+
+WIDE = {head: wide_bias(head) for head in sorted(POOLS)}
+SUBSETS = {head: list(signed_subsets(len(bias.items))) for head, bias in WIDE.items()}
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(st.data())
+def test_miner_gates_match_plain_queries_on_generated_instances(data):
+    """Entity constants vary with the instance, so the entity gate does."""
+    inst = data.draw(strategies.tv_instances())
+    head = data.draw(st.sampled_from(sorted(WIDE)))
+    subsets = data.draw(
+        st.lists(st.sampled_from(SUBSETS[head]), min_size=50, max_size=150)
+    )
+    check_subsets(inst, WIDE[head], subsets)
