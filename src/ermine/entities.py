@@ -141,15 +141,12 @@ def is_er_query(f: Formula, inst: DatabaseInstance) -> ErReport:
 def _er_report(free, facts) -> ErReport:
     """Entity status of the free variables of a conjunction whose
     conjuncts have the given facts."""
-    if len(facts) == 1:
-        candidates, failures = facts[0].candidates, facts[0].failures
-    else:
-        names, failures = set(), {}
-        for x in facts:
-            names |= x.names
-            for v, reasons in x.failures.items():
-                failures[v] = failures.get(v, frozenset()) | reasons
-        candidates = names - failures.keys()
+    names, failures = set(), {}
+    for x in facts:
+        names |= x.names
+        for v, reasons in x.failures.items():
+            failures[v] = failures.get(v, frozenset()) | reasons
+    candidates = names - failures.keys()
     linked_out = {a for x in facts for a, b in x.links if b not in candidates}
     out_failures: list[EntityFailure] = []
     entity_vars = set()
@@ -278,10 +275,8 @@ def gate_reports(body: Formula, parts, variables):
     elif len(parts) == 1:
         validity = parts[0].validity
     else:
-        cover = frozenset().union(
-            *(p.safety.limits for p in parts if isinstance(p.conjunct, Comparison))
-        )
         validity = _conjunction_validity(
-            body, frozenset(variables), cover, (p.validity for p in parts)
+            body, frozenset(variables), equated_constants(body).keys(),
+            (p.validity for p in parts),
         )
     return safety, er, validity

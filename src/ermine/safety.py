@@ -39,6 +39,7 @@ from .formulas import (
     Variable,
     conjuncts_of,
     equated_constants,
+    free_variables,
     normalize,
     to_text,
 )
@@ -101,34 +102,39 @@ def conjunct_safety(c: Formula) -> ConjunctSafety:
     if isinstance(c, (Atom, Comparison)):
         terms = c.terms if isinstance(c, Atom) else (c.left, c.right)
         free = tuple(dict.fromkeys(t.name for t in terms if isinstance(t, Variable)))
-        if isinstance(c, Atom):
-            return ConjunctSafety(c, free, frozenset(free), None, ())
-        equates = None
-        if c.op == "=" and isinstance(c.left, Variable) and isinstance(c.right, Variable):
-            equates = (c.left.name, c.right.name)
-        return ConjunctSafety(c, free, frozenset(equated_constants(c)), equates, ())
+        return _summary(c, free, ())
     if isinstance(c, Not):
         inner = conjunction_safety(c.body)
-        return ConjunctSafety(
-            c, free_of(inner), frozenset(), None, tuple(violations(c.body, inner))
-        )
+        return _summary(c, free_of(inner), tuple(violations(c.body, inner)))
     if isinstance(c, Exists):
         inner = conjunction_safety(c.body)
         free = tuple(v for v in free_of(inner) if v != c.var)
-        return ConjunctSafety(
-            c, free, frozenset(free), None, tuple(violations(c.body, inner))
-        )
+        return _summary(c, free, tuple(violations(c.body, inner)))
     if isinstance(c, Or):
         left, right = conjunction_safety(c.left), conjunction_safety(c.right)
         left_free, right_free = free_of(left), free_of(right)
         found = [Violation(RULE_DISJUNCT_VARS, c)] if set(left_free) != set(right_free) else []
         found += violations(c.left, left)
         found += violations(c.right, right)
-        free = tuple(dict.fromkeys(left_free + right_free))
-        return ConjunctSafety(c, free, frozenset(free), None, tuple(found))
+        return _summary(c, tuple(dict.fromkeys(left_free + right_free)), tuple(found))
     if isinstance(c, (And, Forall)):
         raise ValueError("check_safe needs a normalized formula")
     raise TypeError(f"not a formula: {c!r}")
+
+
+def _summary(c: Formula, free, found) -> ConjunctSafety:
+    """The summary of conjunct c, given its free variables and the
+    violations inside it: a negated conjunct limits nothing, a comparison
+    only the variable an ``=`` equates with a constant, and any other
+    conjunct all of its free variables."""
+    if isinstance(c, Not):
+        return ConjunctSafety(c, free, frozenset(), None, found)
+    if isinstance(c, Comparison):
+        equates = None
+        if c.op == "=" and isinstance(c.left, Variable) and isinstance(c.right, Variable):
+            equates = (c.left.name, c.right.name)
+        return ConjunctSafety(c, free, frozenset(equated_constants(c)), equates, found)
+    return ConjunctSafety(c, free, frozenset(free), None, found)
 
 
 def conjunction_safety(f: Formula) -> tuple[ConjunctSafety, ...]:
@@ -138,8 +144,6 @@ def conjunction_safety(f: Formula) -> tuple[ConjunctSafety, ...]:
 
 def free_of(parts) -> tuple[str, ...]:
     """Free variables of a conjunction, from its conjuncts' summaries."""
-    if len(parts) == 1:
-        return parts[0].free
     return tuple(dict.fromkeys(v for p in parts for v in p.free))
 
 
@@ -178,20 +182,18 @@ def violations(f: Formula, parts):
 
 
 def limited_variables(conj: Formula) -> frozenset[str]:
-    """Variables limited by the conjuncts of a normalized maximal
-    conjunction; a non-And formula counts as one conjunct.  Seeds: free
-    variables of non-negated, non-comparison conjuncts and variables
+    """Variables limited by the conjuncts of a maximal conjunction.
+
+    A non-And formula counts as a conjunction with one conjunct.  Seeds:
+    free variables of non-negated, non-comparison conjuncts and variables
     equated with a constant.  Then variable-variable equalities spread
-    limitation to a fixed point.
+    limitation to a fixed point.  The formula need not be normalized: a
+    FORALL or nested AND conjunct limits its free variables.
     """
-    return limited_of(conjunction_safety(conj))
+    return limited_of([_summary(c, free_variables(c), ()) for c in conjuncts_of(conj)])
 
 
 def check_safe(f: Formula) -> SafetyReport:
     """Check the safety rules; the report lists every violation found."""
-    return _check_normalized(normalize(f))
-
-
-def _check_normalized(f: Formula) -> SafetyReport:
-    """``check_safe`` of a formula that is already normalized."""
-    return SafetyReport(tuple(violations(f, conjunction_safety(f))))
+    body = normalize(f)
+    return SafetyReport(tuple(violations(body, conjunction_safety(body))))

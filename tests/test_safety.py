@@ -8,6 +8,7 @@ from ermine import (
     Comparison,
     Constant,
     Exists,
+    Forall,
     Not,
     Variable,
     check_safe,
@@ -70,6 +71,20 @@ def test_inequality_limits_nothing():
 def test_negated_conjunct_does_not_limit(tv_schema):
     conj = parse_formula_text("NOT TV-Program(X) AND TV-Program(Y)", tv_schema)
     assert limited_variables(conj) == {"Y"}
+
+
+def test_limited_variables_accepts_unnormalized_conjuncts():
+    # A FORALL or nested AND conjunct limits its free variables, and a
+    # negated FORALL limits nothing, without normalizing first.
+    x, y, z = Variable("X"), Variable("Y"), Variable("Z")
+    conj = And(
+        (
+            Forall("W", Atom("TV-Program", (x,))),
+            And((Atom("TV-Program", (y,)), Comparison(y, "=", z))),
+            Not(Forall("W", Atom("TV-Program", (Variable("V"),)))),
+        )
+    )
+    assert limited_variables(conj) == {"X", "Y", "Z"}
 
 
 @pytest.mark.parametrize(
