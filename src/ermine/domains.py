@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .evaluator import _eval_atom, _project
+from .evaluator import atom_projection
 from .formulas import (
     And,
     Atom,
@@ -95,7 +95,7 @@ def _dom(inst, f: Formula, variables: tuple[str, ...], trace: bool):
     if isinstance(f, Atom):
         names = {t.name for t in f.terms if isinstance(t, Variable)}
         if set(variables) <= names:
-            members = _project(_eval_atom(inst, f), variables).rows
+            members = atom_projection(inst, f, variables)
             return members, _node(trace, f, "atom-projection", members)
         return frozenset(), _node(trace, f, "atom-missing-variable", frozenset())
     if isinstance(f, Comparison):

@@ -3,33 +3,61 @@
 Two independent routes compute the satisfying assignments of a query's
 free variables:
 
-* ``evaluate`` works bottom-up with set operations: atoms scan their
-  table, conjunctions join their non-negated conjuncts, apply
-  comparisons (equalities can bind still-unbound variables), and
-  anti-join negated conjuncts; OR unions aligned columns; EXISTS
-  projects the quantified column away.  It requires a safe query.
+* ``evaluate`` works bottom-up with set operations.  It requires a safe
+  query.
+  - Atoms read the instance's access path (``ermine.access``): the
+    unfiltered scan of an atom is kept per instance, keyed by its table
+    and its pattern of constants and repeated variables, and renamed to
+    the atom's variables at each use; an atom of distinct variables
+    reads the table's own rows.
+  - A conjunction first pushes every comparison of a variable with a
+    constant (``V op c``, or ``c op V`` with the operator flipped) into
+    the scan of each positive atom that binds the variable.  The atom
+    then reads the smallest of what its tests offer: the bucket of a
+    hash index for an ``=``, or a slice of an ordered index for the
+    ordering comparisons of one variable; the whole scan only when
+    neither applies.  Filtered scans are not kept: ad-hoc queries
+    rarely repeat, so such entries would only hold memory.
+  - Under a chain of EXISTS, a quantified column that no other conjunct
+    reads is projected away before the joins.  The conjunction then
+    joins its positive parts, smallest first, preferring a part that
+    shares a column with the join so far.  The remaining comparisons
+    follow (equalities can bind still-unbound variables), and negated
+    conjuncts are anti-joined.
+  - OR unions aligned columns; a chain of EXISTS projects all of its
+    quantified columns away at once.
 * ``evaluate_naive`` enumerates every assignment of the free variables
   over the evaluation vocabulary and keeps those satisfying the body via
   ``satisfies``.  It is the oracle the optimized route is tested
-  against, so the two must stay independent.
+  against, so the two must stay independent: the oracle reads the
+  table rows directly and never the access path, so a wrong scan,
+  index or pushed comparison shows as a difference between them.
 
 The evaluation vocabulary is the instance's active domain plus the
 constants of the formula (plus any caller-supplied extras, which for
-safe queries provably do not change the result).
+safe queries provably do not change the result).  ``evaluate`` needs
+only whether it is empty, for vacuous quantifiers, so it never builds
+it.
 
 Comparison semantics: operands of the same type compare normally
 (integers numerically, strings by codepoint); across types ``=`` is
-false, ``!=`` is true, and ordering comparisons are false.
+false, ``!=`` is true, and ordering comparisons are false.  Pushed
+comparisons follow the same rules.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 
+from .access import project, select
 from .entities import ErReport, ValidityReport
 from .errors import EvaluationError, UnsafeQueryError
 from .formulas import (
+    ORDER_OPS,
     And,
     Atom,
     Comparison,
@@ -40,8 +68,10 @@ from .formulas import (
     Not,
     Or,
     QueryDecl,
+    Variable,
     conjuncts_of,
     constants_of,
+    free_variables,
     normalize,
     to_text,
 )
@@ -57,11 +87,10 @@ class Relation:
     rows: frozenset[tuple]
 
     def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError(
-                    f"row {row!r} does not fit columns {self.columns!r}"
-                )
+        width = len(self.columns)
+        if set(map(len, self.rows)) - {width}:
+            row = next(r for r in self.rows if len(r) != width)
+            raise ValueError(f"row {row!r} does not fit columns {self.columns!r}")
 
 
 def row_sort_key(row: tuple) -> tuple:
@@ -78,6 +107,16 @@ def evaluation_vocabulary(
     inst: DatabaseInstance, f: Formula, extra_vocabulary=()
 ) -> frozenset:
     return inst.active_domain | constants_of(f) | frozenset(extra_vocabulary)
+
+
+def vocabulary_nonempty(
+    inst: DatabaseInstance, f: Formula, extra_vocabulary=()
+) -> bool:
+    """Is ``evaluation_vocabulary(inst, f, extra_vocabulary)`` non-empty?
+    Answered without building the union."""
+    return bool(
+        inst.active_domain or constants_of(f) or frozenset(extra_vocabulary)
+    )
 
 
 def _compare(a, op: str, b) -> bool:
@@ -102,7 +141,9 @@ def satisfies(inst: DatabaseInstance, f: Formula, binding=None, extra_vocabulary
     """Does the (ground, under `binding`) formula hold in the instance?
 
     Quantifiers range over the evaluation vocabulary.  Every free
-    variable of f must be bound.
+    variable of f must be bound.  Atoms are tested against the table
+    rows directly, never through the access path, so that this stays an
+    independent oracle for ``evaluate``.
     """
     vocab = evaluation_vocabulary(inst, f, extra_vocabulary)
     return _sat(inst, f, dict(binding or {}), vocab)
@@ -139,7 +180,11 @@ def _sat(inst, f, env, vocab) -> bool:
 def evaluate_naive(
     inst: DatabaseInstance, query: QueryDecl, extra_vocabulary=()
 ) -> Relation:
-    """Enumerate all vocabulary assignments of the head variables."""
+    """Enumerate all vocabulary assignments of the head variables.
+
+    The oracle for ``evaluate``: it goes through ``satisfies`` only and
+    never touches the instance's access path.
+    """
     vocab = evaluation_vocabulary(inst, query.body, extra_vocabulary)
     ordered = sorted(vocab, key=lambda v: (type(v) is str, v))
     rows = set()
@@ -181,8 +226,7 @@ def evaluate(
         report = check_safe(body)
     if not report.safe:
         raise UnsafeQueryError(report)
-    vocab = evaluation_vocabulary(inst, body, extra_vocabulary)
-    rel = _eval(inst, body, vocab)
+    rel = _eval(inst, body, vocabulary_nonempty(inst, body, extra_vocabulary))
     if set(rel.columns) != set(query.variables):
         raise EvaluationError(
             f"evaluated columns {rel.columns!r} do not match the declared "
@@ -198,7 +242,7 @@ _UNIT = Relation((), frozenset({()}))
 
 def _project(rel: Relation, columns: tuple[str, ...]) -> Relation:
     idx = [rel.columns.index(c) for c in columns]
-    return Relation(columns, frozenset(tuple(r[i] for i in idx) for r in rel.rows))
+    return Relation(columns, frozenset(project(rel.rows, idx)))
 
 
 def _reorder(rel: Relation, columns: tuple[str, ...]) -> Relation:
@@ -216,12 +260,10 @@ def _natural_join(a: Relation, b: Relation) -> Relation:
     b_idx = [b.columns.index(c) for c in shared]
     extra_idx = [b.columns.index(c) for c in b_only]
     index: dict[tuple, list[tuple]] = {}
-    for row in b.rows:
-        key = tuple(row[i] for i in b_idx)
-        index.setdefault(key, []).append(tuple(row[i] for i in extra_idx))
+    for key, extra in zip(project(b.rows, b_idx), project(b.rows, extra_idx)):
+        index.setdefault(key, []).append(extra)
     out = set()
-    for row in a.rows:
-        key = tuple(row[i] for i in a_idx)
+    for row, key in zip(a.rows, project(a.rows, a_idx)):
         for extra in index.get(key, ()):
             out.add(row + extra)
     return Relation(a.columns + tuple(b_only), frozenset(out))
@@ -229,56 +271,176 @@ def _natural_join(a: Relation, b: Relation) -> Relation:
 
 def _antijoin(a: Relation, b: Relation) -> Relation:
     idx = [a.columns.index(c) for c in b.columns]
-    out = {row for row in a.rows if tuple(row[i] for i in idx) not in b.rows}
+    keys = project(a.rows, idx)
+    out = {row for row, key in zip(a.rows, keys) if key not in b.rows}
     return Relation(a.columns, frozenset(out))
 
 
 # -- structural evaluation ---------------------------------------------
 
 
-def _eval(inst, f: Formula, vocab) -> Relation:
+def _eval(inst, f: Formula, nonempty: bool, drop=frozenset()) -> Relation:
     """Evaluate a normalized safe formula; the columns are its free
-    variables in no fixed order (``evaluate`` orders them by the head)."""
+    variables in no fixed order (``evaluate`` orders them by the head),
+    except that a conjunction may leave out variables in ``drop``, which
+    the caller projects away.  ``nonempty`` tells whether the evaluation
+    vocabulary has a member, which only vacuous quantifiers depend on."""
     if isinstance(f, Atom):
         return _eval_atom(inst, f)
     if isinstance(f, Or):
-        left = _eval(inst, f.left, vocab)
-        right = _reorder(_eval(inst, f.right, vocab), left.columns)
+        left = _eval(inst, f.left, nonempty)
+        right = _reorder(_eval(inst, f.right, nonempty), left.columns)
         return Relation(left.columns, left.rows | right.rows)
     if isinstance(f, Exists):
-        body = _eval(inst, f.body, vocab)
-        if f.var in body.columns:
-            return _project(
-                body, tuple(c for c in body.columns if c != f.var)
-            )
-        # Vacuous quantifier: over an empty vocabulary nothing satisfies
-        # an existential, otherwise the body result carries over.
-        if not vocab:
-            return Relation(body.columns, frozenset())
-        return body
+        # A chain of quantifiers is one projection of its innermost body.
+        quantified = []
+        while isinstance(f, Exists):
+            quantified.append(f.var)
+            f = f.body
+        # Over an empty vocabulary nothing satisfies a vacuous
+        # existential (one whose variable is not free in its body);
+        # otherwise the body result carries over.
+        if not nonempty:
+            free = free_variables(f)
+            if len(set(quantified)) < len(quantified) or not set(quantified) <= set(free):
+                return Relation(
+                    tuple(v for v in free if v not in quantified), frozenset()
+                )
+        body = _eval(inst, f, nonempty, frozenset(quantified))
+        return _reorder(body, tuple(c for c in body.columns if c not in quantified))
     if isinstance(f, Forall):
         raise EvaluationError("evaluate needs a normalized formula")
     # And, lone comparisons, and lone negations all go through the
     # conjunction path (a non-And formula is its own single conjunct).
-    return _eval_conjunction(inst, f, vocab)
+    return _eval_conjunction(inst, f, nonempty, drop)
 
 
-def _eval_atom(inst, atom: Atom) -> Relation:
-    first_pos: dict[str, int] = {}
-    rows = inst.rows(atom.predicate)
+def _atom_pattern(atom: Atom) -> tuple[tuple, dict[str, int]]:
+    """The atom's access-path pattern (see ``ermine.access``) and the
+    table position where each of its variables first occurs."""
+    first: dict[str, int] = {}
+    pattern = []
     for i, t in enumerate(atom.terms):
         if isinstance(t, Constant):
-            rows = [row for row in rows if row[i] == t.value]
-        elif t.name in first_pos:
-            j = first_pos[t.name]
-            rows = [row for row in rows if row[i] == row[j]]
+            pattern.append((t.value,))
         else:
-            first_pos[t.name] = i
-    columns, idx = tuple(first_pos), tuple(first_pos.values())
-    return Relation(columns, frozenset(tuple(row[i] for i in idx) for row in rows))
+            pattern.append(first.setdefault(t.name, i))
+    return tuple(pattern), first
 
 
-def _eval_conjunction(inst, f: Formula, vocab) -> Relation:
+def _eval_atom(inst, atom: Atom, tests=()) -> Relation:
+    """The atom's satisfying tuples that pass every ``(variable, op,
+    constant)`` test, read through the instance's access path.
+
+    Each ``=`` test offers the bucket of its hash index, and the ordering
+    tests of each variable offer one slice of its ordered index.  The
+    smallest offer is read instead of the whole scan, and only the tests
+    it does not answer are applied to its rows."""
+    pattern, first = _atom_pattern(atom)
+    columns = tuple(first)
+    access = inst.access
+    table = atom.predicate
+    if not tests:
+        return Relation(columns, access.scan(table, pattern))
+    offers = [
+        (access.lookup(table, first[var], value), [(var, op, value)])
+        for var, op, value in tests
+        if op == "="
+    ]
+    for var in dict.fromkeys(var for var, op, _ in tests if op in ORDER_OPS):
+        answered = [t for t in tests if t[0] == var and t[1] in ORDER_OPS]
+        pos = first[var]
+        rows = _ordered_slice(access.ordered(table, pos), pos, answered)
+        offers.append((rows, answered))
+    if offers:
+        rows, answered = min(offers, key=lambda offer: len(offer[0]))
+        rows = select(rows, pattern)
+    else:
+        rows, answered = access.scan(table, pattern), []
+    for var, op, value in tests:
+        if (var, op, value) not in answered:
+            rows = _keep(rows, columns.index(var), op, value)
+    return Relation(columns, frozenset(rows))
+
+
+def _ordered_slice(rows: list, pos: int, tests) -> list:
+    """The rows passing every ordering test ``(variable, op, constant)``
+    on position ``pos``, by ``_compare``'s rules, from rows sorted as
+    ``AccessPath.ordered`` sorts them: only values of the constant's type
+    can pass, and those form one sorted run."""
+    lo, hi = 0, len(rows)
+
+    def is_str(r):
+        return type(r[pos]) is str
+
+    def value_at(r):
+        return r[pos]
+
+    for _, op, value in tests:
+        kind = type(value) is str
+        lo = max(lo, bisect_left(rows, kind, key=is_str))
+        hi = min(hi, bisect_right(rows, kind, key=is_str))
+        if lo >= hi:
+            return []
+        if op == ">=":
+            lo = bisect_left(rows, value, lo, hi, key=value_at)
+        elif op == ">":
+            lo = bisect_right(rows, value, lo, hi, key=value_at)
+        elif op == "<=":
+            hi = bisect_right(rows, value, lo, hi, key=value_at)
+        else:
+            hi = bisect_left(rows, value, lo, hi, key=value_at)
+    return rows[lo:hi]
+
+
+def atom_projection(inst, atom: Atom, variables) -> frozenset[tuple]:
+    """The atom's satisfying tuples projected onto ``variables``, all of
+    which it mentions; kept in the instance's access path."""
+    pattern, first = _atom_pattern(atom)
+    columns = tuple(first)
+    return inst.access.projection(
+        atom.predicate, pattern, tuple(columns.index(v) for v in variables)
+    )
+
+
+_OPS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    ">": operator.gt,
+    "<=": operator.le,
+    ">=": operator.ge,
+}
+
+# The operator of ``c op V`` rewritten as ``V op' c``.
+_FLIPPED = {"=": "=", "!=": "!=", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
+
+
+def _keep(rows, i: int, op: str, value) -> list[tuple]:
+    """The rows whose column ``i`` compares true with the constant, by
+    ``_compare``'s rules across types."""
+    is_str = type(value) is str
+    if op == "!=":
+        return [
+            r for r in rows if (type(r[i]) is str) is not is_str or r[i] != value
+        ]
+    test = _OPS[op]
+    return [
+        r for r in rows if (type(r[i]) is str) is is_str and test(r[i], value)
+    ]
+
+
+def _variable_test(c: Comparison):
+    """``(variable, op, constant)`` for ``V op c`` or ``c op V``, the
+    operator flipped in the second form; None for any other comparison."""
+    if isinstance(c.left, Variable) and isinstance(c.right, Constant):
+        return c.left.name, c.op, c.right.value
+    if isinstance(c.left, Constant) and isinstance(c.right, Variable):
+        return c.right.name, _FLIPPED[c.op], c.left.value
+    return None
+
+
+def _eval_conjunction(inst, f: Formula, nonempty: bool, drop) -> Relation:
     conjs = conjuncts_of(f)
     positives = []
     comparisons = []
@@ -290,11 +452,43 @@ def _eval_conjunction(inst, f: Formula, vocab) -> Relation:
             comparisons.append(c)
         else:
             positives.append(c)
-    rel = _eval(inst, positives[0], vocab) if positives else _UNIT
-    for p in positives[1:]:
-        rel = _natural_join(rel, _eval(inst, p, vocab))
 
-    pending = list(comparisons)
+    # Selection pushdown: a comparison of a variable with a constant
+    # filters the scan of every positive atom that binds the variable.
+    tests = [[] for _ in positives]
+    pending = []
+    for c in comparisons:
+        test = _variable_test(c)
+        pushed = False
+        if test is not None:
+            var = Variable(test[0])
+            for k, p in enumerate(positives):
+                if isinstance(p, Atom) and var in p.terms:
+                    tests[k].append(test)
+                    pushed = True
+        if not pushed:
+            pending.append(c)
+    parts = [
+        _eval_atom(inst, p, t) if isinstance(p, Atom) else _eval(inst, p, nonempty)
+        for p, t in zip(positives, tests)
+    ]
+    subs = [_eval(inst, n.body, nonempty) for n in negations]
+    if drop:
+        # Projection pushdown: a column in ``drop`` that no other part,
+        # comparison or negation reads goes before the joins.
+        read = Counter(c for p in parts for c in p.columns)
+        read.update(c for sub in subs for c in sub.columns)
+        read.update(
+            t.name
+            for c in pending
+            for t in (c.left, c.right)
+            if isinstance(t, Variable)
+        )
+        for k, p in enumerate(parts):
+            kept = tuple(c for c in p.columns if c not in drop or read[c] > 1)
+            parts[k] = _reorder(p, kept)
+    rel = _join_smallest_first(parts)
+
     progress = True
     while pending and progress:
         progress = False
@@ -327,14 +521,28 @@ def _eval_conjunction(inst, f: Formula, vocab) -> Relation:
             f"{'; '.join(to_text(c) for c in pending)}"
         )
 
-    for n in negations:
-        sub = _eval(inst, n.body, vocab)
+    for n, sub in zip(negations, subs):
         if not set(sub.columns) <= set(rel.columns):
             raise EvaluationError(
                 f"negation {to_text(n)} mentions variables missing from its "
                 f"conjunction"
             )
         rel = _antijoin(rel, sub)
+    return rel
+
+
+def _join_smallest_first(parts: list[Relation]) -> Relation:
+    """The natural join of the parts, starting from the smallest and
+    joining next the smallest part that shares a column with the result
+    so far (the smallest of all when none does)."""
+    if not parts:
+        return _UNIT
+    rest = sorted(parts, key=lambda r: len(r.rows))
+    rel = rest.pop(0)
+    while rest:
+        bound = set(rel.columns)
+        k = next((k for k, p in enumerate(rest) if bound & set(p.columns)), 0)
+        rel = _natural_join(rel, rest.pop(k))
     return rel
 
 

@@ -74,7 +74,7 @@ from .evaluator import (
     _natural_join,
     _reorder,
     evaluate,
-    evaluation_vocabulary,
+    vocabulary_nonempty,
 )
 from .formulas import (
     And,
@@ -366,7 +366,7 @@ class _Run:
         rel = self._answers.get(i)
         if rel is None:
             f = self.part((i, False))
-            rel = _eval(self.inst, f, evaluation_vocabulary(self.inst, f))
+            rel = _eval(self.inst, f, vocabulary_nonempty(self.inst, f))
             head = tuple(v for v in self.head if v in rel.columns)
             rel = self._answers[i] = _reorder(rel, head)
         return rel

@@ -29,6 +29,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from .access import AccessPath
 from .errors import DataError, SchemaError
 
 VALUE_TYPES = ("string", "integer")
@@ -213,12 +214,21 @@ def load_schema_file(path) -> Schema:
 
 @dataclass(frozen=True)
 class DatabaseInstance:
-    """Immutable instance: one finite relation (set of tuples) per table."""
+    """Immutable instance: one finite relation (set of tuples) per table.
+
+    ``access`` is the evaluator's access path to the tables (see
+    ``ermine.access``).  It starts empty and fills as queries run; it
+    takes no part in equality or repr.
+    """
 
     schema: Schema
     relations: dict[str, frozenset[tuple]]
     entity_constants: frozenset = field(default=frozenset(), compare=False)
     active_domain: frozenset = field(default=frozenset(), compare=False)
+    access: AccessPath = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "access", AccessPath(self.relations))
 
     def rows(self, table: str) -> frozenset[tuple]:
         try:

@@ -3,8 +3,12 @@
 Every generated query has the single free variable X.  Two families:
 
 * safe_query_cases() makes safe (not necessarily entity) queries with
-  constants, repeated variables, disjunctions, negation, and variables
-  bound only through equalities.  Used for differential evaluation.
+  constants, repeated variables, disjunctions, negation, variables
+  bound only through equalities, and comparisons of variables with
+  constants: every operator, the constant on either side, of either
+  type, beside atoms with constants or repeated variables.  Used for
+  differential evaluation; safe_query_sequences() draws several of them
+  over one instance.
 * valid_query_cases() / split_cases() make entity queries whose atoms
   hold only distinct variables with X in an entity position, so they are
   safe, entity, and valid for X by construction, and their reference
@@ -40,6 +44,7 @@ from ermine import (
 
 NAMES = ("a", "b", "c")
 WEIGHTS = (1, 2)
+OPS = ("<", ">", "<=", ">=", "=", "!=")
 
 SCHEMAS = {
     "single": load_schema(
@@ -202,15 +207,20 @@ def _pattern(draw, key, var="X", plain=True, allow_negation=True, alias=False):
     conjs = [anchored_atom()]
     if draw(st.booleans()):
         conjs.append(anchored_atom())
-    ints = [n for n, vt in used if vt == "integer"]
-    if ints and draw(st.booleans()):
-        conjs.append(
-            Comparison(
-                Variable(draw(st.sampled_from(ints))),
-                draw(st.sampled_from(("<", ">", "<=", ">=", "=", "!="))),
-                Constant(draw(st.sampled_from(WEIGHTS))),
+    if plain:
+        ints = [n for n, vt in used if vt == "integer"]
+        if ints and draw(st.booleans()):
+            conjs.append(
+                Comparison(
+                    Variable(draw(st.sampled_from(ints))),
+                    draw(st.sampled_from(OPS)),
+                    Constant(draw(st.sampled_from(WEIGHTS))),
+                )
             )
-        )
+    else:
+        for _ in range(draw(st.integers(0, 2))):
+            name = draw(st.sampled_from([var] + [n for n, _ in used]))
+            conjs.append(draw(_constant_comparison(name)))
     if allow_negation and draw(st.booleans()):
         negand = draw(_pattern(key, var=var, plain=plain, allow_negation=False))
         conjs.append(Not(negand))
@@ -224,10 +234,65 @@ def _pattern(draw, key, var="X", plain=True, allow_negation=True, alias=False):
 
 
 @st.composite
+def _constant_comparison(draw, name):
+    """``name op c`` or ``c op name`` for any operator, the constant of
+    either type whatever the variable's type."""
+    op = draw(st.sampled_from(OPS))
+    value = Constant(draw(st.sampled_from(NAMES + WEIGHTS)))
+    if draw(st.booleans()):
+        return Comparison(value, op, Variable(name))
+    return Comparison(Variable(name), op, value)
+
+
+@st.composite
+def _pushdown_pattern(draw, key):
+    """An atom holding X beside a constant or a repeated variable, in one
+    conjunction with comparisons of its variables against constants,
+    optionally with a negated permutation of the atom and a second
+    pattern."""
+    schema = SCHEMAS[key]
+    anchors = [(t, i) for t, i in ANCHORS[key] if schema.table(t).arity > 1]
+    if not anchors:
+        return draw(_pattern(key, plain=False))
+    table_name, pos = draw(st.sampled_from(anchors))
+    table = schema.table(table_name)
+    special = draw(st.sampled_from([i for i in range(table.arity) if i != pos]))
+    fresh = []
+    terms = []
+    for i in range(table.arity):
+        if i == pos:
+            terms.append(Variable("X"))
+        elif i == special and draw(st.booleans()):
+            terms.append(Constant(draw(st.sampled_from(NAMES + WEIGHTS))))
+        elif i == special:
+            terms.append(Variable(draw(st.sampled_from(["X"] + fresh))))
+        else:
+            fresh.append(f"V{len(fresh) + 1}")
+            terms.append(Variable(fresh[-1]))
+    conjs = [Atom(table_name, tuple(terms))]
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(["X"] + fresh))
+        conjs.append(draw(_constant_comparison(name)))
+    if draw(st.booleans()):
+        # A negation reading the quantified variables too.
+        conjs.append(Not(Atom(table_name, tuple(draw(st.permutations(terms))))))
+    if draw(st.booleans()):
+        conjs.append(draw(_pattern(key, plain=False, allow_negation=False)))
+    body = conjunction(draw(st.permutations(conjs)))
+    for name in reversed(fresh):
+        body = Exists(name, body)
+    return body
+
+
+@st.composite
 def _safe_body(draw, key):
-    kind = draw(st.sampled_from(("pattern", "alias", "eq", "or", "or-eq")))
+    kind = draw(
+        st.sampled_from(("pattern", "alias", "pushdown", "eq", "or", "or-eq"))
+    )
     if kind == "pattern":
         return draw(_pattern(key, plain=False))
+    if kind == "pushdown":
+        return draw(_pushdown_pattern(key))
     if kind == "alias":
         return draw(_pattern(key, plain=False, alias=True))
     if kind == "eq":
@@ -246,6 +311,15 @@ def safe_query_cases(draw):
     key, inst = draw(instances())
     body = draw(_safe_body(key))
     return inst, QueryDecl("q", ("X",), body)
+
+
+@st.composite
+def safe_query_sequences(draw):
+    """One instance and several safe queries over it, for checks that
+    need queries to share the instance's access path."""
+    key, inst = draw(instances())
+    bodies = draw(st.lists(_safe_body(key), min_size=3, max_size=6))
+    return inst, [QueryDecl(f"q{k}", ("X",), b) for k, b in enumerate(bodies)]
 
 
 @st.composite

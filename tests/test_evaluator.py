@@ -2,22 +2,33 @@
 
 import pytest
 
+from conftest import TV_DIR
 from ermine import (
+    And,
+    Atom,
     Comparison,
     Constant,
     EvaluationError,
+    Exists,
+    QueryDecl,
     Relation,
     UnsafeQueryError,
+    Variable,
     evaluate,
     evaluate_naive,
     evaluation_vocabulary,
+    frequency,
     load_instance,
+    load_instance_dir,
     load_schema,
+    normalize,
     parse_formula_text,
     parse_query,
+    reference_domain,
     satisfies,
     sorted_rows,
 )
+from ermine.cli import build_arg_parser, load_session, run_domain, run_eval, run_freq
 
 F1_ROWS = {("Gilmore",), ("Hockey Night",)}
 F2_ROWS = {("Hockey Night",), ("Simpsons",)}
@@ -219,3 +230,132 @@ def test_relation_row_length_checked():
 def test_sorted_rows_orders_mixed_types():
     rel = Relation(("x",), frozenset({("b",), (2,), ("a",), (1,)}))
     assert sorted_rows(rel) == [(1,), (2,), ("a",), ("b",)]
+
+
+_LISTING = "EXISTS SN. EXISTS V. EXISTS S. WeekdayTV(P, SN, V, S)"
+
+
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        (f"{_LISTING} AND 12 <= V", {("Gilmore",), ("Hockey Night",)}),
+        (f"{_LISTING} AND 12 > V", {("Gilmore",)}),
+        (f'{_LISTING} AND P = "Gilmore" AND "CBS" = SN', {("Gilmore",)}),
+        (f'{_LISTING} AND P = "Gilmore" AND SN = "CBC"', set()),
+        (f'{_LISTING} AND P = "Gilmore" AND P = "Hockey Night"', set()),
+        ('EXISTS SN. EXISTS V. WeekdayTV(P, SN, V, "Avon") AND V < 12', {("Gilmore",)}),
+    ],
+)
+def test_pushed_comparisons_agree_with_enumeration(tv, tv_schema, body, expected):
+    decl = parse_query(f"q(P) := {body}", tv_schema)
+    fast = evaluate(tv, decl)
+    assert fast == evaluate_naive(tv, decl)
+    assert set(fast.rows) == expected
+
+
+_V, _S = Variable("V"), Variable("S")
+
+
+@pytest.mark.parametrize(
+    "comparisons, expected",
+    [
+        ((Comparison(_V, ">=", Constant("10")),), set()),
+        ((Comparison(Constant("10"), "!=", _V),), {("Gilmore",), ("Hockey Night",)}),
+        ((Comparison(_S, "=", Constant(10)),), set()),
+        ((Comparison(Constant(10), "<", _S),), set()),
+        ((Comparison(_S, "!=", Constant(10)), Comparison(_V, "<", Constant(12))), {("Gilmore",)}),
+    ],
+)
+def test_pushed_cross_type_comparisons(tv, tv_schema, comparisons, expected):
+    # The parser rejects these texts, so the bodies are built directly.
+    listing = parse_formula_text("WeekdayTV(P, SN, V, S)", tv_schema)
+    body = Exists("SN", Exists("V", Exists("S", And((listing, *comparisons)))))
+    decl = QueryDecl("q", ("P",), body)
+    fast = evaluate(tv, decl)
+    assert fast == evaluate_naive(tv, decl)
+    assert set(fast.rows) == expected
+
+
+def test_pushed_comparison_beside_a_repeated_variable(tv):
+    # No listing has as many viewers as its sponsor's name.
+    listing = Atom("WeekdayTV", (Variable("P"), Variable("SN"), _V, _V))
+    body = Exists("SN", Exists("V", And((listing, Comparison(_V, "!=", Constant(0))))))
+    decl = QueryDecl("q", ("P",), body)
+    assert evaluate(tv, decl) == evaluate_naive(tv, decl)
+    assert not evaluate(tv, decl).rows
+
+
+def test_pushed_comparisons_on_both_sides_of_a_join(tv, tv_schema):
+    decl = parse_query(
+        "q(P) := EXISTS SN. EXISTS V. EXISTS S. EXISTS V2. EXISTS S2. "
+        "WeekdayTV(P, SN, V, S) AND WeekendTV(P, SN, V2, S2) AND V > 9 AND 9 > V2",
+        tv_schema,
+    )
+    assert evaluate(tv, decl).rows == {("Gilmore",)}
+
+
+def test_quantifier_chain_with_shadowing(tv, tv_schema):
+    decl = parse_query("q(X) := EXISTS P. EXISTS P. TV-Program(P) AND P = X", tv_schema)
+    fast = evaluate(tv, decl)
+    assert fast == evaluate_naive(tv, decl)
+    assert len(fast.rows) == 4
+
+
+def test_filled_access_path_leaves_the_instance_unchanged(tv_schema, queries, combine):
+    inst = load_instance_dir(tv_schema, TV_DIR / "data")
+    before = repr(inst)
+    decls = [
+        *queries.values(),
+        combine('q(P) := EXISTS SN. EXISTS V. WeekendTV(P, SN, V, "RBC") AND V > 5'),
+        combine('q(P, SN) := EXISTS V. EXISTS S. WeekdayTV(P, SN, V, S) AND P = "Gilmore"'),
+    ]
+    for decl in decls:
+        evaluate(inst, decl)
+        reference_domain(inst, normalize(decl.body), decl.variables)
+        frequency(inst, decl)
+    fresh = load_instance_dir(tv_schema, TV_DIR / "data")
+    assert inst == fresh
+    assert repr(inst) == before == repr(fresh)
+
+
+def test_domain_explain_is_the_same_on_a_warm_session(capsys):
+    ns = build_arg_parser().parse_args(
+        [
+            "--schema", str(TV_DIR / "schema.json"),
+            "--data", str(TV_DIR / "data"),
+            "--queries", str(TV_DIR / "queries.erq"),
+            "repl",
+        ]
+    )
+    names = ("F1", "F2", "G1", "G2")
+
+    def explain(session, name):
+        run_domain(session, name, explain=True)
+        return capsys.readouterr()
+
+    cold = [explain(load_session(ns), name) for name in names]
+    warm = load_session(ns)
+    for name in names:
+        run_eval(warm, name)
+        run_freq(warm, name)
+        run_domain(warm, name)
+    capsys.readouterr()
+    assert [explain(warm, name) for name in names] == cold
+    assert all(c.err for c in cold)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("q() := NOT (EXISTS Z. TV-Program(Z))", {()}),
+        # Over an empty vocabulary a vacuous existential is false, also
+        # inside a chain of quantifiers and when a quantifier is repeated.
+        ("q() := EXISTS Y. NOT (EXISTS Z. TV-Program(Z))", set()),
+        ("q() := EXISTS Y. EXISTS Y. NOT (EXISTS Z. TV-Program(Z))", set()),
+    ],
+)
+def test_vacuous_quantifiers_on_an_empty_instance(tv_schema, text, expected):
+    empty = load_instance(tv_schema, {})
+    decl = parse_query(text, tv_schema)
+    assert evaluate(empty, decl).rows == expected
+    assert evaluate_naive(empty, decl).rows == expected

@@ -2,8 +2,10 @@
 
 Each property runs 200 deterministic examples (derandomize=True) against
 the tiny schemas in strategies.py.  The evaluation properties compare
-the set-algebra evaluator with brute-force assignment enumeration; the
-statistics properties exercise the guarantees the miner relies on:
+the set-algebra evaluator with brute-force assignment enumeration, on
+fresh instances and on one instance whose access path earlier queries
+have filled; the statistics properties exercise the guarantees the
+miner relies on:
 non-empty domains, frequency bounds, disjoint-split additivity, and the
 anti-monotonicity that justifies Apriori pruning.  The mining property
 checks the miner's set-algebra counts against ``stats`` computed from
@@ -42,6 +44,7 @@ from ermine import (
     is_er_query,
     is_valid_for,
     load_bias,
+    load_instance,
     load_schema,
     mine,
     normalize,
@@ -74,6 +77,23 @@ def test_optimized_evaluator_matches_enumeration(case):
     slow = evaluate_naive(inst, decl)
     assert fast.columns == slow.columns
     assert sorted_rows(fast) == sorted_rows(slow)
+
+
+@SETTINGS
+@given(strategies.safe_query_sequences())
+def test_warm_access_path_matches_cold_instances(case):
+    # Queries in turn on one instance share its access path; a scan,
+    # index or projection kept under the wrong key, or renamed wrongly,
+    # shows as a difference from the oracle or from a cold instance.
+    inst, decls = case
+    for decl in decls:
+        fast = evaluate(inst, decl)
+        assert sorted_rows(fast) == sorted_rows(evaluate_naive(inst, decl))
+        body = normalize(decl.body)
+        cold = load_instance(inst.schema, inst.relations)
+        assert reference_domain(inst, body, decl.variables) == reference_domain(
+            cold, body, decl.variables
+        )
 
 
 @SETTINGS
