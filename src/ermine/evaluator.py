@@ -182,8 +182,9 @@ def evaluate_naive(
 ) -> Relation:
     """Enumerate all vocabulary assignments of the head variables.
 
-    The oracle for ``evaluate``: it goes through ``satisfies`` only and
-    never touches the instance's access path.
+    The oracle for ``evaluate``: like ``satisfies`` it tests each
+    assignment against the table rows directly and never touches the
+    instance's access path.
     """
     vocab = evaluation_vocabulary(inst, query.body, extra_vocabulary)
     ordered = sorted(vocab, key=lambda v: (type(v) is str, v))

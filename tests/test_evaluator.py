@@ -253,7 +253,7 @@ def test_pushed_comparisons_agree_with_enumeration(tv, tv_schema, body, expected
     assert set(fast.rows) == expected
 
 
-_V, _S = Variable("V"), Variable("S")
+_P, _V, _S = Variable("P"), Variable("V"), Variable("S")
 
 
 @pytest.mark.parametrize(
@@ -264,6 +264,13 @@ _V, _S = Variable("V"), Variable("S")
         ((Comparison(_S, "=", Constant(10)),), set()),
         ((Comparison(Constant(10), "<", _S),), set()),
         ((Comparison(_S, "!=", Constant(10)), Comparison(_V, "<", Constant(12))), {("Gilmore",)}),
+        # An index bucket answers the equality; the rest filter its rows.
+        ((Comparison(_P, "=", Constant("Gilmore")), Comparison(_V, "<", Constant("z"))), set()),
+        ((Comparison(_P, "=", Constant("Gilmore")), Comparison(Constant(5), "<", _S)), set()),
+        (
+            (Comparison(_P, "=", Constant("Gilmore")), Comparison(_V, "!=", Constant("z"))),
+            {("Gilmore",)},
+        ),
     ],
 )
 def test_pushed_cross_type_comparisons(tv, tv_schema, comparisons, expected):
