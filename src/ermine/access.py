@@ -13,8 +13,8 @@ to one query:
   of an atom of distinct variables is the table's own frozenset.
 * **indexes** — one hash index per (table, position), mapping each value
   to the tuple of table rows holding it there, and one ordered index per
-  (table, position): the table's rows sorted by their value there,
-  integers before strings, for range selections by bisection.
+  (table, position): the table's rows sorted by ``value_key`` of their
+  value there, for range selections by bisection.
 * **projections** — a scan projected onto some of its columns, which is
   what a reference domain reads for an atom.
 
@@ -26,6 +26,17 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .errors import DataError
+
+
+def value_key(value) -> tuple:
+    """The sort key of a table value: integers before strings, each type
+    in its own order, so values of the two types are never compared."""
+    return (type(value) is str, value)
+
+
+def row_key(row: tuple) -> tuple:
+    """The sort key of a row: its values' keys in order."""
+    return tuple(map(value_key, row))
 
 
 def is_plain(pattern: tuple) -> bool:
@@ -106,14 +117,13 @@ class AccessPath:
         return index.get(value, ())
 
     def ordered(self, table: str, position: int) -> list[tuple]:
-        """The table rows sorted by their value at ``position``, integers
-        first, so that each type's values form one sorted run."""
+        """The table rows sorted by ``value_key`` of their value at
+        ``position``, so that each type's values form one sorted run."""
         key = (table, position)
         rows = self._ordered.get(key)
         if rows is None:
             rows = self._ordered[key] = sorted(
-                self.rows(table),
-                key=lambda r: (type(r[position]) is str, r[position]),
+                self.rows(table), key=lambda r: value_key(r[position])
             )
         return rows
 

@@ -12,7 +12,7 @@ variables could range over:
 * a conjunction whose conjuncts equate every requested variable with a
   constant contributes those constant tuples on top of the domain of the
   remaining conjuncts; any other conjunction contributes the union over
-  its conjuncts;
+  its conjuncts (``conjunction_domain``, which the miner shares);
 * OR contributes the union of both branches;
 * NOT is transparent (the domain of the negated formula);
 * EXISTS is transparent unless it captures a requested variable, in
@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .access import row_key
 from .evaluator import atom_projection
 from .formulas import (
     And,
@@ -65,9 +66,7 @@ class DomainTrace:
         pad = "  " * indent
         shown = ", ".join(
             "(" + ", ".join(str(v) for v in m) + ")"
-            for m in sorted(
-                self.members, key=lambda m: tuple((type(v) is str, v) for v in m)
-            )
+            for m in sorted(self.members, key=row_key)
         )
         lines = [f"{pad}{self.rule}: {self.formula} -> {{{shown}}}"]
         for child in self.children:
@@ -87,6 +86,27 @@ def explain_reference_domain(
 ) -> tuple[ReferenceDomain, DomainTrace]:
     members, node = _dom(inst, f, tuple(variables), trace=True)
     return ReferenceDomain(tuple(variables), members), node
+
+
+def conjunction_domain(conjuncts, variables, domains):
+    """Members of the reference domain of the conjunction of ``conjuncts``
+    for ``variables``, given ``domains[k]``, those of ``conjuncts[k]``'s
+    (see the module docstring), and the indexes of the conjuncts an
+    equality cover reads; None when the rule is the union.
+    """
+    constants: dict[str, list] = {}
+    equating = set()
+    for k, c in enumerate(conjuncts):
+        if isinstance(c, Comparison):
+            for v, values in equated_constants(c).items():
+                constants.setdefault(v, []).extend(values)
+                if v in variables:
+                    equating.add(k)
+    if not equating or not all(v in constants for v in variables):
+        return frozenset().union(*domains), None
+    tuples = frozenset(itertools.product(*(constants[v] for v in variables)))
+    rest = [k for k in range(len(conjuncts)) if k not in equating]
+    return tuples.union(*(domains[k] for k in rest)), rest
 
 
 def _dom(inst, f: Formula, variables: tuple[str, ...], trace: bool):
@@ -123,33 +143,19 @@ def _dom(inst, f: Formula, variables: tuple[str, ...], trace: bool):
     if isinstance(f, Forall):
         raise ValueError("reference_domain needs a normalized formula")
     if isinstance(f, And):
-        constants = equated_constants(f)
-        if all(v in constants for v in variables):
-            rest = [
-                c
-                for c in f.conjuncts
-                if not equated_constants(c).keys() & set(variables)
-            ]
-            tuples = frozenset(
-                itertools.product(*(constants[v] for v in variables))
-            )
-            if rest:
-                base, child = _dom(inst, conjunction(rest), variables, trace)
-                members = base | tuples
-                return members, _node(
-                    trace, f, "conjunction-equality-cover", members, child
-                )
-            return tuples, _node(
-                trace, f, "conjunction-equality-cover", tuples
-            )
-        members = frozenset()
-        children = []
-        for c in f.conjuncts:
-            sub, child = _dom(inst, c, variables, trace)
-            members = members | sub
-            if child is not None:
-                children.append(child)
-        return members, _node(trace, f, "conjunction-union", members, *children)
+        subs = [_dom(inst, c, variables, trace) for c in f.conjuncts]
+        members, rest = conjunction_domain(f.conjuncts, variables, [m for m, _ in subs])
+        if rest is None:
+            children = [node for _, node in subs]
+            return members, _node(trace, f, "conjunction-union", members, *children)
+        children = [subs[k][1] for k in rest]
+        if trace and len(rest) > 1:
+            # The cover reads its remaining conjuncts as one conjunction.
+            g = conjunction([f.conjuncts[k] for k in rest])
+            union = frozenset().union(*(subs[k][0] for k in rest))
+            children = [_node(trace, g, "conjunction-union", union, *children)]
+        rule = "conjunction-equality-cover"
+        return members, _node(trace, f, rule, members, *children)
     raise TypeError(f"not a formula: {f!r}")
 
 

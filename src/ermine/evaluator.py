@@ -19,11 +19,11 @@ free variables:
     neither applies.  Filtered scans are not kept: ad-hoc queries
     rarely repeat, so such entries would only hold memory.
   - Under a chain of EXISTS, a quantified column that no other conjunct
-    reads is projected away before the joins.  The conjunction then
-    joins its positive parts, smallest first, preferring a part that
-    shares a column with the join so far.  The remaining comparisons
-    follow (equalities can bind still-unbound variables), and negated
-    conjuncts are anti-joined.
+    reads is projected away before the joins.  The conjunction step
+    (``conjoin``, shared with the miner) then joins the positive parts,
+    smallest first, preferring a part that shares a column with the join
+    so far.  The remaining comparisons follow (equalities can bind
+    still-unbound variables), and negated conjuncts are anti-joined.
   - OR unions aligned columns; a chain of EXISTS projects all of its
     quantified columns away at once.
 * ``evaluate_naive`` enumerates every assignment of the free variables
@@ -53,7 +53,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
-from .access import project, select
+from .access import project, row_key, select, value_key
 from .entities import ErReport, ValidityReport
 from .errors import EvaluationError, UnsafeQueryError
 from .formulas import (
@@ -93,14 +93,8 @@ class Relation:
             raise ValueError(f"row {row!r} does not fit columns {self.columns!r}")
 
 
-def row_sort_key(row: tuple) -> tuple:
-    # Tag each value with its type so integer and string cells never get
-    # compared with < directly; integers sort before strings.
-    return tuple((type(v) is str, v) for v in row)
-
-
 def sorted_rows(rel: Relation) -> list[tuple]:
-    return sorted(rel.rows, key=row_sort_key)
+    return sorted(rel.rows, key=row_key)
 
 
 def evaluation_vocabulary(
@@ -187,7 +181,8 @@ def evaluate_naive(
     instance's access path.
     """
     vocab = evaluation_vocabulary(inst, query.body, extra_vocabulary)
-    ordered = sorted(vocab, key=lambda v: (type(v) is str, v))
+    # The shared value order only fixes the order of enumeration.
+    ordered = sorted(vocab, key=value_key)
     rows = set()
     for combo in itertools.product(ordered, repeat=len(query.variables)):
         env = dict(zip(query.variables, combo))
@@ -488,8 +483,17 @@ def _eval_conjunction(inst, f: Formula, nonempty: bool, drop) -> Relation:
         for k, p in enumerate(parts):
             kept = tuple(c for c in p.columns if c not in drop or read[c] > 1)
             parts[k] = _reorder(p, kept)
-    rel = _join_smallest_first(parts)
+    return conjoin(parts, pending, zip(negations, subs))
 
+
+def conjoin(parts, comparisons, negations) -> Relation:
+    """The conjunction step: join ``parts`` smallest first, apply the
+    ``comparisons`` (an ``=`` binds an unbound variable), then anti-join
+    each ``(negated conjunct, relation of its body)`` in ``negations``.
+    ``_eval_conjunction`` runs it after its pushdowns; the miner shares it.
+    """
+    rel = _join_smallest_first(parts)
+    pending = comparisons
     progress = True
     while pending and progress:
         progress = False
@@ -522,8 +526,8 @@ def _eval_conjunction(inst, f: Formula, nonempty: bool, drop) -> Relation:
             f"{'; '.join(to_text(c) for c in pending)}"
         )
 
-    for n, sub in zip(negations, subs):
-        if not set(sub.columns) <= set(rel.columns):
+    for n, sub in negations:
+        if not set(rel.columns).issuperset(sub.columns):
             raise EvaluationError(
                 f"negation {to_text(n)} mentions variables missing from its "
                 f"conjunction"
@@ -536,8 +540,8 @@ def _join_smallest_first(parts: list[Relation]) -> Relation:
     """The natural join of the parts, starting from the smallest and
     joining next the smallest part that shares a column with the result
     so far (the smallest of all when none does)."""
-    if not parts:
-        return _UNIT
+    if len(parts) < 2:
+        return parts[0] if parts else _UNIT
     rest = sorted(parts, key=lambda r: len(r.rows))
     rel = rest.pop(0)
     while rest:

@@ -31,19 +31,15 @@ validity as "the constant equalities cover the head, or some conjunct is
 valid".
 
 Counting is vertical, in the manner of Eclat's tidset intersection: a
-mining run evaluates each pool item once and computes its reference
-domain once.  A candidate's answers are then the natural join (an
-intersection when every item mentions the whole head) of its positive
-items' answers, anti-joined with its negated items' answers, and its
-reference domain is the union of its items' domains.  That is what
-evaluating the body and the conjunction-union rule of reference domains
-give whenever each item normalizes to one conjunct that is not a
-conjunction, a comparison or a negation.  Other candidates are counted
-by ``stats.frequency``: an item like ``P = "Gilmore"`` can make the
-equality-cover rule decide the domain, and an item that normalizes to a
-conjunction is flattened into the candidate's.  A rule antecedent takes
-its answer count from the candidate with the same signed items where one
-was evaluated, else from the same set algebra, else from evaluating it.
+mining run evaluates each conjunct of each signed item once and computes
+its reference domain once.  A candidate's answers are then the
+conjunction step of evaluation (``evaluator.conjoin``) over its items'
+kept relations: the join of the positive conjuncts, the comparisons,
+and an anti-join with each negated conjunct's body.  Its reference
+domain is the conjunction rule (``domains.conjunction_domain``) over
+its items' kept domains.  Every candidate and every rule antecedent is
+counted this way; a rule antecedent takes its answer count from the
+candidate with the same signed items where one was evaluated.
 
 Bias documents are JSON:
 
@@ -63,19 +59,10 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .domains import reference_domain
+from .domains import conjunction_domain, reference_domain
 from .entities import ConjunctGates, conjunction_gates
 from .errors import BiasError, EmptyDomainError, UnsafeQueryError, ZeroAntecedentError
-from .evaluator import (
-    PreparedQuery,
-    Relation,
-    _antijoin,
-    _eval,
-    _natural_join,
-    _reorder,
-    evaluate,
-    vocabulary_nonempty,
-)
+from .evaluator import PreparedQuery, Relation, _eval, conjoin, vocabulary_nonempty
 from .formulas import (
     And,
     Atom,
@@ -88,20 +75,14 @@ from .formulas import (
     QueryDecl,
     Variable,
     conjunction,
+    conjuncts_of,
     free_variables,
     normalize,
     to_text,
 )
 from .parser import check_nesting, parse_formula_text
 from .schema import DatabaseInstance, Schema, read_json_file
-from .stats import (
-    ErRule,
-    Frequency,
-    check_domain,
-    confidence_from_count,
-    frequency,
-    prepared,
-)
+from .stats import ErRule, Frequency, check_domain, confidence_from_count, prepared
 
 log = logging.getLogger(__name__)
 
@@ -129,15 +110,14 @@ class Candidate:
     ``parts`` holds one formula per signed item (the item's closure,
     negated where the sign says so).  ``run`` is the mining run that
     built the candidate; rule splitting regroups the signed items through
-    it and reuses its counts and item answers.  A candidate built without
-    one gets a run of its own parts when its rules are mined.
+    it and reuses its counts and kept relations.
     """
 
     signed_items: tuple[tuple[int, bool], ...]  # (item index, negated)
     parts: tuple[Formula, ...]
     decl: PreparedQuery
     canonical: str
-    run: _Run | None = field(default=None, compare=False, repr=False)
+    run: _Run = field(compare=False, repr=False)
 
     @property
     def level(self) -> int:
@@ -253,44 +233,42 @@ def load_bias_file(path, schema: Schema) -> LanguageBias:
 
 
 class _Run:
-    """What one mining run works out once per pool item and shares.
+    """What one mining run works out once and shares.
 
-    ``items`` maps each item index to the item's closed formula.  Per
-    pool item: its normalized closure, free variables and, the first
-    time a candidate that passed the gates needs them, its answers (from
-    the evaluator's ``_eval``, columns in head order) and its reference
-    domain.  Per signed item: its canonical text and the gate summaries
-    of its conjuncts, from which every candidate and every rule
-    antecedent made of it is gated.  Per evaluated candidate: its answer
-    count, keyed by its signed items.
-
-    All of it is keyed by item index or signed item and holds for one
+    Per pool item: its normalized closure and free variables.  Per signed
+    item: its canonical text, the gate summaries of its conjuncts (every
+    candidate and rule antecedent made of it is gated from them) and,
+    once a candidate that passed the gates needs them, its conjuncts'
+    reference domains and evaluated relations.  Per evaluated candidate:
+    its answer count, keyed by its signed items.  All of it holds for one
     instance: the entity gate reads the instance's entity constants.
+
+    A candidate's body conjoins its items' conjuncts, so its domain is
+    ``domains.conjunction_domain`` over theirs and its answers are
+    ``evaluator.conjoin`` over their relations, as ``evaluate`` gives;
+    safety makes each conjunct and negated body safe on its own.
+
+    Each conjunct is evaluated over its own vocabulary, not the body's.
+    The two differ only in being empty or not, which only vacuous
+    quantifiers read, and only on an empty instance.  No count is taken
+    there: every candidate that passes the gates has an empty reference
+    domain, as a constant equated with a head variable would have to be
+    an entity constant, and an empty instance has none.
     """
 
-    def __init__(self, inst: DatabaseInstance, head: tuple[str, ...], items):
+    def __init__(self, bias: LanguageBias, inst: DatabaseInstance):
         self.inst = inst
-        self.head = head
-        self.items = items
+        self.head = bias.head
+        self.items = [item.formula for item in bias.items]
         self.counts: dict[tuple, int] = {}
         self._formulas: dict[int, Formula] = {}
         self._free: dict[int, frozenset[str]] = {}
         self._texts: dict[tuple[int, bool], str] = {}
         self._gates: dict[tuple[int, bool], tuple[ConjunctGates, ...]] = {}
-        self._answers: dict[int, Relation] = {}
-        self._domains: dict[int, frozenset] = {}
-
-    @classmethod
-    def of_bias(cls, bias: LanguageBias, inst: DatabaseInstance) -> _Run:
-        return cls(inst, bias.head, [item.formula for item in bias.items])
-
-    @classmethod
-    def of_candidate(cls, candidate: Candidate, inst: DatabaseInstance) -> _Run:
-        items = {
-            i: part.body if negated else part
-            for (i, negated), part in zip(candidate.signed_items, candidate.parts)
-        }
-        return cls(inst, candidate.decl.variables, items)
+        self._domains: dict[tuple[int, bool], tuple] = {}
+        self._evaluated: dict[tuple[int, bool], tuple] = {}
+        self._members: dict[int, frozenset] = {}
+        self._relations: dict[int, Relation] = {}
 
     def part(self, signed) -> Formula:
         """The normalized part of a signed item."""
@@ -332,71 +310,71 @@ class _Run:
             text = self._texts[signed] = _canonical_text(self.part(signed), self.head)
         return text
 
-    def vertical(self, signed_items) -> bool:
-        """Do the items' answers and domains give the conjunction's by set
-        algebra?  They do when each item is one conjunct that evaluation
-        joins (or, negated, anti-joins) and whose domain the
-        conjunction-union rule takes: not a conjunction (flattened into
-        the candidate's), a comparison (applied after the joins, and read
-        by the equality-cover rule) or a negation (an anti-join of its
-        body)."""
-        return not any(
-            isinstance(self.part((i, False)), (And, Comparison, Not))
-            for i, _ in signed_items
-        )
+    def domain(self, signed_items) -> frozenset:
+        """Members of the reference domain of the items' conjunction."""
+        conjuncts, members = [], []
+        for signed in signed_items:
+            kept = self._domains.get(signed)
+            if kept is None:
+                own = conjuncts_of(self.part(signed))
+                kept = self._domains[signed] = (own, [self._domain(c) for c in own])
+            conjuncts += kept[0]
+            members += kept[1]
+        return conjunction_domain(conjuncts, self.head, members)[0]
 
     def answers(self, signed_items) -> Relation:
-        """Answers of a safe vertical conjunction: the join of its
-        positive items' answers, anti-joined with its negated items'."""
-        rel = None
-        for i, negated in signed_items:
-            if not negated:
-                item = self._item_answers(i)
-                rel = item if rel is None else _natural_join(rel, item)
-        for i, negated in signed_items:
-            if negated:
-                rel = _antijoin(rel, self._item_answers(i))
-        return rel
+        """Answers of the items' conjunction, which must be safe."""
+        parts, comparisons, negations = [], [], []
+        for signed in signed_items:
+            kept = self._evaluated.get(signed)
+            if kept is None:
+                own = conjuncts_of(self.part(signed))
+                joined = [c for c in own if not isinstance(c, (Not, Comparison))]
+                kept = self._evaluated[signed] = (
+                    [self._relation(c) for c in joined],
+                    [c for c in own if isinstance(c, Comparison)],
+                    [(c, self._relation(c.body)) for c in own if isinstance(c, Not)],
+                )
+            parts += kept[0]
+            comparisons += kept[1]
+            negations += kept[2]
+        return conjoin(parts, comparisons, negations)
 
-    def _item_answers(self, i: int) -> Relation:
-        # The vocabulary only matters to vacuous quantifiers, by being
-        # empty or not.  Item and body vocabularies both hold the active
-        # domain, and on an empty instance, where both can be empty, every
-        # entity query has an empty domain, so no answers are counted.
-        rel = self._answers.get(i)
+    # Both caches below are keyed by identity: every formula they see is
+    # part of a normalized item held in ``_formulas``, so both signs of an
+    # item share its entries without hashing formulas.
+
+    def _domain(self, f: Formula) -> frozenset:
+        # NOT is transparent to reference domains.
+        if isinstance(f, Not):
+            f = f.body
+        members = self._members.get(id(f))
+        if members is None:
+            members = reference_domain(self.inst, f, self.head).members
+            self._members[id(f)] = members
+        return members
+
+    def _relation(self, f: Formula) -> Relation:
+        rel = self._relations.get(id(f))
         if rel is None:
-            f = self.part((i, False))
-            rel = _eval(self.inst, f, vocabulary_nonempty(self.inst, f))
-            head = tuple(v for v in self.head if v in rel.columns)
-            rel = self._answers[i] = _reorder(rel, head)
+            nonempty = vocabulary_nonempty(self.inst, f)
+            rel = self._relations[id(f)] = _eval(self.inst, f, nonempty)
         return rel
-
-    def _item_domain(self, i: int) -> frozenset:
-        dom = self._domains.get(i)
-        if dom is None:
-            dom = self._domains[i] = reference_domain(
-                self.inst, self.part((i, False)), self.head
-            ).members
-        return dom
 
     def frequency(self, candidate: Candidate) -> Frequency:
-        """The candidate's frequency, by set algebra where it is vertical
-        and by ``stats.frequency`` otherwise; its count is kept."""
+        """The candidate's frequency; its count is kept."""
         signed = candidate.signed_items
-        if self.vertical(signed):
-            members = frozenset().union(*(self._item_domain(i) for i, _ in signed))
-            check_domain(members, self.head)
-            fr = Frequency(len(self.answers(signed).rows), len(members))
-        else:
-            fr = frequency(self.inst, candidate.decl)
+        members = self.domain(signed)
+        check_domain(members, self.head)
+        fr = Frequency(len(self.answers(signed).rows), len(members))
         self.counts[signed] = fr.numerator
         return fr
 
     def antecedent_count(self, signed_items) -> int:
         """Answer count of a rule antecedent made of some of a candidate's
-        signed items: the count kept for the same signed items, else the
-        set algebra, else evaluating it.  Raises UnsafeQueryError, with
-        the report ``check_safe`` gives, when the antecedent is not safe.
+        signed items: the count kept for the same signed items, else
+        counted.  Raises UnsafeQueryError, with the report ``check_safe``
+        gives, when the antecedent is not safe.
         """
         count = self.counts.get(signed_items)
         if count is not None:
@@ -404,9 +382,7 @@ class _Run:
         q = self.prepare(signed_items)
         if not q.safety.safe:
             raise UnsafeQueryError(q.safety)
-        if self.vertical(signed_items):
-            return len(self.answers(signed_items).rows)
-        return len(evaluate(self.inst, q).rows)
+        return len(self.answers(signed_items).rows)
 
 
 def build_candidate(
@@ -417,7 +393,7 @@ def build_candidate(
     ``run`` is the mining run the candidate belongs to (a new one when
     None)."""
     if run is None:
-        run = _Run.of_bias(bias, inst)
+        run = _Run(bias, inst)
     parts = tuple(
         Not(bias.items[i].formula) if negated else bias.items[i].formula
         for i, negated in signed_items
@@ -451,7 +427,7 @@ def enumerate_level(
     if level < 1:
         raise ValueError("level must be >= 1")
     if run is None:
-        run = _Run.of_bias(bias, inst)
+        run = _Run(bias, inst)
 
     def signs_for(i):
         if bias.allow_negation and bias.items[i].negatable:
@@ -504,7 +480,7 @@ def mine_frequent(
     if not 0 < min_support <= 1:
         raise ValueError("min_support must be in (0, 1]")
     levels = bias.max_conjuncts if max_level is None else min(max_level, bias.max_conjuncts)
-    run = _Run.of_bias(bias, inst)
+    run = _Run(bias, inst)
     frequent: list[FrequentQuery] = []
     stats: list[LevelStats] = []
     extendable: list[Candidate] = []
@@ -549,7 +525,7 @@ def mine_rules(
     rules = []
     for fq in sorted(frequent, key=lambda q: (q.level, q.candidate.canonical)):
         c = fq.candidate
-        run = c.run or _Run.of_candidate(c, inst)
+        run = c.run
         head = c.decl.variables
         for mask in range(1, 2 ** c.level - 1):
             ant = tuple(s for j, s in enumerate(c.signed_items) if mask >> j & 1)

@@ -29,7 +29,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .access import AccessPath
+from .access import AccessPath, row_key
 from .errors import DataError, SchemaError
 
 VALUE_TYPES = ("string", "integer")
@@ -380,8 +380,5 @@ def save_instance_dir(inst: DatabaseInstance, directory) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow([f.name for f in t.fields])
-            for row in sorted(
-                inst.relations[t.name],
-                key=lambda r: tuple((type(v) is str, v) for v in r),
-            ):
+            for row in sorted(inst.relations[t.name], key=row_key):
                 writer.writerow(row)

@@ -269,7 +269,9 @@ def test_mine_no_prune_matches(capsys):
 
 
 @pytest.mark.parametrize("prune", [[], ["--no-prune"]], ids=["pruned", "no-prune"])
-@pytest.mark.parametrize("bias", ["bias_programs.json", "bias_pairs.json"])
+@pytest.mark.parametrize(
+    "bias", ["bias_programs.json", "bias_pairs.json", "bias_mixed.json"]
+)
 def test_mine_output_does_not_depend_on_the_hash_seed(bias, prune):
     args = [sys.executable, "-m", "ermine", *BASE, "mine",
             "--bias", str(TV_DIR / bias),
@@ -302,6 +304,25 @@ def test_mine_writes_rule_csv(capsys, tmp_path):
     assert rows[0] == ["antecedent", "consequent", "support", "confidence"]
     assert rows[1] == [F1_TEXT, F2_TEXT, "1/4", "1/2"]
     assert len(rows) == 5
+
+
+def test_mine_mixed_bias_matches_the_recorded_output(capsys, tmp_path):
+    # Bare comparisons, an item that normalizes to a conjunction and a NOT
+    # item beside plain items; recorded before the miner counted every
+    # candidate by set algebra.
+    out_csv = tmp_path / "rules.csv"
+    code, out, _ = run(
+        capsys,
+        *BASE,
+        "mine",
+        "--bias", str(TV_DIR / "bias_mixed.json"),
+        "--min-support", "1/4",
+        "--min-confidence", "1/2",
+        "--csv", str(out_csv),
+    )
+    assert code == 0
+    assert out.encode("utf-8") == (TV_DIR / "mine_mixed.stdout").read_bytes()
+    assert out_csv.read_bytes() == (TV_DIR / "mine_mixed.csv").read_bytes()
 
 
 def test_mine_nothing_found(capsys):

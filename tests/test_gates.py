@@ -277,7 +277,7 @@ def reason_of(q):
 def check_subsets(inst, bias, subsets):
     """Check each subset's verdict, and the safety report of each unsafe
     antecedent of a passing one; returns the reasons seen."""
-    run = _Run.of_bias(bias, inst)
+    run = _Run(bias, inst)
     seen = set()
     for signed in subsets:
         parts = plain_parts(bias, signed)

@@ -1,14 +1,14 @@
 """Language bias loading and the level-wise rule miner."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
+import strategies
 from conftest import TV_DIR, split_rules_from_scratch
 from ermine import (
     BiasError,
-    Candidate,
-    FrequentQuery,
     LevelStats,
     Not,
     QueryParseError,
@@ -25,6 +25,8 @@ from ermine import (
     mine_rules,
     normalize,
 )
+from ermine.evaluator import evaluate
+from ermine.stats import frequency
 
 QUARTER = Fraction(1, 4)
 HALF = Fraction(1, 2)
@@ -322,17 +324,37 @@ def test_rule_antecedent_that_never_was_a_candidate(tv_schema, tv):
     ] == split_rules_from_scratch(tv, result.frequent)
 
 
-@pytest.mark.parametrize("bias_name", ["programs_bias", "pairs_bias"])
-def test_rules_of_candidates_built_without_a_run(request, tv, bias_name):
-    bias = request.getfixturevalue(bias_name)
-    result = mine(tv, bias, Fraction(1, 100), Fraction(1, 10**9))
-    rebuilt = [
-        FrequentQuery(
-            Candidate(c.signed_items, c.parts, c.decl, c.canonical),
-            fq.frequency,
-            fq.level,
-        )
-        for fq in result.frequent
-        for c in [fq.candidate]
+@pytest.mark.parametrize("head", sorted(strategies.MINING_POOLS))
+def test_mining_never_evaluates_a_whole_query(monkeypatch, tv_schema, tv, head):
+    # Both pools mix bare comparisons, items that normalize to a
+    # conjunction and NOT items with plain items.
+    bias = load_bias(
+        {
+            "head": list(head),
+            "items": list(strategies.MINING_POOLS[head]),
+            "max_conjuncts": 3,
+            "allow_negation": True,
+        },
+        tv_schema,
+    )
+
+    def whole_query(*args, **kwargs):
+        raise AssertionError("mine evaluated a whole query")
+
+    for name, module in list(sys.modules.items()):
+        if name == "ermine" or name.startswith("ermine."):
+            for attr, fn in (("evaluate", evaluate), ("frequency", frequency)):
+                if getattr(module, attr, None) is fn:
+                    monkeypatch.setattr(module, attr, whole_query)
+    results = [
+        mine(tv, bias, Fraction(1, 100), Fraction(1, 10**9), prune=prune)
+        for prune in (True, False)
     ]
-    assert mine_rules(tv, rebuilt, Fraction(1, 10**9)) == result.rules
+    monkeypatch.undo()
+    for result in results:
+        assert result.rules
+        for fq in result.frequent:
+            assert fq.frequency == frequency(tv, fq.candidate.decl)
+        assert [
+            (r.text(), r.support, r.confidence) for r in result.rules
+        ] == split_rules_from_scratch(tv, result.frequent)

@@ -231,6 +231,40 @@ def test_mined_statistics_match_stats(case):
     assert results[False].rules == results[True].rules
 
 
+@pytest.mark.parametrize("prune", [True, False])
+def test_mining_an_empty_instance_matches_stats(prune):
+    # The miner evaluates each conjunct over its own vocabulary, where the
+    # candidate's body has its own; on an empty instance the two can
+    # differ in being empty.  No count is taken there, because every
+    # candidate that passes the gates has an empty reference domain: a
+    # constant equated with the head would have to be an entity constant.
+    inst = load_instance(strategies.TV_SCHEMA, {})
+    bias = load_bias(
+        {
+            "head": ["P"],
+            "items": [
+                'P = "Gilmore"',
+                "TV-Program(P)",
+                "NOT (EXISTS SN. EXISTS V. EXISTS S. WeekendTV(P, SN, V, S))",
+            ],
+            "max_conjuncts": 3,
+            "allow_negation": True,
+        },
+        strategies.TV_SCHEMA,
+    )
+    min_support = Fraction(1, 100)
+    result = mine(inst, bias, min_support, Fraction(1, 10**9), prune=prune)
+    frequent, levels = mine_frequent_from_scratch(inst, bias, min_support, prune)
+    assert result.frequent == () and frequent == []
+    assert result.levels == levels
+    assert result.rules == ()
+    level_one = enumerate_level(bias, inst, 1)
+    level_two = enumerate_level(bias, inst, 2, level_one)
+    assert level_one and level_two
+    for c in level_one + level_two:
+        assert not reference_domain(inst, c.decl.body, c.decl.variables).members
+
+
 JSON = st.recursive(
     st.none()
     | st.booleans()
