@@ -17,29 +17,34 @@ keep that equivalence testable.  Neither is exhaustive enumeration: the
 gates are not anti-monotone, so a candidate whose every sub-conjunction
 was dropped by a gate is never built.
 
+A mining run keeps one record per signed item (an item and its sign),
+made on first use: its normalized part, the gate summaries of its
+conjuncts, its free variables and canonical text and, once counted, its
+conjuncts' reference domains and evaluated relations.
+
 Gating is decided per item.  Each item is existentially closed over its
 non-head variables, so whatever the safety, entity, and validity gates
 find inside one of an item's conjuncts is the same in every candidate the
 item is part of; only the candidate's top-level conjunction differs.  A
-mining run summarizes the conjuncts of each signed item once
-(``entities.ConjunctGates``) and gates a candidate by combining its
-items' summaries with ``entities.gate_reports``, the combine
+candidate is gated by combining its items' summaries
+(``entities.ConjunctGates``) with ``entities.gate_reports``, the combine
 ``stats.prepare_query`` runs on the conjuncts of a single query.  Per
 candidate that leaves the fixpoint of limited variables, R3 and R4 at
 the top level, the entity status of the head from the merged facts, and
 validity as "the constant equalities cover the head, or some conjunct is
 valid".
 
-Counting is vertical, in the manner of Eclat's tidset intersection: a
-mining run evaluates each conjunct of each signed item once and computes
-its reference domain once.  A candidate's answers are then the
-conjunction step of evaluation (``evaluator.conjoin``) over its items'
-kept relations: the join of the positive conjuncts, the comparisons,
-and an anti-join with each negated conjunct's body.  Its reference
-domain is the conjunction rule (``domains.conjunction_domain``) over
-its items' kept domains.  Every candidate and every rule antecedent is
-counted this way; a rule antecedent takes its answer count from the
-candidate with the same signed items where one was evaluated.
+Counting is vertical, in the manner of Eclat's tidset intersection: each
+conjunct of each signed item is evaluated once and its reference domain
+computed once.  A candidate's answers are then the conjunction step of
+evaluation (``evaluator.conjoin``) over its items' kept relations: the
+join of the positive conjuncts, the comparisons, and an anti-join with
+each negated conjunct's body.  Its reference domain is the conjunction
+rule (``domains.conjunction_domain``) over its items' kept domains.
+Every candidate and every rule antecedent is counted this way, and the
+run keeps each count by signed items, so no set is counted twice.  A
+candidate with an empty reference domain has no frequency and is
+skipped.
 
 Bias documents are JSON:
 
@@ -61,7 +66,7 @@ from fractions import Fraction
 
 from .domains import conjunction_domain, reference_domain
 from .entities import ConjunctGates, conjunction_gates
-from .errors import BiasError, EmptyDomainError, UnsafeQueryError, ZeroAntecedentError
+from .errors import BiasError, UnsafeQueryError, ZeroAntecedentError
 from .evaluator import PreparedQuery, Relation, _eval, conjoin, vocabulary_nonempty
 from .formulas import (
     And,
@@ -82,7 +87,7 @@ from .formulas import (
 )
 from .parser import check_nesting, parse_formula_text
 from .schema import DatabaseInstance, Schema, read_json_file
-from .stats import ErRule, Frequency, check_domain, confidence_from_count, prepared
+from .stats import ErRule, Frequency, confidence_from_count, prepared
 
 log = logging.getLogger(__name__)
 
@@ -92,7 +97,6 @@ class PoolItem:
     text: str
     formula: Formula  # existentially closed over its non-head variables
     negatable: bool
-    canonical: str
 
 
 @dataclass(frozen=True)
@@ -107,10 +111,10 @@ class LanguageBias:
 class Candidate:
     """A candidate query: signed pool items plus its prepared query.
 
-    ``parts`` holds one formula per signed item (the item's closure,
-    negated where the sign says so).  ``run`` is the mining run that
-    built the candidate; rule splitting regroups the signed items through
-    it and reuses its counts and kept relations.
+    ``parts`` holds the run's normalized part of each signed item (the
+    item's closure, negated where the sign says so).  ``run`` is the
+    mining run that built the candidate; rule splitting regroups the
+    signed items through it and reuses its records and counts.
     """
 
     signed_items: tuple[tuple[int, bool], ...]  # (item index, negated)
@@ -128,7 +132,10 @@ class Candidate:
 class FrequentQuery:
     candidate: Candidate
     frequency: Frequency
-    level: int
+
+    @property
+    def level(self) -> int:
+        return self.candidate.level
 
 
 @dataclass(frozen=True)
@@ -209,8 +216,9 @@ def load_bias(doc, schema: Schema) -> LanguageBias:
         if isinstance(raw, str):
             pattern, negatable = raw, True
         elif isinstance(raw, dict) and isinstance(raw.get("pattern"), str):
-            pattern = raw["pattern"]
-            negatable = bool(raw.get("negatable", True))
+            pattern, negatable = raw["pattern"], raw.get("negatable", True)
+            if not isinstance(negatable, bool):
+                raise BiasError("'negatable' must be true or false")
         else:
             raise BiasError("each item needs a string 'pattern'")
         closed = _close_over_non_head(parse_formula_text(pattern, schema), head)
@@ -220,11 +228,13 @@ def load_bias(doc, schema: Schema) -> LanguageBias:
             log.debug("bias: dropping duplicate item %r", pattern)
             continue
         seen.add(canonical)
-        items.append(PoolItem(pattern, closed, negatable, canonical))
+        items.append(PoolItem(pattern, closed, negatable))
     max_conjuncts = doc.get("max_conjuncts", len(items))
-    if not isinstance(max_conjuncts, int) or max_conjuncts < 1:
+    if type(max_conjuncts) is not int or max_conjuncts < 1:  # not a bool
         raise BiasError("'max_conjuncts' must be a positive integer")
-    allow_negation = bool(doc.get("allow_negation", False))
+    allow_negation = doc.get("allow_negation", False)
+    if not isinstance(allow_negation, bool):
+        raise BiasError("'allow_negation' must be true or false")
     return LanguageBias(head, tuple(items), max_conjuncts, allow_negation)
 
 
@@ -232,19 +242,36 @@ def load_bias_file(path, schema: Schema) -> LanguageBias:
     return load_bias(read_json_file(path, BiasError), schema)
 
 
+@dataclass
+class _Item:
+    """A signed pool item as a mining run keeps it.
+
+    ``part`` is the item's normalized closure, negated where the sign says
+    so, and ``conjuncts`` its conjuncts; ``gates`` holds their gate
+    summaries.  ``domains`` and ``evaluated`` are filled in on first
+    count: the conjuncts' reference domains, and the relations of the
+    positive non-comparison conjuncts, the comparisons as they are and
+    each ``NOT`` conjunct with its body's relation.
+    """
+
+    part: Formula
+    conjuncts: tuple[Formula, ...]
+    gates: tuple[ConjunctGates, ...]
+    free: frozenset[str]
+    text: str  # canonical text
+    domains: list[frozenset] | None = None
+    evaluated: tuple[list, list, list] | None = None
+
+
 class _Run:
-    """What one mining run works out once and shares.
+    """One mining run over one instance: a record per signed item
+    (``_Item``), made on first use, and the answer count of every signed
+    set it counts, so each is counted at most once.  All of it holds for
+    one instance: the entity gate reads the instance's entity constants.
 
-    Per pool item: its normalized closure and free variables.  Per signed
-    item: its canonical text, the gate summaries of its conjuncts (every
-    candidate and rule antecedent made of it is gated from them) and,
-    once a candidate that passed the gates needs them, its conjuncts'
-    reference domains and evaluated relations.  Per evaluated candidate:
-    its answer count, keyed by its signed items.  All of it holds for one
-    instance: the entity gate reads the instance's entity constants.
-
-    A candidate's body conjoins its items' conjuncts, so its domain is
-    ``domains.conjunction_domain`` over theirs and its answers are
+    A candidate's body conjoins its items' conjuncts, so it is gated by
+    combining their summaries (``stats.prepared``), its domain is
+    ``domains.conjunction_domain`` over their domains and its answers are
     ``evaluator.conjoin`` over their relations, as ``evaluate`` gives;
     safety makes each conjunct and negated body safe on its own.
 
@@ -257,92 +284,71 @@ class _Run:
     """
 
     def __init__(self, bias: LanguageBias, inst: DatabaseInstance):
+        self.bias = bias
         self.inst = inst
         self.head = bias.head
-        self.items = [item.formula for item in bias.items]
         self.counts: dict[tuple, int] = {}
-        self._formulas: dict[int, Formula] = {}
-        self._free: dict[int, frozenset[str]] = {}
-        self._texts: dict[tuple[int, bool], str] = {}
-        self._gates: dict[tuple[int, bool], tuple[ConjunctGates, ...]] = {}
-        self._domains: dict[tuple[int, bool], tuple] = {}
-        self._evaluated: dict[tuple[int, bool], tuple] = {}
+        self._items: dict[tuple[int, bool], _Item] = {}
+        # Keyed by identity: every formula these see is a conjunct (or a
+        # negated conjunct's body) of a kept part, and a negated item's
+        # part wraps its positive part, so both signs share entries.
         self._members: dict[int, frozenset] = {}
         self._relations: dict[int, Relation] = {}
 
-    def part(self, signed) -> Formula:
-        """The normalized part of a signed item."""
-        i, negated = signed
-        f = self._formulas.get(i)
-        if f is None:
-            f = self._formulas[i] = normalize(self.items[i])
-        return Not(f) if negated else f
+    def item(self, signed) -> _Item:
+        item = self._items.get(signed)
+        if item is None:
+            i, negated = signed
+            if negated:
+                part = Not(self.item((i, False)).part)
+            else:
+                part = normalize(self.bias.items[i].formula)
+            item = self._items[signed] = _Item(
+                part,
+                conjuncts_of(part),
+                conjunction_gates(part, self.inst, self.head),
+                frozenset(free_variables(part)),
+                _canonical_text(part, self.head),
+            )
+        return item
 
     def free(self, signed_items) -> frozenset[str]:
         """Free variables of the items' conjunction."""
-        out = frozenset()
-        for i, _ in signed_items:
-            free = self._free.get(i)
-            if free is None:
-                free = self._free[i] = frozenset(
-                    free_variables(self.part((i, False)))
-                )
-            out |= free
-        return out
+        return frozenset().union(*(self.item(s).free for s in signed_items))
 
     def prepare(self, signed_items) -> PreparedQuery:
-        """The prepared conjunction of the signed items, gated by combining
-        the gate summaries of each signed item's conjuncts."""
-        parts = []
-        for signed in signed_items:
-            gates = self._gates.get(signed)
-            if gates is None:
-                gates = self._gates[signed] = conjunction_gates(
-                    self.part(signed), self.inst, self.head
-                )
-            parts += gates
-        body = conjunction([self.part(s) for s in signed_items])
-        return prepared(None, self.head, body, parts)
-
-    def canonical(self, signed) -> str:
-        text = self._texts.get(signed)
-        if text is None:
-            text = self._texts[signed] = _canonical_text(self.part(signed), self.head)
-        return text
+        """The prepared conjunction of the signed items."""
+        items = [self.item(s) for s in signed_items]
+        body = conjunction([item.part for item in items])
+        return prepared(None, self.head, body, [g for item in items for g in item.gates])
 
     def domain(self, signed_items) -> frozenset:
         """Members of the reference domain of the items' conjunction."""
         conjuncts, members = [], []
         for signed in signed_items:
-            kept = self._domains.get(signed)
-            if kept is None:
-                own = conjuncts_of(self.part(signed))
-                kept = self._domains[signed] = (own, [self._domain(c) for c in own])
-            conjuncts += kept[0]
-            members += kept[1]
+            item = self.item(signed)
+            if item.domains is None:
+                item.domains = [self._domain(c) for c in item.conjuncts]
+            conjuncts += item.conjuncts
+            members += item.domains
         return conjunction_domain(conjuncts, self.head, members)[0]
 
     def answers(self, signed_items) -> Relation:
         """Answers of the items' conjunction, which must be safe."""
         parts, comparisons, negations = [], [], []
         for signed in signed_items:
-            kept = self._evaluated.get(signed)
-            if kept is None:
-                own = conjuncts_of(self.part(signed))
-                joined = [c for c in own if not isinstance(c, (Not, Comparison))]
-                kept = self._evaluated[signed] = (
-                    [self._relation(c) for c in joined],
+            item = self.item(signed)
+            if item.evaluated is None:
+                own = item.conjuncts
+                item.evaluated = (
+                    [self._relation(c) for c in own if not isinstance(c, (Not, Comparison))],
                     [c for c in own if isinstance(c, Comparison)],
                     [(c, self._relation(c.body)) for c in own if isinstance(c, Not)],
                 )
-            parts += kept[0]
-            comparisons += kept[1]
-            negations += kept[2]
+            parts += item.evaluated[0]
+            comparisons += item.evaluated[1]
+            negations += item.evaluated[2]
         return conjoin(parts, comparisons, negations)
-
-    # Both caches below are keyed by identity: every formula they see is
-    # part of a normalized item held in ``_formulas``, so both signs of an
-    # item share its entries without hashing formulas.
 
     def _domain(self, f: Formula) -> frozenset:
         # NOT is transparent to reference domains.
@@ -361,44 +367,34 @@ class _Run:
             rel = self._relations[id(f)] = _eval(self.inst, f, nonempty)
         return rel
 
-    def frequency(self, candidate: Candidate) -> Frequency:
-        """The candidate's frequency; its count is kept."""
-        signed = candidate.signed_items
-        members = self.domain(signed)
-        check_domain(members, self.head)
-        fr = Frequency(len(self.answers(signed).rows), len(members))
-        self.counts[signed] = fr.numerator
-        return fr
+    def frequency(self, signed_items) -> Frequency | None:
+        """The frequency of a candidate's signed items, None on an empty
+        reference domain; the answer count is kept."""
+        members = self.domain(signed_items)
+        if not members:
+            return None
+        count = self.counts[signed_items] = len(self.answers(signed_items).rows)
+        return Frequency(count, len(members))
 
     def antecedent_count(self, signed_items) -> int:
         """Answer count of a rule antecedent made of some of a candidate's
-        signed items: the count kept for the same signed items, else
-        counted.  Raises UnsafeQueryError, with the report ``check_safe``
-        gives, when the antecedent is not safe.
+        signed items, counted once and kept.  Raises UnsafeQueryError,
+        with the report ``check_safe`` gives, when the antecedent is not
+        safe.
         """
         count = self.counts.get(signed_items)
-        if count is not None:
-            return count
-        q = self.prepare(signed_items)
-        if not q.safety.safe:
-            raise UnsafeQueryError(q.safety)
-        return len(self.answers(signed_items).rows)
+        if count is None:
+            q = self.prepare(signed_items)
+            if not q.safety.safe:
+                raise UnsafeQueryError(q.safety)
+            count = self.counts[signed_items] = len(self.answers(signed_items).rows)
+        return count
 
 
-def build_candidate(
-    bias: LanguageBias, inst: DatabaseInstance, signed_items, *, run: _Run | None = None
-):
-    """Assemble and check one candidate; returns (candidate, drop reason).
-
-    ``run`` is the mining run the candidate belongs to (a new one when
-    None)."""
-    if run is None:
-        run = _Run(bias, inst)
-    parts = tuple(
-        Not(bias.items[i].formula) if negated else bias.items[i].formula
-        for i, negated in signed_items
-    )
-    if run.free(signed_items) != set(bias.head):
+def build_candidate(run: _Run, signed_items):
+    """Assemble and check one candidate of the run; returns (candidate,
+    drop reason)."""
+    if run.free(signed_items) != set(run.head):
         return None, "free-variable-mismatch"
     q = run.prepare(signed_items)
     if not q.safety.safe:
@@ -407,27 +403,20 @@ def build_candidate(
         return None, "not-an-entity-query"
     if not q.validity.valid:
         return None, "not-valid"
-    canonical = " AND ".join(sorted(run.canonical(s) for s in signed_items))
+    items = [run.item(s) for s in signed_items]
+    canonical = " AND ".join(sorted(item.text for item in items))
+    parts = tuple(item.part for item in items)
     return Candidate(tuple(signed_items), parts, q, canonical, run), None
 
 
-def enumerate_level(
-    bias: LanguageBias,
-    inst: DatabaseInstance,
-    level: int,
-    previous=None,
-    *,
-    run: _Run | None = None,
-) -> list[Candidate]:
-    """Candidates at a level; level k > 1 extends the given previous
-    candidates by one unused item.  Duplicates (same signed items, or the
-    same query up to conjunct order and bound-variable names) collapse.
-    ``run`` is the mining run the candidates belong to (a new one when
-    None)."""
+def enumerate_level(run: _Run, level: int, previous=None) -> list[Candidate]:
+    """The run's candidates at a level; level k > 1 extends the given
+    previous candidates by one unused item.  Duplicates (same signed
+    items, or the same query up to conjunct order and bound-variable
+    names) collapse."""
     if level < 1:
         raise ValueError("level must be >= 1")
-    if run is None:
-        run = _Run(bias, inst)
+    bias = run.bias
 
     def signs_for(i):
         if bias.allow_negation and bias.items[i].negatable:
@@ -456,7 +445,7 @@ def enumerate_level(
     out = []
     seen_canonical = set()
     for signed in signed_sets:
-        candidate, reason = build_candidate(bias, inst, signed, run=run)
+        candidate, reason = build_candidate(run, signed)
         if candidate is None:
             log.debug("level %d: dropping %r: %s", level, signed, reason)
             continue
@@ -485,21 +474,19 @@ def mine_frequent(
     stats: list[LevelStats] = []
     extendable: list[Candidate] = []
     for level in range(1, levels + 1):
-        candidates = enumerate_level(
-            bias, inst, level, extendable if level > 1 else None, run=run
-        )
+        candidates = enumerate_level(run, level, extendable if level > 1 else None)
         evaluated = []
         survivors = []
         for c in candidates:
-            try:
-                fr = run.frequency(c)
-            except EmptyDomainError:
+            fr = run.frequency(c.signed_items)
+            if fr is None:
                 log.debug("level %d: empty domain for %s", level, c.canonical)
                 continue
             evaluated.append(c)
-            if fr.value >= min_support:
+            # fr >= min_support, without normalizing a Fraction.
+            if fr.numerator * min_support.denominator >= min_support.numerator * fr.denominator:
                 survivors.append(c)
-                frequent.append(FrequentQuery(c, fr, level))
+                frequent.append(FrequentQuery(c, fr))
         stats.append(LevelStats(level, len(candidates), len(survivors)))
         extendable = survivors if prune else evaluated
         if not extendable:
@@ -536,7 +523,7 @@ def mine_rules(
                 )
                 continue
             antecedent = QueryDecl(
-                None, head, conjunction([run.part(s) for s in ant])
+                None, head, conjunction([run.item(s).part for s in ant])
             )
             try:
                 conf = confidence_from_count(
@@ -546,7 +533,7 @@ def mine_rules(
                 log.debug("rule from %s: %s", c.canonical, exc)
                 continue
             if conf >= min_confidence:
-                con_body = conjunction([run.part(s) for s in con])
+                con_body = conjunction([run.item(s).part for s in con])
                 rules.append(MinedRule(antecedent, con_body, fq.frequency, conf))
     return tuple(rules)
 

@@ -181,16 +181,17 @@ def load_schema(doc) -> Schema:
                     f"table {raw['name']!r}: each field needs a string 'name' "
                     f"and a 'type'"
                 )
-            references = rf.get("references")
+            where = f"{raw['name']}.{rf['name']}"
+            is_key, references = rf.get("key", False), rf.get("references")
+            if not isinstance(is_key, bool):
+                raise SchemaError(f"{where}: 'key' must be true or false")
             if references is not None and not isinstance(references, str):
-                raise SchemaError(
-                    f"{raw['name']}.{rf['name']}: 'references' must be a string"
-                )
+                raise SchemaError(f"{where}: 'references' must be a string")
             fields.append(
                 FieldDecl(
                     name=rf["name"],
                     value_type=rf["type"],
-                    is_key=bool(rf.get("key", False)),
+                    is_key=is_key,
                     references=references,
                 )
             )

@@ -457,6 +457,39 @@ def test_bad_input_file_is_one_error_line(capsys, tmp_path, target, content):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "target, edit, message",
+    [
+        ("bias", {"allow_negation": "false"}, "'allow_negation' must be true or false"),
+        ("bias", {"items": [{"pattern": "TV-Program(P)", "negatable": "no"}]},
+         "'negatable' must be true or false"),
+        ("bias", {"max_conjuncts": True}, "'max_conjuncts' must be a positive integer"),
+        # As a key, Area would make TV-Station a relationship table.
+        ("schema", "false", "TV-Station.Area: 'key' must be true or false"),
+    ],
+)
+def test_non_boolean_flag_is_one_error_line(capsys, tmp_path, target, edit, message):
+    bias = json.loads((TV_DIR / "bias_programs.json").read_text())
+    schema = json.loads((TV_DIR / "schema.json").read_text())
+    if target == "bias":
+        bias.update(edit)
+    else:
+        station = next(t for t in schema["tables"] if t["name"] == "TV-Station")
+        station["fields"][1]["key"] = edit
+    (tmp_path / "bias.json").write_text(json.dumps(bias))
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    code, out, err = run(
+        capsys,
+        "--schema", str(tmp_path / "schema.json"),
+        "--data", DATA,
+        "mine", "--bias", str(tmp_path / "bias.json"),
+        "--min-support", "1/4", "--min-confidence", "1/2",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_data_dir_must_match_schema(capsys):
     code, _, err = run(
         capsys, "--schema", SCHEMA, "--data", str(BASKET_DIR / "data"), "validate"

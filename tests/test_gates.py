@@ -286,7 +286,7 @@ def check_subsets(inst, bias, subsets):
         assert prepare_query(inst, decl) == expected, signed
         reason = reason_of(expected)
         seen.add(reason)
-        candidate, got = build_candidate(bias, inst, signed, run=run)
+        candidate, got = build_candidate(run, signed)
         assert got == reason, signed
         if candidate is None:
             continue

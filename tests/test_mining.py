@@ -1,5 +1,6 @@
 """Language bias loading and the level-wise rule miner."""
 
+import collections
 import sys
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from ermine import (
     normalize,
 )
 from ermine.evaluator import evaluate
+from ermine.mining import _Run
 from ermine.stats import frequency
 
 QUARTER = Fraction(1, 4)
@@ -77,6 +79,17 @@ def test_bias_defaults(tv_schema):
          "'max_conjuncts'"),
         ({"head": [["P"]], "items": ["TV-Program(P)"]}, "'head'"),
         ({"head": ["P"], "items": [{"pattern": 5}]}, "string 'pattern'"),
+        # Flags are JSON booleans: bool("false") would turn negation on.
+        ({"head": ["P"], "items": ["TV-Program(P)"], "allow_negation": "false"},
+         "'allow_negation' must be true or false"),
+        ({"head": ["P"], "items": ["TV-Program(P)"], "allow_negation": 0},
+         "'allow_negation' must be true or false"),
+        ({"head": ["P"], "items": [{"pattern": "TV-Program(P)", "negatable": "no"}]},
+         "'negatable' must be true or false"),
+        ({"head": ["P"], "items": [{"pattern": "TV-Program(P)", "negatable": 1}]},
+         "'negatable' must be true or false"),
+        ({"head": ["P"], "items": ["TV-Program(P)"], "max_conjuncts": True},
+         "'max_conjuncts'"),
     ],
 )
 def test_bias_validation(tv_schema, doc, message):
@@ -111,14 +124,14 @@ def test_items_differing_only_in_bound_names_collapse(tv_schema):
 
 
 def test_candidate_reason_unsafe(programs_bias, tv):
-    candidate, reason = build_candidate(programs_bias, tv, ((0, True),))
+    candidate, reason = build_candidate(_Run(programs_bias, tv), ((0, True),))
     assert candidate is None
     assert reason == "unsafe (R3-unlimited-var)"
 
 
 def test_candidate_reason_free_variable_mismatch(tv_schema, tv):
     bias = load_bias({"head": ["P"], "items": ["TV-Program(X)"]}, tv_schema)
-    candidate, reason = build_candidate(bias, tv, ((0, False),))
+    candidate, reason = build_candidate(_Run(bias, tv), ((0, False),))
     assert candidate is None
     assert reason == "free-variable-mismatch"
 
@@ -127,7 +140,7 @@ def test_candidate_reason_not_entity(tv_schema, tv):
     bias = load_bias(
         {"head": ["V"], "items": ["WeekdayTV(P, SN, V, S)"]}, tv_schema
     )
-    candidate, reason = build_candidate(bias, tv, ((0, False),))
+    candidate, reason = build_candidate(_Run(bias, tv), ((0, False),))
     assert candidate is None
     assert reason == "not-an-entity-query"
 
@@ -140,13 +153,13 @@ def test_candidate_reason_not_valid(tv_schema, tv):
         },
         tv_schema,
     )
-    candidate, reason = build_candidate(bias, tv, ((0, False),))
+    candidate, reason = build_candidate(_Run(bias, tv), ((0, False),))
     assert candidate is None
     assert reason == "not-valid"
 
 
 def test_candidate_success(programs_bias, tv):
-    candidate, reason = build_candidate(programs_bias, tv, ((0, False),))
+    candidate, reason = build_candidate(_Run(programs_bias, tv), ((0, False),))
     assert reason is None
     assert candidate.level == 1
     assert candidate.decl.variables == ("P",)
@@ -154,10 +167,10 @@ def test_candidate_success(programs_bias, tv):
 
 
 def test_enumerate_level_one_drops_bare_negations(programs_bias, tv):
-    candidates = enumerate_level(programs_bias, tv, 1)
+    candidates = enumerate_level(_Run(programs_bias, tv), 1)
     assert [c.signed_items for c in candidates] == [((0, False),), ((1, False),)]
     with pytest.raises(ValueError):
-        enumerate_level(programs_bias, tv, 0)
+        enumerate_level(_Run(programs_bias, tv), 0)
 
 
 def test_mine_frequent_programs(programs_bias, tv):
@@ -358,3 +371,32 @@ def test_mining_never_evaluates_a_whole_query(monkeypatch, tv_schema, tv, head):
         assert [
             (r.text(), r.support, r.confidence) for r in result.rules
         ] == split_rules_from_scratch(tv, result.frequent)
+
+
+@pytest.mark.parametrize("prune", [True, False])
+@pytest.mark.parametrize("head", sorted(strategies.MINING_POOLS))
+def test_mining_counts_each_signed_set_once(monkeypatch, tv_schema, tv, head, prune):
+    # A rule antecedent that never was a candidate splits from several
+    # frequent queries of the (P, SN) pool; its count is kept too.
+    bias = load_bias(
+        {
+            "head": list(head),
+            "items": list(strategies.MINING_POOLS[head]),
+            "max_conjuncts": 3,
+            "allow_negation": True,
+        },
+        tv_schema,
+    )
+    counted = collections.Counter()
+    answers = _Run.answers
+
+    def counting(run, signed_items):
+        counted[id(run), signed_items] += 1
+        return answers(run, signed_items)
+
+    monkeypatch.setattr(_Run, "answers", counting)
+    result = mine(tv, bias, Fraction(1, 100), Fraction(1, 10**9), prune=prune)
+    monkeypatch.undo()
+    assert result.rules
+    assert len(counted) > 300
+    assert max(counted.values()) == 1

@@ -56,6 +56,7 @@ from ermine import (
     to_text,
 )
 from ermine.cli import main
+from ermine.mining import _Run
 
 SETTINGS = settings(
     max_examples=200,
@@ -181,9 +182,9 @@ def mine_frequent_from_scratch(inst, bias, min_support, prune):
     by ``stats.frequency`` on a plain copy of its query; returns the
     (level, canonical text, frequency) of each frequent query and the
     level statistics."""
-    frequent, levels, extendable = [], [], None
+    frequent, levels, extendable, run = [], [], None, _Run(bias, inst)
     for level in range(1, bias.max_conjuncts + 1):
-        candidates = enumerate_level(bias, inst, level, extendable)
+        candidates = enumerate_level(run, level, extendable)
         evaluated, survivors = [], []
         for c in candidates:
             try:
@@ -258,8 +259,9 @@ def test_mining_an_empty_instance_matches_stats(prune):
     assert result.frequent == () and frequent == []
     assert result.levels == levels
     assert result.rules == ()
-    level_one = enumerate_level(bias, inst, 1)
-    level_two = enumerate_level(bias, inst, 2, level_one)
+    run = _Run(bias, inst)
+    level_one = enumerate_level(run, 1)
+    level_two = enumerate_level(run, 2, level_one)
     assert level_one and level_two
     for c in level_one + level_two:
         assert not reference_domain(inst, c.decl.body, c.decl.variables).members

@@ -132,6 +132,15 @@ def test_schema_rejects_unknown_type():
             {"name": "T", "fields": [{"name": "x", "type": "string", "references": 5}]},
             "T.x: 'references' must be a string",
         ),
+        # bool("false") would make x a key.
+        (
+            {"name": "T", "fields": [{"name": "x", "type": "string", "key": "false"}]},
+            "T.x: 'key' must be true or false",
+        ),
+        (
+            {"name": "T", "fields": [{"name": "x", "type": "string", "key": 1}]},
+            "T.x: 'key' must be true or false",
+        ),
     ],
 )
 def test_schema_rejects_malformed_shapes(table, message):
