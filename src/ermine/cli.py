@@ -287,6 +287,14 @@ def run_repl(session: Session) -> int:
             print(f"error: {exc}")
 
 
+_REPL_QUERY_COMMANDS = {
+    "check": run_check,
+    "eval": run_eval,
+    "domain": run_domain,
+    "freq": run_freq,
+}
+
+
 def _repl_line(session: Session, line: str) -> bool:
     """Handle one repl line; True means quit."""
     word, _, rest = line.partition(" ")
@@ -309,17 +317,8 @@ def _repl_line(session: Session, line: str) -> bool:
         session.registry[decl.name] = decl
         print(f"registered {decl.name}")
         return False
-    if word == "check":
-        run_check(session, rest)
-        return False
-    if word == "eval":
-        run_eval(session, rest)
-        return False
-    if word == "domain":
-        run_domain(session, rest)
-        return False
-    if word == "freq":
-        run_freq(session, rest)
+    if word in _REPL_QUERY_COMMANDS:
+        _REPL_QUERY_COMMANDS[word](session, rest)
         return False
     if word == "rule":
         parts = rest.split()
@@ -430,10 +429,7 @@ def _run(ns) -> int:
     try:
         session = load_session(ns)
         return ns.func(session, ns)
-    except (SchemaError, DataError, BiasError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SchemaError, DataError, BiasError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ErmineError as exc:

@@ -34,10 +34,10 @@ free variables:
   index or pushed comparison shows as a difference between them.
 
 The evaluation vocabulary is the instance's active domain plus the
-constants of the formula (plus any caller-supplied extras, which for
-safe queries provably do not change the result).  ``evaluate`` needs
-only whether it is empty, for vacuous quantifiers, so it never builds
-it.
+constants of the formula.  ``evaluate_naive`` also takes caller-supplied
+extras, which for safe queries provably do not change the result.
+``evaluate`` needs only whether the vocabulary is empty, for vacuous
+quantifiers, so it never builds it.
 
 Comparison semantics: operands of the same type compare normally
 (integers numerically, strings by codepoint); across types ``=`` is
@@ -103,14 +103,10 @@ def evaluation_vocabulary(
     return inst.active_domain | constants_of(f) | frozenset(extra_vocabulary)
 
 
-def vocabulary_nonempty(
-    inst: DatabaseInstance, f: Formula, extra_vocabulary=()
-) -> bool:
-    """Is ``evaluation_vocabulary(inst, f, extra_vocabulary)`` non-empty?
-    Answered without building the union."""
-    return bool(
-        inst.active_domain or constants_of(f) or frozenset(extra_vocabulary)
-    )
+def vocabulary_nonempty(inst: DatabaseInstance, f: Formula) -> bool:
+    """Is ``evaluation_vocabulary(inst, f)`` non-empty?  Answered without
+    building the union."""
+    return bool(inst.active_domain or constants_of(f))
 
 
 def _compare(a, op: str, b) -> bool:
@@ -131,7 +127,7 @@ def _compare(a, op: str, b) -> bool:
     raise ValueError(f"unknown comparison operator {op!r}")
 
 
-def satisfies(inst: DatabaseInstance, f: Formula, binding=None, extra_vocabulary=()):
+def satisfies(inst: DatabaseInstance, f: Formula, binding=None):
     """Does the (ground, under `binding`) formula hold in the instance?
 
     Quantifiers range over the evaluation vocabulary.  Every free
@@ -139,7 +135,7 @@ def satisfies(inst: DatabaseInstance, f: Formula, binding=None, extra_vocabulary
     rows directly, never through the access path, so that this stays an
     independent oracle for ``evaluate``.
     """
-    vocab = evaluation_vocabulary(inst, f, extra_vocabulary)
+    vocab = evaluation_vocabulary(inst, f)
     return _sat(inst, f, dict(binding or {}), vocab)
 
 
@@ -206,9 +202,7 @@ class PreparedQuery(QueryDecl):
     validity: ValidityReport | None
 
 
-def evaluate(
-    inst: DatabaseInstance, query: QueryDecl, extra_vocabulary=()
-) -> Relation:
+def evaluate(inst: DatabaseInstance, query: QueryDecl) -> Relation:
     """Evaluate a safe query; result columns follow the declared head.
 
     A PreparedQuery is evaluated as it is; any other query is normalized
@@ -222,7 +216,7 @@ def evaluate(
         report = check_safe(body)
     if not report.safe:
         raise UnsafeQueryError(report)
-    rel = _eval(inst, body, vocabulary_nonempty(inst, body, extra_vocabulary))
+    rel = _eval(inst, body, vocabulary_nonempty(inst, body))
     if set(rel.columns) != set(query.variables):
         raise EvaluationError(
             f"evaluated columns {rel.columns!r} do not match the declared "

@@ -20,7 +20,9 @@ was dropped by a gate is never built.
 A mining run keeps one record per signed item (an item and its sign),
 made on first use: its normalized part, the gate summaries of its
 conjuncts, its free variables and canonical text and, once counted, its
-conjuncts' reference domains and evaluated relations.
+conjuncts' reference domains and evaluated relations.  Per signed set
+(a candidate's or a rule antecedent's items) it keeps one gate verdict
+and one answer count, each made on first use.
 
 Gating is decided per item.  Each item is existentially closed over its
 non-head variables, so whatever the safety, entity, and validity gates
@@ -41,10 +43,10 @@ evaluation (``evaluator.conjoin``) over its items' kept relations: the
 join of the positive conjuncts, the comparisons, and an anti-join with
 each negated conjunct's body.  Its reference domain is the conjunction
 rule (``domains.conjunction_domain``) over its items' kept domains.
-Every candidate and every rule antecedent is counted this way, and the
-run keeps each count by signed items, so no set is counted twice.  A
-candidate with an empty reference domain has no frequency and is
-skipped.
+Every candidate and every rule antecedent is gated and counted this
+way, through the same kept verdicts and counts, so no set is gated or
+counted twice.  A candidate with an empty reference domain has no
+frequency and is skipped.
 
 Bias documents are JSON:
 
@@ -265,9 +267,10 @@ class _Item:
 
 class _Run:
     """One mining run over one instance: a record per signed item
-    (``_Item``), made on first use, and the answer count of every signed
-    set it counts, so each is counted at most once.  All of it holds for
-    one instance: the entity gate reads the instance's entity constants.
+    (``_Item``), and per signed set a gate verdict (``verdicts``) and an
+    answer count (``counts``), each made on first use, so each set is
+    gated and counted at most once.  All of it holds for one instance:
+    the entity gate reads the instance's entity constants.
 
     A candidate's body conjoins its items' conjuncts, so it is gated by
     combining their summaries (``stats.prepared``), its domain is
@@ -288,6 +291,7 @@ class _Run:
         self.inst = inst
         self.head = bias.head
         self.counts: dict[tuple, int] = {}
+        self.verdicts: dict[tuple, tuple[str | None, PreparedQuery | None]] = {}
         self._items: dict[tuple[int, bool], _Item] = {}
         # Keyed by identity: every formula these see is a conjunct (or a
         # negated conjunct's body) of a kept part, and a negated item's
@@ -312,15 +316,29 @@ class _Run:
             )
         return item
 
-    def free(self, signed_items) -> frozenset[str]:
-        """Free variables of the items' conjunction."""
-        return frozenset().union(*(self.item(s).free for s in signed_items))
-
-    def prepare(self, signed_items) -> PreparedQuery:
-        """The prepared conjunction of the signed items."""
-        items = [self.item(s) for s in signed_items]
-        body = conjunction([item.part for item in items])
-        return prepared(None, self.head, body, [g for item in items for g in item.gates])
+    def verdict(self, signed_items) -> tuple[str | None, PreparedQuery | None]:
+        """The gate verdict of the items' conjunction, made once and kept:
+        the reason a candidate of these items is dropped (None when it
+        passes), and its prepared query (None when its free variables are
+        not the head's)."""
+        verdict = self.verdicts.get(signed_items)
+        if verdict is None:
+            items = [self.item(s) for s in signed_items]
+            if frozenset().union(*(item.free for item in items)) != set(self.head):
+                verdict = "free-variable-mismatch", None
+            else:
+                body = conjunction([item.part for item in items])
+                q = prepared(None, self.head, body, [g for item in items for g in item.gates])
+                if not q.safety.safe:
+                    verdict = f"unsafe ({q.safety.violations[0].rule})", q
+                elif not q.er.is_er:
+                    verdict = "not-an-entity-query", q
+                elif not q.validity.valid:
+                    verdict = "not-valid", q
+                else:
+                    verdict = None, q
+            self.verdicts[signed_items] = verdict
+        return verdict
 
     def domain(self, signed_items) -> frozenset:
         """Members of the reference domain of the items' conjunction."""
@@ -367,42 +385,29 @@ class _Run:
             rel = self._relations[id(f)] = _eval(self.inst, f, nonempty)
         return rel
 
-    def frequency(self, signed_items) -> Frequency | None:
-        """The frequency of a candidate's signed items, None on an empty
-        reference domain; the answer count is kept."""
-        members = self.domain(signed_items)
-        if not members:
-            return None
-        count = self.counts[signed_items] = len(self.answers(signed_items).rows)
-        return Frequency(count, len(members))
-
-    def antecedent_count(self, signed_items) -> int:
-        """Answer count of a rule antecedent made of some of a candidate's
-        signed items, counted once and kept.  Raises UnsafeQueryError,
-        with the report ``check_safe`` gives, when the antecedent is not
-        safe.
-        """
+    def count(self, signed_items) -> int:
+        """Answer count of the items' conjunction, which must be safe;
+        counted once and kept."""
         count = self.counts.get(signed_items)
         if count is None:
-            q = self.prepare(signed_items)
-            if not q.safety.safe:
-                raise UnsafeQueryError(q.safety)
             count = self.counts[signed_items] = len(self.answers(signed_items).rows)
         return count
 
+    def frequency(self, signed_items) -> Frequency | None:
+        """The frequency of a candidate's signed items, None on an empty
+        reference domain."""
+        members = self.domain(signed_items)
+        if not members:
+            return None
+        return Frequency(self.count(signed_items), len(members))
+
 
 def build_candidate(run: _Run, signed_items):
-    """Assemble and check one candidate of the run; returns (candidate,
-    drop reason)."""
-    if run.free(signed_items) != set(run.head):
-        return None, "free-variable-mismatch"
-    q = run.prepare(signed_items)
-    if not q.safety.safe:
-        return None, f"unsafe ({q.safety.violations[0].rule})"
-    if not q.er.is_er:
-        return None, "not-an-entity-query"
-    if not q.validity.valid:
-        return None, "not-valid"
+    """Assemble one candidate of the run from its kept gate verdict;
+    returns (candidate, drop reason)."""
+    reason, q = run.verdict(signed_items)
+    if reason is not None:
+        return None, reason
     items = [run.item(s) for s in signed_items]
     canonical = " AND ".join(sorted(item.text for item in items))
     parts = tuple(item.part for item in items)
@@ -410,50 +415,35 @@ def build_candidate(run: _Run, signed_items):
 
 
 def enumerate_level(run: _Run, level: int, previous=None) -> list[Candidate]:
-    """The run's candidates at a level; level k > 1 extends the given
-    previous candidates by one unused item.  Duplicates (same signed
-    items, or the same query up to conjunct order and bound-variable
-    names) collapse."""
+    """The run's candidates at a level: level 1 extends the empty signed
+    set by one item, level k > 1 each given previous candidate by one
+    unused item.  Duplicates (same signed items, or the same query up to
+    conjunct order and bound-variable names) collapse."""
     if level < 1:
         raise ValueError("level must be >= 1")
     bias = run.bias
-
-    def signs_for(i):
-        if bias.allow_negation and bias.items[i].negatable:
-            return (False, True)
-        return (False,)
-
-    signed_sets = []
-    if level == 1:
-        for i in range(len(bias.items)):
-            for neg in signs_for(i):
-                signed_sets.append(((i, neg),))
-    else:
-        seen_signed = set()
-        for prev in previous or ():
-            used = {i for i, _ in prev.signed_items}
-            for i in range(len(bias.items)):
-                if i in used:
-                    continue
-                for neg in signs_for(i):
-                    signed = tuple(sorted(prev.signed_items + ((i, neg),)))
-                    if signed in seen_signed:
-                        continue
-                    seen_signed.add(signed)
-                    signed_sets.append(signed)
-
+    prefixes = [()] if level == 1 else [c.signed_items for c in previous or ()]
     out = []
+    seen_signed = set()
     seen_canonical = set()
-    for signed in signed_sets:
-        candidate, reason = build_candidate(run, signed)
-        if candidate is None:
-            log.debug("level %d: dropping %r: %s", level, signed, reason)
-            continue
-        if candidate.canonical in seen_canonical:
-            log.debug("level %d: dropping %r: duplicate query", level, signed)
-            continue
-        seen_canonical.add(candidate.canonical)
-        out.append(candidate)
+    for prefix in prefixes:
+        used = {i for i, _ in prefix}
+        for i, item in enumerate(bias.items):
+            if i in used:
+                continue
+            for neg in (False, True) if bias.allow_negation and item.negatable else (False,):
+                signed = tuple(sorted(prefix + ((i, neg),)))
+                if signed in seen_signed:
+                    continue
+                seen_signed.add(signed)
+                candidate, reason = build_candidate(run, signed)
+                if candidate is None:
+                    log.debug("level %d: dropping %r: %s", level, signed, reason)
+                elif candidate.canonical in seen_canonical:
+                    log.debug("level %d: dropping %r: duplicate query", level, signed)
+                else:
+                    seen_canonical.add(candidate.canonical)
+                    out.append(candidate)
     return out
 
 
@@ -474,7 +464,7 @@ def mine_frequent(
     stats: list[LevelStats] = []
     extendable: list[Candidate] = []
     for level in range(1, levels + 1):
-        candidates = enumerate_level(run, level, extendable if level > 1 else None)
+        candidates = enumerate_level(run, level, extendable)
         evaluated = []
         survivors = []
         for c in candidates:
@@ -505,8 +495,8 @@ def mine_rules(
 
     A split's A AND C has exactly the candidate's conjuncts, so its
     answer count is the candidate's frequency numerator.  The
-    antecedent's count and safety verdict come from the candidate's
-    mining run (``_Run.antecedent_count``).
+    antecedent's gate verdict and count come from the candidate's mining
+    run (``_Run.verdict`` and ``_Run.count``), as the candidates' did.
     """
     min_confidence = Fraction(min_confidence)
     rules = []
@@ -517,19 +507,21 @@ def mine_rules(
         for mask in range(1, 2 ** c.level - 1):
             ant = tuple(s for j, s in enumerate(c.signed_items) if mask >> j & 1)
             con = tuple(s for j, s in enumerate(c.signed_items) if not mask >> j & 1)
-            if run.free(ant) != set(head):
+            _, q = run.verdict(ant)
+            if q is None:
                 log.debug(
                     "rule from %s: antecedent drops head variables", c.canonical
                 )
                 continue
-            antecedent = QueryDecl(
-                None, head, conjunction([run.item(s).part for s in ant])
-            )
+            if not q.safety.safe:
+                log.debug("rule from %s: %s", c.canonical, UnsafeQueryError(q.safety))
+                continue
+            antecedent = QueryDecl(None, head, q.body)
             try:
                 conf = confidence_from_count(
-                    inst, antecedent, fq.frequency.numerator, run.antecedent_count(ant)
+                    inst, antecedent, fq.frequency.numerator, run.count(ant)
                 )
-            except (UnsafeQueryError, ZeroAntecedentError) as exc:
+            except ZeroAntecedentError as exc:
                 log.debug("rule from %s: %s", c.canonical, exc)
                 continue
             if conf >= min_confidence:

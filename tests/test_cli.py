@@ -266,6 +266,25 @@ def test_mine_no_prune_matches(capsys):
     with_prune = run(capsys, *args)
     without = run(capsys, *args, "--no-prune")
     assert with_prune == without
+    # Extending every evaluated candidate can build more candidates than
+    # extending the frequent ones; the frequent queries and rules match.
+    args = (*BASE, "mine", "--bias", BIAS,
+            "--min-support", "1", "--min-confidence", "1/2")
+    with_prune = run(capsys, *args)
+    without = run(capsys, *args, "--no-prune")
+    levels = [
+        [line for line in out.splitlines() if line.startswith("level ")]
+        for _, out, _ in (with_prune, without)
+    ]
+    assert levels[0][1] == "level 2: 2 candidates, 0 frequent"
+    assert levels[1][1] == "level 2: 3 candidates, 0 frequent"
+
+    def results(outcome):
+        code, out, err = outcome
+        return code, out.split("frequent queries")[1], err
+
+    assert results(with_prune) == results(without)
+    assert "[frequency 2/2 = 1]" in results(with_prune)[1]
 
 
 @pytest.mark.parametrize("prune", [[], ["--no-prune"]], ids=["pruned", "no-prune"])
@@ -323,6 +342,23 @@ def test_mine_mixed_bias_matches_the_recorded_output(capsys, tmp_path):
     assert code == 0
     assert out.encode("utf-8") == (TV_DIR / "mine_mixed.stdout").read_bytes()
     assert out_csv.read_bytes() == (TV_DIR / "mine_mixed.csv").read_bytes()
+
+
+def test_mine_mixed_bias_debug_log_matches_the_recorded_log(capsys):
+    # Every drop reason, including the rule lines of unsafe antecedents,
+    # recorded before rule antecedents read the candidates' kept verdicts.
+    code, out, err = run(
+        capsys,
+        "--log-level", "debug",
+        *BASE,
+        "mine",
+        "--bias", str(TV_DIR / "bias_mixed.json"),
+        "--min-support", "1/4",
+        "--min-confidence", "1/2",
+    )
+    assert code == 0
+    assert out.encode("utf-8") == (TV_DIR / "mine_mixed.stdout").read_bytes()
+    assert err.encode("utf-8") == (TV_DIR / "mine_mixed.debug").read_bytes()
 
 
 def test_mine_nothing_found(capsys):

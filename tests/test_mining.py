@@ -24,6 +24,7 @@ from ermine import (
     mine,
     mine_frequent,
     mine_rules,
+    mining,
     normalize,
 )
 from ermine.evaluator import evaluate
@@ -400,3 +401,35 @@ def test_mining_counts_each_signed_set_once(monkeypatch, tv_schema, tv, head, pr
     assert result.rules
     assert len(counted) > 300
     assert max(counted.values()) == 1
+
+
+@pytest.mark.parametrize("prune", [True, False])
+@pytest.mark.parametrize("head", sorted(strategies.MINING_POOLS))
+def test_mining_gates_each_signed_set_once(monkeypatch, tv_schema, tv, head, prune):
+    # Rule antecedents read the verdicts candidates left, and an unsafe
+    # antecedent keeps its verdict for every later split that reaches it.
+    # The gate summaries are kept per signed item, so their identities
+    # name the signed set; bodies do not, as two sets can conjoin to
+    # equal bodies.
+    bias = load_bias(
+        {
+            "head": list(head),
+            "items": list(strategies.MINING_POOLS[head]),
+            "max_conjuncts": 3,
+            "allow_negation": True,
+        },
+        tv_schema,
+    )
+    gated = collections.Counter()
+    prepared = mining.prepared
+
+    def counting(name, variables, body, parts, **kwargs):
+        gated[tuple(map(id, parts))] += 1
+        return prepared(name, variables, body, parts, **kwargs)
+
+    monkeypatch.setattr(mining, "prepared", counting)
+    result = mine(tv, bias, Fraction(1, 100), Fraction(1, 10**9), prune=prune)
+    monkeypatch.undo()
+    assert result.rules
+    assert len(gated) > 400
+    assert max(gated.values()) == 1

@@ -148,6 +148,28 @@ def test_schema_rejects_malformed_shapes(table, message):
         load_schema(schema_doc([table]))
 
 
+def test_single_key_table_with_a_reference_is_an_entity_table():
+    # The key decides, not the references: one key field makes an entity
+    # table even when that field references another entity table.
+    schema = load_schema(
+        schema_doc(
+            [
+                person_table(),
+                {
+                    "name": "T",
+                    "fields": [
+                        {"name": "p", "type": "string", "key": True,
+                         "references": "Person.name"},
+                        {"name": "n", "type": "integer"},
+                    ],
+                },
+            ]
+        )
+    )
+    assert schema.table("T").is_entity
+    assert "T.p" in entity_fields(schema)
+
+
 @pytest.mark.parametrize(
     "references, message",
     [
