@@ -229,7 +229,7 @@ def run_mine(session: Session, ns) -> int:
     print(f"frequent queries (min support {min_support}):")
     if result.frequent:
         for fq in result.frequent:
-            print(f"  {fq.candidate.decl.text()}  [frequency {fq.frequency}]")
+            print(f"  {fq.candidate.text()}  [frequency {fq.frequency}]")
     else:
         print("  (none)")
     print(f"rules (min confidence {min_confidence}):")
@@ -248,8 +248,8 @@ def run_mine(session: Session, ns) -> int:
             for rule in result.rules:
                 writer.writerow(
                     [
-                        to_text(rule.antecedent.body),
-                        to_text(rule.consequent),
+                        rule.antecedent_text,
+                        rule.consequent_text,
                         str(rule.support.value),
                         str(rule.confidence),
                     ]

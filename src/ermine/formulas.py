@@ -237,6 +237,17 @@ def _wrap(text: str) -> str:
     return f"({text})"
 
 
+def conjunct_text(f: Formula, text: str) -> str:
+    """``text``, which is ``to_text(f)``, as a conjunct of an And.
+
+    Quantifiers extend maximally right and OR binds more loosely than
+    AND, so those conjuncts need parentheses.
+    """
+    if isinstance(f, (Or, Exists, Forall, And)):
+        return _wrap(text)
+    return text
+
+
 def to_text(f: Formula) -> str:
     """Render a formula; parsing the result reproduces the same AST."""
     if isinstance(f, Atom):
@@ -249,15 +260,7 @@ def to_text(f: Formula) -> str:
             inner = _wrap(inner)
         return f"NOT {inner}"
     if isinstance(f, And):
-        parts = []
-        for c in f.conjuncts:
-            text = to_text(c)
-            # Quantifiers extend maximally right and OR binds more loosely
-            # than AND, so those conjuncts need parentheses.
-            if isinstance(c, (Or, Exists, Forall, And)):
-                text = _wrap(text)
-            parts.append(text)
-        return " AND ".join(parts)
+        return " AND ".join([conjunct_text(c, to_text(c)) for c in f.conjuncts])
     if isinstance(f, Or):
         left = to_text(f.left)
         if isinstance(f.left, (Exists, Forall)):
@@ -283,8 +286,12 @@ class QueryDecl:
     source: str | None = field(default=None, compare=False, repr=False)
 
     def text(self) -> str:
-        head = ", ".join(self.variables)
-        return f"{self.name or 'q'}({head}) := {to_text(self.body)}"
+        return declaration_text(self.name, self.variables, to_text(self.body))
 
     def __str__(self):
         return self.text()
+
+
+def declaration_text(name: str | None, variables, body_text: str) -> str:
+    """A declaration's text, given its body's text."""
+    return f"{name or 'q'}({', '.join(variables)}) := {body_text}"

@@ -19,10 +19,15 @@ was dropped by a gate is never built.
 
 A mining run keeps one record per signed item (an item and its sign),
 made on first use: its normalized part, the gate summaries of its
-conjuncts, its free variables and canonical text and, once counted, its
-conjuncts' reference domains and evaluated relations.  Per signed set
-(a candidate's or a rule antecedent's items) it keeps one gate verdict
-and one answer count, each made on first use.
+conjuncts, its free variables, its canonical text, its conjuncts'
+texts and, once counted, its conjuncts' reference domains and evaluated
+relations.  Per signed set (a candidate's or a rule antecedent's items)
+it keeps one gate verdict and one answer count, each made on first use.
+
+Each signed item's conjuncts are rendered once per run.  The text of a
+frequent query, and of a rule's antecedent and consequent, is what
+``to_text`` gives for the conjunction, joined from those kept texts
+(``_Run.text``), so no printed line renders a formula again.
 
 Gating is decided per item.  Each item is existentially closed over its
 non-head variables, so whatever the safety, entity, and validity gates
@@ -81,8 +86,10 @@ from .formulas import (
     Or,
     QueryDecl,
     Variable,
+    conjunct_text,
     conjunction,
     conjuncts_of,
+    declaration_text,
     free_variables,
     normalize,
     to_text,
@@ -129,6 +136,12 @@ class Candidate:
     def level(self) -> int:
         return len(self.signed_items)
 
+    def text(self) -> str:
+        """``decl.text()``, joined from the run's kept conjunct texts."""
+        return declaration_text(
+            self.decl.name, self.decl.variables, self.run.text(self.signed_items)
+        )
+
 
 @dataclass(frozen=True)
 class FrequentQuery:
@@ -142,8 +155,17 @@ class FrequentQuery:
 
 @dataclass(frozen=True)
 class MinedRule(ErRule):
+    """A kept rule; the texts are ``to_text`` of the antecedent's body
+    and of the consequent, joined from the mining run's kept conjunct
+    texts."""
+
     support: Frequency
     confidence: Fraction
+    antecedent_text: str = field(compare=False, repr=False)
+    consequent_text: str = field(compare=False, repr=False)
+
+    def text(self) -> str:
+        return f"{self.antecedent_text} -> {self.consequent_text}"
 
 
 @dataclass(frozen=True)
@@ -250,17 +272,22 @@ class _Item:
 
     ``part`` is the item's normalized closure, negated where the sign says
     so, and ``conjuncts`` its conjuncts; ``gates`` holds their gate
-    summaries.  ``domains`` and ``evaluated`` are filled in on first
-    count: the conjuncts' reference domains, and the relations of the
-    positive non-comparison conjuncts, the comparisons as they are and
-    each ``NOT`` conjunct with its body's relation.
+    summaries.  ``rendered`` is each conjunct rendered once by
+    ``to_text``, and ``texts`` the same texts as conjuncts of an And
+    (``formulas.conjunct_text``), which ``_Run.text`` joins.  ``domains``
+    and ``evaluated`` are filled in on first count: the conjuncts'
+    reference domains, and the relations of the positive non-comparison
+    conjuncts, the comparisons as they are and each ``NOT`` conjunct with
+    its body's relation.
     """
 
     part: Formula
     conjuncts: tuple[Formula, ...]
     gates: tuple[ConjunctGates, ...]
     free: frozenset[str]
-    text: str  # canonical text
+    canonical: str
+    rendered: tuple[str, ...]
+    texts: tuple[str, ...]
     domains: list[frozenset] | None = None
     evaluated: tuple[list, list, list] | None = None
 
@@ -307,14 +334,26 @@ class _Run:
                 part = Not(self.item((i, False)).part)
             else:
                 part = normalize(self.bias.items[i].formula)
+            conjuncts = conjuncts_of(part)
+            rendered = tuple([to_text(c) for c in conjuncts])
             item = self._items[signed] = _Item(
                 part,
-                conjuncts_of(part),
+                conjuncts,
                 conjunction_gates(part, self.inst, self.head),
                 frozenset(free_variables(part)),
                 _canonical_text(part, self.head),
+                rendered,
+                tuple(map(conjunct_text, conjuncts, rendered)),
             )
         return item
+
+    def text(self, signed_items) -> str:
+        """``to_text`` of the items' conjunction, joined from their kept
+        conjunct texts; a lone conjunct is not wrapped."""
+        items = [self.item(s) for s in signed_items]
+        if len(items) == 1 and len(items[0].rendered) == 1:
+            return items[0].rendered[0]
+        return " AND ".join([text for item in items for text in item.texts])
 
     def verdict(self, signed_items) -> tuple[str | None, PreparedQuery | None]:
         """The gate verdict of the items' conjunction, made once and kept:
@@ -409,7 +448,7 @@ def build_candidate(run: _Run, signed_items):
     if reason is not None:
         return None, reason
     items = [run.item(s) for s in signed_items]
-    canonical = " AND ".join(sorted(item.text for item in items))
+    canonical = " AND ".join(sorted(item.canonical for item in items))
     parts = tuple(item.part for item in items)
     return Candidate(tuple(signed_items), parts, q, canonical, run), None
 
@@ -497,6 +536,8 @@ def mine_rules(
     answer count is the candidate's frequency numerator.  The
     antecedent's gate verdict and count come from the candidate's mining
     run (``_Run.verdict`` and ``_Run.count``), as the candidates' did.
+    Confidence is compared as integers; the antecedent, the consequent
+    and the confidence are built only for a rule that is kept.
     """
     min_confidence = Fraction(min_confidence)
     rules = []
@@ -504,6 +545,7 @@ def mine_rules(
         c = fq.candidate
         run = c.run
         head = c.decl.variables
+        both = fq.frequency.numerator
         for mask in range(1, 2 ** c.level - 1):
             ant = tuple(s for j, s in enumerate(c.signed_items) if mask >> j & 1)
             con = tuple(s for j, s in enumerate(c.signed_items) if not mask >> j & 1)
@@ -514,19 +556,26 @@ def mine_rules(
                 )
                 continue
             if not q.safety.safe:
-                log.debug("rule from %s: %s", c.canonical, UnsafeQueryError(q.safety))
+                if log.isEnabledFor(logging.DEBUG):
+                    log.debug("rule from %s: %s", c.canonical, UnsafeQueryError(q.safety))
+                continue
+            count = run.count(ant)
+            # both / count < min_confidence, without a Fraction.  A zero
+            # count is not skipped here, so confidence_from_count rejects it.
+            if both * min_confidence.denominator < min_confidence.numerator * count:
                 continue
             antecedent = QueryDecl(None, head, q.body)
             try:
-                conf = confidence_from_count(
-                    inst, antecedent, fq.frequency.numerator, run.count(ant)
-                )
+                conf = confidence_from_count(inst, antecedent, both, count)
             except ZeroAntecedentError as exc:
                 log.debug("rule from %s: %s", c.canonical, exc)
                 continue
-            if conf >= min_confidence:
-                con_body = conjunction([run.item(s).part for s in con])
-                rules.append(MinedRule(antecedent, con_body, fq.frequency, conf))
+            con_body = conjunction([run.item(s).part for s in con])
+            rules.append(
+                MinedRule(
+                    antecedent, con_body, fq.frequency, conf, run.text(ant), run.text(con)
+                )
+            )
     return tuple(rules)
 
 

@@ -1,6 +1,8 @@
 """Language bias loading and the level-wise rule miner."""
 
 import collections
+import json
+import logging
 import sys
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from ermine import (
     LevelStats,
     Not,
     QueryParseError,
+    UnsafeQueryError,
     build_candidate,
     check_safe,
     enumerate_level,
@@ -27,12 +30,26 @@ from ermine import (
     mining,
     normalize,
 )
+from ermine.cli import main
 from ermine.evaluator import evaluate
+from ermine.formulas import to_text
 from ermine.mining import _Run
 from ermine.stats import frequency
 
 QUARTER = Fraction(1, 4)
 HALF = Fraction(1, 2)
+
+
+def pool_bias(head):
+    """The bias document of a ``strategies.MINING_POOLS`` pool at 3
+    conjuncts.  Both pools mix bare comparisons, items that normalize to
+    a conjunction and NOT items with plain items."""
+    return {
+        "head": list(head),
+        "items": list(strategies.MINING_POOLS[head]),
+        "max_conjuncts": 3,
+        "allow_negation": True,
+    }
 
 
 @pytest.fixture(scope="module")
@@ -340,17 +357,7 @@ def test_rule_antecedent_that_never_was_a_candidate(tv_schema, tv):
 
 @pytest.mark.parametrize("head", sorted(strategies.MINING_POOLS))
 def test_mining_never_evaluates_a_whole_query(monkeypatch, tv_schema, tv, head):
-    # Both pools mix bare comparisons, items that normalize to a
-    # conjunction and NOT items with plain items.
-    bias = load_bias(
-        {
-            "head": list(head),
-            "items": list(strategies.MINING_POOLS[head]),
-            "max_conjuncts": 3,
-            "allow_negation": True,
-        },
-        tv_schema,
-    )
+    bias = load_bias(pool_bias(head), tv_schema)
 
     def whole_query(*args, **kwargs):
         raise AssertionError("mine evaluated a whole query")
@@ -379,15 +386,7 @@ def test_mining_never_evaluates_a_whole_query(monkeypatch, tv_schema, tv, head):
 def test_mining_counts_each_signed_set_once(monkeypatch, tv_schema, tv, head, prune):
     # A rule antecedent that never was a candidate splits from several
     # frequent queries of the (P, SN) pool; its count is kept too.
-    bias = load_bias(
-        {
-            "head": list(head),
-            "items": list(strategies.MINING_POOLS[head]),
-            "max_conjuncts": 3,
-            "allow_negation": True,
-        },
-        tv_schema,
-    )
+    bias = load_bias(pool_bias(head), tv_schema)
     counted = collections.Counter()
     answers = _Run.answers
 
@@ -411,15 +410,7 @@ def test_mining_gates_each_signed_set_once(monkeypatch, tv_schema, tv, head, pru
     # The gate summaries are kept per signed item, so their identities
     # name the signed set; bodies do not, as two sets can conjoin to
     # equal bodies.
-    bias = load_bias(
-        {
-            "head": list(head),
-            "items": list(strategies.MINING_POOLS[head]),
-            "max_conjuncts": 3,
-            "allow_negation": True,
-        },
-        tv_schema,
-    )
+    bias = load_bias(pool_bias(head), tv_schema)
     gated = collections.Counter()
     prepared = mining.prepared
 
@@ -433,3 +424,93 @@ def test_mining_gates_each_signed_set_once(monkeypatch, tv_schema, tv, head, pru
     assert result.rules
     assert len(gated) > 400
     assert max(gated.values()) == 1
+
+
+@pytest.mark.parametrize("head", sorted(strategies.MINING_POOLS))
+def test_unsafe_antecedents_build_no_error_below_debug(monkeypatch, caplog, tv_schema, tv, head):
+    # The error is built only for its debug message.  Half the splits'
+    # confidences fall below the floor, which is compared as integers.
+    bias = load_bias(pool_bias(head), tv_schema)
+    built = []
+    init = UnsafeQueryError.__init__
+
+    def counting(self, report):
+        built.append(report)
+        init(self, report)
+
+    monkeypatch.setattr(UnsafeQueryError, "__init__", counting)
+    for level in (logging.DEBUG, logging.WARNING):
+        caplog.set_level(level, logger="ermine")
+        built.clear()
+        result = mine(tv, bias, Fraction(1, 100), HALF)
+        assert bool(built) == (level == logging.DEBUG)
+    monkeypatch.undo()
+    scratch = split_rules_from_scratch(tv, result.frequent)
+    kept = [r for r in scratch if r[2] >= HALF]
+    assert result.rules and len(kept) < len(scratch)
+    assert [(r.text(), r.support, r.confidence) for r in result.rules] == kept
+
+
+def test_zero_count_antecedent_is_logged_and_dropped(monkeypatch, caplog, programs_bias, tv):
+    result = mine_frequent(tv, programs_bias, QUARTER)
+    count = _Run.count
+    # Every one-item antecedent reads as answerless.
+    monkeypatch.setattr(
+        _Run, "count", lambda run, signed: 0 if len(signed) == 1 else count(run, signed)
+    )
+    caplog.set_level(logging.DEBUG, logger="ermine")
+    assert mine_rules(tv, result.frequent, Fraction(0)) == ()
+    assert "has no result tuples" in caplog.text
+
+
+@pytest.mark.parametrize("prune", [[], ["--no-prune"]], ids=["pruned", "no-prune"])
+@pytest.mark.parametrize(
+    "bias",
+    ["bias_mixed", *sorted(strategies.MINING_POOLS)],
+    ids=lambda bias: bias if isinstance(bias, str) else "pool-" + "-".join(bias),
+)
+def test_mine_renders_each_formula_once(monkeypatch, capsys, tmp_path, bias, prune):
+    # Only outermost calls count; the rendered formulas are kept alive,
+    # so no id is reused.
+    if isinstance(bias, tuple):
+        path = tmp_path / "bias.json"
+        path.write_text(json.dumps(pool_bias(bias)), encoding="utf-8")
+    else:
+        path = TV_DIR / f"{bias}.json"
+    rendered = collections.Counter()
+    kept = []
+    depth = 0
+
+    def counting(f):
+        nonlocal depth
+        if not depth:
+            rendered[id(f)] += 1
+            kept.append(f)
+        depth += 1
+        try:
+            return to_text(f)
+        finally:
+            depth -= 1
+
+    for name, module in list(sys.modules.items()):
+        if name == "ermine" or name.startswith("ermine."):
+            if getattr(module, "to_text", None) is to_text:
+                monkeypatch.setattr(module, "to_text", counting)
+    out_csv = tmp_path / "rules.csv"
+    code = main(
+        [
+            "--schema", str(TV_DIR / "schema.json"),
+            "--data", str(TV_DIR / "data"),
+            "mine",
+            "--bias", str(path),
+            "--min-support", "1/100",
+            "--min-confidence", "1/100",
+            "--csv", str(out_csv),
+            *prune,
+        ]
+    )
+    monkeypatch.undo()
+    assert code == 0
+    assert " -> " in capsys.readouterr().out
+    assert len(out_csv.read_text(encoding="utf-8").splitlines()) > 1
+    assert rendered and max(rendered.values()) == 1

@@ -214,10 +214,18 @@ def test_mined_statistics_match_stats(case):
         )
         for fq in result.frequent:
             assert fq.frequency == frequency(inst, fq.candidate.decl)
+            # The printed text is joined from kept conjunct texts.
+            assert fq.candidate.text() == fq.candidate.decl.text()
         for rule in result.rules:
             plain = ErRule(rule.antecedent, rule.consequent)
             assert rule.confidence == confidence(inst, plain)
             assert rule.support == support(inst, plain)
+            assert rule.text() == plain.text()
+            # The --csv cells.
+            assert (rule.antecedent_text, rule.consequent_text) == (
+                to_text(rule.antecedent.body),
+                to_text(rule.consequent),
+            )
         # Nothing is missed: every candidate, frequent or not, and every
         # rule split is checked against a count from scratch.
         frequent, levels = mine_frequent_from_scratch(inst, bias, min_support, prune)
