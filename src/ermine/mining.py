@@ -19,27 +19,35 @@ was dropped by a gate is never built.
 
 A mining run keeps one record per signed item (an item and its sign),
 made on first use: its normalized part, the gate summaries of its
-conjuncts, its free variables, its canonical text, its conjuncts'
-texts and, once counted, its conjuncts' reference domains and evaluated
-relations.  Per signed set (a candidate's or a rule antecedent's items)
-it keeps one gate verdict and one answer count, each made on first use.
+conjuncts and their joined gate state, its canonical text, its
+conjuncts' texts and, once counted, its conjuncts' reference domains and
+evaluated relations.  A signed set (a candidate's or a rule antecedent's
+items) is an int over the pool: bit 2i is item i taken positively, bit
+2i+1 item i negated, so the set bits in ascending order are the set's
+items in the order its conjunction lists them.  Per signed set the run
+keeps one gate state, one gate verdict and one answer count, each made
+on first use.
 
 Each signed item's conjuncts are rendered once per run.  The text of a
 frequent query, and of a rule's antecedent and consequent, is what
 ``to_text`` gives for the conjunction, joined from those kept texts
 (``_Run.text``), so no printed line renders a formula again.
 
-Gating is decided per item.  Each item is existentially closed over its
-non-head variables, so whatever the safety, entity, and validity gates
-find inside one of an item's conjuncts is the same in every candidate the
-item is part of; only the candidate's top-level conjunction differs.  A
-candidate is gated by combining its items' summaries
-(``entities.ConjunctGates``) with ``entities.gate_reports``, the combine
-``stats.prepare_query`` runs on the conjuncts of a single query.  Per
-candidate that leaves the fixpoint of limited variables, R3 and R4 at
-the top level, the entity status of the head from the merged facts, and
-validity as "the constant equalities cover the head, or some conjunct is
-valid".
+Gating is carried from parent to child.  Each item is existentially
+closed over its non-head variables, so whatever the safety, entity, and
+validity gates find inside one of an item's conjuncts is the same in
+every set the item is part of; only the set's top-level conjunction
+differs.  A set's gate state (``_Gates``) is its parent's state, the set
+without its highest bit, joined with that item's own state: the free
+variables, the limited variables closed under the ``=`` pairs of all the
+set's conjuncts, the merged entity names, failures and links, the
+variables equated with constants, whether some conjunct is valid, and
+the conjuncts that can make the set unsafe.  Limitation, entity
+failures and validity only grow as conjuncts are added, so the drop
+reason is read from the state alone and is the one ``stats.prepared``
+gives.  The full reports of ``stats.prepared``, the one combine a single
+query runs, are built only when asked for: by ``Candidate.decl`` and by
+the debug line of an unsafe rule antecedent.
 
 Counting is vertical, in the manner of Eclat's tidset intersection: each
 conjunct of each signed item is evaluated once and its reference domain
@@ -70,6 +78,7 @@ import itertools
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .domains import conjunction_domain, reference_domain
 from .entities import ConjunctGates, conjunction_gates
@@ -95,6 +104,13 @@ from .formulas import (
     to_text,
 )
 from .parser import check_nesting, parse_formula_text
+from .safety import (
+    RULE_BAD_NEGATION,
+    RULE_UNLIMITED_VAR,
+    closed_limited,
+    free_of,
+    limited_of,
+)
 from .schema import DatabaseInstance, Schema, read_json_file
 from .stats import ErRule, Frequency, confidence_from_count, prepared
 
@@ -118,29 +134,36 @@ class LanguageBias:
 
 @dataclass(frozen=True)
 class Candidate:
-    """A candidate query: signed pool items plus its prepared query.
+    """A candidate query: a signed set of pool items that passed the gates.
 
-    ``parts`` holds the run's normalized part of each signed item (the
+    ``mask`` is the signed set (bit 2i item i, bit 2i+1 item i negated),
+    and ``parts`` the run's normalized part of each signed item (the
     item's closure, negated where the sign says so).  ``run`` is the
     mining run that built the candidate; rule splitting regroups the
     signed items through it and reuses its records and counts.
     """
 
-    signed_items: tuple[tuple[int, bool], ...]  # (item index, negated)
+    mask: int
     parts: tuple[Formula, ...]
-    decl: PreparedQuery
     canonical: str
     run: _Run = field(compare=False, repr=False)
 
     @property
+    def signed_items(self) -> tuple[tuple[int, bool], ...]:
+        return signed_items(self.mask)
+
+    @property
     def level(self) -> int:
-        return len(self.signed_items)
+        return self.mask.bit_count()
+
+    @cached_property
+    def decl(self) -> PreparedQuery:
+        """The prepared query with every gate report, built on first use."""
+        return self.run.prepared(self.mask)
 
     def text(self) -> str:
         """``decl.text()``, joined from the run's kept conjunct texts."""
-        return declaration_text(
-            self.decl.name, self.decl.variables, self.run.text(self.signed_items)
-        )
+        return declaration_text(None, self.run.head, self.run.text(self.mask))
 
 
 @dataclass(frozen=True)
@@ -266,25 +289,136 @@ def load_bias_file(path, schema: Schema) -> LanguageBias:
     return load_bias(read_json_file(path, BiasError), schema)
 
 
+def signed_items(mask: int) -> tuple[tuple[int, bool], ...]:
+    """The (item index, negated) pairs of a signed set, in order."""
+    return tuple((bit >> 1, bool(bit & 1)) for bit in _bits(mask))
+
+
+def _bits(mask: int):
+    """The set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@dataclass(frozen=True, slots=True)
+class _Gates:
+    """The gate state of a conjunction of conjuncts, all a drop reason
+    needs: free variables; limited variables, already closed under the
+    ``=`` pairs ``equates``; the entity names, the variables with an
+    entity failure and the =/!= links; the variables a comparison equates
+    with a constant (``cover``); whether some conjunct is valid; and per
+    conjunct that can make the conjunction unsafe, in order, a negated
+    conjunct's free variables (R4 when one is not limited) and the rule of
+    the first violation inside it.
+
+    A single conjunct is valid just when ``cover`` includes the head or
+    it is valid on its own, so ``valid`` and ``cover`` give validity for
+    one conjunct and for many alike.
+    """
+
+    free: frozenset[str]
+    limited: frozenset[str]
+    equates: tuple[tuple[str, str], ...]
+    names: frozenset[str]
+    failed: frozenset[str]
+    links: tuple[tuple[str, str], ...]
+    cover: frozenset[str]
+    valid: bool
+    checks: tuple[tuple[frozenset[str], str | None], ...]
+
+    def joined(self, other: _Gates) -> _Gates:
+        """The state of this conjunction followed by the other's conjuncts."""
+        limited = _union(self.limited, other.limited)
+        equates = self.equates + other.equates
+        if equates:
+            limited = closed_limited(limited, equates)
+        return _Gates(
+            _union(self.free, other.free),
+            limited,
+            equates,
+            _union(self.names, other.names),
+            _union(self.failed, other.failed),
+            self.links + other.links,
+            _union(self.cover, other.cover),
+            self.valid or other.valid,
+            self.checks + other.checks,
+        )
+
+    def drop_reason(self, head: frozenset[str]) -> str | None:
+        """Why a query of this body and head is dropped, None if it passes.
+        An unsafe one names its first violation: R3, then per conjunct
+        its R4 and the violations inside it."""
+        if self.free != head:
+            return "free-variable-mismatch"
+        if not self.free <= self.limited:
+            return f"unsafe ({RULE_UNLIMITED_VAR})"
+        for negated_free, inner in self.checks:
+            if not negated_free <= self.limited:
+                return f"unsafe ({RULE_BAD_NEGATION})"
+            if inner is not None:
+                return f"unsafe ({inner})"
+        # A link to a non-candidate is read against the final candidates:
+        # a later conjunct can fail a variable an earlier one linked to.
+        candidates = self.names - self.failed
+        if head & self.failed or any(a in head and b not in candidates for a, b in self.links):
+            return "not-an-entity-query"
+        if not (head <= self.cover or self.valid):
+            return "not-valid"
+        return None
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    """a | b, sharing a when b adds nothing: sets mostly stop growing
+    after a few items, and a run keeps a state per signed set."""
+    return a if b <= a else a | b
+
+
+def _state_of(gates) -> _Gates:
+    """The gate state of a conjunction whose conjuncts' summaries
+    (``entities.ConjunctGates``) are ``gates``."""
+    summaries = [g.safety for g in gates]
+    facts = [g.entities for g in gates]
+    return _Gates(
+        frozenset(free_of(summaries)),
+        limited_of(summaries),
+        tuple(s.equates for s in summaries if s.equates),
+        frozenset().union(*(x.names for x in facts)),
+        frozenset().union(*(x.failures for x in facts)),
+        tuple(link for x in facts for link in x.links),
+        frozenset().union(*(s.limits for s in summaries if isinstance(s.conjunct, Comparison))),
+        any(g.validity.valid for g in gates),
+        tuple(
+            (
+                frozenset(s.free) if isinstance(s.conjunct, Not) else frozenset(),
+                s.violations[0].rule if s.violations else None,
+            )
+            for s in summaries
+            if isinstance(s.conjunct, Not) or s.violations
+        ),
+    )
+
+
 @dataclass
 class _Item:
     """A signed pool item as a mining run keeps it.
 
     ``part`` is the item's normalized closure, negated where the sign says
     so, and ``conjuncts`` its conjuncts; ``gates`` holds their gate
-    summaries.  ``rendered`` is each conjunct rendered once by
-    ``to_text``, and ``texts`` the same texts as conjuncts of an And
-    (``formulas.conjunct_text``), which ``_Run.text`` joins.  ``domains``
-    and ``evaluated`` are filled in on first count: the conjuncts'
-    reference domains, and the relations of the positive non-comparison
-    conjuncts, the comparisons as they are and each ``NOT`` conjunct with
-    its body's relation.
+    summaries and ``state`` the gate state they join to.  ``rendered`` is
+    each conjunct rendered once by ``to_text``, and ``texts`` the same
+    texts as conjuncts of an And (``formulas.conjunct_text``), which
+    ``_Run.text`` joins.  ``domains`` and ``evaluated`` are filled in on
+    first count: the conjuncts' reference domains, and the relations of
+    the positive non-comparison conjuncts, the comparisons as they are and
+    each ``NOT`` conjunct with its body's relation.
     """
 
     part: Formula
     conjuncts: tuple[Formula, ...]
     gates: tuple[ConjunctGates, ...]
-    free: frozenset[str]
+    state: _Gates
     canonical: str
     rendered: tuple[str, ...]
     texts: tuple[str, ...]
@@ -292,17 +426,25 @@ class _Item:
     evaluated: tuple[list, list, list] | None = None
 
 
+_UNGATED = object()  # a verdict not yet made; None is a passing one
+
+
 class _Run:
     """One mining run over one instance: a record per signed item
-    (``_Item``), and per signed set a gate verdict (``verdicts``) and an
+    (``_Item``), looked up by its bit, and per signed set, keyed by its
+    mask, a gate state (``_gates``), a drop reason (``verdicts``) and an
     answer count (``counts``), each made on first use, so each set is
     gated and counted at most once.  All of it holds for one instance:
     the entity gate reads the instance's entity constants.
 
-    A candidate's body conjoins its items' conjuncts, so it is gated by
-    combining their summaries (``stats.prepared``), its domain is
-    ``domains.conjunction_domain`` over their domains and its answers are
-    ``evaluator.conjoin`` over their relations, as ``evaluate`` gives;
+    A set's gate state is its parent's (the set without its highest bit)
+    joined with the state of that bit's item, so a set of k items costs
+    one join however it is reached, as a candidate, a rule antecedent, or
+    out of level order.  The full gate reports of a set
+    (``stats.prepared`` over its items' summaries) are made only when
+    asked for (``prepared``).  A candidate's domain is
+    ``domains.conjunction_domain`` over its items' domains and its answers
+    are ``evaluator.conjoin`` over their relations, as ``evaluate`` gives;
     safety makes each conjunct and negated body safe on its own.
 
     Each conjunct is evaluated over its own vocabulary, not the body's.
@@ -317,84 +459,109 @@ class _Run:
         self.bias = bias
         self.inst = inst
         self.head = bias.head
-        self.counts: dict[tuple, int] = {}
-        self.verdicts: dict[tuple, tuple[str | None, PreparedQuery | None]] = {}
-        self._items: dict[tuple[int, bool], _Item] = {}
+        self._head_set = frozenset(bias.head)
+        self.counts: dict[int, int] = {}
+        self.verdicts: dict[int, str | None] = {}
+        self._gates: dict[int, _Gates] = {}
+        self._prepared: dict[int, PreparedQuery] = {}
+        self._items: dict[int, _Item] = {}
+        self._sets: dict[int, tuple[_Item, ...]] = {}
+        self._bodies: dict[int, Formula] = {}
         # Keyed by identity: every formula these see is a conjunct (or a
         # negated conjunct's body) of a kept part, and a negated item's
         # part wraps its positive part, so both signs share entries.
         self._members: dict[int, frozenset] = {}
         self._relations: dict[int, Relation] = {}
 
-    def item(self, signed) -> _Item:
-        item = self._items.get(signed)
+    def item(self, bit: int) -> _Item:
+        """The record of the signed item at a mask bit."""
+        item = self._items.get(bit)
         if item is None:
-            i, negated = signed
-            if negated:
-                part = Not(self.item((i, False)).part)
+            if bit & 1:
+                part = Not(self.item(bit - 1).part)
             else:
-                part = normalize(self.bias.items[i].formula)
+                part = normalize(self.bias.items[bit >> 1].formula)
             conjuncts = conjuncts_of(part)
+            gates = conjunction_gates(part, self.inst, self.head)
             rendered = tuple([to_text(c) for c in conjuncts])
-            item = self._items[signed] = _Item(
+            item = self._items[bit] = _Item(
                 part,
                 conjuncts,
-                conjunction_gates(part, self.inst, self.head),
-                frozenset(free_variables(part)),
+                gates,
+                _state_of(gates),
                 _canonical_text(part, self.head),
                 rendered,
                 tuple(map(conjunct_text, conjuncts, rendered)),
             )
         return item
 
-    def text(self, signed_items) -> str:
+    def items(self, mask: int) -> tuple[_Item, ...]:
+        """The records of the set's signed items, in order; kept."""
+        items = self._sets.get(mask)
+        if items is None:
+            items = self._sets[mask] = tuple([self.item(bit) for bit in _bits(mask)])
+        return items
+
+    def text(self, mask: int) -> str:
         """``to_text`` of the items' conjunction, joined from their kept
         conjunct texts; a lone conjunct is not wrapped."""
-        items = [self.item(s) for s in signed_items]
+        items = self.items(mask)
         if len(items) == 1 and len(items[0].rendered) == 1:
             return items[0].rendered[0]
         return " AND ".join([text for item in items for text in item.texts])
 
-    def verdict(self, signed_items) -> tuple[str | None, PreparedQuery | None]:
-        """The gate verdict of the items' conjunction, made once and kept:
-        the reason a candidate of these items is dropped (None when it
-        passes), and its prepared query (None when its free variables are
-        not the head's)."""
-        verdict = self.verdicts.get(signed_items)
-        if verdict is None:
-            items = [self.item(s) for s in signed_items]
-            if frozenset().union(*(item.free for item in items)) != set(self.head):
-                verdict = "free-variable-mismatch", None
-            else:
-                body = conjunction([item.part for item in items])
-                q = prepared(None, self.head, body, [g for item in items for g in item.gates])
-                if not q.safety.safe:
-                    verdict = f"unsafe ({q.safety.violations[0].rule})", q
-                elif not q.er.is_er:
-                    verdict = "not-an-entity-query", q
-                elif not q.validity.valid:
-                    verdict = "not-valid", q
-                else:
-                    verdict = None, q
-            self.verdicts[signed_items] = verdict
-        return verdict
+    def body(self, mask: int) -> Formula:
+        """The items' conjunction, built once and kept: a set is the
+        antecedent or consequent of many kept rules."""
+        body = self._bodies.get(mask)
+        if body is None:
+            body = self._bodies[mask] = conjunction([item.part for item in self.items(mask)])
+        return body
 
-    def domain(self, signed_items) -> frozenset:
+    def gates(self, mask: int) -> _Gates:
+        """The gate state of the items' conjunction, made once and kept:
+        the parent's state joined with the highest bit's item."""
+        state = self._gates.get(mask)
+        if state is None:
+            top = mask.bit_length() - 1
+            parent = mask ^ 1 << top
+            state = self.item(top).state
+            if parent:
+                state = self.gates(parent).joined(state)
+            self._gates[mask] = state
+        return state
+
+    def verdict(self, mask: int) -> str | None:
+        """The reason a query of the items' conjunction is dropped (None
+        when it passes), made once from the gate state and kept."""
+        reason = self.verdicts.get(mask, _UNGATED)
+        if reason is _UNGATED:
+            reason = self.verdicts[mask] = self.gates(mask).drop_reason(self._head_set)
+        return reason
+
+    def prepared(self, mask: int) -> PreparedQuery:
+        """The items' conjunction prepared with every gate report
+        (``stats.prepared``), made on first need and kept."""
+        q = self._prepared.get(mask)
+        if q is None:
+            parts = [g for item in self.items(mask) for g in item.gates]
+            q = self._prepared[mask] = prepared(None, self.head, self.body(mask), parts)
+        return q
+
+    def domain(self, mask: int) -> frozenset:
         """Members of the reference domain of the items' conjunction."""
         conjuncts, members = [], []
-        for signed in signed_items:
-            item = self.item(signed)
+        for item in self.items(mask):
             if item.domains is None:
                 item.domains = [self._domain(c) for c in item.conjuncts]
             conjuncts += item.conjuncts
             members += item.domains
         return conjunction_domain(conjuncts, self.head, members)[0]
 
-    def answers(self, signed_items) -> Relation:
+    def answers(self, mask: int) -> Relation:
         """Answers of the items' conjunction, which must be safe."""
         parts, comparisons, negations = [], [], []
-        for signed in signed_items:
-            item = self.item(signed)
+        for item in self.items(mask):
             if item.evaluated is None:
                 own = item.conjuncts
                 item.evaluated = (
@@ -424,33 +591,32 @@ class _Run:
             rel = self._relations[id(f)] = _eval(self.inst, f, nonempty)
         return rel
 
-    def count(self, signed_items) -> int:
+    def count(self, mask: int) -> int:
         """Answer count of the items' conjunction, which must be safe;
         counted once and kept."""
-        count = self.counts.get(signed_items)
+        count = self.counts.get(mask)
         if count is None:
-            count = self.counts[signed_items] = len(self.answers(signed_items).rows)
+            count = self.counts[mask] = len(self.answers(mask).rows)
         return count
 
-    def frequency(self, signed_items) -> Frequency | None:
-        """The frequency of a candidate's signed items, None on an empty
+    def frequency(self, mask: int) -> Frequency | None:
+        """The frequency of a candidate's signed set, None on an empty
         reference domain."""
-        members = self.domain(signed_items)
+        members = self.domain(mask)
         if not members:
             return None
-        return Frequency(self.count(signed_items), len(members))
+        return Frequency(self.count(mask), len(members))
 
 
-def build_candidate(run: _Run, signed_items):
+def build_candidate(run: _Run, mask: int):
     """Assemble one candidate of the run from its kept gate verdict;
     returns (candidate, drop reason)."""
-    reason, q = run.verdict(signed_items)
+    reason = run.verdict(mask)
     if reason is not None:
         return None, reason
-    items = [run.item(s) for s in signed_items]
+    items = run.items(mask)
     canonical = " AND ".join(sorted(item.canonical for item in items))
-    parts = tuple(item.part for item in items)
-    return Candidate(tuple(signed_items), parts, q, canonical, run), None
+    return Candidate(mask, tuple(item.part for item in items), canonical, run), None
 
 
 def enumerate_level(run: _Run, level: int, previous=None) -> list[Candidate]:
@@ -461,25 +627,26 @@ def enumerate_level(run: _Run, level: int, previous=None) -> list[Candidate]:
     if level < 1:
         raise ValueError("level must be >= 1")
     bias = run.bias
-    prefixes = [()] if level == 1 else [c.signed_items for c in previous or ()]
+    prefixes = [0] if level == 1 else [c.mask for c in previous or ()]
     out = []
     seen_signed = set()
     seen_canonical = set()
     for prefix in prefixes:
-        used = {i for i, _ in prefix}
         for i, item in enumerate(bias.items):
-            if i in used:
+            if prefix >> 2 * i & 3:
                 continue
             for neg in (False, True) if bias.allow_negation and item.negatable else (False,):
-                signed = tuple(sorted(prefix + ((i, neg),)))
-                if signed in seen_signed:
+                mask = prefix | 1 << (2 * i + neg)
+                if mask in seen_signed:
                     continue
-                seen_signed.add(signed)
-                candidate, reason = build_candidate(run, signed)
+                seen_signed.add(mask)
+                candidate, reason = build_candidate(run, mask)
                 if candidate is None:
-                    log.debug("level %d: dropping %r: %s", level, signed, reason)
+                    log.debug("level %d: dropping %r: %s", level, signed_items(mask), reason)
                 elif candidate.canonical in seen_canonical:
-                    log.debug("level %d: dropping %r: duplicate query", level, signed)
+                    log.debug(
+                        "level %d: dropping %r: duplicate query", level, signed_items(mask)
+                    )
                 else:
                     seen_canonical.add(candidate.canonical)
                     out.append(candidate)
@@ -507,7 +674,7 @@ def mine_frequent(
         evaluated = []
         survivors = []
         for c in candidates:
-            fr = run.frequency(c.signed_items)
+            fr = run.frequency(c.mask)
             if fr is None:
                 log.debug("level %d: empty domain for %s", level, c.canonical)
                 continue
@@ -533,9 +700,10 @@ def mine_rules(
     rules and keep those at or above the confidence threshold.
 
     A split's A AND C has exactly the candidate's conjuncts, so its
-    answer count is the candidate's frequency numerator.  The
-    antecedent's gate verdict and count come from the candidate's mining
-    run (``_Run.verdict`` and ``_Run.count``), as the candidates' did.
+    answer count is the candidate's frequency numerator.  Splits are the
+    submasks of the candidate's mask in ascending order; the antecedent's
+    gate verdict and count come from the candidate's mining run
+    (``_Run.verdict`` and ``_Run.count``), as the candidates' did.
     Confidence is compared as integers; the antecedent, the consequent
     and the confidence are built only for a rule that is kept.
     """
@@ -544,39 +712,45 @@ def mine_rules(
     for fq in sorted(frequent, key=lambda q: (q.level, q.candidate.canonical)):
         c = fq.candidate
         run = c.run
-        head = c.decl.variables
         both = fq.frequency.numerator
-        for mask in range(1, 2 ** c.level - 1):
-            ant = tuple(s for j, s in enumerate(c.signed_items) if mask >> j & 1)
-            con = tuple(s for j, s in enumerate(c.signed_items) if not mask >> j & 1)
-            _, q = run.verdict(ant)
-            if q is None:
+        for ant in _proper_submasks(c.mask):
+            reason = run.verdict(ant)
+            if reason == "free-variable-mismatch":
                 log.debug(
                     "rule from %s: antecedent drops head variables", c.canonical
                 )
                 continue
-            if not q.safety.safe:
+            if reason is not None and reason.startswith("unsafe"):
                 if log.isEnabledFor(logging.DEBUG):
-                    log.debug("rule from %s: %s", c.canonical, UnsafeQueryError(q.safety))
+                    report = run.prepared(ant).safety
+                    log.debug("rule from %s: %s", c.canonical, UnsafeQueryError(report))
                 continue
             count = run.count(ant)
             # both / count < min_confidence, without a Fraction.  A zero
             # count is not skipped here, so confidence_from_count rejects it.
             if both * min_confidence.denominator < min_confidence.numerator * count:
                 continue
-            antecedent = QueryDecl(None, head, q.body)
+            antecedent = QueryDecl(None, run.head, run.body(ant))
             try:
                 conf = confidence_from_count(inst, antecedent, both, count)
             except ZeroAntecedentError as exc:
                 log.debug("rule from %s: %s", c.canonical, exc)
                 continue
-            con_body = conjunction([run.item(s).part for s in con])
+            con = c.mask ^ ant
             rules.append(
                 MinedRule(
-                    antecedent, con_body, fq.frequency, conf, run.text(ant), run.text(con)
+                    antecedent, run.body(con), fq.frequency, conf, run.text(ant), run.text(con)
                 )
             )
     return tuple(rules)
+
+
+def _proper_submasks(mask: int):
+    """The non-empty submasks of a mask other than itself, ascending."""
+    sub = -mask & mask
+    while sub != mask:
+        yield sub
+        sub = (sub - mask) & mask
 
 
 def mine(

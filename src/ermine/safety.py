@@ -151,8 +151,17 @@ def limited_of(parts) -> frozenset[str]:
     """Variables limited by a conjunction, from its conjuncts' summaries:
     what each conjunct limits on its own, spread by variable-variable
     equalities to a fixed point."""
-    limited = set().union(*(p.limits for p in parts))
-    pairs = [set(p.equates) for p in parts if p.equates]
+    return closed_limited(
+        frozenset().union(*(p.limits for p in parts)),
+        [p.equates for p in parts if p.equates],
+    )
+
+
+def closed_limited(limited, pairs) -> frozenset[str]:
+    """The variables ``limited`` spread by the variable-variable
+    equalities ``pairs`` to a fixed point."""
+    limited = set(limited)
+    pairs = [set(p) for p in pairs]
     changed = True
     while changed:
         changed = False

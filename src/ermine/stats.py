@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .domains import reference_domain
 from .entities import conjunction_gates, gate_reports
@@ -52,8 +53,9 @@ class Frequency:
         if self.denominator <= 0:
             raise ValueError("frequency denominator must be positive")
 
-    @property
+    @cached_property
     def value(self) -> Fraction:
+        """The frequency as a normalized Fraction, built on first use."""
         return Fraction(self.numerator, self.denominator)
 
     def __str__(self):

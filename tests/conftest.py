@@ -57,6 +57,15 @@ def combine(tv_schema, queries):
     return parse
 
 
+def signed_mask(signed) -> int:
+    """The mining mask of (item index, negated) pairs: bit 2i is item i
+    taken positively, bit 2i+1 item i negated."""
+    mask = 0
+    for i, negated in signed:
+        mask |= 1 << (2 * i + negated)
+    return mask
+
+
 def split_rules_from_scratch(inst, frequent):
     """Every split of every frequent query that stats.confidence accepts,
     as (rule text, support, confidence) recomputed from scratch."""

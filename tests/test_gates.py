@@ -19,12 +19,14 @@ equalities, and not-valid.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import strategies
+from conftest import TV_DIR, signed_mask
 from ermine import (
     And,
     Atom,
@@ -46,6 +48,7 @@ from ermine import (
     equated_constants,
     free_variables,
     load_bias,
+    load_bias_file,
     normalize,
     subformulas,
 )
@@ -273,33 +276,49 @@ def reason_of(q):
 # -- the checks ------------------------------------------------------------
 
 
-def check_subsets(inst, bias, subsets):
+def check_subsets(inst, bias, subsets, seed=0):
     """Check each subset's verdict, and the safety report of each unsafe
-    antecedent of a passing one; returns the reasons seen."""
-    run = _Run(bias, inst)
+    antecedent of a passing one; returns the reasons seen.
+
+    The subsets are gated in the given order on one run, then in an order
+    shuffled by ``seed`` on a fresh run, so a set's gate state is also
+    carried from parents that were never gated themselves."""
+    subsets = list(subsets)
+    shuffled = list(subsets)
+    random.Random(seed).shuffle(shuffled)
     seen = set()
-    for signed in subsets:
-        parts = plain_parts(bias, signed)
-        decl = QueryDecl(None, bias.head, conjunction(parts))
-        expected = reference_prepared(inst, decl)
-        assert prepare_query(inst, decl) == expected, signed
-        reason = reason_of(expected)
-        seen.add(reason)
-        candidate, got = build_candidate(run, signed)
-        assert got == reason, signed
-        if candidate is None:
+    for order in (subsets, shuffled):
+        run = _Run(bias, inst)
+        for signed in order:
+            seen |= check_subset(inst, bias, run, signed)
+    return seen
+
+
+def check_subset(inst, bias, run, signed):
+    parts = plain_parts(bias, signed)
+    decl = QueryDecl(None, bias.head, conjunction(parts))
+    expected = reference_prepared(inst, decl)
+    assert prepare_query(inst, decl) == expected, signed
+    reason = reason_of(expected)
+    seen = {reason}
+    candidate, got = build_candidate(run, signed_mask(signed))
+    assert got == reason, signed
+    if candidate is None:
+        return seen
+    assert candidate.signed_items == signed
+    assert candidate.decl == expected, signed
+    for mask in range(1, 2 ** len(signed) - 1):
+        ant = tuple(s for j, s in enumerate(signed) if mask >> j & 1)
+        body = conjunction([normalize(p) for p in plain_parts(bias, ant)])
+        if set(free_variables(body)) != set(bias.head):
             continue
-        assert candidate.decl == expected, signed
-        for mask in range(1, 2 ** len(signed) - 1):
-            ant = tuple(s for j, s in enumerate(signed) if mask >> j & 1)
-            body = conjunction([normalize(p) for p in plain_parts(bias, ant)])
-            if set(free_variables(body)) != set(bias.head):
-                continue
-            report = check_safe(body)
-            assert report == reference_safety(body), ant
-            if not report.safe:
-                assert run.verdict(ant)[1].safety == report, ant
-                seen.add("unsafe antecedent")
+        report = check_safe(body)
+        assert report == reference_safety(body), ant
+        assert prepare_query(inst, QueryDecl(None, bias.head, body)).safety == report, ant
+        if not report.safe:
+            assert run.verdict(signed_mask(ant)) == f"unsafe ({report.violations[0].rule})"
+            assert run.prepared(signed_mask(ant)).safety == report, ant
+            seen.add("unsafe antecedent")
     return seen
 
 
@@ -318,6 +337,31 @@ def test_miner_gates_match_plain_queries_on_the_fixture(tv, head):
         assert "unsafe (R2-disjunct-vars)" in seen
     else:
         assert "not-valid" in seen
+
+
+def pool_bias(items, head=("P", "SN")):
+    return load_bias(
+        {"head": list(head), "items": list(items), "allow_negation": True},
+        strategies.TV_SCHEMA,
+    )
+
+
+MINING_BIASES = {
+    "bias_mixed": lambda: load_bias_file(TV_DIR / "bias_mixed.json", strategies.TV_SCHEMA),
+    "pool-P": lambda: pool_bias(strategies.MINING_POOLS[("P",)], ("P",)),
+    "pool-P-SN": lambda: pool_bias(strategies.MINING_POOLS[("P", "SN")]),
+    # P = SN comes before the items that limit P or SN, so a set's
+    # limitation spreads through an equality of its parent, not only
+    # through one of the item the set adds last.
+    "wide-P-SN-reversed": lambda: pool_bias(POOLS[("P", "SN")][::-1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MINING_BIASES))
+def test_miner_gates_match_plain_queries_on_mining_pools(tv, name):
+    bias = MINING_BIASES[name]()
+    seen = check_subsets(tv, bias, signed_subsets(len(bias.items)), seed=len(bias.items))
+    assert None in seen and "unsafe antecedent" in seen
 
 
 WIDE = {head: wide_bias(head) for head in sorted(POOLS)}

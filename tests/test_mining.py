@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import strategies
-from conftest import TV_DIR, split_rules_from_scratch
+from conftest import TV_DIR, signed_mask, split_rules_from_scratch
 from ermine import (
     BiasError,
     LevelStats,
@@ -31,6 +31,7 @@ from ermine import (
     normalize,
 )
 from ermine.cli import main
+from ermine.entities import gate_reports
 from ermine.evaluator import evaluate
 from ermine.formulas import to_text
 from ermine.mining import _Run
@@ -142,14 +143,14 @@ def test_items_differing_only_in_bound_names_collapse(tv_schema):
 
 
 def test_candidate_reason_unsafe(programs_bias, tv):
-    candidate, reason = build_candidate(_Run(programs_bias, tv), ((0, True),))
+    candidate, reason = build_candidate(_Run(programs_bias, tv), signed_mask(((0, True),)))
     assert candidate is None
     assert reason == "unsafe (R3-unlimited-var)"
 
 
 def test_candidate_reason_free_variable_mismatch(tv_schema, tv):
     bias = load_bias({"head": ["P"], "items": ["TV-Program(X)"]}, tv_schema)
-    candidate, reason = build_candidate(_Run(bias, tv), ((0, False),))
+    candidate, reason = build_candidate(_Run(bias, tv), signed_mask(((0, False),)))
     assert candidate is None
     assert reason == "free-variable-mismatch"
 
@@ -158,7 +159,7 @@ def test_candidate_reason_not_entity(tv_schema, tv):
     bias = load_bias(
         {"head": ["V"], "items": ["WeekdayTV(P, SN, V, S)"]}, tv_schema
     )
-    candidate, reason = build_candidate(_Run(bias, tv), ((0, False),))
+    candidate, reason = build_candidate(_Run(bias, tv), signed_mask(((0, False),)))
     assert candidate is None
     assert reason == "not-an-entity-query"
 
@@ -171,13 +172,13 @@ def test_candidate_reason_not_valid(tv_schema, tv):
         },
         tv_schema,
     )
-    candidate, reason = build_candidate(_Run(bias, tv), ((0, False),))
+    candidate, reason = build_candidate(_Run(bias, tv), signed_mask(((0, False),)))
     assert candidate is None
     assert reason == "not-valid"
 
 
 def test_candidate_success(programs_bias, tv):
-    candidate, reason = build_candidate(_Run(programs_bias, tv), ((0, False),))
+    candidate, reason = build_candidate(_Run(programs_bias, tv), signed_mask(((0, False),)))
     assert reason is None
     assert candidate.level == 1
     assert candidate.decl.variables == ("P",)
@@ -390,9 +391,9 @@ def test_mining_counts_each_signed_set_once(monkeypatch, tv_schema, tv, head, pr
     counted = collections.Counter()
     answers = _Run.answers
 
-    def counting(run, signed_items):
-        counted[id(run), signed_items] += 1
-        return answers(run, signed_items)
+    def counting(run, mask):
+        counted[id(run), mask] += 1
+        return answers(run, mask)
 
     monkeypatch.setattr(_Run, "answers", counting)
     result = mine(tv, bias, Fraction(1, 100), Fraction(1, 10**9), prune=prune)
@@ -404,13 +405,28 @@ def test_mining_counts_each_signed_set_once(monkeypatch, tv_schema, tv, head, pr
 
 @pytest.mark.parametrize("prune", [True, False])
 @pytest.mark.parametrize("head", sorted(strategies.MINING_POOLS))
-def test_mining_gates_each_signed_set_once(monkeypatch, tv_schema, tv, head, prune):
+def test_mining_gates_each_signed_set_once(
+    monkeypatch, caplog, tv_schema, tv, head, prune
+):
     # Rule antecedents read the verdicts candidates left, and an unsafe
     # antecedent keeps its verdict for every later split that reaches it.
-    # The gate summaries are kept per signed item, so their identities
-    # name the signed set; bodies do not, as two sets can conjoin to
-    # equal bodies.
+    # A set of two or more items gets its gate state by one join of its
+    # parent's kept state with its last item's kept state, so a set gated
+    # twice would repeat a pair; the joined states are kept alive, so no
+    # id is reused.  The full reports are made at most once per set too:
+    # at debug level for each unsafe antecedent, and for every frequent
+    # query's decl.  The gate summaries are kept per signed item, so their
+    # identities name the signed set; bodies do not, as two sets can
+    # conjoin to equal bodies.
     bias = load_bias(pool_bias(head), tv_schema)
+    joined, kept = collections.Counter(), []
+    join = mining._Gates.joined
+
+    def counting_joins(state, other):
+        joined[id(state), id(other)] += 1
+        kept.append((state, other))
+        return join(state, other)
+
     gated = collections.Counter()
     prepared = mining.prepared
 
@@ -418,11 +434,17 @@ def test_mining_gates_each_signed_set_once(monkeypatch, tv_schema, tv, head, pru
         gated[tuple(map(id, parts))] += 1
         return prepared(name, variables, body, parts, **kwargs)
 
+    monkeypatch.setattr(mining._Gates, "joined", counting_joins)
     monkeypatch.setattr(mining, "prepared", counting)
+    caplog.set_level(logging.DEBUG, logger="ermine")
     result = mine(tv, bias, Fraction(1, 100), Fraction(1, 10**9), prune=prune)
+    for fq in result.frequent * 2:
+        assert fq.candidate.decl.variables == head
     monkeypatch.undo()
     assert result.rules
-    assert len(gated) > 400
+    assert len(joined) > 400
+    assert max(joined.values()) == 1
+    assert len(gated) > len(result.frequent)
     assert max(gated.values()) == 1
 
 
@@ -456,27 +478,65 @@ def test_zero_count_antecedent_is_logged_and_dropped(monkeypatch, caplog, progra
     count = _Run.count
     # Every one-item antecedent reads as answerless.
     monkeypatch.setattr(
-        _Run, "count", lambda run, signed: 0 if len(signed) == 1 else count(run, signed)
+        _Run, "count", lambda run, mask: 0 if mask.bit_count() == 1 else count(run, mask)
     )
     caplog.set_level(logging.DEBUG, logger="ermine")
     assert mine_rules(tv, result.frequent, Fraction(0)) == ()
     assert "has no result tuples" in caplog.text
 
 
-@pytest.mark.parametrize("prune", [[], ["--no-prune"]], ids=["pruned", "no-prune"])
-@pytest.mark.parametrize(
-    "bias",
-    ["bias_mixed", *sorted(strategies.MINING_POOLS)],
-    ids=lambda bias: bias if isinstance(bias, str) else "pool-" + "-".join(bias),
-)
-def test_mine_renders_each_formula_once(monkeypatch, capsys, tmp_path, bias, prune):
-    # Only outermost calls count; the rendered formulas are kept alive,
-    # so no id is reused.
+def mine_cli_cases(test):
+    """Run a test on ``bias_mixed`` and both ``MINING_POOLS``, each pruned
+    and with ``--no-prune``."""
+    test = pytest.mark.parametrize(
+        "bias",
+        ["bias_mixed", *sorted(strategies.MINING_POOLS)],
+        ids=lambda bias: bias if isinstance(bias, str) else "pool-" + "-".join(bias),
+    )(test)
+    return pytest.mark.parametrize(
+        "prune", [[], ["--no-prune"]], ids=["pruned", "no-prune"]
+    )(test)
+
+
+def mine_cli(capsys, tmp_path, bias, prune):
+    """``ermine mine`` at the default log level with ``--csv`` on a fixture
+    bias or a ``MINING_POOLS`` pool; checks that rules were printed and
+    written."""
     if isinstance(bias, tuple):
         path = tmp_path / "bias.json"
         path.write_text(json.dumps(pool_bias(bias)), encoding="utf-8")
     else:
         path = TV_DIR / f"{bias}.json"
+    out_csv = tmp_path / "rules.csv"
+    code = main(
+        [
+            "--schema", str(TV_DIR / "schema.json"),
+            "--data", str(TV_DIR / "data"),
+            "mine",
+            "--bias", str(path),
+            "--min-support", "1/100",
+            "--min-confidence", "1/100",
+            "--csv", str(out_csv),
+            *prune,
+        ]
+    )
+    assert code == 0
+    assert " -> " in capsys.readouterr().out
+    assert len(out_csv.read_text(encoding="utf-8").splitlines()) > 1
+
+
+def patch_everywhere(monkeypatch, fn, replacement):
+    """Replace ``fn`` in every ermine module that imported it."""
+    for name, module in list(sys.modules.items()):
+        if name == "ermine" or name.startswith("ermine."):
+            if getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, replacement)
+
+
+@mine_cli_cases
+def test_mine_renders_each_formula_once(monkeypatch, capsys, tmp_path, bias, prune):
+    # Only outermost calls count; the rendered formulas are kept alive,
+    # so no id is reused.
     rendered = collections.Counter()
     kept = []
     depth = 0
@@ -492,25 +552,23 @@ def test_mine_renders_each_formula_once(monkeypatch, capsys, tmp_path, bias, pru
         finally:
             depth -= 1
 
-    for name, module in list(sys.modules.items()):
-        if name == "ermine" or name.startswith("ermine."):
-            if getattr(module, "to_text", None) is to_text:
-                monkeypatch.setattr(module, "to_text", counting)
-    out_csv = tmp_path / "rules.csv"
-    code = main(
-        [
-            "--schema", str(TV_DIR / "schema.json"),
-            "--data", str(TV_DIR / "data"),
-            "mine",
-            "--bias", str(path),
-            "--min-support", "1/100",
-            "--min-confidence", "1/100",
-            "--csv", str(out_csv),
-            *prune,
-        ]
-    )
+    patch_everywhere(monkeypatch, to_text, counting)
+    mine_cli(capsys, tmp_path, bias, prune)
     monkeypatch.undo()
-    assert code == 0
-    assert " -> " in capsys.readouterr().out
-    assert len(out_csv.read_text(encoding="utf-8").splitlines()) > 1
     assert rendered and max(rendered.values()) == 1
+
+
+@mine_cli_cases
+def test_mine_builds_no_gate_report_below_debug(monkeypatch, capsys, tmp_path, bias, prune):
+    # Drop reasons come from the carried gate states; nothing printed or
+    # written needs a full safety, entity or validity report.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return gate_reports(*args)
+
+    patch_everywhere(monkeypatch, gate_reports, counting)
+    mine_cli(capsys, tmp_path, bias, prune)
+    monkeypatch.undo()
+    assert calls == []
