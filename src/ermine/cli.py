@@ -213,6 +213,10 @@ def run_mine(session: Session, ns) -> int:
     if not 0 < min_support <= 1:
         raise ErmineError(f"--min-support must be in (0, 1], got {ns.min_support!r}")
     min_confidence = _parse_fraction(ns.min_confidence, "--min-confidence")
+    if not 0 <= min_confidence <= 1:
+        raise ErmineError(f"--min-confidence must be in [0, 1], got {ns.min_confidence!r}")
+    if ns.max_level is not None and ns.max_level < 1:
+        raise ErmineError(f"--max-level must be at least 1, got {ns.max_level}")
     result = mine(
         session.instance,
         bias,

@@ -21,17 +21,19 @@ A mining run keeps one record per signed item (an item and its sign),
 made on first use: its normalized part, the gate summaries of its
 conjuncts and their joined gate state, its canonical text, its
 conjuncts' texts and, once counted, its conjuncts' reference domains and
-evaluated relations.  A signed set (a candidate's or a rule antecedent's
-items) is an int over the pool: bit 2i is item i taken positively, bit
-2i+1 item i negated, so the set bits in ascending order are the set's
-items in the order its conjunction lists them.  Per signed set the run
-keeps one gate state, one gate verdict and one answer count, each made
-on first use.
+evaluated relations.  A negated item links to the record of the item it
+negates and reads its domain and its body's relation from it.  A signed
+set (a candidate's or a rule antecedent's items) is an int over the
+pool: bit 2i is item i taken positively, bit 2i+1 item i negated, so the
+set bits in ascending order are the set's items in the order its
+conjunction lists them.  Per signed set the run keeps one record, made
+from its parent's: its items, gate state and gate verdict, and, each on
+first need, its answer count, text, conjunction and gate reports.
 
 Each signed item's conjuncts are rendered once per run.  The text of a
 frequent query, and of a rule's antecedent and consequent, is what
-``to_text`` gives for the conjunction, joined from those kept texts
-(``_Run.text``), so no printed line renders a formula again.
+``to_text`` gives for the conjunction, joined once per set from those
+kept texts (``_Run.text``), so no printed line renders a formula again.
 
 Gating is carried from parent to child.  Each item is existentially
 closed over its non-head variables, so whatever the safety, entity, and
@@ -57,9 +59,9 @@ join of the positive conjuncts, the comparisons, and an anti-join with
 each negated conjunct's body.  Its reference domain is the conjunction
 rule (``domains.conjunction_domain``) over its items' kept domains.
 Every candidate and every rule antecedent is gated and counted this
-way, through the same kept verdicts and counts, so no set is gated or
-counted twice.  A candidate with an empty reference domain has no
-frequency and is skipped.
+way, through the same set records, so no set is gated or counted twice.
+A candidate with an empty reference domain has no frequency and is
+skipped.
 
 Bias documents are JSON:
 
@@ -409,10 +411,12 @@ class _Item:
     summaries and ``state`` the gate state they join to.  ``rendered`` is
     each conjunct rendered once by ``to_text``, and ``texts`` the same
     texts as conjuncts of an And (``formulas.conjunct_text``), which
-    ``_Run.text`` joins.  ``domains`` and ``evaluated`` are filled in on
-    first count: the conjuncts' reference domains, and the relations of
-    the positive non-comparison conjuncts, the comparisons as they are and
-    each ``NOT`` conjunct with its body's relation.
+    ``_Run.text`` joins.  A negated item's ``negates`` is the record of
+    the item it negates.  ``domains`` and ``evaluated`` are filled in on
+    first count (``_Run._counted``): the conjuncts' reference domains, and
+    the relations of the positive non-comparison conjuncts, the
+    comparisons as they are and each ``NOT`` conjunct with its body's
+    relation.
     """
 
     part: Formula
@@ -422,30 +426,47 @@ class _Item:
     canonical: str
     rendered: tuple[str, ...]
     texts: tuple[str, ...]
+    negates: _Item | None
     domains: list[frozenset] | None = None
     evaluated: tuple[list, list, list] | None = None
 
 
-_UNGATED = object()  # a verdict not yet made; None is a passing one
+@dataclass(slots=True)
+class _Set:
+    """A signed set as a mining run keeps it: its items' records in
+    order, their joined gate state and the drop reason read from it (None
+    when a query of the set passes), all made with the record.  The
+    answer count, the text, the conjunction and the prepared query with
+    every gate report are filled in on first need."""
+
+    items: tuple[_Item, ...]
+    state: _Gates
+    reason: str | None
+    count: int | None = None
+    text: str | None = None
+    body: Formula | None = None
+    prepared: PreparedQuery | None = None
 
 
 class _Run:
     """One mining run over one instance: a record per signed item
-    (``_Item``), looked up by its bit, and per signed set, keyed by its
-    mask, a gate state (``_gates``), a drop reason (``verdicts``) and an
-    answer count (``counts``), each made on first use, so each set is
-    gated and counted at most once.  All of it holds for one instance:
-    the entity gate reads the instance's entity constants.
+    (``_Item``), looked up by its bit, and a record per signed set
+    (``_Set``), looked up by its mask, each made on first use, so each
+    set is gated and counted at most once.  All of it holds for one
+    instance: the entity gate reads the instance's entity constants.
 
-    A set's gate state is its parent's (the set without its highest bit)
-    joined with the state of that bit's item, so a set of k items costs
-    one join however it is reached, as a candidate, a rule antecedent, or
-    out of level order.  The full gate reports of a set
-    (``stats.prepared`` over its items' summaries) are made only when
-    asked for (``prepared``).  A candidate's domain is
+    A set's record is made from its parent's (the set without its highest
+    bit): its gate state is the parent's joined with the state of that
+    bit's item, so a set of k items costs one join however it is reached,
+    as a candidate, a rule antecedent, or out of level order.  The full
+    gate reports of a set (``stats.prepared`` over its items' summaries)
+    are made only when asked for (``prepared``).  A candidate's domain is
     ``domains.conjunction_domain`` over its items' domains and its answers
     are ``evaluator.conjoin`` over their relations, as ``evaluate`` gives;
-    safety makes each conjunct and negated body safe on its own.
+    safety makes each conjunct and negated body safe on its own.  A
+    negated item reads both from the item it negates: its domain is the
+    conjunction rule over that item's domains, and its body's relation
+    that item's relations conjoined.
 
     Each conjunct is evaluated over its own vocabulary, not the body's.
     The two differ only in being empty or not, which only vacuous
@@ -460,27 +481,18 @@ class _Run:
         self.inst = inst
         self.head = bias.head
         self._head_set = frozenset(bias.head)
-        self.counts: dict[int, int] = {}
-        self.verdicts: dict[int, str | None] = {}
-        self._gates: dict[int, _Gates] = {}
-        self._prepared: dict[int, PreparedQuery] = {}
         self._items: dict[int, _Item] = {}
-        self._sets: dict[int, tuple[_Item, ...]] = {}
-        self._bodies: dict[int, Formula] = {}
-        # Keyed by identity: every formula these see is a conjunct (or a
-        # negated conjunct's body) of a kept part, and a negated item's
-        # part wraps its positive part, so both signs share entries.
-        self._members: dict[int, frozenset] = {}
-        self._relations: dict[int, Relation] = {}
+        self._sets: dict[int, _Set] = {}
 
     def item(self, bit: int) -> _Item:
         """The record of the signed item at a mask bit."""
         item = self._items.get(bit)
         if item is None:
-            if bit & 1:
-                part = Not(self.item(bit - 1).part)
-            else:
+            negates = self.item(bit - 1) if bit & 1 else None
+            if negates is None:
                 part = normalize(self.bias.items[bit >> 1].formula)
+            else:
+                part = Not(negates.part)
             conjuncts = conjuncts_of(part)
             gates = conjunction_gates(part, self.inst, self.head)
             rendered = tuple([to_text(c) for c in conjuncts])
@@ -492,129 +504,112 @@ class _Run:
                 _canonical_text(part, self.head),
                 rendered,
                 tuple(map(conjunct_text, conjuncts, rendered)),
+                negates,
             )
         return item
 
-    def items(self, mask: int) -> tuple[_Item, ...]:
-        """The records of the set's signed items, in order; kept."""
-        items = self._sets.get(mask)
-        if items is None:
-            items = self._sets[mask] = tuple([self.item(bit) for bit in _bits(mask)])
-        return items
-
-    def text(self, mask: int) -> str:
-        """``to_text`` of the items' conjunction, joined from their kept
-        conjunct texts; a lone conjunct is not wrapped."""
-        items = self.items(mask)
-        if len(items) == 1 and len(items[0].rendered) == 1:
-            return items[0].rendered[0]
-        return " AND ".join([text for item in items for text in item.texts])
-
-    def body(self, mask: int) -> Formula:
-        """The items' conjunction, built once and kept: a set is the
-        antecedent or consequent of many kept rules."""
-        body = self._bodies.get(mask)
-        if body is None:
-            body = self._bodies[mask] = conjunction([item.part for item in self.items(mask)])
-        return body
-
-    def gates(self, mask: int) -> _Gates:
-        """The gate state of the items' conjunction, made once and kept:
-        the parent's state joined with the highest bit's item."""
-        state = self._gates.get(mask)
-        if state is None:
+    def set(self, mask: int) -> _Set:
+        """The record of a signed set, made once from its parent's."""
+        record = self._sets.get(mask)
+        if record is None:
             top = mask.bit_length() - 1
             parent = mask ^ 1 << top
-            state = self.item(top).state
+            item = self.item(top)
+            items, state = (item,), item.state
             if parent:
-                state = self.gates(parent).joined(state)
-            self._gates[mask] = state
-        return state
+                prefix = self.set(parent)
+                items, state = prefix.items + items, prefix.state.joined(state)
+            reason = state.drop_reason(self._head_set)
+            record = self._sets[mask] = _Set(items, state, reason)
+        return record
 
-    def verdict(self, mask: int) -> str | None:
-        """The reason a query of the items' conjunction is dropped (None
-        when it passes), made once from the gate state and kept."""
-        reason = self.verdicts.get(mask, _UNGATED)
-        if reason is _UNGATED:
-            reason = self.verdicts[mask] = self.gates(mask).drop_reason(self._head_set)
-        return reason
+    def text(self, mask: int) -> str:
+        """``to_text`` of the items' conjunction, joined once from their
+        kept conjunct texts; a lone conjunct is not wrapped."""
+        record = self.set(mask)
+        if record.text is None:
+            items = record.items
+            if len(items) == 1 and len(items[0].rendered) == 1:
+                record.text = items[0].rendered[0]
+            else:
+                record.text = " AND ".join([t for item in items for t in item.texts])
+        return record.text
+
+    def body(self, mask: int) -> Formula:
+        """The items' conjunction, built once: a set is the antecedent or
+        consequent of many kept rules."""
+        record = self.set(mask)
+        if record.body is None:
+            record.body = conjunction([item.part for item in record.items])
+        return record.body
 
     def prepared(self, mask: int) -> PreparedQuery:
         """The items' conjunction prepared with every gate report
-        (``stats.prepared``), made on first need and kept."""
-        q = self._prepared.get(mask)
-        if q is None:
-            parts = [g for item in self.items(mask) for g in item.gates]
-            q = self._prepared[mask] = prepared(None, self.head, self.body(mask), parts)
-        return q
+        (``stats.prepared``), made on first need."""
+        record = self.set(mask)
+        if record.prepared is None:
+            parts = [g for item in record.items for g in item.gates]
+            record.prepared = prepared(None, self.head, self.body(mask), parts)
+        return record.prepared
 
-    def domain(self, mask: int) -> frozenset:
-        """Members of the reference domain of the items' conjunction."""
-        conjuncts, members = [], []
-        for item in self.items(mask):
-            if item.domains is None:
-                item.domains = [self._domain(c) for c in item.conjuncts]
-            conjuncts += item.conjuncts
-            members += item.domains
-        return conjunction_domain(conjuncts, self.head, members)[0]
-
-    def answers(self, mask: int) -> Relation:
-        """Answers of the items' conjunction, which must be safe."""
-        parts, comparisons, negations = [], [], []
-        for item in self.items(mask):
-            if item.evaluated is None:
-                own = item.conjuncts
+    def _counted(self, item: _Item) -> _Item:
+        """The item with its conjuncts' domains and relations filled in."""
+        if item.evaluated is None:
+            own, negates = item.conjuncts, item.negates
+            if negates is None:
+                item.domains = [reference_domain(self.inst, c, self.head).members for c in own]
                 item.evaluated = (
                     [self._relation(c) for c in own if not isinstance(c, (Not, Comparison))],
                     [c for c in own if isinstance(c, Comparison)],
                     [(c, self._relation(c.body)) for c in own if isinstance(c, Not)],
                 )
+            else:
+                negates = self._counted(negates)
+                domain = conjunction_domain(negates.conjuncts, self.head, negates.domains)[0]
+                item.domains = [domain]
+                item.evaluated = ([], [], [(item.part, conjoin(*negates.evaluated))])
+        return item
+
+    def _relation(self, f: Formula) -> Relation:
+        return _eval(self.inst, f, vocabulary_nonempty(self.inst, f))
+
+    def answers(self, mask: int) -> Relation:
+        """Answers of the items' conjunction, which must be safe."""
+        parts, comparisons, negations = [], [], []
+        for item in map(self._counted, self.set(mask).items):
             parts += item.evaluated[0]
             comparisons += item.evaluated[1]
             negations += item.evaluated[2]
         return conjoin(parts, comparisons, negations)
 
-    def _domain(self, f: Formula) -> frozenset:
-        # NOT is transparent to reference domains.
-        if isinstance(f, Not):
-            f = f.body
-        members = self._members.get(id(f))
-        if members is None:
-            members = reference_domain(self.inst, f, self.head).members
-            self._members[id(f)] = members
-        return members
-
-    def _relation(self, f: Formula) -> Relation:
-        rel = self._relations.get(id(f))
-        if rel is None:
-            nonempty = vocabulary_nonempty(self.inst, f)
-            rel = self._relations[id(f)] = _eval(self.inst, f, nonempty)
-        return rel
-
     def count(self, mask: int) -> int:
         """Answer count of the items' conjunction, which must be safe;
-        counted once and kept."""
-        count = self.counts.get(mask)
-        if count is None:
-            count = self.counts[mask] = len(self.answers(mask).rows)
-        return count
+        counted once."""
+        record = self.set(mask)
+        if record.count is None:
+            record.count = len(self.answers(mask).rows)
+        return record.count
 
     def frequency(self, mask: int) -> Frequency | None:
         """The frequency of a candidate's signed set, None on an empty
         reference domain."""
-        members = self.domain(mask)
+        conjuncts, members = [], []
+        for item in map(self._counted, self.set(mask).items):
+            conjuncts += item.conjuncts
+            members += item.domains
+        members = conjunction_domain(conjuncts, self.head, members)[0]
         if not members:
             return None
         return Frequency(self.count(mask), len(members))
 
 
 def build_candidate(run: _Run, mask: int):
-    """Assemble one candidate of the run from its kept gate verdict;
+    """Assemble one candidate of the run from its set's gate verdict;
     returns (candidate, drop reason)."""
-    reason = run.verdict(mask)
-    if reason is not None:
-        return None, reason
-    items = run.items(mask)
+    record = run.set(mask)
+    if record.reason is not None:
+        return None, record.reason
+    items = record.items
     canonical = " AND ".join(sorted(item.canonical for item in items))
     return Candidate(mask, tuple(item.part for item in items), canonical, run), None
 
@@ -664,6 +659,8 @@ def mine_frequent(
     min_support = Fraction(min_support)
     if not 0 < min_support <= 1:
         raise ValueError("min_support must be in (0, 1]")
+    if max_level is not None and max_level < 1:
+        raise ValueError("max_level must be >= 1")
     levels = bias.max_conjuncts if max_level is None else min(max_level, bias.max_conjuncts)
     run = _Run(bias, inst)
     frequent: list[FrequentQuery] = []
@@ -702,19 +699,21 @@ def mine_rules(
     A split's A AND C has exactly the candidate's conjuncts, so its
     answer count is the candidate's frequency numerator.  Splits are the
     submasks of the candidate's mask in ascending order; the antecedent's
-    gate verdict and count come from the candidate's mining run
-    (``_Run.verdict`` and ``_Run.count``), as the candidates' did.
+    gate verdict and count come from its record in the candidate's mining
+    run (``_Run.set`` and ``_Run.count``), as the candidates' did.
     Confidence is compared as integers; the antecedent, the consequent
     and the confidence are built only for a rule that is kept.
     """
     min_confidence = Fraction(min_confidence)
+    if not 0 <= min_confidence <= 1:
+        raise ValueError("min_confidence must be in [0, 1]")
     rules = []
     for fq in sorted(frequent, key=lambda q: (q.level, q.candidate.canonical)):
         c = fq.candidate
         run = c.run
         both = fq.frequency.numerator
         for ant in _proper_submasks(c.mask):
-            reason = run.verdict(ant)
+            reason = run.set(ant).reason
             if reason == "free-variable-mismatch":
                 log.debug(
                     "rule from %s: antecedent drops head variables", c.canonical

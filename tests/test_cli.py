@@ -402,6 +402,41 @@ def test_mine_rejects_min_support_out_of_range(capsys, threshold):
     assert err == f"error: --min-support must be in (0, 1], got {threshold!r}\n"
 
 
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--min-confidence", "2", "must be in [0, 1], got '2'"),
+        ("--min-confidence", "-1", "must be in [0, 1], got '-1'"),
+        ("--min-confidence", "3/2", "must be in [0, 1], got '3/2'"),
+        ("--max-level", "0", "must be at least 1, got 0"),
+        ("--max-level", "-3", "must be at least 1, got -3"),
+    ],
+)
+def test_mine_rejects_other_thresholds_out_of_range(capsys, option, value, message):
+    given = {"--min-support": "1/4", "--min-confidence": "1/2", option: value}
+    code, out, err = run(
+        capsys, *BASE, "mine", "--bias", BIAS, *(f"{k}={v}" for k, v in given.items())
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {option} {message}\n"
+
+
+@pytest.mark.parametrize("threshold", ["0", "1"])
+def test_mine_accepts_min_confidence_at_the_bounds(capsys, threshold):
+    code, out, err = run(
+        capsys,
+        *BASE,
+        "mine",
+        "--bias", BIAS,
+        "--min-support", "1/4",
+        "--min-confidence", threshold,
+        "--max-level", "1",
+    )
+    assert (code, err) == (0, "")
+    assert out.startswith("level 1: ")
+
+
 @pytest.mark.parametrize("prune", [[], ["--no-prune"]], ids=["pruned", "no-prune"])
 @pytest.mark.parametrize("bias", ["bias_programs.json", "bias_pairs.json"])
 def test_debug_log_leaves_mine_stdout_alone(capsys, bias, prune):

@@ -316,7 +316,7 @@ def check_subset(inst, bias, run, signed):
         assert report == reference_safety(body), ant
         assert prepare_query(inst, QueryDecl(None, bias.head, body)).safety == report, ant
         if not report.safe:
-            assert run.verdict(signed_mask(ant)) == f"unsafe ({report.violations[0].rule})"
+            assert run.set(signed_mask(ant)).reason == f"unsafe ({report.violations[0].rule})"
             assert run.prepared(signed_mask(ant)).safety == report, ant
             seen.add("unsafe antecedent")
     return seen

@@ -316,6 +316,19 @@ def test_min_support_range(programs_bias, tv, bad):
         mine_frequent(tv, programs_bias, bad)
 
 
+@pytest.mark.parametrize("bad", [0, -3])
+def test_max_level_range(programs_bias, tv, bad):
+    with pytest.raises(ValueError, match="max_level"):
+        mine_frequent(tv, programs_bias, QUARTER, max_level=bad)
+
+
+@pytest.mark.parametrize("bad", [2, -1, Fraction(3, 2), Fraction(-1, 10**9)])
+def test_min_confidence_range(programs_bias, tv, bad):
+    frequent = mine_frequent(tv, programs_bias, QUARTER).frequent
+    with pytest.raises(ValueError, match="min_confidence"):
+        mine_rules(tv, frequent, bad)
+
+
 def test_mine_rules_needs_multi_part_queries(programs_bias, tv):
     level_one = mine_frequent(tv, programs_bias, QUARTER, max_level=1)
     assert mine_rules(tv, level_one.frequent, Fraction(0)) == ()
@@ -446,6 +459,23 @@ def test_mining_gates_each_signed_set_once(
     assert max(joined.values()) == 1
     assert len(gated) > len(result.frequent)
     assert max(gated.values()) == 1
+
+
+def test_rules_with_one_mask_share_its_text(tv_schema, tv):
+    # The run keeps one conjunction per signed set, and distinct sets
+    # have distinct conjunctions, so two rules have the same antecedent
+    # (or consequent) mask just when they carry the same body object.
+    bias = load_bias(pool_bias(("P",)), tv_schema)
+    result = mine(tv, bias, Fraction(1, 100), Fraction(1, 10**9))
+    for side in ("antecedent", "consequent"):
+        texts = collections.defaultdict(list)
+        for rule in result.rules:
+            body = rule.antecedent.body if side == "antecedent" else rule.consequent
+            texts[id(body)].append(getattr(rule, f"{side}_text"))
+        shared = [ts for ts in texts.values() if len(ts) > 1 and " AND " in ts[0]]
+        assert len(shared) > 20
+        for first, *rest in texts.values():
+            assert all(text is first for text in rest)
 
 
 @pytest.mark.parametrize("head", sorted(strategies.MINING_POOLS))

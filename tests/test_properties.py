@@ -1,21 +1,24 @@
 """Randomized invariants over generated instances and queries.
 
-Each property runs 200 deterministic examples (derandomize=True) against
-the tiny schemas in strategies.py.  The evaluation properties compare
-the set-algebra evaluator with brute-force assignment enumeration, on
-fresh instances and on one instance whose access path earlier queries
-have filled; the statistics properties exercise the guarantees the
-miner relies on:
-non-empty domains, frequency bounds, disjoint-split additivity, and the
-anti-monotonicity that justifies Apriori pruning.  The mining property
-checks the miner's set-algebra counts against ``stats`` computed from
-scratch.  The loader property feeds arbitrary JSON documents to the bias
-and schema loaders, and the query-text property feeds arbitrary text to
-the parser and the command line.
+Each property runs 200 deterministic examples (derandomize=True; the
+Apriori property 100) against the tiny schemas in strategies.py.  The
+evaluation properties compare the set-algebra evaluator with brute-force
+assignment enumeration, on fresh instances and on one instance whose
+access path earlier queries have filled; the statistics properties
+exercise the guarantees the miner relies on: non-empty domains,
+frequency bounds, disjoint-split additivity, and the anti-monotonicity
+that justifies Apriori pruning.  The mining property checks the miner's
+set-algebra counts against ``stats`` computed from scratch, and the
+Apriori property checks pruned mining against an exhaustive enumeration
+of signed item sets whose items mention the whole head.  The loader
+property feeds arbitrary JSON documents to the bias and schema loaders,
+and the query-text property feeds arbitrary text to the parser and the
+command line.
 """
 
 import contextlib
 import io
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -29,6 +32,7 @@ from ermine import (
     EmptyDomainError,
     ErmineError,
     ErRule,
+    Frequency,
     LevelStats,
     Not,
     Or,
@@ -36,6 +40,7 @@ from ermine import (
     QueryParseError,
     check_safe,
     confidence,
+    conjunction,
     enumerate_level,
     evaluate,
     evaluate_naive,
@@ -47,6 +52,8 @@ from ermine import (
     load_instance,
     load_schema,
     mine,
+    mine_frequent,
+    mining,
     normalize,
     parse_formula_text,
     parse_query,
@@ -238,6 +245,68 @@ def test_mined_statistics_match_stats(case):
         ] == split_rules_from_scratch(inst, result.frequent)
     assert results[False].frequent == results[True].frequent
     assert results[False].rules == results[True].rules
+
+
+def mine_frequent_exhaustively(inst, bias, min_support):
+    """Every signed set of at most ``max_conjuncts`` distinct pool items
+    whose query passes the gates and is frequent, counted by
+    ``stats.frequency`` on the plain conjunction: a map from the sorted
+    canonical texts of its signed items, joined as a candidate's
+    ``canonical`` is, to the frequency.  No mining run is involved."""
+    signs = [
+        (False, True) if bias.allow_negation and item.negatable else (False,)
+        for item in bias.items
+    ]
+    found = {}
+    for k in range(1, bias.max_conjuncts + 1):
+        for chosen in itertools.combinations(range(len(bias.items)), k):
+            for negated in itertools.product(*(signs[i] for i in chosen)):
+                parts = [normalize(bias.items[i].formula) for i in chosen]
+                parts = [Not(p) if neg else p for p, neg in zip(parts, negated)]
+                body = normalize(conjunction(parts))
+                if (
+                    set(free_variables(body)) != set(bias.head)
+                    or not check_safe(body).safe
+                    or not is_er_query(body, inst).is_er
+                    or not is_valid_for(body, bias.head).valid
+                ):
+                    continue
+                try:
+                    fr = frequency(inst, QueryDecl(None, bias.head, conjunction(parts)))
+                except EmptyDomainError:
+                    continue
+                if fr.value >= min_support:
+                    texts = sorted(mining._canonical_text(p, bias.head) for p in parts)
+                    found[" AND ".join(texts)] = fr
+    return found
+
+
+@settings(SETTINGS, max_examples=100)
+@given(strategies.mining_cases(strategies.WHOLE_HEAD_POOLS), st.sampled_from([1, 2, 3]))
+def test_pruned_mining_finds_every_frequent_query(case, quarters):
+    # Apriori pruning is complete when every item mentions the whole head:
+    # no frequent query is then out of reach behind gate-dropped parents.
+    inst, bias = case
+    min_support = Fraction(quarters, 4)
+    result = mine_frequent(inst, bias, min_support)
+    assert {
+        fq.candidate.canonical: fq.frequency for fq in result.frequent
+    } == mine_frequent_exhaustively(inst, bias, min_support)
+
+
+def test_pruned_mining_misses_the_documented_gap(tv_schema, tv):
+    # README "Mining": neither item mentions the whole head (P, SN), so
+    # both are dropped at level 1 and their frequent conjunction is
+    # never built.
+    bias = load_bias(
+        {"head": ["P", "SN"], "items": ['P = "Gilmore"', 'SN = "CBS"']}, tv_schema
+    )
+    result = mine_frequent(tv, bias, Fraction(1, 100))
+    assert result.frequent == ()
+    assert result.levels == (LevelStats(1, 0, 0),)
+    assert mine_frequent_exhaustively(tv, bias, Fraction(1, 100)) == {
+        'P = "Gilmore" AND SN = "CBS"': Frequency(1, 1)
+    }
 
 
 @pytest.mark.parametrize("prune", [True, False])
