@@ -169,8 +169,11 @@ def run_domain(session: Session, query: str, vars_arg=None, explain=False) -> in
         unknown = [v for v in variables if v not in decl.variables]
         if unknown:
             raise QueryParseError(
-                f"--vars names outside the query head: {', '.join(unknown)}"
+                f"--vars names outside the query head: {', '.join(map(repr, unknown))}"
             )
+        repeated = [v for v in dict.fromkeys(variables) if variables.count(v) > 1]
+        if repeated:
+            raise QueryParseError(f"--vars repeats {', '.join(map(repr, repeated))}")
     else:
         variables = decl.variables
     if not variables:

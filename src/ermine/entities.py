@@ -18,14 +18,17 @@ capture a requested variable.
 
 As in ``safety``, each gate is split into a summary per conjunct of a
 normalized body (``ConjunctGates``) and a combine at the conjunction
-level (``gate_reports``), which ``stats.prepare_query`` and the miner
-both use.
+level.  A summary holds its conjunct's gate state (``GateState``), and
+the state of a conjunction is its conjuncts' states joined in order
+(``GateState.joined``).  ``gate_reports``, which ``stats.prepare_query``
+uses, reads the verdicts from the joined state and the reports' details
+from the summaries; the miner reads a drop reason from the state alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .errors import UnsafeQueryError
 from .formulas import (
@@ -44,7 +47,15 @@ from .formulas import (
     normalize,
     subformulas,
 )
-from .safety import SafetyReport, conjunct_safety, free_of, violations
+from .safety import (
+    RULE_BAD_NEGATION,
+    RULE_UNLIMITED_VAR,
+    SafetyReport,
+    closed_limited,
+    conjunct_safety,
+    free_of,
+    violations,
+)
 from .schema import DatabaseInstance, entity_fields, is_entity_constant
 
 REASON_QUANTIFIED = "quantified-over"
@@ -77,10 +88,6 @@ class EntityFacts:
     names: frozenset[str]
     failures: dict[str, frozenset[str]]
     links: tuple[tuple[str, str], ...]
-
-    @property
-    def candidates(self) -> frozenset[str]:
-        return self.names - self.failures.keys()
 
 
 def _entity_facts(f: Formula, inst: DatabaseInstance) -> EntityFacts:
@@ -123,7 +130,8 @@ def _entity_facts(f: Formula, inst: DatabaseInstance) -> EntityFacts:
 def entity_variable_candidates(f: Formula, inst: DatabaseInstance) -> frozenset[str]:
     """Variables of f (free or bound) that individually qualify as
     entity variable candidates."""
-    return _entity_facts(normalize(f), inst).candidates
+    facts = _entity_facts(normalize(f), inst)
+    return facts.names - facts.failures.keys()
 
 
 def is_er_query(f: Formula, inst: DatabaseInstance) -> ErReport:
@@ -138,28 +146,19 @@ def is_er_query(f: Formula, inst: DatabaseInstance) -> ErReport:
     return er
 
 
-def _er_report(free, facts) -> ErReport:
-    """Entity status of the free variables of a conjunction whose
-    conjuncts have the given facts."""
-    names, failures = set(), {}
-    for x in facts:
-        names |= x.names
-        for v, reasons in x.failures.items():
-            failures[v] = failures.get(v, frozenset()) | reasons
-    candidates = names - failures.keys()
-    linked_out = {a for x in facts for a, b in x.links if b not in candidates}
-    out_failures: list[EntityFailure] = []
-    entity_vars = set()
-    for v in free:
-        problems = set(failures.get(v, ()))
+def _er_report(free, state: GateState, facts) -> ErReport:
+    """Entity status of the free variables ``free`` of a conjunction whose
+    joined gate state is ``state``; its conjuncts' facts give a failing
+    variable's reasons."""
+    linked_out = state.linked_out()
+    failing = [v for v in free if v in state.failed or v in linked_out]
+    failures: list[EntityFailure] = []
+    for v in failing:
+        problems = {reason for x in facts for reason in x.failures.get(v, ())}
         if v in linked_out:
             problems.add(REASON_EQUATED_NON_CANDIDATE)
-        if problems:
-            for reason in sorted(problems):
-                out_failures.append(EntityFailure(v, reason))
-        else:
-            entity_vars.add(v)
-    return ErReport(not out_failures, frozenset(entity_vars), tuple(out_failures))
+        failures += [EntityFailure(v, reason) for reason in sorted(problems)]
+    return ErReport(not failing, frozenset(free).difference(failing), tuple(failures))
 
 
 @dataclass(frozen=True)
@@ -190,10 +189,13 @@ def _valid(f: Formula, varset: frozenset[str]) -> ValidityReport:
     if isinstance(f, Not):
         return ValidityReport(False, f)
     if isinstance(f, And):
-        return _conjunction_validity(
-            f, varset, equated_constants(f).keys(),
-            (_valid(c, varset) for c in f.conjuncts),
-        )
+        # Valid when its comparisons equate every variable with a constant
+        # or some conjunct is valid.
+        if varset <= equated_constants(f).keys() or any(
+            _valid(c, varset).valid for c in f.conjuncts
+        ):
+            return ValidityReport(True)
+        return ValidityReport(False, f)
     if isinstance(f, Or):
         left = _valid(f.left, varset)
         if not left.valid:
@@ -211,13 +213,81 @@ def _valid(f: Formula, varset: frozenset[str]) -> ValidityReport:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _conjunction_validity(f: And, varset, cover, reports) -> ValidityReport:
-    """Validity of a conjunction of two or more conjuncts: it is valid when
-    the variables its conjuncts equate with constants (``cover``) include
-    ``varset``, or when some conjunct's report (``reports``) is valid."""
-    if varset <= cover or any(r.valid for r in reports):
-        return ValidityReport(True)
-    return ValidityReport(False, f)
+@dataclass(frozen=True, slots=True)
+class GateState:
+    """The gate state of a conjunction of conjuncts, all its three
+    verdicts need: free variables; limited variables, already closed
+    under the ``=`` pairs ``equates``; the entity names, the variables
+    with an entity failure and the =/!= links; the variables a comparison
+    equates with a constant (``cover``); whether some conjunct is valid;
+    and per conjunct that can make the conjunction unsafe, in order, a
+    negated conjunct's free variables (R4 when one is not limited) and the
+    rule of the first violation inside it.
+
+    A single conjunct is valid just when ``cover`` includes the head or
+    it is valid on its own, so ``valid`` and ``cover`` give validity for
+    one conjunct and for many alike.
+    """
+
+    free: frozenset[str]
+    limited: frozenset[str]
+    equates: tuple[tuple[str, str], ...]
+    names: frozenset[str]
+    failed: frozenset[str]
+    links: tuple[tuple[str, str], ...]
+    cover: frozenset[str]
+    valid: bool
+    checks: tuple[tuple[frozenset[str], str | None], ...]
+
+    def joined(self, other: GateState) -> GateState:
+        """The state of this conjunction followed by the other's conjuncts."""
+        limited = _union(self.limited, other.limited)
+        equates = self.equates + other.equates
+        if equates:
+            limited = closed_limited(limited, equates)
+        return GateState(
+            _union(self.free, other.free),
+            limited,
+            equates,
+            _union(self.names, other.names),
+            _union(self.failed, other.failed),
+            self.links + other.links,
+            _union(self.cover, other.cover),
+            self.valid or other.valid,
+            self.checks + other.checks,
+        )
+
+    def linked_out(self) -> set[str]:
+        """The variables a =/!= comparison links to a non-candidate.  A
+        link is read against the final candidates: a later conjunct can
+        fail a variable an earlier one linked to."""
+        candidates = self.names - self.failed
+        return {a for a, b in self.links if b not in candidates}
+
+    def drop_reason(self, head: frozenset[str]) -> str | None:
+        """Why a query of this body and head is dropped, None if it passes.
+        An unsafe one names its first violation: R3, then per conjunct
+        its R4 and the violations inside it."""
+        if self.free != head:
+            return "free-variable-mismatch"
+        if not self.free <= self.limited:
+            return f"unsafe ({RULE_UNLIMITED_VAR})"
+        for negated_free, inner in self.checks:
+            if not negated_free <= self.limited:
+                return f"unsafe ({RULE_BAD_NEGATION})"
+            if inner is not None:
+                return f"unsafe ({inner})"
+        if head & self.failed or head & self.linked_out():
+            return "not-an-entity-query"
+        if not (head <= self.cover or self.valid):
+            return "not-valid"
+        return None
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    """a | b, sharing a when b adds nothing: sets mostly stop growing
+    after a few conjuncts, and the miner keeps a state per signed set."""
+    return a if b <= a else a | b
 
 
 class ConjunctGates:
@@ -228,8 +298,9 @@ class ConjunctGates:
 
     The entity facts depend on the instance (through its entity
     constants) and the validity report on the head variables, so a
-    summary holds for one instance and one head.  Both are worked out
-    on first use, since only safe queries need them.
+    summary holds for one instance and one head.  Both, and the gate
+    ``state`` made from them, are worked out on first use, since only
+    safe queries need them.
     """
 
     def __init__(self, conjunct: Formula, inst: DatabaseInstance, variables):
@@ -249,6 +320,20 @@ class ConjunctGates:
     def validity(self) -> ValidityReport:
         return _valid(self.conjunct, self._varset)
 
+    @cached_property
+    def state(self) -> GateState:
+        """The gate state of this conjunct alone; its own ``=`` pair spreads
+        no limitation, as a comparison of two variables limits neither."""
+        s, facts, negated = self.safety, self.entities, isinstance(self.conjunct, Not)
+        inner = s.violations[0].rule if s.violations else None
+        checks = ((frozenset(s.free if negated else ()), inner),) if negated or inner else ()
+        return GateState(
+            frozenset(s.free), s.limits, (s.equates,) if s.equates else (),
+            facts.names, frozenset(facts.failures), facts.links,
+            s.limits if isinstance(self.conjunct, Comparison) else frozenset(),
+            self.validity.valid, checks,
+        )
+
 
 def conjunction_gates(
     f: Formula, inst: DatabaseInstance, variables
@@ -262,21 +347,22 @@ def gate_reports(body: Formula, parts, variables):
     conjuncts' summaries are ``parts`` (made for the same head).
 
     Entity status and validity are only defined for a safe body, so
-    both are None for an unsafe one.  A body with no head variables is
-    valid for no variable list.
+    both are None for an unsafe one; their verdicts are read from the
+    parts' joined gate state.  A body with no head variables is valid
+    for no variable list.
     """
     summaries = [p.safety for p in parts]
     safety = SafetyReport(tuple(violations(body, summaries)))
     if not safety.safe:
         return safety, None, None
-    er = _er_report(free_of(summaries), [p.entities for p in parts])
+    state = reduce(GateState.joined, [p.state for p in parts])
+    er = _er_report(free_of(summaries), state, [p.entities for p in parts])
     if not variables:
         validity = ValidityReport(False)
     elif len(parts) == 1:
         validity = parts[0].validity
+    elif frozenset(variables) <= state.cover or state.valid:
+        validity = ValidityReport(True)
     else:
-        validity = _conjunction_validity(
-            body, frozenset(variables), equated_constants(body).keys(),
-            (p.validity for p in parts),
-        )
+        validity = ValidityReport(False, body)
     return safety, er, validity

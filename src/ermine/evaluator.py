@@ -191,8 +191,7 @@ def evaluate_naive(
 class PreparedQuery(QueryDecl):
     """A query whose body is normalized and whose three gates ran once.
 
-    Built by ``stats.prepared`` against one instance, for a single query
-    (``stats.prepare_query``) or a mining candidate.  ``er`` and
+    Built by ``stats.prepare_query`` against one instance.  ``er`` and
     ``validity`` are None when the body is not safe, because entity
     status and validity are only defined for safe queries.
     """

@@ -18,17 +18,17 @@ gates are not anti-monotone, so a candidate whose every sub-conjunction
 was dropped by a gate is never built.
 
 A mining run keeps one record per signed item (an item and its sign),
-made on first use: its normalized part, the gate summaries of its
-conjuncts and their joined gate state, its canonical text, its
-conjuncts' texts and, once counted, its conjuncts' reference domains and
-evaluated relations.  A negated item links to the record of the item it
-negates and reads its domain and its body's relation from it.  A signed
-set (a candidate's or a rule antecedent's items) is an int over the
-pool: bit 2i is item i taken positively, bit 2i+1 item i negated, so the
-set bits in ascending order are the set's items in the order its
-conjunction lists them.  Per signed set the run keeps one record, made
-from its parent's: its items, gate state and gate verdict, and, each on
-first need, its answer count, text, conjunction and gate reports.
+made on first use: its normalized part, its conjuncts' joined gate state,
+its canonical text, its conjuncts' texts and, once counted, its
+conjuncts' reference domains and evaluated relations.  A negated item
+links to the record of the item it negates and reads its domain and its
+body's relation from it.  A signed set (a candidate's or a rule
+antecedent's items) is an int over the pool: bit 2i is item i taken
+positively, bit 2i+1 item i negated, so the set bits in ascending order
+are the set's items in the order its conjunction lists them.  Per signed
+set the run keeps one record, made from its parent's: its items, gate
+state and gate verdict, and, each on first need, its answer count, text,
+conjunction and safety report.
 
 Each signed item's conjuncts are rendered once per run.  The text of a
 frequent query, and of a rule's antecedent and consequent, is what
@@ -39,17 +39,18 @@ Gating is carried from parent to child.  Each item is existentially
 closed over its non-head variables, so whatever the safety, entity, and
 validity gates find inside one of an item's conjuncts is the same in
 every set the item is part of; only the set's top-level conjunction
-differs.  A set's gate state (``_Gates``) is its parent's state, the set
-without its highest bit, joined with that item's own state: the free
-variables, the limited variables closed under the ``=`` pairs of all the
-set's conjuncts, the merged entity names, failures and links, the
-variables equated with constants, whether some conjunct is valid, and
-the conjuncts that can make the set unsafe.  Limitation, entity
-failures and validity only grow as conjuncts are added, so the drop
-reason is read from the state alone and is the one ``stats.prepared``
-gives.  The full reports of ``stats.prepared``, the one combine a single
-query runs, are built only when asked for: by ``Candidate.decl`` and by
-the debug line of an unsafe rule antecedent.
+differs.  A set's gate state (``entities.GateState``) is its parent's
+state, the set without its highest bit, joined with that item's own
+state, which is its conjuncts' states joined: the free variables, the
+limited variables closed under the ``=`` pairs of all the set's
+conjuncts, the merged entity names, failures and links, the variables
+equated with constants, whether some conjunct is valid, and the
+conjuncts that can make the set unsafe.  Limitation, entity failures and
+validity only grow as conjuncts are added, so the drop reason is read
+from the state alone and is the verdict ``stats.prepare_query`` gives
+the set's query.  The miner builds no gate report but one: the safety
+report of an unsafe rule antecedent (``check_safe``), for its debug
+line only.
 
 Counting is vertical, in the manner of Eclat's tidset intersection: each
 conjunct of each signed item is evaluated once and its reference domain
@@ -80,12 +81,12 @@ import itertools
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .domains import conjunction_domain, reference_domain
-from .entities import ConjunctGates, conjunction_gates
+from .entities import GateState, conjunction_gates
 from .errors import BiasError, UnsafeQueryError, ZeroAntecedentError
-from .evaluator import PreparedQuery, Relation, _eval, conjoin, vocabulary_nonempty
+from .evaluator import Relation, _eval, conjoin, vocabulary_nonempty
 from .formulas import (
     And,
     Atom,
@@ -105,16 +106,10 @@ from .formulas import (
     normalize,
     to_text,
 )
-from .parser import check_nesting, parse_formula_text
-from .safety import (
-    RULE_BAD_NEGATION,
-    RULE_UNLIMITED_VAR,
-    closed_limited,
-    free_of,
-    limited_of,
-)
+from .parser import _VAR_RE, KEYWORDS, check_nesting, parse_formula_text
+from .safety import SafetyReport, check_safe
 from .schema import DatabaseInstance, Schema, read_json_file
-from .stats import ErRule, Frequency, confidence_from_count, prepared
+from .stats import ErRule, Frequency, confidence_from_count
 
 log = logging.getLogger(__name__)
 
@@ -159,9 +154,9 @@ class Candidate:
         return self.mask.bit_count()
 
     @cached_property
-    def decl(self) -> PreparedQuery:
-        """The prepared query with every gate report, built on first use."""
-        return self.run.prepared(self.mask)
+    def decl(self) -> QueryDecl:
+        """The conjunction of the parts over the run's head, built once."""
+        return QueryDecl(None, self.run.head, self.run.body(self.mask))
 
     def text(self) -> str:
         """``decl.text()``, joined from the run's kept conjunct texts."""
@@ -255,6 +250,9 @@ def load_bias(doc, schema: Schema) -> LanguageBias:
         or len(set(head)) != len(head)
     ):
         raise BiasError("'head' must be a non-empty list of distinct variables")
+    not_variables = [v for v in head if v in KEYWORDS or not _VAR_RE.match(v)]
+    if not_variables:
+        raise BiasError(f"'head' names non-variables: {', '.join(map(repr, not_variables))}")
     head = tuple(head)
     raw_items = doc.get("items")
     if not isinstance(raw_items, list) or not raw_items:
@@ -304,111 +302,13 @@ def _bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True, slots=True)
-class _Gates:
-    """The gate state of a conjunction of conjuncts, all a drop reason
-    needs: free variables; limited variables, already closed under the
-    ``=`` pairs ``equates``; the entity names, the variables with an
-    entity failure and the =/!= links; the variables a comparison equates
-    with a constant (``cover``); whether some conjunct is valid; and per
-    conjunct that can make the conjunction unsafe, in order, a negated
-    conjunct's free variables (R4 when one is not limited) and the rule of
-    the first violation inside it.
-
-    A single conjunct is valid just when ``cover`` includes the head or
-    it is valid on its own, so ``valid`` and ``cover`` give validity for
-    one conjunct and for many alike.
-    """
-
-    free: frozenset[str]
-    limited: frozenset[str]
-    equates: tuple[tuple[str, str], ...]
-    names: frozenset[str]
-    failed: frozenset[str]
-    links: tuple[tuple[str, str], ...]
-    cover: frozenset[str]
-    valid: bool
-    checks: tuple[tuple[frozenset[str], str | None], ...]
-
-    def joined(self, other: _Gates) -> _Gates:
-        """The state of this conjunction followed by the other's conjuncts."""
-        limited = _union(self.limited, other.limited)
-        equates = self.equates + other.equates
-        if equates:
-            limited = closed_limited(limited, equates)
-        return _Gates(
-            _union(self.free, other.free),
-            limited,
-            equates,
-            _union(self.names, other.names),
-            _union(self.failed, other.failed),
-            self.links + other.links,
-            _union(self.cover, other.cover),
-            self.valid or other.valid,
-            self.checks + other.checks,
-        )
-
-    def drop_reason(self, head: frozenset[str]) -> str | None:
-        """Why a query of this body and head is dropped, None if it passes.
-        An unsafe one names its first violation: R3, then per conjunct
-        its R4 and the violations inside it."""
-        if self.free != head:
-            return "free-variable-mismatch"
-        if not self.free <= self.limited:
-            return f"unsafe ({RULE_UNLIMITED_VAR})"
-        for negated_free, inner in self.checks:
-            if not negated_free <= self.limited:
-                return f"unsafe ({RULE_BAD_NEGATION})"
-            if inner is not None:
-                return f"unsafe ({inner})"
-        # A link to a non-candidate is read against the final candidates:
-        # a later conjunct can fail a variable an earlier one linked to.
-        candidates = self.names - self.failed
-        if head & self.failed or any(a in head and b not in candidates for a, b in self.links):
-            return "not-an-entity-query"
-        if not (head <= self.cover or self.valid):
-            return "not-valid"
-        return None
-
-
-def _union(a: frozenset, b: frozenset) -> frozenset:
-    """a | b, sharing a when b adds nothing: sets mostly stop growing
-    after a few items, and a run keeps a state per signed set."""
-    return a if b <= a else a | b
-
-
-def _state_of(gates) -> _Gates:
-    """The gate state of a conjunction whose conjuncts' summaries
-    (``entities.ConjunctGates``) are ``gates``."""
-    summaries = [g.safety for g in gates]
-    facts = [g.entities for g in gates]
-    return _Gates(
-        frozenset(free_of(summaries)),
-        limited_of(summaries),
-        tuple(s.equates for s in summaries if s.equates),
-        frozenset().union(*(x.names for x in facts)),
-        frozenset().union(*(x.failures for x in facts)),
-        tuple(link for x in facts for link in x.links),
-        frozenset().union(*(s.limits for s in summaries if isinstance(s.conjunct, Comparison))),
-        any(g.validity.valid for g in gates),
-        tuple(
-            (
-                frozenset(s.free) if isinstance(s.conjunct, Not) else frozenset(),
-                s.violations[0].rule if s.violations else None,
-            )
-            for s in summaries
-            if isinstance(s.conjunct, Not) or s.violations
-        ),
-    )
-
-
 @dataclass
 class _Item:
     """A signed pool item as a mining run keeps it.
 
     ``part`` is the item's normalized closure, negated where the sign says
-    so, and ``conjuncts`` its conjuncts; ``gates`` holds their gate
-    summaries and ``state`` the gate state they join to.  ``rendered`` is
+    so, and ``conjuncts`` its conjuncts; ``state`` is the gate state their
+    summaries (``entities.ConjunctGates``) join to.  ``rendered`` is
     each conjunct rendered once by ``to_text``, and ``texts`` the same
     texts as conjuncts of an And (``formulas.conjunct_text``), which
     ``_Run.text`` joins.  A negated item's ``negates`` is the record of
@@ -421,8 +321,7 @@ class _Item:
 
     part: Formula
     conjuncts: tuple[Formula, ...]
-    gates: tuple[ConjunctGates, ...]
-    state: _Gates
+    state: GateState
     canonical: str
     rendered: tuple[str, ...]
     texts: tuple[str, ...]
@@ -436,16 +335,17 @@ class _Set:
     """A signed set as a mining run keeps it: its items' records in
     order, their joined gate state and the drop reason read from it (None
     when a query of the set passes), all made with the record.  The
-    answer count, the text, the conjunction and the prepared query with
-    every gate report are filled in on first need."""
+    answer count, the text, the conjunction and, for an unsafe rule
+    antecedent at debug level, the safety report are filled in on first
+    need."""
 
     items: tuple[_Item, ...]
-    state: _Gates
+    state: GateState
     reason: str | None
     count: int | None = None
     text: str | None = None
     body: Formula | None = None
-    prepared: PreparedQuery | None = None
+    safety: SafetyReport | None = None
 
 
 class _Run:
@@ -458,9 +358,9 @@ class _Run:
     A set's record is made from its parent's (the set without its highest
     bit): its gate state is the parent's joined with the state of that
     bit's item, so a set of k items costs one join however it is reached,
-    as a candidate, a rule antecedent, or out of level order.  The full
-    gate reports of a set (``stats.prepared`` over its items' summaries)
-    are made only when asked for (``prepared``).  A candidate's domain is
+    as a candidate, a rule antecedent, or out of level order.  A set's
+    safety report is made only when asked for (``safety``), by the debug
+    line of an unsafe rule antecedent.  A candidate's domain is
     ``domains.conjunction_domain`` over its items' domains and its answers
     are ``evaluator.conjoin`` over their relations, as ``evaluate`` gives;
     safety makes each conjunct and negated body safe on its own.  A
@@ -499,8 +399,7 @@ class _Run:
             item = self._items[bit] = _Item(
                 part,
                 conjuncts,
-                gates,
-                _state_of(gates),
+                reduce(GateState.joined, [g.state for g in gates]),
                 _canonical_text(part, self.head),
                 rendered,
                 tuple(map(conjunct_text, conjuncts, rendered)),
@@ -543,14 +442,12 @@ class _Run:
             record.body = conjunction([item.part for item in record.items])
         return record.body
 
-    def prepared(self, mask: int) -> PreparedQuery:
-        """The items' conjunction prepared with every gate report
-        (``stats.prepared``), made on first need."""
+    def safety(self, mask: int) -> SafetyReport:
+        """``check_safe`` of the items' conjunction, made on first need."""
         record = self.set(mask)
-        if record.prepared is None:
-            parts = [g for item in record.items for g in item.gates]
-            record.prepared = prepared(None, self.head, self.body(mask), parts)
-        return record.prepared
+        if record.safety is None:
+            record.safety = check_safe(self.body(mask))
+        return record.safety
 
     def _counted(self, item: _Item) -> _Item:
         """The item with its conjuncts' domains and relations filled in."""
@@ -721,8 +618,7 @@ def mine_rules(
                 continue
             if reason is not None and reason.startswith("unsafe"):
                 if log.isEnabledFor(logging.DEBUG):
-                    report = run.prepared(ant).safety
-                    log.debug("rule from %s: %s", c.canonical, UnsafeQueryError(report))
+                    log.debug("rule from %s: %s", c.canonical, UnsafeQueryError(run.safety(ant)))
                 continue
             count = run.count(ant)
             # both / count < min_confidence, without a Fraction.  A zero

@@ -320,13 +320,12 @@ def is_entity_constant(inst: DatabaseInstance, value) -> bool:
 
 def _parse_cell(table: TableDecl, f: FieldDecl, cell: str, where: str):
     if f.value_type == "integer":
-        try:
+        # Only -?[0-9]+, the query language's integer literal: int() takes more.
+        if cell.isascii() and (cell.isdigit() or cell[:1] == "-" and cell[1:].isdigit()):
             return int(cell)
-        except ValueError:
-            raise DataError(
-                f"{where}: field {table.name}.{f.name} expects an integer, "
-                f"got {cell!r}"
-            ) from None
+        raise DataError(
+            f"{where}: field {table.name}.{f.name} expects an integer, got {cell!r}"
+        )
     return cell
 
 

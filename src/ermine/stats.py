@@ -77,22 +77,16 @@ def prepare_query(inst: DatabaseInstance, query: QueryDecl) -> PreparedQuery:
     it is.  Raises nothing for a query that fails a gate.
 
     The gates summarize each conjunct of the normalized body and combine
-    the summaries (``entities.gate_reports``), as the miner does with
-    summaries it keeps per pool item.
+    the summaries (``entities.gate_reports``); the miner joins the same
+    summaries' gate states per signed set.
     """
     if isinstance(query, PreparedQuery):
         return query
     body = normalize(query.body)
     parts = conjunction_gates(body, inst, query.variables)
-    return prepared(query.name, query.variables, body, parts, source=query.source)
-
-
-def prepared(name, variables, body: Formula, parts, source=None) -> PreparedQuery:
-    """The PreparedQuery of a normalized body whose conjuncts' gate
-    summaries (``entities.ConjunctGates`` for this head) are ``parts``."""
-    safety, er, validity = gate_reports(body, parts, variables)
+    safety, er, validity = gate_reports(body, parts, query.variables)
     return PreparedQuery(
-        name, variables, body, source=source,
+        query.name, query.variables, body, source=query.source,
         safety=safety, er=er, validity=validity,
     )
 

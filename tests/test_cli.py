@@ -186,6 +186,24 @@ def test_domain_vars_must_come_from_head(capsys):
     assert "outside the query head" in err
 
 
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        ("P,P", "--vars repeats 'P'"),
+        ("SN, P,SN,P", "--vars repeats 'SN', 'P'"),
+        ("P,", "--vars names outside the query head: ''"),
+        ("P,Z,", "--vars names outside the query head: 'Z', ''"),
+    ],
+)
+def test_domain_vars_repeated_or_empty(capsys, names, message):
+    # Like a repeated head variable in a declaration, a repeated --vars
+    # name is an error; names are quoted, so an empty one shows.
+    code, out, err = run(capsys, *BASE, "domain", "G1", "--vars", names)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_domain_of_a_headless_query_fails(capsys):
     code, out, err = run(capsys, *BASE, "domain", "q() := EXISTS P. TV-Program(P)")
     assert code == 1

@@ -306,7 +306,7 @@ def check_subset(inst, bias, run, signed):
     if candidate is None:
         return seen
     assert candidate.signed_items == signed
-    assert candidate.decl == expected, signed
+    assert prepare_query(inst, candidate.decl) == expected, signed
     for mask in range(1, 2 ** len(signed) - 1):
         ant = tuple(s for j, s in enumerate(signed) if mask >> j & 1)
         body = conjunction([normalize(p) for p in plain_parts(bias, ant)])
@@ -317,7 +317,8 @@ def check_subset(inst, bias, run, signed):
         assert prepare_query(inst, QueryDecl(None, bias.head, body)).safety == report, ant
         if not report.safe:
             assert run.set(signed_mask(ant)).reason == f"unsafe ({report.violations[0].rule})"
-            assert run.prepared(signed_mask(ant)).safety == report, ant
+            assert check_safe(run.body(signed_mask(ant))) == report, ant
+            assert run.safety(signed_mask(ant)) == report, ant
             seen.add("unsafe antecedent")
     return seen
 

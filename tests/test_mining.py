@@ -31,11 +31,11 @@ from ermine import (
     normalize,
 )
 from ermine.cli import main
-from ermine.entities import gate_reports
+from ermine.entities import GateState, gate_reports
 from ermine.evaluator import evaluate
 from ermine.formulas import to_text
 from ermine.mining import _Run
-from ermine.stats import frequency
+from ermine.stats import checked_query, frequency
 
 QUARTER = Fraction(1, 4)
 HALF = Fraction(1, 2)
@@ -109,6 +109,13 @@ def test_bias_defaults(tv_schema):
          "'negatable' must be true or false"),
         ({"head": ["P"], "items": ["TV-Program(P)"], "max_conjuncts": True},
          "'max_conjuncts'"),
+        # Head names are variables as the query parser reads them.
+        ({"head": ["p"], "items": ["TV-Program(p)"]}, "'head' names non-variables: 'p'"),
+        ({"head": [""], "items": ["TV-Program(P)"]}, "'head' names non-variables: ''"),
+        ({"head": ["AND"], "items": ["TV-Program(P)"]}, "'head' names non-variables: 'AND'"),
+        ({"head": ["P-Q"], "items": ["TV-Program(P)"]}, "'head' names non-variables: 'P-Q'"),
+        ({"head": ["P", "x1", "Q "], "items": ["TV-Program(P)"]},
+         "'head' names non-variables: 'x1', 'Q '"),
     ],
 )
 def test_bias_validation(tv_schema, doc, message):
@@ -426,39 +433,41 @@ def test_mining_gates_each_signed_set_once(
     # A set of two or more items gets its gate state by one join of its
     # parent's kept state with its last item's kept state, so a set gated
     # twice would repeat a pair; the joined states are kept alive, so no
-    # id is reused.  The full reports are made at most once per set too:
-    # at debug level for each unsafe antecedent, and for every frequent
-    # query's decl.  The gate summaries are kept per signed item, so their
-    # identities name the signed set; bodies do not, as two sets can
-    # conjoin to equal bodies.
+    # id is reused.  At debug level the safety report of an unsafe
+    # antecedent is made at most once per set: the run keeps one body per
+    # set, kept alive here too, so its identity names the set.  No other
+    # gate report is made; a frequent query's decl is its plain query,
+    # built once, and passes the single-query gates.
     bias = load_bias(pool_bias(head), tv_schema)
     joined, kept = collections.Counter(), []
-    join = mining._Gates.joined
+    join = GateState.joined
 
     def counting_joins(state, other):
         joined[id(state), id(other)] += 1
         kept.append((state, other))
         return join(state, other)
 
-    gated = collections.Counter()
-    prepared = mining.prepared
+    reported = collections.Counter()
 
-    def counting(name, variables, body, parts, **kwargs):
-        gated[tuple(map(id, parts))] += 1
-        return prepared(name, variables, body, parts, **kwargs)
+    def counting_reports(body):
+        reported[id(body)] += 1
+        kept.append(body)
+        return check_safe(body)
 
-    monkeypatch.setattr(mining._Gates, "joined", counting_joins)
-    monkeypatch.setattr(mining, "prepared", counting)
+    monkeypatch.setattr(GateState, "joined", counting_joins)
+    monkeypatch.setattr(mining, "check_safe", counting_reports)
     caplog.set_level(logging.DEBUG, logger="ermine")
     result = mine(tv, bias, Fraction(1, 100), Fraction(1, 10**9), prune=prune)
-    for fq in result.frequent * 2:
-        assert fq.candidate.decl.variables == head
     monkeypatch.undo()
     assert result.rules
     assert len(joined) > 400
     assert max(joined.values()) == 1
-    assert len(gated) > len(result.frequent)
-    assert max(gated.values()) == 1
+    assert reported
+    assert max(reported.values()) == 1
+    for fq in result.frequent:
+        decl = fq.candidate.decl
+        assert fq.candidate.decl is decl
+        assert checked_query(tv, decl).variables == head
 
 
 def test_rules_with_one_mask_share_its_text(tv_schema, tv):

@@ -1,5 +1,7 @@
 """Schema and instance loading."""
 
+import re
+
 import pytest
 
 from ermine import (
@@ -318,11 +320,19 @@ def test_load_instance_dir_header_mismatch(tmp_path):
 
 
 def test_load_instance_dir_bad_integer_cell(tmp_path):
+    # Integer cells are the query language's integer literals, -?[0-9]+,
+    # not whatever int() takes.
     schema = pair_schema()
-    (tmp_path / "Person.csv").write_text("name\nann\n")
-    (tmp_path / "Knows.csv").write_text("a,b,since\nann,ann,recently\n")
-    with pytest.raises(DataError, match="expects an integer"):
-        load_instance_dir(schema, tmp_path)
+    knows = tmp_path / "Knows.csv"
+    (tmp_path / "Person.csv").write_text("name\nann\nbob\n")
+    for cell in ("recently", "1_0", " 1", "1 ", "+5", "\u0661\u0662", "", "-", "--1", "1.0"):
+        knows.write_text(f"a,b,since\nann,ann,1\nann,bob,{cell}\n", encoding="utf-8")
+        message = f"{knows} line 3: field Knows.since expects an integer, got {cell!r}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_instance_dir(schema, tmp_path)
+    knows.write_text("a,b,since\nann,ann,-07\nann,bob,0\n")
+    rows = load_instance_dir(schema, tmp_path).relations["Knows"]
+    assert sorted(rows) == [("ann", "ann", -7), ("ann", "bob", 0)]
 
 
 def test_load_instance_dir_empty_file(tmp_path):
