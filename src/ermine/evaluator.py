@@ -94,7 +94,13 @@ class Relation:
 
 
 def sorted_rows(rel: Relation) -> list[tuple]:
-    return sorted(rel.rows, key=row_key)
+    """The rows in ``row_key`` order.  Where every column holds values of
+    one type, that is the rows' own order, which needs no key per row."""
+    rows = rel.rows
+    columns = range(len(rel.columns))
+    if all(len(set(map(type, map(operator.itemgetter(i), rows)))) < 2 for i in columns):
+        return sorted(rows)
+    return sorted(rows, key=row_key)
 
 
 def evaluation_vocabulary(

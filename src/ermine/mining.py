@@ -20,15 +20,15 @@ was dropped by a gate is never built.
 A mining run keeps one record per signed item (an item and its sign),
 made on first use: its normalized part, its conjuncts' joined gate state,
 its canonical text, its conjuncts' texts and, once counted, its
-conjuncts' reference domains and evaluated relations.  A negated item
-links to the record of the item it negates and reads its domain and its
-body's relation from it.  A signed set (a candidate's or a rule
-antecedent's items) is an int over the pool: bit 2i is item i taken
-positively, bit 2i+1 item i negated, so the set bits in ascending order
-are the set's items in the order its conjunction lists them.  Per signed
-set the run keeps one record, made from its parent's: its items, gate
-state and gate verdict, and, each on first need, its answer count, text,
-conjunction and safety report.
+conjuncts' reference domains and evaluated relations and their bits.
+A negated item links to the record of the item it negates and reads its
+domain and its body's relation from it.  A signed set (a candidate's or
+a rule antecedent's items) is an int over the pool: bit 2i is item i
+taken positively, bit 2i+1 item i negated, so the set bits in ascending
+order are the set's items in the order its conjunction lists them.  Per
+signed set the run keeps one record, made from its parent's: its items,
+gate state and gate verdict, and, each on first need, its answer count,
+text, conjunction and safety report.
 
 Each signed item's conjuncts are rendered once per run.  The text of a
 frequent query, and of a rule's antecedent and consequent, is what
@@ -52,13 +52,23 @@ the set's query.  The miner builds no gate report but one: the safety
 report of an unsafe rule antecedent (``check_safe``), for its debug
 line only.
 
-Counting is vertical, in the manner of Eclat's tidset intersection: each
-conjunct of each signed item is evaluated once and its reference domain
-computed once.  A candidate's answers are then the conjunction step of
-evaluation (``evaluator.conjoin``) over its items' kept relations: the
-join of the positive conjuncts, the comparisons, and an anti-join with
-each negated conjunct's body.  Its reference domain is the conjunction
-rule (``domains.conjunction_domain``) over its items' kept domains.
+Counting is vertical, in the manner of Eclat's tidsets (Zaki 2000) kept
+as MAFIA's vertical bitmaps (Burdick et al. 2001): each conjunct of each
+signed item is evaluated once and its reference domain computed once.
+A mining run keeps one index of head tuples, each given the next free
+bit position when first seen, and each item keeps its relations and
+domains as Python ints over it.  Where every conjunct of a set's items
+yields a relation over exactly the head variables, the join of the
+positive conjuncts is an intersection and each anti-join with a negated
+conjunct's body a difference, so the answer count is ``(AND of
+positives & ~OR of negated bodies).bit_count()``.  Where no conjunct is
+a comparison, the reference domain is the union of the kept domains,
+the OR of their bits.  Any other set, one with a comparison such as
+``P = "Gilmore"`` or an item over part of the head, falls back to the
+conjunction step of evaluation (``evaluator.conjoin``) over its items'
+kept relations, and to the conjunction rule
+(``domains.conjunction_domain``, with its equality cover) over their
+kept domains.  Only counts are read from bits; no answer is decoded.
 Every candidate and every rule antecedent is gated and counted this
 way, through the same set records, so no set is gated or counted twice.
 A candidate with an empty reference domain has no frequency and is
@@ -82,11 +92,12 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
+from operator import and_, or_
 
 from .domains import conjunction_domain, reference_domain
 from .entities import GateState, conjunction_gates
 from .errors import BiasError, UnsafeQueryError, ZeroAntecedentError
-from .evaluator import Relation, _eval, conjoin, vocabulary_nonempty
+from .evaluator import Relation, _eval, _reorder, conjoin, vocabulary_nonempty
 from .formulas import (
     And,
     Atom,
@@ -312,11 +323,17 @@ class _Item:
     each conjunct rendered once by ``to_text``, and ``texts`` the same
     texts as conjuncts of an And (``formulas.conjunct_text``), which
     ``_Run.text`` joins.  A negated item's ``negates`` is the record of
-    the item it negates.  ``domains`` and ``evaluated`` are filled in on
-    first count (``_Run._counted``): the conjuncts' reference domains, and
-    the relations of the positive non-comparison conjuncts, the
-    comparisons as they are and each ``NOT`` conjunct with its body's
-    relation.
+    the item it negates.  The rest is filled in on first count
+    (``_Run._counted``).  ``domains`` are the conjuncts' reference
+    domains, and ``evaluated`` the relations of the positive
+    non-comparison conjuncts, the comparisons as they are and each
+    ``NOT`` conjunct with its body's relation.  ``domain_bits`` is the
+    union of the domains as bits over the run's head-tuple index, None
+    when a conjunct is a comparison.  ``bits`` is the pair (AND of the
+    positive relations, OR of the ``NOT`` bodies' relations) as bits,
+    the first -1 (every bit set) when there is no positive relation;
+    None when a conjunct is a comparison or a relation is not over
+    exactly the head variables.
     """
 
     part: Formula
@@ -328,6 +345,8 @@ class _Item:
     negates: _Item | None
     domains: list[frozenset] | None = None
     evaluated: tuple[list, list, list] | None = None
+    domain_bits: int | None = None
+    bits: tuple[int, int] | None = None
 
 
 @dataclass(slots=True)
@@ -360,13 +379,26 @@ class _Run:
     bit's item, so a set of k items costs one join however it is reached,
     as a candidate, a rule antecedent, or out of level order.  A set's
     safety report is made only when asked for (``safety``), by the debug
-    line of an unsafe rule antecedent.  A candidate's domain is
-    ``domains.conjunction_domain`` over its items' domains and its answers
-    are ``evaluator.conjoin`` over their relations, as ``evaluate`` gives;
-    safety makes each conjunct and negated body safe on its own.  A
-    negated item reads both from the item it negates: its domain is the
-    conjunction rule over that item's domains, and its body's relation
-    that item's relations conjoined.
+    line of an unsafe rule antecedent.
+
+    Counting reads one index per run: a dict from head tuples, in head
+    order, to bit positions, a tuple taking the next free position when
+    first seen, so no bit ever moves.  Each item keeps its relations and
+    domains as bits over it (``_Item.bits`` and ``domain_bits``).  A set
+    whose items all have answer bits, one with a positive relation, is
+    counted as ``(AND of positives & ~OR of NOT bodies).bit_count()``:
+    its relations are all over the head, so the join is an intersection
+    and each anti-join a difference.  A set with no comparison conjunct
+    has the union as its reference domain, the OR of its items' domain
+    bits.  Any other set, one with a comparison such as ``P =
+    "Gilmore"`` or an item over part of the head, falls back to what
+    ``evaluate`` gives: its domain is ``domains.conjunction_domain`` over
+    its items' domains and its answers are ``evaluator.conjoin`` over
+    their relations; safety makes each conjunct and negated body safe on
+    its own.  A negated item reads its domain and its body's relation
+    from the item it negates: its domain is the conjunction rule over
+    that item's domains, and its body's relation that item's relations
+    conjoined.  Only counts are read from bits; no answer is decoded.
 
     Each conjunct is evaluated over its own vocabulary, not the body's.
     The two differ only in being empty or not, which only vacuous
@@ -383,6 +415,7 @@ class _Run:
         self._head_set = frozenset(bias.head)
         self._items: dict[int, _Item] = {}
         self._sets: dict[int, _Set] = {}
+        self._index: dict[tuple, int] = {}
 
     def item(self, bit: int) -> _Item:
         """The record of the signed item at a mask bit."""
@@ -450,7 +483,8 @@ class _Run:
         return record.safety
 
     def _counted(self, item: _Item) -> _Item:
-        """The item with its conjuncts' domains and relations filled in."""
+        """The item with its conjuncts' domains and relations, and their
+        bits, filled in."""
         if item.evaluated is None:
             own, negates = item.conjuncts, item.negates
             if negates is None:
@@ -465,10 +499,67 @@ class _Run:
                 domain = conjunction_domain(negates.conjuncts, self.head, negates.domains)[0]
                 item.domains = [domain]
                 item.evaluated = ([], [], [(item.part, conjoin(*negates.evaluated))])
+            parts, comparisons, negations = item.evaluated
+            if not comparisons:
+                item.domain_bits = reduce(or_, map(self._bitset, item.domains), 0)
+                relations = parts + [body for _, body in negations]
+                if all(set(r.columns) == self._head_set for r in relations):
+                    item.bits = (
+                        reduce(and_, map(self._head_bits, parts), -1),
+                        reduce(or_, [self._head_bits(body) for _, body in negations], 0),
+                    )
         return item
 
     def _relation(self, f: Formula) -> Relation:
         return _eval(self.inst, f, vocabulary_nonempty(self.inst, f))
+
+    def _head_bits(self, rel: Relation) -> int:
+        """The bits of a relation over exactly the head variables, its
+        columns taken in head order."""
+        return self._bitset(_reorder(rel, self.head).rows)
+
+    def _bitset(self, tuples) -> int:
+        """The int whose set bits are the head tuples' index positions;
+        a tuple seen for the first time takes the next free position.
+        ``tuples`` is a collection: it is read more than once."""
+        index = self._index
+        try:
+            positions = list(map(index.__getitem__, tuples))
+        except KeyError:
+            for t in tuples:
+                if t not in index:
+                    index[t] = len(index)
+            positions = list(map(index.__getitem__, tuples))
+        if not positions:
+            return 0
+        buf = bytearray((max(positions) >> 3) + 1)
+        for p in positions:
+            buf[p >> 3] |= 1 << (p & 7)
+        return int.from_bytes(buf, "little")
+
+    def bit_count(self, mask: int) -> int | None:
+        """The answer count of the items' conjunction from their bits;
+        None when an item has no answer bits or none has a positive
+        relation."""
+        positive, negated = -1, 0
+        for item in map(self._counted, self.set(mask).items):
+            if item.bits is None:
+                return None
+            positive &= item.bits[0]
+            negated |= item.bits[1]
+        if positive < 0:
+            return None
+        return (positive & ~negated).bit_count()
+
+    def bit_domain(self, mask: int) -> int | None:
+        """The size of the items' reference domain under the union rule,
+        from their domain bits; None when a conjunct is a comparison."""
+        union = 0
+        for item in map(self._counted, self.set(mask).items):
+            if item.domain_bits is None:
+                return None
+            union |= item.domain_bits
+        return union.bit_count()
 
     def answers(self, mask: int) -> Relation:
         """Answers of the items' conjunction, which must be safe."""
@@ -484,20 +575,28 @@ class _Run:
         counted once."""
         record = self.set(mask)
         if record.count is None:
-            record.count = len(self.answers(mask).rows)
+            record.count = self._answer_count(mask)
         return record.count
+
+    def _answer_count(self, mask: int) -> int:
+        """The answer count from bits where the items have them, else by
+        conjoining their relations."""
+        count = self.bit_count(mask)
+        return len(self.answers(mask).rows) if count is None else count
 
     def frequency(self, mask: int) -> Frequency | None:
         """The frequency of a candidate's signed set, None on an empty
         reference domain."""
-        conjuncts, members = [], []
-        for item in map(self._counted, self.set(mask).items):
-            conjuncts += item.conjuncts
-            members += item.domains
-        members = conjunction_domain(conjuncts, self.head, members)[0]
-        if not members:
+        size = self.bit_domain(mask)
+        if size is None:
+            conjuncts, members = [], []
+            for item in map(self._counted, self.set(mask).items):
+                conjuncts += item.conjuncts
+                members += item.domains
+            size = len(conjunction_domain(conjuncts, self.head, members)[0])
+        if not size:
             return None
-        return Frequency(self.count(mask), len(members))
+        return Frequency(self.count(mask), size)
 
 
 def build_candidate(run: _Run, mask: int):

@@ -238,16 +238,18 @@ class DatabaseInstance:
             raise DataError(f"instance has no table {table!r}") from None
 
 
-def _check_value(table: TableDecl, f: FieldDecl, value, where: str):
+def _check_value(table: TableDecl, f: FieldDecl, value, rno: int):
+    """Check the value's type; ``rno`` names its row in an error."""
     # type() rather than isinstance(): bool is a subclass of int.
     if f.value_type == "integer" and type(value) is not int:
         raise DataError(
-            f"{where}: field {table.name}.{f.name} expects an integer, "
+            f"{table.name} row {rno}: field {table.name}.{f.name} expects an integer, "
             f"got {value!r}"
         )
     if f.value_type == "string" and type(value) is not str:
         raise DataError(
-            f"{where}: field {table.name}.{f.name} expects a string, got {value!r}"
+            f"{table.name} row {rno}: field {table.name}.{f.name} expects a string, "
+            f"got {value!r}"
         )
 
 
@@ -268,16 +270,15 @@ def load_instance(schema: Schema, tables) -> DatabaseInstance:
         key_idx = [i for i, f in enumerate(t.fields) if f.is_key]
         for rno, raw in enumerate(raw_rows, start=1):
             row = tuple(raw)
-            where = f"{t.name} row {rno}"
             if len(row) != t.arity:
                 raise DataError(
-                    f"{where}: expected {t.arity} values, got {len(row)}"
+                    f"{t.name} row {rno}: expected {t.arity} values, got {len(row)}"
                 )
             for f, v in zip(t.fields, row):
-                _check_value(t, f, v, where)
+                _check_value(t, f, v, rno)
             key = tuple(row[i] for i in key_idx)
             if key in keys_seen:
-                raise DataError(f"{where}: duplicate key {key!r}")
+                raise DataError(f"{t.name} row {rno}: duplicate key {key!r}")
             keys_seen.add(key)
             rows.add(row)
         relations[t.name] = frozenset(rows)
@@ -318,13 +319,14 @@ def is_entity_constant(inst: DatabaseInstance, value) -> bool:
     return value in inst.entity_constants
 
 
-def _parse_cell(table: TableDecl, f: FieldDecl, cell: str, where: str):
+def _parse_cell(table: TableDecl, f: FieldDecl, cell: str, path, rno: int):
+    """The cell's value; ``path`` and ``rno`` name its line in an error."""
     if f.value_type == "integer":
         # Only -?[0-9]+, the query language's integer literal: int() takes more.
         if cell.isascii() and (cell.isdigit() or cell[:1] == "-" and cell[1:].isdigit()):
             return int(cell)
         raise DataError(
-            f"{where}: field {table.name}.{f.name} expects an integer, got {cell!r}"
+            f"{path} line {rno}: field {table.name}.{f.name} expects an integer, got {cell!r}"
         )
     return cell
 
@@ -365,7 +367,7 @@ def _read_csv(t: TableDecl, path) -> list[tuple]:
                 )
             rows.append(
                 tuple(
-                    _parse_cell(t, f, c, f"{path} line {rno}")
+                    _parse_cell(t, f, c, path, rno)
                     for f, c in zip(t.fields, cells)
                 )
             )

@@ -232,6 +232,13 @@ def test_sorted_rows_orders_mixed_types():
     assert sorted_rows(rel) == [(1,), (2,), ("a",), ("b",)]
 
 
+def test_sorted_rows_orders_a_mixed_column_beside_a_plain_one():
+    # Column x holds strings only and y both types, so the rows' own
+    # order would compare 2 with "b"; integers still come first in y.
+    rel = Relation(("x", "y"), frozenset({("a", 2), ("a", "b"), ("b", "a"), ("a", 1)}))
+    assert sorted_rows(rel) == [("a", 1), ("a", 2), ("a", "b"), ("b", "a")]
+
+
 _LISTING = "EXISTS SN. EXISTS V. EXISTS S. WeekdayTV(P, SN, V, S)"
 
 

@@ -406,16 +406,17 @@ def test_mining_never_evaluates_a_whole_query(monkeypatch, tv_schema, tv, head):
 @pytest.mark.parametrize("head", sorted(strategies.MINING_POOLS))
 def test_mining_counts_each_signed_set_once(monkeypatch, tv_schema, tv, head, prune):
     # A rule antecedent that never was a candidate splits from several
-    # frequent queries of the (P, SN) pool; its count is kept too.
+    # frequent queries of the (P, SN) pool; its count is kept too.  Every
+    # count, from bits or by conjoin, is taken in _Run._answer_count.
     bias = load_bias(pool_bias(head), tv_schema)
     counted = collections.Counter()
-    answers = _Run.answers
+    answer_count = _Run._answer_count
 
     def counting(run, mask):
         counted[id(run), mask] += 1
-        return answers(run, mask)
+        return answer_count(run, mask)
 
-    monkeypatch.setattr(_Run, "answers", counting)
+    monkeypatch.setattr(_Run, "_answer_count", counting)
     result = mine(tv, bias, Fraction(1, 100), Fraction(1, 10**9), prune=prune)
     monkeypatch.undo()
     assert result.rules

@@ -10,7 +10,8 @@ frequency bounds, disjoint-split additivity, and the anti-monotonicity
 that justifies Apriori pruning.  The mining property checks the miner's
 set-algebra counts against ``stats`` computed from scratch, and the
 Apriori property checks pruned mining against an exhaustive enumeration
-of signed item sets whose items mention the whole head.  The loader
+of signed item sets whose items mention the whole head.  The sort
+property checks ``sorted_rows`` against the ``row_key`` order.  The loader
 property feeds arbitrary JSON documents to the bias and schema loaders,
 and the query-text property feeds arbitrary text to the parser and the
 command line.
@@ -62,7 +63,9 @@ from ermine import (
     support,
     to_text,
 )
+from ermine.access import row_key
 from ermine.cli import main
+from ermine.evaluator import Relation
 from ermine.mining import _Run
 
 SETTINGS = settings(
@@ -85,6 +88,25 @@ def test_optimized_evaluator_matches_enumeration(case):
     slow = evaluate_naive(inst, decl)
     assert fast.columns == slow.columns
     assert sorted_rows(fast) == sorted_rows(slow)
+
+
+_INTS = st.integers(-3, 3)
+_STRS = st.text("ab", max_size=2)
+
+
+@SETTINGS
+@given(
+    st.lists(st.sampled_from([_INTS, _STRS, _INTS | _STRS]), max_size=3).flatmap(
+        lambda cells: st.sets(st.tuples(*cells), max_size=12).map(
+            lambda rows: Relation(tuple("xyz"[: len(cells)]), frozenset(rows))
+        )
+    )
+)
+def test_sorted_rows_keeps_the_row_key_order(rel):
+    # Each column holds integers, strings or both: relations whose
+    # columns are single-typed sort on the raw rows, the others by
+    # row_key, and both must give the row_key order.
+    assert sorted_rows(rel) == sorted(rel.rows, key=row_key)
 
 
 @SETTINGS

@@ -286,6 +286,27 @@ def test_load_instance_duplicate_key():
         )
 
 
+@pytest.mark.parametrize(
+    "tables, message",
+    [
+        ({"Person": [("ann",), ("bo", "x")]}, "Person row 2: expected 1 values, got 2"),
+        (
+            {"Person": [("ann",)], "Knows": [("ann", "ann", 1), ("ann", "ann", "old")]},
+            "Knows row 2: field Knows.since expects an integer, got 'old'",
+        ),
+        ({"Person": [("ann",), (7,)]}, "Person row 2: field Person.name expects a string, got 7"),
+        (
+            {"Person": [("ann",), ("bo",)], "Knows": [("ann", "bo", 1), ("ann", "bo", 2)]},
+            "Knows row 2: duplicate key ('ann', 'bo')",
+        ),
+    ],
+)
+def test_load_instance_errors_name_the_row(tables, message):
+    # The row's location is formatted only when a row fails.
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        load_instance(pair_schema(), tables)
+
+
 def test_load_instance_referential_integrity():
     schema = pair_schema()
     with pytest.raises(DataError, match="no matching Person.name"):
@@ -333,6 +354,19 @@ def test_load_instance_dir_bad_integer_cell(tmp_path):
     knows.write_text("a,b,since\nann,ann,-07\nann,bob,0\n")
     rows = load_instance_dir(schema, tmp_path).relations["Knows"]
     assert sorted(rows) == [("ann", "ann", -7), ("ann", "bob", 0)]
+
+
+def test_integer_cell_error_names_the_file_and_line(tmp_path):
+    # The location is formatted only when a cell fails; the message still
+    # names the file and the line of the failing cell, after good rows.
+    schema = pair_schema()
+    knows = tmp_path / "Knows.csv"
+    (tmp_path / "Person.csv").write_text("name\nann\nbob\n")
+    rows = "".join(f"ann,bob,{n}\n" for n in range(5))
+    knows.write_text(f"a,b,since\n{rows}bob,ann,x7\nbob,bob,1\n")
+    message = f"{knows} line 7: field Knows.since expects an integer, got 'x7'"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        load_instance_dir(schema, tmp_path)
 
 
 def test_load_instance_dir_empty_file(tmp_path):
