@@ -502,11 +502,11 @@ class _Run:
             parts, comparisons, negations = item.evaluated
             if not comparisons:
                 item.domain_bits = reduce(or_, map(self._bitset, item.domains), 0)
-                relations = parts + [body for _, body in negations]
-                if all(set(r.columns) == self._head_set for r in relations):
+                bodies = [body for _, body in negations]
+                if all(set(r.columns) == self._head_set for r in parts + bodies):
                     item.bits = (
                         reduce(and_, map(self._head_bits, parts), -1),
-                        reduce(or_, [self._head_bits(body) for _, body in negations], 0),
+                        reduce(or_, map(self._head_bits, bodies), 0),
                     )
         return item
 
