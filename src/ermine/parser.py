@@ -23,6 +23,7 @@ through equalities); ``=`` and ``!=`` work at any matching type.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import QueryParseError
@@ -107,7 +108,16 @@ def tokenize(text: str) -> list[Token]:
             continue
         m = _INT_RE.match(text, i)
         if m:
-            tokens.append(Token("INT", int(m.group()), i, m.end()))
+            try:
+                value = int(m.group())
+            except ValueError:
+                # More digits than int() converts (sys.get_int_max_str_digits).
+                raise QueryParseError(
+                    f"integer literal has {len(m.group().lstrip('-'))} digits, "
+                    f"more than the {sys.get_int_max_str_digits()} allowed",
+                    i,
+                ) from None
+            tokens.append(Token("INT", value, i, m.end()))
             i = m.end()
             continue
         m = _IDENT_RE.match(text, i)

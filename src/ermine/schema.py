@@ -27,7 +27,12 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
+import sys
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import itemgetter
+from typing import NoReturn
 
 from .access import AccessPath, row_key
 from .errors import DataError, SchemaError
@@ -238,6 +243,16 @@ class DatabaseInstance:
             raise DataError(f"instance has no table {table!r}") from None
 
 
+# The Python type that holds each declared value type.
+_PYTHON_TYPES = {"integer": int, "string": str}
+
+# An integer cell is the query language's integer literal: int() takes more.
+_INTEGER_CELL = re.compile(r"-?[0-9]+")
+
+# CSV rows are checked and converted this many at a time.
+_CHUNK_ROWS = 512
+
+
 def _check_value(table: TableDecl, f: FieldDecl, value, rno: int):
     """Check the value's type; ``rno`` names its row in an error."""
     # type() rather than isinstance(): bool is a subclass of int.
@@ -253,23 +268,22 @@ def _check_value(table: TableDecl, f: FieldDecl, value, rno: int):
         )
 
 
-def load_instance(schema: Schema, tables) -> DatabaseInstance:
-    """Validate row data (mapping of table name to iterable of row tuples).
+def _raise_first_error(schema: Schema, rows_of: dict[str, list[tuple]]) -> NoReturn:
+    """Raise the first error in ``rows_of`` (the tables read so far, in
+    schema order), walking it a row at a time.
 
-    Checks arity and value types per field, key uniqueness, and referential
-    integrity, then computes the entity constants and the active domain.
+    Each table's first failing row is reported: its arity, then its
+    values' types in field order, then its key against the rows before
+    it.  After every table, the first value of a referencing field with
+    no row of the table it references is.
     """
-    relations: dict[str, frozenset[tuple]] = {}
-    extra = set(tables) - {t.name for t in schema.tables}
-    if extra:
-        raise DataError(f"data for undeclared tables: {', '.join(sorted(extra))}")
-    for t in schema.tables:
-        raw_rows = tables.get(t.name, ())
+    relations = {}
+    for name, raw_rows in rows_of.items():
+        t = schema.table(name)
         rows = set()
         keys_seen = set()
         key_idx = [i for i, f in enumerate(t.fields) if f.is_key]
-        for rno, raw in enumerate(raw_rows, start=1):
-            row = tuple(raw)
+        for rno, row in enumerate(raw_rows, start=1):
             if len(row) != t.arity:
                 raise DataError(
                     f"{t.name} row {rno}: expected {t.arity} values, got {len(row)}"
@@ -281,10 +295,8 @@ def load_instance(schema: Schema, tables) -> DatabaseInstance:
                 raise DataError(f"{t.name} row {rno}: duplicate key {key!r}")
             keys_seen.add(key)
             rows.add(row)
-        relations[t.name] = frozenset(rows)
+        relations[name] = frozenset(rows)
 
-    # Referential integrity: every referencing value must exist as a key
-    # value of the referenced table.
     for t in schema.tables:
         for i, f in enumerate(t.fields):
             if f.references is None:
@@ -299,36 +311,88 @@ def load_instance(schema: Schema, tables) -> DatabaseInstance:
                         f"{t.name}.{f.name} value {row[i]!r} has no matching "
                         f"{f.references} row"
                     )
+    raise AssertionError("a column check failed that no row check fails")
 
-    ents = set()
+
+def _fits(t: TableDecl, rows: list[tuple]) -> bool:
+    """Whether every row has ``t``'s arity, values of the declared types,
+    and a key no other row has; checked a column at a time."""
+    if not rows:
+        return True
+    if set(map(len, rows)) != {t.arity}:
+        return False
+    for i, f in enumerate(t.fields):
+        # type() rather than isinstance(): bool is a subclass of int.
+        if set(map(type, map(itemgetter(i), rows))) != {_PYTHON_TYPES[f.value_type]}:
+            return False
+    key = itemgetter(*(i for i, f in enumerate(t.fields) if f.is_key))
+    return len(set(map(key, rows))) == len(rows)
+
+
+def load_instance(schema: Schema, tables) -> DatabaseInstance:
+    """Validate row data (mapping of table name to iterable of row tuples).
+
+    Checks arity and value types per field, key uniqueness, and referential
+    integrity, then computes the entity constants and the active domain.
+    The checks run a column at a time; when one fails,
+    ``_raise_first_error`` checks a row at a time to report the first
+    failing row in row order.
+    """
+    extra = set(tables) - {t.name for t in schema.tables}
+    if extra:
+        raise DataError(f"data for undeclared tables: {', '.join(sorted(extra))}")
     efields = entity_fields(schema)
+    rows_of: dict[str, list[tuple]] = {}
+    relations: dict[str, frozenset[tuple]] = {}
+    values_of = {}  # entity field name -> the set of its values
+    active = set()
     for t in schema.tables:
-        positions = [
-            i for i, f in enumerate(t.fields) if f"{t.name}.{f.name}" in efields
-        ]
-        for row in relations[t.name]:
-            for i in positions:
-                ents.add(row[i])
-    active = {v for rows in relations.values() for row in rows for v in row}
-    return DatabaseInstance(
-        schema, relations, frozenset(ents), frozenset(active)
-    )
+        rows = rows_of[t.name] = list(map(tuple, tables.get(t.name, ())))
+        if not _fits(t, rows):
+            _raise_first_error(schema, rows_of)
+        # Through a set, as a row-at-a-time build would: its table is sized
+        # to fit, and the frozenset's order is the same.
+        relations[t.name] = frozenset(set(rows))
+        for i, f in enumerate(t.fields):
+            column = map(itemgetter(i), rows)
+            if f"{t.name}.{f.name}" in efields:
+                values_of[f"{t.name}.{f.name}"] = column = set(column)
+            active.update(column)
+
+    # Referential integrity: every referencing value must exist as a key
+    # value of the referenced table.
+    for t in schema.tables:
+        for f in t.fields:
+            if f.references is not None and not (
+                values_of[f"{t.name}.{f.name}"] <= values_of[f.references]
+            ):
+                _raise_first_error(schema, rows_of)
+
+    ents = set().union(*values_of.values())
+    return DatabaseInstance(schema, relations, frozenset(ents), frozenset(active))
 
 
 def is_entity_constant(inst: DatabaseInstance, value) -> bool:
     return value in inst.entity_constants
 
 
-def _parse_cell(table: TableDecl, f: FieldDecl, cell: str, path, rno: int):
-    """The cell's value; ``path`` and ``rno`` name its line in an error."""
-    if f.value_type == "integer":
-        # Only -?[0-9]+, the query language's integer literal: int() takes more.
-        if cell.isascii() and (cell.isdigit() or cell[:1] == "-" and cell[1:].isdigit()):
-            return int(cell)
-        raise DataError(
-            f"{path} line {rno}: field {table.name}.{f.name} expects an integer, got {cell!r}"
-        )
-    return cell
+def _check_cell(table: TableDecl, f: FieldDecl, cell: str, path, rno: int):
+    """Check an integer field's cell; ``path`` and ``rno`` name its line in
+    an error."""
+    if f.value_type != "integer":
+        return
+    if not _INTEGER_CELL.fullmatch(cell):
+        wanted = f"an integer, got {cell!r}"
+    else:
+        try:
+            int(cell)
+            return
+        except ValueError:  # past sys.get_int_max_str_digits()
+            wanted = (
+                f"an integer of at most {sys.get_int_max_str_digits()} digits, "
+                f"got {len(cell.lstrip('-'))}"
+            )
+    raise DataError(f"{path} line {rno}: field {table.name}.{f.name} expects {wanted}")
 
 
 def load_instance_dir(schema: Schema, directory) -> DatabaseInstance:
@@ -345,33 +409,75 @@ def load_instance_dir(schema: Schema, directory) -> DatabaseInstance:
     return load_instance(schema, tables)
 
 
-def _read_csv(t: TableDecl, path) -> list[tuple]:
+def _check_header(t: TableDecl, path, reader):
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file, expected a header row") from None
+    expected = [f.name for f in t.fields]
+    if header != expected:
+        raise DataError(
+            f"{path}: header {header!r} does not match declared fields "
+            f"{expected!r}"
+        )
+
+
+def _raise_first_csv_error(t: TableDecl, path) -> NoReturn:
+    """Read ``path`` again a row at a time and raise its first error in
+    file order: a row of the wrong arity, a bad integer cell, or bad UTF-8
+    or CSV."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") from None
-        expected = [f.name for f in t.fields]
-        if header != expected:
-            raise DataError(
-                f"{path}: header {header!r} does not match declared fields "
-                f"{expected!r}"
-            )
-        rows = []
+        _check_header(t, path, reader)
         for rno, cells in enumerate(reader, start=2):
             if len(cells) != t.arity:
                 raise DataError(
                     f"{path} line {rno}: expected {t.arity} values, "
                     f"got {len(cells)}"
                 )
-            rows.append(
-                tuple(
-                    _parse_cell(t, f, c, path, rno)
-                    for f, c in zip(t.fields, cells)
-                )
-            )
-    return rows
+            for f, c in zip(t.fields, cells):
+                _check_cell(t, f, c, path, rno)
+    raise AssertionError(f"a column check of {path} failed that no row check fails")
+
+
+def _converted(t: TableDecl, chunk: list[list[str]]):
+    """The chunk's rows as tuples, integer cells converted a column at a
+    time, or None when a row has the wrong arity or a bad integer cell."""
+    if set(map(len, chunk)) != {t.arity}:
+        return None
+    columns = [map(itemgetter(i), chunk) for i in range(t.arity)]
+    for i, f in enumerate(t.fields):
+        if f.value_type == "integer":
+            cells = list(columns[i])
+            if not all(map(_INTEGER_CELL.fullmatch, cells)):
+                return None
+            columns[i] = map(int, cells)
+    return zip(*columns)
+
+
+def _read_csv(t: TableDecl, path) -> list[tuple]:
+    """The rows of ``path``, checked and converted ``_CHUNK_ROWS`` rows at
+    a time, so that no file's cells are all held twice.
+
+    When a check fails, ``_raise_first_csv_error`` reads the file again a
+    row at a time to report the first failing row.
+    """
+    rows = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            _check_header(t, path, reader)
+            while chunk := list(islice(reader, _CHUNK_ROWS)):
+                converted = _converted(t, chunk)
+                if converted is None:
+                    break
+                rows.extend(converted)
+            else:  # every chunk converted
+                return rows
+    # int() raises ValueError past sys.get_int_max_str_digits().
+    except (UnicodeDecodeError, csv.Error, ValueError):
+        pass
+    _raise_first_csv_error(t, path)
 
 
 def save_instance_dir(inst: DatabaseInstance, directory) -> None:

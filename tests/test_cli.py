@@ -483,6 +483,29 @@ def test_missing_schema_flag(capsys):
     assert "--schema is required" in err
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="int() converts integers of any length",
+)
+def test_integers_longer_than_int_converts_are_errors(capsys, tmp_path):
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in os.listdir(DATA):
+        text = (TV_DIR / "data" / name).read_text(encoding="utf-8")
+        if name == "WeekdayTV.csv":
+            text = text.replace(",10,", f",{digits},", 1)
+        (data / name).write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "--schema", SCHEMA, "--data", str(data), "validate")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {data / 'WeekdayTV.csv'} line ")
+    assert err.count("\n") == 1
+    code, out, err = run(capsys, *BASE, "eval", f"q(P) := F1 AND 1 < {digits}")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: integer literal has ")
+    assert err.count("\n") == 1
+
+
 def test_missing_schema_file(capsys, tmp_path):
     code, _, err = run(
         capsys, "--schema", str(tmp_path / "nope.json"), "--data", DATA, "validate"

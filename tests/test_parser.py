@@ -1,5 +1,8 @@
 """Tokenizer, parser, and type checks."""
 
+import re
+import sys
+
 import pytest
 
 from ermine import (
@@ -56,6 +59,18 @@ def test_tokenize_rejects_non_ascii_digits(text):
     # str.isdigit() holds for these, but integer literals are ASCII only.
     with pytest.raises(QueryParseError, match="unexpected character"):
         tokenize(text)
+
+
+def test_tokenize_integer_longer_than_int_converts():
+    # int() refuses more digits than sys.get_int_max_str_digits() (0 or
+    # absent: no limit); such a literal is a parse error at its offset.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = limit or 5000
+    assert tokenize(f"X = -{'7' * digits}")[2].value == -int("7" * digits)
+    if limit:
+        message = f"integer literal has {limit + 1} digits, more than the {limit} allowed"
+        with pytest.raises(QueryParseError, match=f"^{re.escape(message)} \\(at offset 4\\)$"):
+            tokenize(f"X = -{'7' * (limit + 1)}")
 
 
 def test_tokenize_string_escapes():

@@ -1,8 +1,14 @@
 """Schema and instance loading."""
 
+import csv
+import os
 import re
+import sys
+import tempfile
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ermine import (
     DataError,
@@ -14,6 +20,7 @@ from ermine import (
     load_schema,
     save_instance_dir,
 )
+from test_bitsets import load_generator
 
 TV_ENTITY_FIELDS = {
     "TV-Program.Prog-Name",
@@ -375,3 +382,348 @@ def test_load_instance_dir_empty_file(tmp_path):
     (tmp_path / "Knows.csv").write_text("a,b,since\n")
     with pytest.raises(DataError, match="empty file"):
         load_instance_dir(schema, tmp_path)
+
+
+def test_load_instance_dir_integer_longer_than_int_converts(tmp_path):
+    # int() refuses more digits than sys.get_int_max_str_digits() (0 or
+    # absent: no limit); such a cell is a bad cell, named by file and line.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = limit or 5000
+    schema = pair_schema()
+    knows = tmp_path / "Knows.csv"
+    (tmp_path / "Person.csv").write_text("name\nann\n")
+    knows.write_text(f"a,b,since\nann,ann,-{'7' * digits}\n")
+    rows = load_instance_dir(schema, tmp_path).relations["Knows"]
+    assert rows == {("ann", "ann", -int("7" * digits))}
+    if limit:
+        knows.write_text(f"a,b,since\nann,ann,1\nann,ann,-{'7' * (limit + 1)}\n")
+        message = (
+            f"{knows} line 3: field Knows.since expects an integer of at most "
+            f"{limit} digits, got {limit + 1}"
+        )
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_instance_dir(schema, tmp_path)
+
+
+# -- the loader against a row-at-a-time reference ---------------------------
+
+
+def reference_load(schema, tables):
+    """A tests-only loader that checks one row at a time, in row order: each
+    table's rows (arity, types in field order, key), then references.
+
+    Returns (relations, entity constants, active domain) or raises the
+    DataError that ``load_instance`` must raise too.
+    """
+    relations = {}
+    for t in schema.tables:
+        rows, keys = set(), set()
+        for rno, raw in enumerate(tables.get(t.name, ()), start=1):
+            row = tuple(raw)
+            if len(row) != t.arity:
+                raise DataError(f"{t.name} row {rno}: expected {t.arity} values, got {len(row)}")
+            for f, v in zip(t.fields, row):
+                want, noun = (int, "an integer") if f.value_type == "integer" else (str, "a string")
+                if type(v) is not want:
+                    raise DataError(
+                        f"{t.name} row {rno}: field {t.name}.{f.name} expects {noun}, got {v!r}"
+                    )
+            key = tuple(v for f, v in zip(t.fields, row) if f.is_key)
+            if key in keys:
+                raise DataError(f"{t.name} row {rno}: duplicate key {key!r}")
+            keys.add(key)
+            rows.add(row)
+        relations[t.name] = frozenset(rows)
+    for t in schema.tables:
+        for i, f in enumerate(t.fields):
+            if f.references is None:
+                continue
+            tname, fname = f.references.split(".")
+            j = [g.name for g in schema.table(tname).fields].index(fname)
+            present = {row[j] for row in relations[tname]}
+            for row in relations[t.name]:
+                if row[i] not in present:
+                    raise DataError(
+                        f"{t.name}.{f.name} value {row[i]!r} has no matching {f.references} row"
+                    )
+    efields = entity_fields(schema)
+    ents = {
+        v
+        for t in schema.tables
+        for row in relations[t.name]
+        for f, v in zip(t.fields, row)
+        if f"{t.name}.{f.name}" in efields
+    }
+    active = {v for rows in relations.values() for row in rows for v in row}
+    return relations, frozenset(ents), frozenset(active)
+
+
+def reference_read_csv(t, path):
+    """A tests-only CSV reader that parses one row at a time."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == [f.name for f in t.fields]
+        rows = []
+        for rno, cells in enumerate(reader, start=2):
+            if len(cells) != t.arity:
+                raise DataError(f"{path} line {rno}: expected {t.arity} values, got {len(cells)}")
+            row = []
+            for f, c in zip(t.fields, cells):
+                if f.value_type == "integer":
+                    digits = c[1:] if c[:1] == "-" else c
+                    if not (c.isascii() and digits.isdigit()):
+                        raise DataError(
+                            f"{path} line {rno}: field {t.name}.{f.name} expects an integer, "
+                            f"got {c!r}"
+                        )
+                    c = int(c)
+                row.append(c)
+            rows.append(tuple(row))
+    return rows
+
+
+def reference_load_dir(schema, directory):
+    tables = {}
+    for t in schema.tables:
+        path = os.path.join(directory, f"{t.name}.csv")
+        try:
+            tables[t.name] = reference_read_csv(t, path)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"{path}: not valid UTF-8 CSV: {exc}") from exc
+    return reference_load(schema, tables)
+
+
+def outcome(load, *args):
+    """What a loader gives: its error message, or the instance's parts."""
+    try:
+        result = load(*args)
+    except DataError as exc:
+        return str(exc)
+    if isinstance(result, tuple):
+        return result
+    return result.relations, result.entity_constants, result.active_domain
+
+
+def badge_schema():
+    """People, integer-keyed badges, and who holds which badge at what level:
+    string and integer keys, a composite key, and references of both types."""
+    return load_schema(
+        schema_doc(
+            [
+                person_table(),
+                {
+                    "name": "Badge",
+                    "fields": [
+                        {"name": "id", "type": "integer", "key": True},
+                        {"name": "label", "type": "string"},
+                    ],
+                },
+                {
+                    "name": "Holds",
+                    "fields": [
+                        {"name": "who", "type": "string", "key": True,
+                         "references": "Person.name"},
+                        {"name": "badge", "type": "integer", "key": True,
+                         "references": "Badge.id"},
+                        {"name": "level", "type": "integer"},
+                    ],
+                },
+            ]
+        )
+    )
+
+
+BADGES = badge_schema()
+FAULTS = ("arity", "type", "bool", "duplicate", "dangling")
+NAMES_ST = st.text(alphabet="abé,\" ", max_size=3)
+INTS_ST = st.integers(-20, 20)
+
+
+@st.composite
+def badge_tables(draw):
+    """Fault-free tables of BADGES, rows in a drawn order."""
+    people = draw(st.lists(NAMES_ST, min_size=1, max_size=5, unique=True))
+    badges = draw(st.lists(INTS_ST, min_size=1, max_size=5, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(people), st.sampled_from(badges)),
+                          max_size=8, unique=True))
+    return {
+        "Person": [(p,) for p in people],
+        "Badge": [(b, draw(NAMES_ST)) for b in badges],
+        "Holds": [(p, b, draw(INTS_ST)) for p, b in pairs],
+    }
+
+
+@st.composite
+def faulty_badge_tables(draw):
+    """Tables of BADGES with one fault of a drawn kind at a drawn row."""
+    tables = draw(badge_tables())
+    fault = draw(st.sampled_from(FAULTS))
+    if fault == "dangling":
+        name = "Holds"
+    elif fault == "bool":
+        name = draw(st.sampled_from(["Badge", "Holds"]))
+    else:
+        name = draw(st.sampled_from(["Person", "Badge", "Holds"]))
+    rows = tables[name]
+    t = BADGES.table(name)
+    if fault == "duplicate":
+        # A new row at position r with the key of an earlier row.
+        assume(rows)
+        r = draw(st.integers(1, len(rows)))
+        source = rows[draw(st.integers(0, r - 1))]
+        new = tuple(v if f.is_key else draw(NAMES_ST if f.value_type == "string" else INTS_ST)
+                    for f, v in zip(t.fields, source))
+        rows.insert(r, new)
+        return tables
+    assume(rows)
+    r = draw(st.integers(0, len(rows) - 1))
+    row = list(rows[r])
+    if fault == "arity":
+        row = row[:-1] if draw(st.booleans()) else row + [draw(INTS_ST | NAMES_ST)]
+    elif fault == "dangling":
+        i = draw(st.sampled_from([0, 1]))
+        row[i] = "ghost" if i == 0 else 99
+    else:
+        i = draw(st.sampled_from([i for i, f in enumerate(t.fields)
+                                  if fault == "type" or f.value_type == "integer"]))
+        if fault == "bool":
+            row[i] = draw(st.booleans())
+        elif t.fields[i].value_type == "integer":
+            row[i] = draw(st.sampled_from([str(row[i]), 1.0, None]))
+        else:
+            row[i] = draw(INTS_ST)
+    rows[r] = tuple(row)
+    return tables
+
+
+FAULT_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+@FAULT_SETTINGS
+@given(faulty_badge_tables())
+def test_load_instance_reports_what_a_row_walk_reports(tables):
+    got = outcome(load_instance, BADGES, tables)
+    assert isinstance(got, str)
+    assert got == outcome(reference_load, BADGES, tables)
+
+
+@FAULT_SETTINGS
+@given(badge_tables())
+def test_load_instance_of_fault_free_tables_matches_a_row_walk(tables):
+    assert outcome(load_instance, BADGES, tables) == outcome(reference_load, BADGES, tables)
+
+
+def write_csvs(schema, tables, directory):
+    for t in schema.tables:
+        with open(os.path.join(directory, f"{t.name}.csv"), "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow([f.name for f in t.fields])
+            writer.writerows(tables[t.name])
+
+
+@st.composite
+def faulty_badge_files(draw):
+    """Tables of BADGES as CSV rows, most of them with one fault: a short or
+    long row, a bad integer cell, a duplicate key or a dangling reference."""
+    tables = draw(badge_tables())
+    name = draw(st.sampled_from(["Person", "Badge", "Holds"]))
+    rows = tables[name]
+    assume(rows)
+    r = draw(st.integers(0, len(rows) - 1))
+    row = list(rows[r])
+    fault = draw(st.sampled_from(("none", "arity", "cell", "duplicate", "dangling")))
+    if fault == "arity":
+        row = row[:-1] if draw(st.booleans()) else row + [draw(NAMES_ST)]
+    elif fault == "cell" and name != "Person":
+        cell = st.sampled_from(["x", "1_0", " 1", "+5", "١", "", "-", "1.0", "0x1"])
+        row[-1 if name == "Holds" else 0] = draw(cell | st.text(max_size=3))
+    elif fault == "duplicate":
+        row = list(rows[draw(st.integers(0, len(rows) - 1))])
+    elif fault == "dangling" and name == "Holds":
+        row[0] = "ghost"
+    rows.insert(r, tuple(row))
+    return tables
+
+
+@FAULT_SETTINGS
+@given(faulty_badge_files())
+def test_load_instance_dir_reports_what_a_row_walk_reports(tables):
+    with tempfile.TemporaryDirectory() as directory:
+        write_csvs(BADGES, tables, directory)
+        got = outcome(load_instance_dir, BADGES, directory)
+        assert got == outcome(reference_load_dir, BADGES, directory)
+
+
+def test_first_failing_row_wins():
+    # A duplicate key at row 2 comes before a type error at row 3, and a
+    # type error at row 2 before a duplicate key at row 3.
+    schema = pair_schema()
+    people = [("ann",), ("bo",)]
+    dup_first = [("ann", "bo", 1), ("ann", "bo", 2), ("bo", "ann", "old")]
+    with pytest.raises(DataError, match=r"^Knows row 2: duplicate key \('ann', 'bo'\)$"):
+        load_instance(schema, {"Person": people, "Knows": dup_first})
+    type_first = [("ann", "bo", 1), ("bo", "ann", "old"), ("ann", "bo", 2)]
+    with pytest.raises(DataError, match="^Knows row 2: field Knows.since expects an integer"):
+        load_instance(schema, {"Person": people, "Knows": type_first})
+    # Every row is checked before any reference.
+    with pytest.raises(DataError, match=r"^Knows row 2: duplicate key \('ghost', 'bo'\)$"):
+        load_instance(schema, {"Person": people, "Knows": [("ghost", "bo", 1)] * 2})
+
+
+def test_first_failing_line_wins_in_files(tmp_path):
+    # Within the files, the first bad line wins: a short row on line 3
+    # before a bad integer on line 4, and the other way round.
+    schema = pair_schema()
+    knows = tmp_path / "Knows.csv"
+    (tmp_path / "Person.csv").write_text("name\nann\nbo\n")
+    knows.write_text("a,b,since\nann,bo,1\nbo,ann\nann,ann,x\n")
+    with pytest.raises(DataError, match=f"^{re.escape(f'{knows} line 3: expected 3 values')}"):
+        load_instance_dir(schema, tmp_path)
+    knows.write_text("a,b,since\nann,bo,1\nbo,ann,x\nann,ann\n")
+    with pytest.raises(DataError, match=f"^{re.escape(f'{knows} line 3: field Knows.since')}"):
+        load_instance_dir(schema, tmp_path)
+    # A duplicate key on line 3 and a dangling reference on line 2: every
+    # row is checked before any reference.
+    knows.write_text("a,b,since\nghost,bo,1\nghost,bo,2\n")
+    with pytest.raises(DataError, match=r"^Knows row 2: duplicate key \('ghost', 'bo'\)$"):
+        load_instance_dir(schema, tmp_path)
+    # Every file is parsed before keys are checked: a bad integer on line 4
+    # wins over a duplicate key on line 3.
+    knows.write_text("a,b,since\nann,bo,1\nann,bo,2\nbo,ann,x\n")
+    with pytest.raises(DataError, match=f"^{re.escape(f'{knows} line 4: field Knows.since')}"):
+        load_instance_dir(schema, tmp_path)
+
+
+def test_load_instance_dir_at_size_matches_a_row_walk(tv_schema, tmp_path):
+    gen = load_generator()
+    gen.write_csvs(gen.generate(3, 2000, 20), tmp_path / "data")
+    got = outcome(load_instance_dir, tv_schema, tmp_path / "data")
+    assert got == outcome(reference_load_dir, tv_schema, tmp_path / "data")
+    assert sum(map(len, got[0].values())) == 2000 + 20 + 2 * 3 * 2000
+    inst = load_instance_dir(tv_schema, tmp_path / "data")
+    save_instance_dir(inst, tmp_path / "again")
+    assert load_instance_dir(tv_schema, tmp_path / "again").relations == inst.relations
+
+
+def test_first_of_several_dangling_references_matches_a_row_walk():
+    # Integer rows hash alike in every process; the reported value is the
+    # first in the relation's set order, as the row walk builds the set.
+    schema = load_schema(
+        schema_doc(
+            [
+                {"name": "Badge", "fields": [{"name": "id", "type": "integer", "key": True}]},
+                {
+                    "name": "Uses",
+                    "fields": [
+                        {"name": "badge", "type": "integer", "key": True,
+                         "references": "Badge.id"},
+                        {"name": "slot", "type": "integer", "key": True},
+                    ],
+                },
+            ]
+        )
+    )
+    for n in range(1, 60):
+        uses = [(b * 7919 % 101, s) for b in range(n) for s in (n, -n)]
+        tables = {"Badge": [(b,) for b in range(0, 101, 3)], "Uses": uses}
+        assert outcome(load_instance, schema, tables) == outcome(reference_load, schema, tables)
