@@ -89,7 +89,7 @@ class Relation:
     def __post_init__(self):
         width = len(self.columns)
         if set(map(len, self.rows)) - {width}:
-            row = next(r for r in self.rows if len(r) != width)
+            row = min((r for r in self.rows if len(r) != width), key=row_key)
             raise ValueError(f"row {row!r} does not fit columns {self.columns!r}")
 
 

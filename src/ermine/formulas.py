@@ -12,6 +12,7 @@ conjunctions and existential quantifiers.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 Span = tuple[int, int]
@@ -19,6 +20,10 @@ Span = tuple[int, int]
 COMPARISON_OPS = ("=", "!=", "<", ">", "<=", ">=")
 EQUALITY_OPS = ("=", "!=")
 ORDER_OPS = ("<", ">", "<=", ">=")
+
+# An integer literal as the query language writes one; an integer CSV cell
+# is written the same way.  int() takes more: "1_0", " 1", "+5", "١".
+INTEGER_LITERAL = re.compile(r"-?[0-9]+")
 
 
 @dataclass(frozen=True)

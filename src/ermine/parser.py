@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 from .errors import QueryParseError
 from .formulas import (
+    INTEGER_LITERAL,
     And,
     Atom,
     Comparison,
@@ -55,7 +56,6 @@ KEYWORDS = frozenset({"EXISTS", "FORALL", "AND", "OR", "NOT"})
 MAX_NESTING = 100
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*(?:-[A-Za-z][A-Za-z0-9_]*)*")
-_INT_RE = re.compile(r"-?[0-9]+")
 _VAR_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
 
 
@@ -106,7 +106,7 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token("STRING", "".join(buf), i, j))
             i = j
             continue
-        m = _INT_RE.match(text, i)
+        m = INTEGER_LITERAL.match(text, i)
         if m:
             try:
                 value = int(m.group())

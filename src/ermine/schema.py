@@ -27,8 +27,8 @@ from __future__ import annotations
 import csv
 import json
 import os
-import re
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
@@ -36,6 +36,7 @@ from typing import NoReturn
 
 from .access import AccessPath, row_key
 from .errors import DataError, SchemaError
+from .formulas import INTEGER_LITERAL
 
 VALUE_TYPES = ("string", "integer")
 
@@ -246,72 +247,52 @@ class DatabaseInstance:
 # The Python type that holds each declared value type.
 _PYTHON_TYPES = {"integer": int, "string": str}
 
-# An integer cell is the query language's integer literal: int() takes more.
-_INTEGER_CELL = re.compile(r"-?[0-9]+")
-
 # CSV rows are checked and converted this many at a time.
 _CHUNK_ROWS = 512
+
+
+def _shown(value) -> str:
+    """``repr(value)``, or a description of a value whose repr raises
+    ``ValueError``: an int past ``sys.get_int_max_str_digits()``, or a
+    tuple or other value holding one."""
+    try:
+        return repr(value)
+    except ValueError:
+        pass
+    if type(value) is int:
+        return f"an integer of more than {sys.get_int_max_str_digits()} digits"
+    if type(value) is tuple:
+        return f"({', '.join(map(_shown, value))}{',' * (len(value) == 1)})"
+    return f"a {type(value).__name__} that cannot be shown"
 
 
 def _check_value(table: TableDecl, f: FieldDecl, value, rno: int):
     """Check the value's type; ``rno`` names its row in an error."""
     # type() rather than isinstance(): bool is a subclass of int.
-    if f.value_type == "integer" and type(value) is not int:
+    if type(value) is not _PYTHON_TYPES[f.value_type]:
+        noun = "an integer" if f.value_type == "integer" else "a string"
         raise DataError(
-            f"{table.name} row {rno}: field {table.name}.{f.name} expects an integer, "
-            f"got {value!r}"
-        )
-    if f.value_type == "string" and type(value) is not str:
-        raise DataError(
-            f"{table.name} row {rno}: field {table.name}.{f.name} expects a string, "
-            f"got {value!r}"
+            f"{table.name} row {rno}: field {table.name}.{f.name} expects {noun}, "
+            f"got {_shown(value)}"
         )
 
 
-def _raise_first_error(schema: Schema, rows_of: dict[str, list[tuple]]) -> NoReturn:
-    """Raise the first error in ``rows_of`` (the tables read so far, in
-    schema order), walking it a row at a time.
-
-    Each table's first failing row is reported: its arity, then its
-    values' types in field order, then its key against the rows before
-    it.  After every table, the first value of a referencing field with
-    no row of the table it references is.
-    """
-    relations = {}
-    for name, raw_rows in rows_of.items():
-        t = schema.table(name)
-        rows = set()
-        keys_seen = set()
-        key_idx = [i for i, f in enumerate(t.fields) if f.is_key]
-        for rno, row in enumerate(raw_rows, start=1):
-            if len(row) != t.arity:
-                raise DataError(
-                    f"{t.name} row {rno}: expected {t.arity} values, got {len(row)}"
-                )
-            for f, v in zip(t.fields, row):
-                _check_value(t, f, v, rno)
-            key = tuple(row[i] for i in key_idx)
-            if key in keys_seen:
-                raise DataError(f"{t.name} row {rno}: duplicate key {key!r}")
-            keys_seen.add(key)
-            rows.add(row)
-        relations[name] = frozenset(rows)
-
-    for t in schema.tables:
-        for i, f in enumerate(t.fields):
-            if f.references is None:
-                continue
-            tname, fname = f.references.split(".", 1)
-            target = schema.table(tname)
-            j = [k for k, g in enumerate(target.fields) if g.name == fname][0]
-            present = {row[j] for row in relations[tname]}
-            for row in relations[t.name]:
-                if row[i] not in present:
-                    raise DataError(
-                        f"{t.name}.{f.name} value {row[i]!r} has no matching "
-                        f"{f.references} row"
-                    )
-    raise AssertionError("a column check failed that no row check fails")
+def _raise_row_error(t: TableDecl, rows: list[tuple]) -> NoReturn:
+    """Raise the error of the first failing row of ``t``, whose column
+    checks failed: its arity, then its values' types in field order, then
+    its key against the rows before it."""
+    key_idx = [i for i, f in enumerate(t.fields) if f.is_key]
+    keys_seen = set()
+    for rno, row in enumerate(rows, start=1):
+        if len(row) != t.arity:
+            raise DataError(f"{t.name} row {rno}: expected {t.arity} values, got {len(row)}")
+        for f, v in zip(t.fields, row):
+            _check_value(t, f, v, rno)
+        key = tuple(row[i] for i in key_idx)
+        if key in keys_seen:
+            raise DataError(f"{t.name} row {rno}: duplicate key {_shown(key)}")
+        keys_seen.add(key)
+    raise AssertionError(f"a column check of {t.name} failed that no row check fails")
 
 
 def _fits(t: TableDecl, rows: list[tuple]) -> bool:
@@ -329,27 +310,56 @@ def _fits(t: TableDecl, rows: list[tuple]) -> bool:
     return len(set(map(key, rows))) == len(rows)
 
 
+def _as_rows(t: TableDecl, raw) -> list[tuple]:
+    """``t``'s data as a list of row tuples; a table or a row that is not
+    iterable is a DataError, reported after any fault in the rows before it."""
+    try:
+        items = list(raw)
+    except TypeError:
+        raise DataError(f"{t.name}: expected an iterable of rows, got {_shown(raw)}") from None
+    rows = []
+    try:
+        rows.extend(map(tuple, items))
+    except TypeError:
+        # extend keeps the rows converted before the one that failed.
+        if not _fits(t, rows):
+            _raise_row_error(t, rows)
+        raise DataError(
+            f"{t.name} row {len(rows) + 1}: expected a row of values, "
+            f"got {_shown(items[len(rows)])}"
+        ) from None
+    return rows
+
+
 def load_instance(schema: Schema, tables) -> DatabaseInstance:
     """Validate row data (mapping of table name to iterable of row tuples).
 
     Checks arity and value types per field, key uniqueness, and referential
     integrity, then computes the entity constants and the active domain.
-    The checks run a column at a time; when one fails,
-    ``_raise_first_error`` checks a row at a time to report the first
-    failing row in row order.
+    The checks run a column at a time; when one fails, only what failed is
+    walked to report it: the table's rows in row order, or a referencing
+    field's rows up to the first value with no key row.
+
+    ``tables`` and everything in it are input, so any fault in them is a
+    DataError; a ``schema`` that is not a Schema is the caller's error.
     """
+    if not isinstance(tables, Mapping):
+        raise DataError(
+            f"instance data must map table names to rows, got {type(tables).__name__}"
+        )
     extra = set(tables) - {t.name for t in schema.tables}
     if extra:
-        raise DataError(f"data for undeclared tables: {', '.join(sorted(extra))}")
+        names = sorted(n if type(n) is str else _shown(n) for n in extra)
+        raise DataError(f"data for undeclared tables: {', '.join(names)}")
     efields = entity_fields(schema)
     rows_of: dict[str, list[tuple]] = {}
     relations: dict[str, frozenset[tuple]] = {}
     values_of = {}  # entity field name -> the set of its values
     active = set()
     for t in schema.tables:
-        rows = rows_of[t.name] = list(map(tuple, tables.get(t.name, ())))
+        rows = rows_of[t.name] = _as_rows(t, tables.get(t.name, ()))
         if not _fits(t, rows):
-            _raise_first_error(schema, rows_of)
+            _raise_row_error(t, rows)
         # Through a set, as a row-at-a-time build would: its table is sized
         # to fit, and the frozenset's order is the same.
         relations[t.name] = frozenset(set(rows))
@@ -360,13 +370,19 @@ def load_instance(schema: Schema, tables) -> DatabaseInstance:
             active.update(column)
 
     # Referential integrity: every referencing value must exist as a key
-    # value of the referenced table.
+    # value of the referenced table.  The first that does not, in row
+    # order, is reported.
     for t in schema.tables:
-        for f in t.fields:
-            if f.references is not None and not (
-                values_of[f"{t.name}.{f.name}"] <= values_of[f.references]
-            ):
-                _raise_first_error(schema, rows_of)
+        for i, f in enumerate(t.fields):
+            if f.references is None:
+                continue
+            keys = values_of[f.references]
+            if not values_of[f"{t.name}.{f.name}"] <= keys:
+                value = next(row[i] for row in rows_of[t.name] if row[i] not in keys)
+                raise DataError(
+                    f"{t.name}.{f.name} value {_shown(value)} has no matching "
+                    f"{f.references} row"
+                )
 
     ents = set().union(*values_of.values())
     return DatabaseInstance(schema, relations, frozenset(ents), frozenset(active))
@@ -381,7 +397,7 @@ def _check_cell(table: TableDecl, f: FieldDecl, cell: str, path, rno: int):
     an error."""
     if f.value_type != "integer":
         return
-    if not _INTEGER_CELL.fullmatch(cell):
+    if not INTEGER_LITERAL.fullmatch(cell):
         wanted = f"an integer, got {cell!r}"
     else:
         try:
@@ -449,7 +465,7 @@ def _converted(t: TableDecl, chunk: list[list[str]]):
     for i, f in enumerate(t.fields):
         if f.value_type == "integer":
             cells = list(columns[i])
-            if not all(map(_INTEGER_CELL.fullmatch, cells)):
+            if not all(map(INTEGER_LITERAL.fullmatch, cells)):
                 return None
             columns[i] = map(int, cells)
     return zip(*columns)

@@ -4,6 +4,7 @@ import csv
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 
@@ -322,6 +323,27 @@ def test_mine_output_does_not_depend_on_the_hash_seed(bias, prune):
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
     assert b"frequent queries" in outputs[0]
+
+
+def test_first_dangling_reference_does_not_depend_on_the_hash_seed(tmp_path):
+    # Three programs no TV-Program row names, appended out of name order:
+    # the first appended is reported, under every hash seed.
+    data = tmp_path / "data"
+    shutil.copytree(DATA, data)
+    with open(data / "WeekdayTV.csv", "a", encoding="utf-8") as fh:
+        for name in ("Ghost2", "Ghost3", "Ghost1"):
+            fh.write(f"{name},CBS,1,Avon\n")
+    args = [sys.executable, "-m", "ermine", "--schema", SCHEMA, "--data", str(data), "validate"]
+    src = str(TV_DIR.parent.parent / "src")
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(args, env=env, capture_output=True, text=True)
+        assert done.returncode == 2
+        assert done.stderr == (
+            "error: WeekdayTV.TV-Program value 'Ghost2' has no matching "
+            "TV-Program.Prog-Name row\n"
+        )
 
 
 def test_mine_writes_rule_csv(capsys, tmp_path):

@@ -225,6 +225,15 @@ def test_vocabulary_contents(tv, tv_schema):
 def test_relation_row_length_checked():
     with pytest.raises(ValueError):
         Relation(("a", "b"), frozenset({("only",)}))
+    # Of several misfit rows, the least by row_key is named, whatever the
+    # set order: integers before strings, then each type in its own order.
+    misfits = {(f"r{i:02}",) for i in range(50)} | {("x", "y", "z"), ("ok", "fine")}
+    with pytest.raises(ValueError, match=r"^row \('r00',\) does not fit columns \('a', 'b'\)$"):
+        Relation(("a", "b"), frozenset(misfits))
+    with pytest.raises(ValueError, match=r"^row \(3,\) does not fit"):
+        Relation(("a", "b"), frozenset(misfits | {(3,), (4, 5, 6), (-9, "x")}))
+    with pytest.raises(ValueError, match=r"^row \(-1, 2, 3\) does not fit"):
+        Relation(("a", "b"), frozenset(misfits | {(3,), (-1, 2, 3), (-9, "x")}))
 
 
 def test_sorted_rows_orders_mixed_types():

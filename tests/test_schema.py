@@ -410,16 +410,17 @@ def test_load_instance_dir_integer_longer_than_int_converts(tmp_path):
 
 def reference_load(schema, tables):
     """A tests-only loader that checks one row at a time, in row order: each
-    table's rows (arity, types in field order, key), then references.
+    table's rows (arity, types in field order, key), then each referencing
+    field's values.
 
     Returns (relations, entity constants, active domain) or raises the
     DataError that ``load_instance`` must raise too.
     """
-    relations = {}
+    relations, in_order = {}, {}
     for t in schema.tables:
         rows, keys = set(), set()
-        for rno, raw in enumerate(tables.get(t.name, ()), start=1):
-            row = tuple(raw)
+        in_order[t.name] = [tuple(raw) for raw in tables.get(t.name, ())]
+        for rno, row in enumerate(in_order[t.name], start=1):
             if len(row) != t.arity:
                 raise DataError(f"{t.name} row {rno}: expected {t.arity} values, got {len(row)}")
             for f, v in zip(t.fields, row):
@@ -441,7 +442,7 @@ def reference_load(schema, tables):
             tname, fname = f.references.split(".")
             j = [g.name for g in schema.table(tname).fields].index(fname)
             present = {row[j] for row in relations[tname]}
-            for row in relations[t.name]:
+            for row in in_order[t.name]:
                 if row[i] not in present:
                     raise DataError(
                         f"{t.name}.{f.name} value {row[i]!r} has no matching {f.references} row"
@@ -706,8 +707,9 @@ def test_load_instance_dir_at_size_matches_a_row_walk(tv_schema, tmp_path):
 
 
 def test_first_of_several_dangling_references_matches_a_row_walk():
-    # Integer rows hash alike in every process; the reported value is the
-    # first in the relation's set order, as the row walk builds the set.
+    # The first dangling value in row order is reported, for integer and
+    # for string values; string hashes change from process to process, so
+    # set order would name a different one.
     schema = load_schema(
         schema_doc(
             [
@@ -723,7 +725,120 @@ def test_first_of_several_dangling_references_matches_a_row_walk():
             ]
         )
     )
+    badges = [(b,) for b in range(0, 101, 3)]
     for n in range(1, 60):
         uses = [(b * 7919 % 101, s) for b in range(n) for s in (n, -n)]
-        tables = {"Badge": [(b,) for b in range(0, 101, 3)], "Uses": uses}
-        assert outcome(load_instance, schema, tables) == outcome(reference_load, schema, tables)
+        tables = {"Badge": badges, "Uses": uses}
+        first = next((b for b, _ in uses if b % 3), None)
+        want = outcome(reference_load, schema, tables)
+        assert outcome(load_instance, schema, tables) == want
+        if first is not None:
+            assert want == f"Uses.badge value {first} has no matching Badge.id row"
+    people = [(f"p{i}",) for i in range(5)]
+    for n in range(1, 30):
+        ghosts = [f"ghost{i * 7 % 31}" for i in range(n)]
+        holds = [(g, b, 0) for b in (1, 2) for g in ghosts]
+        tables = {"Person": people, "Badge": [(1, "x"), (2, "y")], "Holds": holds}
+        message = f"Holds.who value {ghosts[0]!r} has no matching Person.name row"
+        assert outcome(load_instance, BADGES, tables) == message
+        assert outcome(reference_load, BADGES, tables) == message
+
+
+# -- every fault in the tables argument is a DataError ----------------------
+
+
+@pytest.fixture
+def int_digits_4300():
+    """Python's default limit on the digits of an int's repr, whatever the
+    process was started with."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python puts no limit on an int's digits")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+HUGE = 10**5000
+HUGE_SHOWN = "an integer of more than 4300 digits"
+
+
+def load_error(schema, tables):
+    with pytest.raises(DataError) as exc:
+        load_instance(schema, tables)
+    return str(exc.value)
+
+
+def test_an_int_too_long_to_show_is_described(int_digits_4300):
+    people = [(f"p{i}",) for i in range(3)]
+    assert load_error(BADGES, {"Person": [("p0",), (HUGE,)]}) == (
+        f"Person row 2: field Person.name expects a string, got {HUGE_SHOWN}"
+    )
+    assert load_error(BADGES, {"Person": [((1, HUGE),)]}) == (
+        f"Person row 1: field Person.name expects a string, got (1, {HUGE_SHOWN})"
+    )
+    assert load_error(BADGES, {"Person": [([HUGE],)]}) == (
+        "Person row 1: field Person.name expects a string, got a list that cannot be shown"
+    )
+    badges = [(HUGE, "a"), (-HUGE, "b"), (HUGE, "c")]
+    assert load_error(BADGES, {"Person": people, "Badge": badges}) == (
+        f"Badge row 3: duplicate key ({HUGE_SHOWN},)"
+    )
+    holds = [("p0", 1, 0), ("p1", HUGE, 0)]
+    tables = {"Person": people, "Badge": [(1, "a")], "Holds": holds}
+    assert load_error(BADGES, tables) == (
+        f"Holds.badge value {HUGE_SHOWN} has no matching Badge.id row"
+    )
+    # A long int outside the key is not part of a duplicate key's message.
+    schema = pair_schema()
+    knows = [("p0", "p1", HUGE), ("p0", "p1", 1)]
+    assert load_error(schema, {"Person": people, "Knows": knows}) == (
+        "Knows row 2: duplicate key ('p0', 'p1')"
+    )
+
+
+def test_a_table_or_row_that_is_not_iterable_is_a_data_error():
+    assert load_error(BADGES, {"Person": None}) == (
+        "Person: expected an iterable of rows, got None"
+    )
+    assert load_error(BADGES, {"Person": [("ann",)], "Badge": 7}) == (
+        "Badge: expected an iterable of rows, got 7"
+    )
+    assert load_error(BADGES, {"Person": [("ann",), ("bo",), 5, None]}) == (
+        "Person row 3: expected a row of values, got 5"
+    )
+    # A fault in an earlier row comes first, as everywhere else.
+    assert load_error(BADGES, {"Person": [("ann",), ("ann",), 5]}) == (
+        "Person row 2: duplicate key ('ann',)"
+    )
+    assert load_error(BADGES, {"Person": [("ann",), (1,), None]}) == (
+        "Person row 2: field Person.name expects a string, got 1"
+    )
+    # Rows may be any iterables, generators included.
+    rows = [(c for c in ("ann",)), ["bo"], "c", 3]
+    assert load_error(BADGES, {"Person": rows}) == (
+        "Person row 4: expected a row of values, got 3"
+    )
+
+
+def test_tables_that_are_not_a_mapping_are_a_data_error():
+    assert load_error(BADGES, [("Person", [("ann",)])]) == (
+        "instance data must map table names to rows, got list"
+    )
+    assert load_error(BADGES, None) == (
+        "instance data must map table names to rows, got NoneType"
+    )
+    # Names that are not strings are undeclared tables, and may be mixed
+    # with names that are.
+    assert load_error(BADGES, {"Person": [], 2: [], "Ghost": [], None: []}) == (
+        "data for undeclared tables: 2, Ghost, None"
+    )
+
+
+def test_a_schema_that_is_not_a_schema_is_the_callers_error():
+    # Only the tables are input; a wrong schema argument is a bug in the
+    # calling code, and is not reported as a fault in the data.
+    with pytest.raises(AttributeError):
+        load_instance(None, {"Person": [("ann",)]})
+    with pytest.raises(AttributeError):
+        load_instance({"tables": []}, {})
