@@ -12,7 +12,7 @@ variables could range over:
 * a conjunction whose conjuncts equate every requested variable with a
   constant contributes those constant tuples on top of the domain of the
   remaining conjuncts; any other conjunction contributes the union over
-  its conjuncts (``conjunction_domain``, which the miner shares);
+  its conjuncts;
 * OR contributes the union of both branches;
 * NOT is transparent (the domain of the negated formula);
 * EXISTS is transparent unless it captures a requested variable, in
@@ -88,27 +88,6 @@ def explain_reference_domain(
     return ReferenceDomain(tuple(variables), members), node
 
 
-def conjunction_domain(conjuncts, variables, domains):
-    """Members of the reference domain of the conjunction of ``conjuncts``
-    for ``variables``, given ``domains[k]``, those of ``conjuncts[k]``'s
-    (see the module docstring), and the indexes of the conjuncts an
-    equality cover reads; None when the rule is the union.
-    """
-    constants: dict[str, list] = {}
-    equating = set()
-    for k, c in enumerate(conjuncts):
-        if isinstance(c, Comparison):
-            for v, values in equated_constants(c).items():
-                constants.setdefault(v, []).extend(values)
-                if v in variables:
-                    equating.add(k)
-    if not equating or not all(v in constants for v in variables):
-        return frozenset().union(*domains), None
-    tuples = frozenset(itertools.product(*(constants[v] for v in variables)))
-    rest = [k for k in range(len(conjuncts)) if k not in equating]
-    return tuples.union(*(domains[k] for k in rest)), rest
-
-
 def _dom(inst, f: Formula, variables: tuple[str, ...], trace: bool):
     if not variables:
         raise ValueError("reference domain needs a non-empty variable list")
@@ -144,10 +123,20 @@ def _dom(inst, f: Formula, variables: tuple[str, ...], trace: bool):
         raise ValueError("reference_domain needs a normalized formula")
     if isinstance(f, And):
         subs = [_dom(inst, c, variables, trace) for c in f.conjuncts]
-        members, rest = conjunction_domain(f.conjuncts, variables, [m for m, _ in subs])
-        if rest is None:
+        constants = equated_constants(f)
+        if not constants.keys() >= set(variables):
+            members = frozenset().union(*(m for m, _ in subs))
             children = [node for _, node in subs]
             return members, _node(trace, f, "conjunction-union", members, *children)
+        # The cover's tuples stand in for the comparisons that equate a
+        # requested variable; the other conjuncts add their domains.
+        rest = [
+            k
+            for k, c in enumerate(f.conjuncts)
+            if not (isinstance(c, Comparison) and equated_constants(c).keys() & set(variables))
+        ]
+        tuples = frozenset(itertools.product(*(constants[v] for v in variables)))
+        members = tuples.union(*(subs[k][0] for k in rest))
         children = [subs[k][1] for k in rest]
         if trace and len(rest) > 1:
             # The cover reads its remaining conjuncts as one conjunction.

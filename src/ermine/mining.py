@@ -20,9 +20,9 @@ was dropped by a gate is never built.
 A mining run keeps one record per signed item (an item and its sign),
 made on first use: its normalized part, its conjuncts' joined gate state,
 its canonical text, its conjuncts' texts and, once counted, its
-conjuncts' reference domains and evaluated relations and their bits.
+conjuncts' evaluated relations, its reference domain and their bits.
 A negated item links to the record of the item it negates and reads its
-domain and its body's relation from it.  A signed set (a candidate's or
+domain, its body's relation and, where it can, their bits from it.  A signed set (a candidate's or
 a rule antecedent's items) is an int over the pool: bit 2i is item i
 taken positively, bit 2i+1 item i negated, so the set bits in ascending
 order are the set's items in the order its conjunction lists them.  Per
@@ -54,21 +54,21 @@ line only.
 
 Counting is vertical, in the manner of Eclat's tidsets (Zaki 2000) kept
 as MAFIA's vertical bitmaps (Burdick et al. 2001): each conjunct of each
-signed item is evaluated once and its reference domain computed once.
-A mining run keeps one index of head tuples, each given the next free
-bit position when first seen, and each item keeps its relations and
-domains as Python ints over it.  Where every conjunct of a set's items
-yields a relation over exactly the head variables, the join of the
-positive conjuncts is an intersection and each anti-join with a negated
-conjunct's body a difference, so the answer count is ``(AND of
-positives & ~OR of negated bodies).bit_count()``.  Where no conjunct is
-a comparison, the reference domain is the union of the kept domains,
-the OR of their bits.  Any other set, one with a comparison such as
-``P = "Gilmore"`` or an item over part of the head, falls back to the
-conjunction step of evaluation (``evaluator.conjoin``) over its items'
-kept relations, and to the conjunction rule
-(``domains.conjunction_domain``, with its equality cover) over their
-kept domains.  Only counts are read from bits; no answer is decoded.
+signed item is evaluated once and each item's reference domain computed
+once.  A mining run keeps one index of head tuples, each given the next
+free bit position when first seen, and each item keeps its relations
+and its domain as Python ints over it.  A set's reference domain is
+always the OR of its items' domain bits, with the tuples of the equality
+cover when the set's comparisons equate every head variable with a
+constant.  Where every conjunct of a set's items yields a relation over
+exactly the head variables, the join of the positive conjuncts is an
+intersection and each anti-join with a negated conjunct's body a
+difference, so the answer count is ``(AND of positives & ~OR of negated
+bodies).bit_count()``.  The answer count of any other set, one with a
+comparison such as ``P = "Gilmore"`` or an item over part of the head,
+falls back to the conjunction step of evaluation (``evaluator.conjoin``)
+over its items' kept relations.  Only counts are read from bits; no
+answer is decoded.
 Every candidate and every rule antecedent is gated and counted this
 way, through the same set records, so no set is gated or counted twice.
 A candidate with an empty reference domain has no frequency and is
@@ -94,7 +94,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from operator import and_, or_
 
-from .domains import conjunction_domain, reference_domain
+from .domains import reference_domain
 from .entities import GateState, conjunction_gates
 from .errors import BiasError, UnsafeQueryError, ZeroAntecedentError
 from .evaluator import Relation, _eval, _reorder, conjoin, vocabulary_nonempty
@@ -113,6 +113,7 @@ from .formulas import (
     conjunction,
     conjuncts_of,
     declaration_text,
+    equated_constants,
     free_variables,
     normalize,
     to_text,
@@ -324,13 +325,12 @@ class _Item:
     texts as conjuncts of an And (``formulas.conjunct_text``), which
     ``_Run.text`` joins.  A negated item's ``negates`` is the record of
     the item it negates.  The rest is filled in on first count
-    (``_Run._counted``).  ``domains`` are the conjuncts' reference
-    domains, and ``evaluated`` the relations of the positive
+    (``_Run._counted``).  ``evaluated`` is the relations of the positive
     non-comparison conjuncts, the comparisons as they are and each
     ``NOT`` conjunct with its body's relation.  ``domain_bits`` is the
-    union of the domains as bits over the run's head-tuple index, None
-    when a conjunct is a comparison.  ``bits`` is the pair (AND of the
-    positive relations, OR of the ``NOT`` bodies' relations) as bits,
+    item's reference domain (``domains.reference_domain`` of ``part``) as
+    bits over the run's head-tuple index.  ``bits`` is the pair (AND of
+    the positive relations, OR of the ``NOT`` bodies' relations) as bits,
     the first -1 (every bit set) when there is no positive relation;
     None when a conjunct is a comparison or a relation is not over
     exactly the head variables.
@@ -343,7 +343,6 @@ class _Item:
     rendered: tuple[str, ...]
     texts: tuple[str, ...]
     negates: _Item | None
-    domains: list[frozenset] | None = None
     evaluated: tuple[list, list, list] | None = None
     domain_bits: int | None = None
     bits: tuple[int, int] | None = None
@@ -384,21 +383,28 @@ class _Run:
     Counting reads one index per run: a dict from head tuples, in head
     order, to bit positions, a tuple taking the next free position when
     first seen, so no bit ever moves.  Each item keeps its relations and
-    domains as bits over it (``_Item.bits`` and ``domain_bits``).  A set
-    whose items all have answer bits, one with a positive relation, is
-    counted as ``(AND of positives & ~OR of NOT bodies).bit_count()``:
+    its domain as bits over it (``_Item.bits`` and ``domain_bits``).  A
+    set whose items all have answer bits, one with a positive relation,
+    is counted as ``(AND of positives & ~OR of NOT bodies).bit_count()``:
     its relations are all over the head, so the join is an intersection
-    and each anti-join a difference.  A set with no comparison conjunct
-    has the union as its reference domain, the OR of its items' domain
-    bits.  Any other set, one with a comparison such as ``P =
-    "Gilmore"`` or an item over part of the head, falls back to what
-    ``evaluate`` gives: its domain is ``domains.conjunction_domain`` over
-    its items' domains and its answers are ``evaluator.conjoin`` over
-    their relations; safety makes each conjunct and negated body safe on
-    its own.  A negated item reads its domain and its body's relation
-    from the item it negates: its domain is the conjunction rule over
-    that item's domains, and its body's relation that item's relations
-    conjoined.  Only counts are read from bits; no answer is decoded.
+    and each anti-join a difference.  Any other set, one with a
+    comparison such as ``P = "Gilmore"`` or an item over part of the
+    head, is counted by ``evaluator.conjoin`` over its items' relations,
+    as ``evaluate`` would; safety makes each conjunct and negated body
+    safe on its own.
+
+    A set's reference domain is always read from bits.  Under the union
+    rule no item equates the whole head with constants, as an item's
+    cover is part of its set's, so the domain is the OR of the items'
+    domain bits.  Under the cover rule (``head <= state.cover``) each
+    item's own domain and each equating comparison's tuples lie in the
+    product of the set's constants, so the domain is that OR with the
+    product's bits.  A negated item reads its domain and its body's
+    relation from the item it negates: ``NOT`` is transparent to
+    domains, and its body's relation is that item's relations
+    conjoined.  Where that item has answer bits with a positive
+    relation, the body's bits are its ``AND & ~OR``, with no rows read.
+    Only counts are read from bits; no answer is decoded.
 
     Each conjunct is evaluated over its own vocabulary, not the body's.
     The two differ only in being empty or not, which only vacuous
@@ -483,31 +489,36 @@ class _Run:
         return record.safety
 
     def _counted(self, item: _Item) -> _Item:
-        """The item with its conjuncts' domains and relations, and their
-        bits, filled in."""
+        """The item with its conjuncts' relations, its domain and their
+        bits filled in."""
         if item.evaluated is None:
             own, negates = item.conjuncts, item.negates
             if negates is None:
-                item.domains = [reference_domain(self.inst, c, self.head).members for c in own]
+                domain = reference_domain(self.inst, item.part, self.head).members
+                item.domain_bits = self._bitset(domain)
                 item.evaluated = (
                     [self._relation(c) for c in own if not isinstance(c, (Not, Comparison))],
                     [c for c in own if isinstance(c, Comparison)],
                     [(c, self._relation(c.body)) for c in own if isinstance(c, Not)],
                 )
             else:
+                # NOT is transparent to domains, and the body is the linked
+                # item, whose bits give the body's bits when it has a
+                # positive relation.
                 negates = self._counted(negates)
-                domain = conjunction_domain(negates.conjuncts, self.head, negates.domains)[0]
-                item.domains = [domain]
+                item.domain_bits = negates.domain_bits
                 item.evaluated = ([], [], [(item.part, conjoin(*negates.evaluated))])
+                if negates.bits is not None and negates.bits[0] >= 0:
+                    item.bits = (-1, negates.bits[0] & ~negates.bits[1])
             parts, comparisons, negations = item.evaluated
-            if not comparisons:
-                item.domain_bits = reduce(or_, map(self._bitset, item.domains), 0)
-                bodies = [body for _, body in negations]
-                if all(set(r.columns) == self._head_set for r in parts + bodies):
-                    item.bits = (
-                        reduce(and_, map(self._head_bits, parts), -1),
-                        reduce(or_, map(self._head_bits, bodies), 0),
-                    )
+            bodies = [body for _, body in negations]
+            if item.bits is None and not comparisons and all(
+                set(r.columns) == self._head_set for r in parts + bodies
+            ):
+                item.bits = (
+                    reduce(and_, map(self._head_bits, parts), -1),
+                    reduce(or_, map(self._head_bits, bodies), 0),
+                )
         return item
 
     def _relation(self, f: Formula) -> Relation:
@@ -551,16 +562,6 @@ class _Run:
             return None
         return (positive & ~negated).bit_count()
 
-    def bit_domain(self, mask: int) -> int | None:
-        """The size of the items' reference domain under the union rule,
-        from their domain bits; None when a conjunct is a comparison."""
-        union = 0
-        for item in map(self._counted, self.set(mask).items):
-            if item.domain_bits is None:
-                return None
-            union |= item.domain_bits
-        return union.bit_count()
-
     def answers(self, mask: int) -> Relation:
         """Answers of the items' conjunction, which must be safe."""
         parts, comparisons, negations = [], [], []
@@ -586,17 +587,17 @@ class _Run:
 
     def frequency(self, mask: int) -> Frequency | None:
         """The frequency of a candidate's signed set, None on an empty
-        reference domain."""
-        size = self.bit_domain(mask)
-        if size is None:
-            conjuncts, members = [], []
-            for item in map(self._counted, self.set(mask).items):
-                conjuncts += item.conjuncts
-                members += item.domains
-            size = len(conjunction_domain(conjuncts, self.head, members)[0])
-        if not size:
+        reference domain.  The domain is the OR of the items' domain bits,
+        with the equality cover's tuples when the set's comparisons equate
+        every head variable with a constant."""
+        record = self.set(mask)
+        domain = reduce(or_, [self._counted(item).domain_bits for item in record.items])
+        if self._head_set <= record.state.cover:
+            constants = equated_constants(self.body(mask))
+            domain |= self._bitset(list(itertools.product(*map(constants.get, self.head))))
+        if not domain:
             return None
-        return Frequency(self.count(mask), size)
+        return Frequency(self.count(mask), domain.bit_count())
 
 
 def build_candidate(run: _Run, mask: int):

@@ -312,8 +312,11 @@ def _fits(t: TableDecl, rows: list[tuple]) -> bool:
 
 def _as_rows(t: TableDecl, raw) -> list[tuple]:
     """``t``'s data as a list of row tuples; a table or a row that is not
-    iterable is a DataError, reported after any fault in the rows before it."""
+    iterable is a DataError, reported after any fault in the rows before it.
+    A ``str`` or ``bytes`` table is one too: it iterates as characters."""
     try:
+        if isinstance(raw, (str, bytes)):
+            raise TypeError
         items = list(raw)
     except TypeError:
         raise DataError(f"{t.name}: expected an iterable of rows, got {_shown(raw)}") from None

@@ -1,13 +1,14 @@
 """The miner's bit counts against the set algebra they stand in for.
 
 A mining run counts a signed set from bits over its index of head
-tuples where its items allow it, and falls back to ``conjoin`` and
-``conjunction_domain`` otherwise.  These tests take every signed set of
-up to three items of several pools, in a shuffled order so that the
-index grows out of level order, and check each bit count and bit domain
-size against the relation and the domain the fallback builds.  A mined
-instance of 2,000 generated programs checks the bits at size against
-``stats`` computed from scratch.
+tuples where its items allow it, and falls back to ``conjoin``
+otherwise; it always takes a set's reference domain from bits.  These
+tests take every signed set of up to three items of several pools, in a
+shuffled order so that the index grows out of level order, and check
+each bit count against the relation the fallback builds and each
+frequency's denominator against ``reference_domain`` of the set's
+conjunction.  A mined instance of 2,000 generated programs checks the
+bits at size against ``stats`` computed from scratch.
 """
 
 import importlib.util
@@ -25,8 +26,9 @@ from ermine import (
     load_bias_file,
     load_instance,
     mine,
+    reference_domain,
 )
-from ermine.domains import conjunction_domain
+from ermine.evaluator import conjoin
 from ermine.mining import _Run
 from test_gates import signed_subsets
 
@@ -48,6 +50,13 @@ PARTIAL_HEAD_POOL = (
 )
 
 
+# An item with both a positive relation and a NOT conjunct: its negation
+# reads its bits as AND & ~OR of this item's.
+LISTED_NOT_WEEKEND = (
+    "TV-Program(P) AND NOT (EXISTS SN. EXISTS V. EXISTS S. WeekendTV(P, SN, V, S))"
+)
+
+
 def pool_bias(head, items):
     return load_bias(
         {"head": list(head), "items": list(items), "max_conjuncts": 3, "allow_negation": True},
@@ -57,7 +66,7 @@ def pool_bias(head, items):
 
 BIASES = {
     "bias_mixed": lambda: load_bias_file(TV_DIR / "bias_mixed.json", strategies.TV_SCHEMA),
-    "pool-P": lambda: pool_bias(("P",), strategies.MINING_POOLS[("P",)]),
+    "pool-P": lambda: pool_bias(("P",), strategies.MINING_POOLS[("P",)] + (LISTED_NOT_WEEKEND,)),
     "pool-P-SN": lambda: pool_bias(("P", "SN"), strategies.MINING_POOLS[("P", "SN")]),
     "partial-head": lambda: pool_bias(("P", "SN"), PARTIAL_HEAD_POOL),
 }
@@ -71,17 +80,23 @@ def countable(reason):
     )
 
 
-@pytest.mark.parametrize("name", sorted(BIASES))
-def test_bits_agree_with_conjoin_and_conjunction_domain(tv, name):
-    bias = BIASES[name]()
-    run = _Run(bias, tv)
+def shuffled_masks(bias, name):
+    """Every signed set of the bias, in an order seeded by the pool's name."""
     masks = [
         sum(1 << (2 * i + negated) for i, negated in signed)
         for signed in signed_subsets(len(bias.items), bias.max_conjuncts)
     ]
     random.Random(name).shuffle(masks)
-    counted = domains = checked = 0
-    for mask in masks:
+    return masks
+
+
+@pytest.mark.parametrize("name", sorted(BIASES))
+def test_bits_agree_with_conjoin_and_conjunction_domain(tv, name):
+    # The conjunction's domain is what reference_domain gives its body.
+    bias = BIASES[name]()
+    run = _Run(bias, tv)
+    counted = checked = 0
+    for mask in shuffled_masks(bias, name):
         if not countable(run.set(mask).reason):
             continue
         checked += 1
@@ -89,19 +104,45 @@ def test_bits_agree_with_conjoin_and_conjunction_domain(tv, name):
         if count is not None:
             counted += 1
             assert count == len(run.answers(mask).rows)
-        items = [run._counted(item) for item in run.set(mask).items]
-        size = run.bit_domain(mask)
-        if size is not None:
-            domains += 1
-            conjuncts = [c for item in items for c in item.conjuncts]
-            members = [d for item in items for d in item.domains]
-            assert size == len(conjunction_domain(conjuncts, run.head, members)[0])
         assert run.count(mask) == len(run.answers(mask).rows)
+        size = len(reference_domain(tv, run.body(mask), run.head).members)
+        fr = run.frequency(mask)
+        if size:
+            assert (fr.numerator, fr.denominator) == (run.count(mask), size)
+        else:
+            assert fr is None
     # Every pool has sets on the bit path and sets that fall back.
     assert 0 < counted < checked
-    assert 0 < domains < checked
     # Every index position is taken by one head tuple.
     assert sorted(run._index.values()) == list(range(len(run._index)))
+
+
+@pytest.mark.parametrize("name", sorted(BIASES))
+def test_negated_items_read_the_bits_of_the_item_they_negate(tv, name):
+    bias = BIASES[name]()
+    run = _Run(bias, tv)
+    for mask in shuffled_masks(bias, name):
+        if countable(run.set(mask).reason):
+            run.count(mask)
+    negated_items = [
+        item for bit, item in run._items.items() if bit & 1 and item.evaluated is not None
+    ]
+    assert negated_items
+    derived = 0
+    for negated in negated_items:
+        linked = negated.negates
+        assert negated.domain_bits == linked.domain_bits
+        if linked.bits is not None and linked.bits[0] >= 0:
+            derived += 1
+        if negated.bits is not None:
+            assert negated.bits == (-1, run._head_bits(conjoin(*linked.evaluated)))
+    assert derived
+    if name == "pool-P":
+        # Some listed program airs on a weekend, so the NOT conjunct
+        # takes answers out of the item's positive relation.
+        i = [item.text for item in bias.items].index(LISTED_NOT_WEEKEND)
+        positive, bodies = run._counted(run.item(2 * i)).bits
+        assert positive & bodies
 
 
 def test_partial_head_items_fall_back(tv):
@@ -114,9 +155,7 @@ def test_partial_head_items_fall_back(tv):
     assert run.set(1 << pairs).reason == "not-valid"
     assert run.bit_count(1 << weekend | 1 << rbc) is not None
     assert run.bit_count(1 << program | 1 << weekend) is None
-    assert run.bit_domain(1 << program | 1 << weekend) is not None
     assert run.bit_count(1 << gilmore | 1 << weekend) is None
-    assert run.bit_domain(1 << gilmore | 1 << weekend) is None
     # Every RBC listing is a listing on a known station.
     (relation,) = run._counted(run.item(listed)).evaluated[0]
     assert relation.columns == ("SN", "P")
@@ -150,7 +189,6 @@ def test_mined_statistics_at_size_match_stats():
     run = result.frequent[0].candidate.run
     for fq in result.frequent:
         assert run.bit_count(fq.candidate.mask) is not None
-        assert run.bit_domain(fq.candidate.mask) is not None
     for fq in result.frequent:
         assert fq.frequency == frequency(inst, fq.candidate.decl)
     for rule in result.rules:

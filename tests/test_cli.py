@@ -219,6 +219,54 @@ def test_domain_explain_goes_to_stderr(capsys):
     assert "atom-projection" in err
 
 
+# The equality cover's trees, recorded before the cover rule moved into
+# the reference domain's conjunction step.  In the first the comparisons
+# equate both head variables and the remaining conjuncts form one node;
+# in the second two constants cover P and one conjunct remains.
+COVER_TREES = {
+    'q(P, SN) := P = "Gilmore" AND SN = "CBC" AND TV-Program(P)'
+    ' AND (EXISTS V. EXISTS S. WeekdayTV(P, SN, V, S)) AND P != "Hockey Night"': (
+        "P,SN\nGilmore,CBC\nGilmore,CBS\nGilmore,Global\nHockey Night,CBC\n",
+        """\
+conjunction-equality-cover: P = "Gilmore" AND SN = "CBC" AND TV-Program(P) AND \
+(EXISTS V. EXISTS S. WeekdayTV(P, SN, V, S)) AND P != "Hockey Night" -> \
+{(Gilmore, CBC), (Gilmore, CBS), (Gilmore, Global), (Hockey Night, CBC)}
+  conjunction-union: TV-Program(P) AND (EXISTS V. EXISTS S. WeekdayTV(P, SN, V, S)) \
+AND P != "Hockey Night" -> {(Gilmore, CBS), (Gilmore, Global), (Hockey Night, CBC)}
+    atom-missing-variable: TV-Program(P) -> {}
+    quantifier-transparent: EXISTS V. EXISTS S. WeekdayTV(P, SN, V, S) -> \
+{(Gilmore, CBS), (Gilmore, Global), (Hockey Night, CBC)}
+      quantifier-transparent: EXISTS S. WeekdayTV(P, SN, V, S) -> \
+{(Gilmore, CBS), (Gilmore, Global), (Hockey Night, CBC)}
+        atom-projection: WeekdayTV(P, SN, V, S) -> \
+{(Gilmore, CBS), (Gilmore, Global), (Hockey Night, CBC)}
+    comparison-empty: P != "Hockey Night" -> {}
+""",
+    ),
+    'q(P) := P = "Gilmore" AND P = "Simpsons"'
+    " AND (EXISTS SN. EXISTS V. EXISTS S. WeekdayTV(P, SN, V, S))": (
+        "P\nGilmore\nHockey Night\nSimpsons\n",
+        """\
+conjunction-equality-cover: P = "Gilmore" AND P = "Simpsons" AND \
+(EXISTS SN. EXISTS V. EXISTS S. WeekdayTV(P, SN, V, S)) -> {(Gilmore), (Hockey Night), (Simpsons)}
+  quantifier-transparent: EXISTS SN. EXISTS V. EXISTS S. WeekdayTV(P, SN, V, S) -> \
+{(Gilmore), (Hockey Night)}
+    quantifier-transparent: EXISTS V. EXISTS S. WeekdayTV(P, SN, V, S) -> \
+{(Gilmore), (Hockey Night)}
+      quantifier-transparent: EXISTS S. WeekdayTV(P, SN, V, S) -> {(Gilmore), (Hockey Night)}
+        atom-projection: WeekdayTV(P, SN, V, S) -> {(Gilmore), (Hockey Night)}
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("query", sorted(COVER_TREES))
+def test_domain_explain_pins_the_equality_cover_tree(capsys, query):
+    code, out, err = run(capsys, *BASE, "domain", query, "--explain")
+    assert code == 0
+    assert (out, err) == COVER_TREES[query]
+
+
 def test_freq_certain_query(capsys):
     code, out, _ = run(capsys, *BASE, "freq", "F1")
     assert code == 0
@@ -399,6 +447,23 @@ def test_mine_mixed_bias_debug_log_matches_the_recorded_log(capsys):
     assert code == 0
     assert out.encode("utf-8") == (TV_DIR / "mine_mixed.stdout").read_bytes()
     assert err.encode("utf-8") == (TV_DIR / "mine_mixed.debug").read_bytes()
+
+
+def test_mine_cover_bias_matches_the_recorded_output(capsys, tmp_path):
+    # A (P, SN) head with an item whose comparisons equate both head
+    # variables with constants, comparison items, and negation; recorded
+    # before the miner took every reference domain from bits.
+    bias = str(TV_DIR / "bias_cover.json")
+    argv = (*BASE, "mine", "--bias", bias, "--min-support", "1/4", "--min-confidence", "1/2")
+    out_csv = tmp_path / "rules.csv"
+    code, out, _ = run(capsys, *argv, "--csv", str(out_csv))
+    assert code == 0
+    assert out.encode("utf-8") == (TV_DIR / "mine_cover.stdout").read_bytes()
+    assert out_csv.read_bytes() == (TV_DIR / "mine_cover.csv").read_bytes()
+    code, out, err = run(capsys, "--log-level", "debug", *argv)
+    assert code == 0
+    assert out.encode("utf-8") == (TV_DIR / "mine_cover.stdout").read_bytes()
+    assert err.encode("utf-8") == (TV_DIR / "mine_cover.debug").read_bytes()
 
 
 def test_mine_nothing_found(capsys):

@@ -804,6 +804,13 @@ def test_a_table_or_row_that_is_not_iterable_is_a_data_error():
     assert load_error(BADGES, {"Person": [("ann",)], "Badge": 7}) == (
         "Badge: expected an iterable of rows, got 7"
     )
+    # A string iterates as characters, not rows.
+    assert load_error(BADGES, {"Person": "ann"}) == (
+        "Person: expected an iterable of rows, got 'ann'"
+    )
+    assert load_error(BADGES, {"Person": [("ann",)], "Badge": b"ab"}) == (
+        "Badge: expected an iterable of rows, got b'ab'"
+    )
     assert load_error(BADGES, {"Person": [("ann",), ("bo",), 5, None]}) == (
         "Person row 3: expected a row of values, got 5"
     )
