@@ -85,8 +85,7 @@ def _print_relation(rel: Relation, out) -> None:
         return
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(rel.columns)
-    for row in sorted_rows(rel):
-        writer.writerow(row)
+    writer.writerows(sorted_rows(rel))
 
 
 def _decimal(value: Fraction) -> str:

@@ -415,14 +415,20 @@ def _check_cell(table: TableDecl, f: FieldDecl, cell: str, path, rno: int):
 
 
 def load_instance_dir(schema: Schema, directory) -> DatabaseInstance:
-    """Load one ``<table>.csv`` per schema table from a directory."""
+    """Load one ``<table>.csv`` per schema table from a directory.
+
+    Every table's string cells go through one pool, made per call, so the
+    instance holds one ``str`` object per distinct string value: its rows,
+    relations, entity constants and active domain all share it.
+    """
     tables = {}
+    strings: dict[str, str] = {}
     for t in schema.tables:
         path = os.path.join(directory, f"{t.name}.csv")
         if not os.path.exists(path):
             raise DataError(f"missing data file {path}")
         try:
-            tables[t.name] = _read_csv(t, path)
+            tables[t.name] = _read_csv(t, path, strings)
         except (UnicodeDecodeError, csv.Error) as exc:
             raise DataError(f"{path}: not valid UTF-8 CSV: {exc}") from exc
     return load_instance(schema, tables)
@@ -459,24 +465,29 @@ def _raise_first_csv_error(t: TableDecl, path) -> NoReturn:
     raise AssertionError(f"a column check of {path} failed that no row check fails")
 
 
-def _converted(t: TableDecl, chunk: list[list[str]]):
-    """The chunk's rows as tuples, integer cells converted a column at a
-    time, or None when a row has the wrong arity or a bad integer cell."""
+def _converted(t: TableDecl, chunk: list[list[str]], strings: dict[str, str]):
+    """The chunk's rows as tuples, converted a column at a time, or None
+    when a row has the wrong arity or a bad integer cell.  Integer cells
+    become ints; each string cell becomes the pooled object ``strings``
+    holds for its value, added on first sight."""
     if set(map(len, chunk)) != {t.arity}:
         return None
-    columns = [map(itemgetter(i), chunk) for i in range(t.arity)]
+    columns = []
     for i, f in enumerate(t.fields):
+        cells = list(map(itemgetter(i), chunk))
         if f.value_type == "integer":
-            cells = list(columns[i])
             if not all(map(INTEGER_LITERAL.fullmatch, cells)):
                 return None
-            columns[i] = map(int, cells)
+            columns.append(map(int, cells))
+        else:
+            columns.append(map(strings.setdefault, cells, cells))
     return zip(*columns)
 
 
-def _read_csv(t: TableDecl, path) -> list[tuple]:
+def _read_csv(t: TableDecl, path, strings: dict[str, str]) -> list[tuple]:
     """The rows of ``path``, checked and converted ``_CHUNK_ROWS`` rows at
-    a time, so that no file's cells are all held twice.
+    a time, so that no file's cells are all held twice.  String cells are
+    pooled in ``strings``, which every file of one load shares.
 
     When a check fails, ``_raise_first_csv_error`` reads the file again a
     row at a time to report the first failing row.
@@ -487,7 +498,7 @@ def _read_csv(t: TableDecl, path) -> list[tuple]:
             reader = csv.reader(fh)
             _check_header(t, path, reader)
             while chunk := list(islice(reader, _CHUNK_ROWS)):
-                converted = _converted(t, chunk)
+                converted = _converted(t, chunk, strings)
                 if converted is None:
                     break
                 rows.extend(converted)

@@ -334,6 +334,24 @@ def test_instance_dir_round_trip(tv, tmp_path):
     assert header == "TV-Program,TV-Station,Viewers,Sponsor"
 
 
+def assert_one_object_per_string(inst):
+    cells = [v for rows in inst.relations.values() for row in rows for v in row if type(v) is str]
+    objects = {id(v) for v in cells}
+    assert len(objects) == len(set(cells))
+    for value in (*inst.entity_constants, *inst.active_domain):
+        if type(value) is str:
+            assert id(value) in objects
+
+
+def test_load_instance_dir_keeps_one_object_per_string_value(tv, tv_schema, tmp_path):
+    # One pool per load, shared by every table: a program's name in
+    # TV-Program and in both listing tables is one object.
+    assert_one_object_per_string(tv)
+    gen = load_generator()
+    gen.write_csvs(gen.generate(3, 2000, 20), tmp_path)
+    assert_one_object_per_string(load_instance_dir(tv_schema, tmp_path))
+
+
 def test_load_instance_dir_missing_file(tv_schema, tmp_path):
     with pytest.raises(DataError, match="missing data file"):
         load_instance_dir(tv_schema, tmp_path)
