@@ -1,5 +1,5 @@
-"""Access paths: lazily built scans, hash indexes and projections of one
-instance's tables.
+"""Access paths: lazily built scans, ordered indexes and projections of
+one instance's tables.
 
 Every ``DatabaseInstance`` carries one ``AccessPath``.  It starts empty
 and fills as queries read the tables, so loading an instance costs
@@ -11,10 +11,11 @@ to one query:
   element per table position: the position's value as a 1-tuple for a
   constant, else the position where that variable first occurs.  The scan
   of an atom of distinct variables is the table's own frozenset.
-* **indexes** — one hash index per (table, position), mapping each value
-  to the tuple of table rows holding it there, and one ordered index per
-  (table, position): the table's rows sorted by ``value_key`` of their
-  value there, for range selections by bisection.
+* **ordered indexes** — one per (table, position): the table's rows
+  sorted by ``value_key`` of their value there, so that each type's
+  values form one sorted run, and where the run of strings starts.
+  ``AccessPath.span`` answers ``=`` and the ordering comparisons from it
+  by bisection; a scan with a constant reads its ``=`` the same way.
 * **projections** — a scan projected onto some of its columns, which is
   what a reference domain reads for an atom.
 
@@ -23,6 +24,7 @@ Rows are plain tuples throughout; naming columns is the evaluator's job.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from operator import itemgetter
 
 from .errors import DataError
@@ -37,6 +39,21 @@ def value_key(value) -> tuple:
 def row_key(row: tuple) -> tuple:
     """The sort key of a row: its values' keys in order."""
     return tuple(map(value_key, row))
+
+
+def one_type(values) -> bool:
+    """Do the values hold at most one type?  Then their own order is
+    their ``value_key`` order, which needs no key per value."""
+    return len(set(map(type, values))) < 2
+
+
+def sort_rows(rows) -> list[tuple]:
+    """The rows, all of one width, in ``row_key`` order: their own order
+    where every column holds one type."""
+    width = len(next(iter(rows), ()))
+    if all(one_type(map(itemgetter(i), rows)) for i in range(width)):
+        return sorted(rows)
+    return sorted(rows, key=row_key)
 
 
 def is_plain(pattern: tuple) -> bool:
@@ -55,10 +72,10 @@ def project(rows, positions):
     return (() for _ in rows)
 
 
-def select(rows, pattern: tuple) -> list[tuple]:
+def select(rows, pattern: tuple):
     """The rows that fit the pattern, projected onto its variables'
-    first positions; the result has no duplicates when ``rows`` has
-    none."""
+    first positions: ``rows`` itself when the pattern is plain.  The
+    result has no duplicates when ``rows`` has none."""
     for i, p in enumerate(pattern):
         if type(p) is tuple:
             rows = [r for r in rows if r[i] == p[0]]
@@ -66,20 +83,19 @@ def select(rows, pattern: tuple) -> list[tuple]:
             rows = [r for r in rows if r[i] == r[p]]
     keep = [i for i, p in enumerate(pattern) if p == i]
     if len(keep) == len(pattern):
-        return list(rows)
+        return rows
     return list(project(rows, keep))
 
 
 class AccessPath:
-    """Scans, indexes and projections over a mapping of table rows."""
+    """Scans, ordered indexes and projections over a mapping of table rows."""
 
-    __slots__ = ("_relations", "_scans", "_indexes", "_ordered", "_projections")
+    __slots__ = ("_relations", "_scans", "_ordered", "_projections")
 
     def __init__(self, relations):
         self._relations = relations
         self._scans: dict[tuple, frozenset] = {}
-        self._indexes: dict[tuple, dict] = {}
-        self._ordered: dict[tuple, list] = {}
+        self._ordered: dict[tuple, tuple[list, int]] = {}
         self._projections: dict[tuple, frozenset] = {}
 
     def rows(self, table: str) -> frozenset:
@@ -101,31 +117,59 @@ class AccessPath:
             if const is None:
                 source = self.rows(table)
             else:
-                source = self.lookup(table, const, pattern[const][0])
+                ordered, lo, hi = self.span(table, const, [("=", pattern[const][0])])
+                source = ordered[lo:hi]
             rows = self._scans[key] = frozenset(select(source, pattern))
         return rows
 
-    def lookup(self, table: str, position: int, value) -> tuple:
-        """The table rows holding ``value`` at ``position``."""
+    def ordered(self, table: str, position: int) -> tuple[list[tuple], int]:
+        """The ordered index of ``table`` at ``position``: the table's rows
+        sorted by ``value_key`` of their value there, so that each type's
+        values form one sorted run, and the index where strings start.  A
+        column of one type sorts on its raw values."""
         key = (table, position)
-        index = self._indexes.get(key)
+        index = self._ordered.get(key)
         if index is None:
-            built: dict = {}
-            for row in self.rows(table):
-                built.setdefault(row[position], []).append(row)
-            index = self._indexes[key] = {v: tuple(rs) for v, rs in built.items()}
-        return index.get(value, ())
+            rows = self.rows(table)
+            if one_type(map(itemgetter(position), rows)):
+                rows = sorted(rows, key=itemgetter(position))
+                strings = 0 if rows and type(rows[0][position]) is str else len(rows)
+            else:
 
-    def ordered(self, table: str, position: int) -> list[tuple]:
-        """The table rows sorted by ``value_key`` of their value at
-        ``position``, so that each type's values form one sorted run."""
-        key = (table, position)
-        rows = self._ordered.get(key)
-        if rows is None:
-            rows = self._ordered[key] = sorted(
-                self.rows(table), key=lambda r: value_key(r[position])
-            )
-        return rows
+                def keyed(row):
+                    return value_key(row[position])
+
+                rows = sorted(rows, key=keyed)
+                strings = bisect_left(rows, (True, ""), key=keyed)
+            index = self._ordered[key] = rows, strings
+        return index
+
+    def span(self, table: str, position: int, tests) -> tuple[list[tuple], int, int]:
+        """The ordered index's rows at ``position`` and bounds ``lo`` and
+        ``hi``: ``rows[lo:hi]`` are the rows whose value there passes every
+        ``(op, constant)`` test, ``op`` one of ``=``, ``<``, ``>``, ``<=``
+        and ``>=``, by the evaluator's comparison rules.  Only values of a
+        constant's type can pass, so each test bisects within that type's
+        run; an ``=`` is the run of values equal to the constant."""
+        rows, strings = self.ordered(table, position)
+        value_at = itemgetter(position)
+        lo, hi = 0, len(rows)
+        for op, value in tests:
+            if type(value) is str:
+                lo = max(lo, strings)
+            else:
+                hi = min(hi, strings)
+            if lo >= hi:
+                return rows, lo, lo
+            if op == "=" or op == ">=":
+                lo = bisect_left(rows, value, lo, hi, key=value_at)
+            elif op == ">":
+                lo = bisect_right(rows, value, lo, hi, key=value_at)
+            if op == "=" or op == "<=":
+                hi = bisect_right(rows, value, lo, hi, key=value_at)
+            elif op == "<":
+                hi = bisect_left(rows, value, lo, hi, key=value_at)
+        return rows, lo, hi
 
     def projection(self, table: str, pattern: tuple, columns: tuple) -> frozenset:
         """The scan projected onto ``columns``, positions in its rows."""

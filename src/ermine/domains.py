@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .access import row_key
+from .access import sort_rows
 from .evaluator import atom_projection
 from .formulas import (
     And,
@@ -66,7 +66,7 @@ class DomainTrace:
         pad = "  " * indent
         shown = ", ".join(
             "(" + ", ".join(str(v) for v in m) + ")"
-            for m in sorted(self.members, key=row_key)
+            for m in sort_rows(self.members)
         )
         lines = [f"{pad}{self.rule}: {self.formula} -> {{{shown}}}"]
         for child in self.children:

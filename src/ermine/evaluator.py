@@ -13,11 +13,12 @@ free variables:
   - A conjunction first pushes every comparison of a variable with a
     constant (``V op c``, or ``c op V`` with the operator flipped) into
     the scan of each positive atom that binds the variable.  The atom
-    then reads the smallest of what its tests offer: the bucket of a
-    hash index for an ``=``, or a slice of an ordered index for the
-    ordering comparisons of one variable; the whole scan only when
-    neither applies.  Filtered scans are not kept: ad-hoc queries
-    rarely repeat, so such entries would only hold memory.
+    then reads the shortest of what its tests offer: the tests of one
+    variable other than ``!=`` offer one span of that position's ordered
+    index, an ``=`` the run of equal values and an ordering comparison
+    a range; the whole scan only when no test offers a span.  Filtered
+    scans are not kept: ad-hoc queries rarely repeat, so such entries
+    would only hold memory.
   - Under a chain of EXISTS, a quantified column that no other conjunct
     reads is projected away before the joins.  The conjunction step
     (``conjoin``, shared with the miner) then joins the positive parts,
@@ -49,15 +50,13 @@ from __future__ import annotations
 
 import itertools
 import operator
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
-from .access import project, row_key, select, value_key
+from .access import project, row_key, select, sort_rows, value_key
 from .entities import ErReport, ValidityReport
 from .errors import EvaluationError, UnsafeQueryError
 from .formulas import (
-    ORDER_OPS,
     And,
     Atom,
     Comparison,
@@ -94,13 +93,8 @@ class Relation:
 
 
 def sorted_rows(rel: Relation) -> list[tuple]:
-    """The rows in ``row_key`` order.  Where every column holds values of
-    one type, that is the rows' own order, which needs no key per row."""
-    rows = rel.rows
-    columns = range(len(rel.columns))
-    if all(len(set(map(type, map(operator.itemgetter(i), rows)))) < 2 for i in columns):
-        return sorted(rows)
-    return sorted(rows, key=row_key)
+    """The rows in ``row_key`` order (``access.sort_rows``)."""
+    return sort_rows(rel.rows)
 
 
 def evaluation_vocabulary(
@@ -327,65 +321,33 @@ def _eval_atom(inst, atom: Atom, tests=()) -> Relation:
     """The atom's satisfying tuples that pass every ``(variable, op,
     constant)`` test, read through the instance's access path.
 
-    Each ``=`` test offers the bucket of its hash index, and the ordering
-    tests of each variable offer one slice of its ordered index.  The
-    smallest offer is read instead of the whole scan, and only the tests
-    it does not answer are applied to its rows."""
+    The tests of each variable other than ``!=`` offer one span of its
+    ordered index (``AccessPath.span``).  The shortest span is read
+    instead of the whole scan, and only the tests it does not answer are
+    applied to its rows."""
     pattern, first = _atom_pattern(atom)
     columns = tuple(first)
     access = inst.access
     table = atom.predicate
     if not tests:
         return Relation(columns, access.scan(table, pattern))
+    by_var: dict[str, list] = {}
+    for test in tests:
+        if test[1] != "!=":
+            by_var.setdefault(test[0], []).append(test)
     offers = [
-        (access.lookup(table, first[var], value), [(var, op, value)])
-        for var, op, value in tests
-        if op == "="
+        (access.span(table, first[var], [t[1:] for t in answered]), answered)
+        for var, answered in by_var.items()
     ]
-    for var in dict.fromkeys(var for var, op, _ in tests if op in ORDER_OPS):
-        answered = [t for t in tests if t[0] == var and t[1] in ORDER_OPS]
-        pos = first[var]
-        rows = _ordered_slice(access.ordered(table, pos), pos, answered)
-        offers.append((rows, answered))
     if offers:
-        rows, answered = min(offers, key=lambda offer: len(offer[0]))
-        rows = select(rows, pattern)
+        (rows, lo, hi), answered = min(offers, key=lambda o: o[0][2] - o[0][1])
+        rows = select(rows[lo:hi], pattern)
     else:
         rows, answered = access.scan(table, pattern), []
     for var, op, value in tests:
         if (var, op, value) not in answered:
             rows = _keep(rows, columns.index(var), op, value)
     return Relation(columns, frozenset(rows))
-
-
-def _ordered_slice(rows: list, pos: int, tests) -> list:
-    """The rows passing every ordering test ``(variable, op, constant)``
-    on position ``pos``, by ``_compare``'s rules, from rows sorted as
-    ``AccessPath.ordered`` sorts them: only values of the constant's type
-    can pass, and those form one sorted run."""
-    lo, hi = 0, len(rows)
-
-    def is_str(r):
-        return type(r[pos]) is str
-
-    def value_at(r):
-        return r[pos]
-
-    for _, op, value in tests:
-        kind = type(value) is str
-        lo = max(lo, bisect_left(rows, kind, key=is_str))
-        hi = min(hi, bisect_right(rows, kind, key=is_str))
-        if lo >= hi:
-            return []
-        if op == ">=":
-            lo = bisect_left(rows, value, lo, hi, key=value_at)
-        elif op == ">":
-            lo = bisect_right(rows, value, lo, hi, key=value_at)
-        elif op == "<=":
-            hi = bisect_right(rows, value, lo, hi, key=value_at)
-        else:
-            hi = bisect_left(rows, value, lo, hi, key=value_at)
-    return rows[lo:hi]
 
 
 def atom_projection(inst, atom: Atom, variables) -> frozenset[tuple]:

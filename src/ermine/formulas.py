@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 Span = tuple[int, int]
 
 COMPARISON_OPS = ("=", "!=", "<", ">", "<=", ">=")
-EQUALITY_OPS = ("=", "!=")
-ORDER_OPS = ("<", ">", "<=", ">=")
 
 # An integer literal as the query language writes one; an integer CSV cell
 # is written the same way.  int() takes more: "1_0", " 1", "+5", "١".

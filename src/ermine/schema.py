@@ -34,7 +34,7 @@ from itertools import islice
 from operator import itemgetter
 from typing import NoReturn
 
-from .access import AccessPath, row_key
+from .access import AccessPath, sort_rows
 from .errors import DataError, SchemaError
 from .formulas import INTEGER_LITERAL
 
@@ -518,5 +518,4 @@ def save_instance_dir(inst: DatabaseInstance, directory) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow([f.name for f in t.fields])
-            for row in sorted(inst.relations[t.name], key=row_key):
-                writer.writerow(row)
+            writer.writerows(sort_rows(inst.relations[t.name]))

@@ -11,6 +11,16 @@ writes) byte for byte:
 * round trip: the instance ``load_instance_dir`` reads from one
   directory, written to another by ``save_instance_dir``.
 
+Two more relations run ``mine`` on the fixture instance with each
+fixture bias, pruned and with ``--no-prune``:
+
+* duplicate items: a bias that names every item twice prints the same
+  stdout and ``--csv`` bytes as the bias itself;
+* level prefix: a ``--max-level`` one below the bias's conjunct limit
+  prints the full run's level lines up to that level, the full run's
+  frequent queries up to the number those lines count, and a prefix of
+  its rules and of its ``--csv`` rows.
+
 The instances are small TV survey instances from strategies.py, mined
 with a bias drawn from its pools, and instances of perfbench/gen.py,
 mined with the mine-data bias.  A set of two or three rows seldom
@@ -31,6 +41,8 @@ import tempfile
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 import strategies
 from cli_runs import run_commands
 from conftest import TV_DIR
@@ -38,6 +50,7 @@ from ermine import load_instance_dir, save_instance_dir
 from test_bitsets import load_generator
 
 SCHEMA = str(TV_DIR / "schema.json")
+DATA = str(TV_DIR / "data")
 QUERIES = str(TV_DIR / "queries.erq")
 CLI_RUNS = os.path.join(os.path.dirname(__file__), "cli_runs.py")
 SRC = str(TV_DIR.parent.parent / "src")
@@ -250,3 +263,73 @@ def test_a_saved_generated_instance_loads_to_the_same_outputs(seed, order):
     assert_same_transcripts(
         lambda d: write_generated(seed, order, d), round_trip_copy, MINE_DATA_BIAS, "1/10"
     )
+
+
+FIXTURE_BIASES = ("bias_programs", "bias_pairs", "bias_mixed", "bias_cover")
+PRUNING = ([], ["--no-prune"])
+
+
+def mine_outputs(bias_path, options, rules_csv):
+    """The exit code, stdout and stderr of ``mine`` on the fixture
+    instance, then the rules CSV it wrote."""
+    argv = [
+        "--schema", SCHEMA, "--data", DATA, "mine", "--bias", bias_path,
+        "--min-support", "1/10", "--min-confidence", "1/2", "--csv", rules_csv,
+        *options,
+    ]
+    [result] = run_commands([argv])
+    with open(rules_csv, encoding="utf-8") as fh:
+        return (*result, fh.read())
+
+
+def mine_sections(stdout):
+    """The level lines, frequent query lines and rule lines that ``mine``
+    printed, the "(none)" of an empty section left out."""
+    levels, queries, rules = sections = [], [], []
+    current = levels
+    for line in stdout.splitlines():
+        if line.startswith("frequent queries "):
+            current = queries
+        elif line.startswith("rules "):
+            current = rules
+        elif line != "  (none)":
+            current.append(line)
+    return sections
+
+
+@pytest.mark.parametrize("options", PRUNING, ids=["pruned", "no-prune"])
+@pytest.mark.parametrize("name", FIXTURE_BIASES)
+def test_a_bias_naming_each_item_twice_mines_the_same_output(name, options, tmp_path):
+    original = TV_DIR / f"{name}.json"
+    with open(original, encoding="utf-8") as fh:
+        bias = json.load(fh)
+    bias["items"] = [item for item in bias["items"] for _ in (0, 1)]
+    doubled = tmp_path / "doubled.json"
+    doubled.write_text(json.dumps(bias), encoding="utf-8")
+    expected = mine_outputs(str(original), options, str(tmp_path / "a.csv"))
+    assert mine_outputs(str(doubled), options, str(tmp_path / "b.csv")) == expected
+    assert mine_sections(expected[1])[1]
+
+
+@pytest.mark.parametrize("options", PRUNING, ids=["pruned", "no-prune"])
+@pytest.mark.parametrize("name", FIXTURE_BIASES)
+def test_a_lower_max_level_prints_a_prefix_of_the_full_run(name, options, tmp_path):
+    bias = TV_DIR / f"{name}.json"
+    with open(bias, encoding="utf-8") as fh:
+        level = json.load(fh)["max_conjuncts"] - 1
+    full = mine_outputs(str(bias), options, str(tmp_path / "full.csv"))
+    cut = mine_outputs(
+        str(bias), [*options, "--max-level", str(level)], str(tmp_path / "cut.csv")
+    )
+    assert full[0] == cut[0] == 0
+    levels, queries, rules = mine_sections(full[1])
+    cut_levels, cut_queries, cut_rules = mine_sections(cut[1])
+    assert len(levels) == level + 1
+    assert cut_levels == levels[:level]
+    # "level k: N candidates, M frequent"
+    kept = sum(int(line.split()[-2]) for line in cut_levels)
+    assert cut_queries == queries[:kept]
+    assert len(cut_rules) < len(rules)
+    assert cut_rules == rules[: len(cut_rules)]
+    cut_csv = cut[3].splitlines()
+    assert cut_csv == full[3].splitlines()[: len(cut_csv)]
