@@ -18,6 +18,11 @@ variables could range over:
 * EXISTS is transparent unless it captures a requested variable, in
   which case it contributes nothing.
 
+Unions share their operands: a union whose other operands add nothing to
+its largest one is that operand, so the domain of one atom beside
+comparisons is the projection the instance's access path keeps, not a
+copy.
+
 Logically equivalent formulas may have different reference domains; the
 construction is deliberately syntactic so that a query's denominator
 reflects the tables and selections it actually names.
@@ -110,7 +115,7 @@ def _dom(inst, f: Formula, variables: tuple[str, ...], trace: bool):
     if isinstance(f, Or):
         left, lnode = _dom(inst, f.left, variables, trace)
         right, rnode = _dom(inst, f.right, variables, trace)
-        members = left | right
+        members = _union((left, right))
         return members, _node(trace, f, "disjunction-union", members, lnode, rnode)
     if isinstance(f, Exists):
         if f.var in variables:
@@ -125,7 +130,7 @@ def _dom(inst, f: Formula, variables: tuple[str, ...], trace: bool):
         subs = [_dom(inst, c, variables, trace) for c in f.conjuncts]
         constants = equated_constants(f)
         if not constants.keys() >= set(variables):
-            members = frozenset().union(*(m for m, _ in subs))
+            members = _union(m for m, _ in subs)
             children = [node for _, node in subs]
             return members, _node(trace, f, "conjunction-union", members, *children)
         # The cover's tuples stand in for the comparisons that equate a
@@ -136,16 +141,30 @@ def _dom(inst, f: Formula, variables: tuple[str, ...], trace: bool):
             if not (isinstance(c, Comparison) and equated_constants(c).keys() & set(variables))
         ]
         tuples = frozenset(itertools.product(*(constants[v] for v in variables)))
-        members = tuples.union(*(subs[k][0] for k in rest))
+        members = _union((tuples, *(subs[k][0] for k in rest)))
         children = [subs[k][1] for k in rest]
         if trace and len(rest) > 1:
             # The cover reads its remaining conjuncts as one conjunction.
             g = conjunction([f.conjuncts[k] for k in rest])
-            union = frozenset().union(*(subs[k][0] for k in rest))
+            union = _union(subs[k][0] for k in rest)
             children = [_node(trace, g, "conjunction-union", union, *children)]
         rule = "conjunction-equality-cover"
         return members, _node(trace, f, rule, members, *children)
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _union(sets) -> frozenset:
+    """The union of the sets, sharing the largest operand when the others
+    add nothing to it: an atom's members are its access path's cached
+    projection, which a union with a comparison's empty set or with an
+    equal set would otherwise copy."""
+    members = frozenset()
+    for s in sets:
+        if len(s) >= len(members):
+            members, s = s, members
+        if not s <= members:
+            members = members | s
+    return members
 
 
 def _node(trace: bool, f: Formula, rule: str, members, *children):

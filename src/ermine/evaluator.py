@@ -19,12 +19,18 @@ free variables:
     a range; the whole scan only when no test offers a span.  Filtered
     scans are not kept: ad-hoc queries rarely repeat, so such entries
     would only hold memory.
-  - Under a chain of EXISTS, a quantified column that no other conjunct
-    reads is projected away before the joins.  The conjunction step
-    (``conjoin``, shared with the miner) then joins the positive parts,
-    smallest first, preferring a part that shares a column with the join
-    so far.  The remaining comparisons follow (equalities can bind
-    still-unbound variables), and negated conjuncts are anti-joined.
+  - Under a chain of EXISTS, a quantified column that no other positive
+    conjunct, negated body or leftover comparison reads is never built:
+    before anything is evaluated, the conjunction works out the columns
+    each positive part keeps, and an atom builds only those from the
+    rows its span or scan returns (an atom without tests reads the kept
+    projection of its scan, which the access path keeps).  A part that
+    is not an atom is evaluated whole and then projected.  The
+    conjunction step (``conjoin``, shared with the miner) then joins the
+    positive parts, smallest first, preferring a part that shares a
+    column with the join so far.  The remaining comparisons follow
+    (equalities can bind still-unbound variables), and negated
+    conjuncts are anti-joined.
   - OR unions aligned columns; a chain of EXISTS projects all of its
     quantified columns away at once.
 * ``evaluate_naive`` enumerates every assignment of the free variables
@@ -274,8 +280,6 @@ def _eval(inst, f: Formula, nonempty: bool, drop=frozenset()) -> Relation:
     except that a conjunction may leave out variables in ``drop``, which
     the caller projects away.  ``nonempty`` tells whether the evaluation
     vocabulary has a member, which only vacuous quantifiers depend on."""
-    if isinstance(f, Atom):
-        return _eval_atom(inst, f)
     if isinstance(f, Or):
         left = _eval(inst, f.left, nonempty)
         right = _reorder(_eval(inst, f.right, nonempty), left.columns)
@@ -299,7 +303,7 @@ def _eval(inst, f: Formula, nonempty: bool, drop=frozenset()) -> Relation:
         return _reorder(body, tuple(c for c in body.columns if c not in quantified))
     if isinstance(f, Forall):
         raise EvaluationError("evaluate needs a normalized formula")
-    # And, lone comparisons, and lone negations all go through the
+    # And, lone atoms, comparisons and negations all go through the
     # conjunction path (a non-And formula is its own single conjunct).
     return _eval_conjunction(inst, f, nonempty, drop)
 
@@ -317,20 +321,24 @@ def _atom_pattern(atom: Atom) -> tuple[tuple, dict[str, int]]:
     return tuple(pattern), first
 
 
-def _eval_atom(inst, atom: Atom, tests=()) -> Relation:
+def _eval_atom(inst, atom: Atom, tests, kept) -> Relation:
     """The atom's satisfying tuples that pass every ``(variable, op,
-    constant)`` test, read through the instance's access path.
+    constant)`` test, projected onto the ``kept`` variables (in the
+    order they first occur in the atom) and read through the instance's
+    access path.
 
     The tests of each variable other than ``!=`` offer one span of its
     ordered index (``AccessPath.span``).  The shortest span is read
     instead of the whole scan, and only the tests it does not answer are
-    applied to its rows."""
+    applied to its rows, which then build only the kept columns.  An
+    atom without tests reads the kept projection of its scan."""
     pattern, first = _atom_pattern(atom)
     columns = tuple(first)
+    positions = tuple(columns.index(v) for v in kept)
     access = inst.access
     table = atom.predicate
     if not tests:
-        return Relation(columns, access.scan(table, pattern))
+        return Relation(kept, access.projection(table, pattern, positions))
     by_var: dict[str, list] = {}
     for test in tests:
         if test[1] != "!=":
@@ -347,7 +355,9 @@ def _eval_atom(inst, atom: Atom, tests=()) -> Relation:
     for var, op, value in tests:
         if (var, op, value) not in answered:
             rows = _keep(rows, columns.index(var), op, value)
-    return Relation(columns, frozenset(rows))
+    if len(kept) < len(columns):
+        rows = project(rows, positions)
+    return Relation(kept, frozenset(rows))
 
 
 def atom_projection(inst, atom: Atom, variables) -> frozenset[tuple]:
@@ -425,26 +435,38 @@ def _eval_conjunction(inst, f: Formula, nonempty: bool, drop) -> Relation:
                     pushed = True
         if not pushed:
             pending.append(c)
-    parts = [
-        _eval_atom(inst, p, t) if isinstance(p, Atom) else _eval(inst, p, nonempty)
-        for p, t in zip(positives, tests)
+    # Projection pushdown: a column in ``drop`` that no other positive
+    # conjunct, negated body or pending comparison reads is never built.
+    columns = [
+        tuple(_atom_pattern(p)[1]) if isinstance(p, Atom) else free_variables(p)
+        for p in positives
     ]
-    subs = [_eval(inst, n.body, nonempty) for n in negations]
+    kept = columns
     if drop:
-        # Projection pushdown: a column in ``drop`` that no other part,
-        # comparison or negation reads goes before the joins.
-        read = Counter(c for p in parts for c in p.columns)
-        read.update(c for sub in subs for c in sub.columns)
+        read = Counter(c for cols in columns for c in cols)
+        read.update(c for n in negations for c in free_variables(n))
         read.update(
             t.name
             for c in pending
             for t in (c.left, c.right)
             if isinstance(t, Variable)
         )
-        for k, p in enumerate(parts):
-            kept = tuple(c for c in p.columns if c not in drop or read[c] > 1)
-            parts[k] = _reorder(p, kept)
+        kept = [
+            tuple(c for c in cols if c not in drop or read[c] > 1) for cols in columns
+        ]
+    parts = [
+        _eval_atom(inst, p, t, k) if isinstance(p, Atom) else _eval_part(inst, p, nonempty, k)
+        for p, t, k in zip(positives, tests, kept)
+    ]
+    subs = [_eval(inst, n.body, nonempty) for n in negations]
     return conjoin(parts, pending, zip(negations, subs))
+
+
+def _eval_part(inst, f: Formula, nonempty: bool, kept) -> Relation:
+    """A conjunct that is not an atom, evaluated whole and then projected
+    onto its ``kept`` variables."""
+    rel = _eval(inst, f, nonempty)
+    return _reorder(rel, tuple(c for c in rel.columns if c in kept))
 
 
 def conjoin(parts, comparisons, negations) -> Relation:

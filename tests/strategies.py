@@ -14,6 +14,10 @@ Every generated query has the single free variable X.  Two families:
   safe, entity, and valid for X by construction, and their reference
   domains are non-empty whenever no table is empty.
 
+atom_scan_cases() makes one atom with constants and repeated variables,
+comparisons of its variables with constants, and a subset of its columns
+to keep, for checks of the evaluator's atom scan.
+
 Instances stay tiny on purpose (at most four tables, four rows per
 table, five distinct constants) so the enumeration oracle stays cheap.
 
@@ -308,6 +312,40 @@ def _safe_body(draw, key):
         draw(_pattern(key, plain=False)),
         Comparison(Variable("X"), "=", Constant(draw(st.sampled_from(NAMES)))),
     )
+
+
+@st.composite
+def atom_scan_cases(draw):
+    """An instance, an atom over one of its tables, ``(variable, op,
+    constant)`` tests of the atom's variables, the atom's columns (its
+    distinct variables in first-occurrence order) and an ordered subset
+    of them to keep."""
+    key, inst = draw(instances())
+    table = draw(st.sampled_from(SCHEMAS[key].tables))
+    terms = tuple(
+        draw(
+            st.one_of(
+                st.sampled_from(("A", "B", "C")).map(Variable),
+                st.sampled_from(NAMES + WEIGHTS).map(Constant),
+            )
+        )
+        for _ in table.fields
+    )
+    columns = tuple(dict.fromkeys(t.name for t in terms if isinstance(t, Variable)))
+    tests = []
+    if columns:
+        tests = draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(columns),
+                    st.sampled_from(OPS),
+                    st.sampled_from(NAMES + WEIGHTS),
+                ),
+                max_size=3,
+            )
+        )
+    kept = tuple(c for c in columns if draw(st.booleans()))
+    return inst, Atom(table.name, terms), tests, columns, kept
 
 
 @st.composite

@@ -1,7 +1,11 @@
 """Reference domain construction."""
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+import strategies
+from conftest import TV_DIR
 from ermine import (
     And,
     Atom,
@@ -18,6 +22,8 @@ from ermine import (
     parse_formula_text,
     reference_domain,
 )
+from ermine.cli import main
+from ermine.domains import _union
 
 ALL_PROGRAMS = {("Gilmore",), ("Hockey Night",), ("Simpsons",), ("Daily Show",)}
 WEEKDAY_PAIRS = {("Gilmore", "Global"), ("Gilmore", "CBS"), ("Hockey Night", "CBC")}
@@ -206,3 +212,73 @@ def test_explain_tree_shows_rules_and_members(tv, tv_schema, queries):
     assert "atom-projection" in rendered
     assert "Daily Show" in rendered
     assert reference_domain(tv, f, ("P",)).members == domain.members
+
+
+SETTINGS = settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def test_a_union_with_an_empty_member_is_the_cached_projection(tv, tv_schema):
+    f = parse_formula_text(
+        "EXISTS SN. EXISTS V. EXISTS S. WeekdayTV(P, SN, V, S) AND V >= 5", tv_schema
+    )
+    members = reference_domain(tv, normalize(f), ("P",)).members
+    assert members is tv.access.projection("WeekdayTV", (0, 1, 2, 3), (0,))
+
+
+_ROWS = st.frozensets(st.tuples(st.sampled_from(strategies.NAMES + strategies.WEIGHTS)))
+
+
+@SETTINGS
+@given(st.lists(_ROWS, max_size=4))
+@example([frozenset({("a",), ("b",)}), frozenset({("b",), (1,)})])
+@example([frozenset({("a",)}), frozenset(), frozenset({("a",), (2,)}), frozenset({(1,)})])
+def test_union_is_the_union_of_its_operands(sets):
+    members = _union(sets)
+    assert members == frozenset().union(*sets)
+    # It is one of its operands whenever that operand holds all the others.
+    if any(s == members for s in sets):
+        assert any(s is members for s in sets)
+
+
+def _union_nodes(node):
+    if node.rule in ("conjunction-union", "disjunction-union"):
+        yield node
+    for child in node.children:
+        yield from _union_nodes(child)
+
+
+@SETTINGS
+@given(strategies.safe_query_cases())
+def test_every_union_of_a_domain_tree_is_the_union_of_its_children(case):
+    inst, decl = case
+    body = normalize(decl.body)
+    domain, tree = explain_reference_domain(inst, body, decl.variables)
+    assert domain.members == tree.members
+    assert domain.members == reference_domain(inst, body, decl.variables).members
+    for node in _union_nodes(tree):
+        assert node.members == frozenset().union(*(c.members for c in node.children))
+
+
+def test_domain_explain_pins_the_union_trees(capsys):
+    # Recorded before unions shared their operands: a disjunction and a
+    # cover whose operands do not contain each other, a conjunction of
+    # equal domains and one with an empty member.
+    base = [
+        "--schema", str(TV_DIR / "schema.json"),
+        "--data", str(TV_DIR / "data"),
+        "--queries", str(TV_DIR / "queries.erq"),
+    ]
+    trees = ""
+    for query in (
+        'q(P) := (F1 AND P = "Nobody") OR F2',
+        "q(P) := F1 AND NOT F2",
+        "q(P, SN) := G1 OR G2",
+    ):
+        assert main([*base, "domain", query, "--explain"]) == 0
+        trees += capsys.readouterr().err
+    assert trees == (TV_DIR / "domain_unions.explain").read_text()

@@ -1,7 +1,9 @@
 """Both evaluation routes: set operations and brute-force enumeration."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+import strategies
 from conftest import TV_DIR
 from ermine import (
     And,
@@ -29,6 +31,7 @@ from ermine import (
     sorted_rows,
 )
 from ermine.cli import build_arg_parser, load_session, run_domain, run_eval, run_freq
+from ermine.evaluator import _eval_atom, _project
 
 F1_ROWS = {("Gilmore",), ("Hockey Night",)}
 F2_ROWS = {("Hockey Night",), ("Simpsons",)}
@@ -382,3 +385,62 @@ def test_vacuous_quantifiers_on_an_empty_instance(tv_schema, text, expected):
     decl = parse_query(text, tv_schema)
     assert evaluate(empty, decl).rows == expected
     assert evaluate_naive(empty, decl).rows == expected
+
+
+SETTINGS = settings(
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(strategies.atom_scan_cases())
+def test_an_atom_builds_only_its_kept_columns(case):
+    inst, atom, tests, columns, kept = case
+    cold = _eval_atom(inst, atom, tests, kept)
+    whole = _eval_atom(inst, atom, tests, columns)
+    assert whole.columns == columns
+    assert cold == _project(whole, kept)
+    # Again on the access path the first two scans filled.
+    assert _eval_atom(inst, atom, tests, kept) == cold
+
+
+# Conjunctions under EXISTS in which another part reads a quantified
+# column of the listing atom, so the atom must build it.  Each has at most
+# three quantifiers: the oracle enumerates the vocabulary once per
+# quantifier.
+QUANTIFIED_COLUMN_READERS = {
+    "negated conjunct": "EXISTS SN. EXISTS V. EXISTS S. WeekdayTV(P, SN, V, S) "
+    "AND V >= 5 AND NOT TV-Station(SN, 1)",
+    "variable equality": "EXISTS SN. EXISTS V. EXISTS V2. "
+    'WeekdayTV(P, SN, V, "RBC") AND WeekendTV(P, SN, V2, "RBC") AND V = V2',
+    "variable order": "EXISTS SN. EXISTS V. EXISTS V2. "
+    'WeekdayTV(P, SN, V, "Avon") AND WeekendTV(P, SN, V2, "Avon") AND V > V2',
+    "second atom": "EXISTS SN. EXISTS V. EXISTS S. WeekdayTV(P, SN, V, S) "
+    "AND TV-Station(SN, 2)",
+    "second listing": "EXISTS SN. EXISTS V. EXISTS S. WeekdayTV(P, SN, V, S) "
+    "AND WeekendTV(P, SN, 10, S)",
+    "or conjunct": "EXISTS SN. EXISTS V. EXISTS S. WeekdayTV(P, SN, V, S) "
+    'AND V >= 10 AND (TV-Station(SN, 1) OR SN = "CBS")',
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUANTIFIED_COLUMN_READERS))
+def test_a_quantified_column_read_elsewhere_is_built_on_the_fixture(tv, tv_schema, name):
+    decl = parse_query(f"q(P) := {QUANTIFIED_COLUMN_READERS[name]}", tv_schema)
+    fast = evaluate(tv, decl)
+    slow = {
+        (p,)
+        for (p,) in tv.rows("TV-Program")
+        if satisfies(tv, decl.body, {"P": p})
+    }
+    assert fast.rows == slow
+
+
+@pytest.mark.parametrize("name", sorted(QUANTIFIED_COLUMN_READERS))
+@settings(SETTINGS, max_examples=100)
+@given(inst=strategies.tv_instances())
+def test_a_quantified_column_read_elsewhere_is_built(tv_schema, name, inst):
+    decl = parse_query(f"q(P) := {QUANTIFIED_COLUMN_READERS[name]}", tv_schema)
+    assert evaluate(inst, decl) == evaluate_naive(inst, decl)
