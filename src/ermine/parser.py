@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
+from typing import NamedTuple
 
 from .errors import QueryParseError
 from .formulas import (
@@ -58,9 +59,33 @@ MAX_NESTING = 100
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*(?:-[A-Za-z][A-Za-z0-9_]*)*")
 _VAR_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
 
+# A string literal up to its closing quote: any character but a quote, a
+# backslash or a newline, or one of the escapes \" and \\.
+_OPEN_STRING = r'"(?:[^"\\\n]|\\["\\])*'
+_OPEN_STRING_RE = re.compile(_OPEN_STRING)
+# One alternation, tried in order at each offset; the group that matched
+# names the token.  SKIP is whitespace and comments, which make no token.
+_TOKEN_RE = re.compile(
+    "|".join(
+        f"(?P<{kind}>{pattern})"
+        for kind, pattern in (
+            ("SKIP", r"(?:[ \t\r\n]|#[^\n]*)+"),
+            ("STRING", _OPEN_STRING + '"'),
+            ("INT", INTEGER_LITERAL.pattern),
+            ("IDENT", _IDENT_RE.pattern),
+            ("ASSIGN", ":="),
+            ("OP", "[<>!]=|[=<>]"),
+            ("LPAREN", r"\("),
+            ("RPAREN", r"\)"),
+            ("COMMA", ","),
+            ("DOT", r"\."),
+        )
+    )
+)
+_ESCAPE_RE = re.compile(r'\\(["\\])')
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str
     value: object
     start: int
@@ -69,83 +94,48 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    i = 0
+    pos = 0
     n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            buf = []
-            while True:
-                if j >= n:
-                    raise QueryParseError("unterminated string literal", i)
-                c = text[j]
-                if c == "\\":
-                    if j + 1 >= n:
-                        raise QueryParseError("unterminated string literal", i)
-                    esc = text[j + 1]
-                    if esc not in ('"', "\\"):
-                        raise QueryParseError(f"unsupported escape \\{esc}", j)
-                    buf.append(esc)
-                    j += 2
-                elif c == '"':
-                    j += 1
-                    break
-                elif c == "\n":
-                    raise QueryParseError("newline inside string literal", j)
-                else:
-                    buf.append(c)
-                    j += 1
-            tokens.append(Token("STRING", "".join(buf), i, j))
-            i = j
-            continue
-        m = INTEGER_LITERAL.match(text, i)
-        if m:
-            try:
-                value = int(m.group())
-            except ValueError:
-                # More digits than int() converts (sys.get_int_max_str_digits).
-                raise QueryParseError(
-                    f"integer literal has {len(m.group().lstrip('-'))} digits, "
-                    f"more than the {sys.get_int_max_str_digits()} allowed",
-                    i,
-                ) from None
-            tokens.append(Token("INT", value, i, m.end()))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(Token("IDENT", m.group(), i, m.end()))
-            i = m.end()
-            continue
-        two = text[i : i + 2]
-        if two == ":=":
-            tokens.append(Token("ASSIGN", two, i, i + 2))
-            i += 2
-            continue
-        if two in ("<=", ">=", "!="):
-            tokens.append(Token("OP", two, i, i + 2))
-            i += 2
-            continue
-        if ch in "=<>":
-            tokens.append(Token("OP", ch, i, i + 1))
-            i += 1
-            continue
-        simple = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT"}
-        if ch in simple:
-            tokens.append(Token(simple[ch], ch, i, i + 1))
-            i += 1
-            continue
-        raise QueryParseError(f"unexpected character {ch!r}", i)
+    match = _TOKEN_RE.match
+    while pos < n:
+        m = match(text, pos)
+        if m is None:
+            raise _scan_error(text, pos)
+        kind = m.lastgroup
+        end = m.end()
+        if kind != "SKIP":
+            value = m.group()
+            if kind == "STRING":
+                value = _ESCAPE_RE.sub(r"\1", value[1:-1])
+            elif kind == "INT":
+                try:
+                    value = int(value)
+                except ValueError:
+                    # More digits than int() converts (sys.get_int_max_str_digits).
+                    raise QueryParseError(
+                        f"integer literal has {len(value.lstrip('-'))} digits, "
+                        f"more than the {sys.get_int_max_str_digits()} allowed",
+                        pos,
+                    ) from None
+            tokens.append(Token(kind, value, pos, end))
+        pos = end
     tokens.append(Token("EOF", None, n, n))
     return tokens
+
+
+def _scan_error(text: str, pos: int) -> QueryParseError:
+    """The error at ``pos``, where no token matches.  In a string literal
+    that did not close, it is what ends the literal's longest well-formed
+    prefix: a newline, an unsupported escape, or the end of the input."""
+    if text[pos] != '"':
+        return QueryParseError(f"unexpected character {text[pos]!r}", pos)
+    j = _OPEN_STRING_RE.match(text, pos).end()
+    fault = text[j : j + 2]
+    if fault[:1] == "\n":
+        return QueryParseError("newline inside string literal", j)
+    if len(fault) == 2:
+        return QueryParseError(f"unsupported escape {fault}", j)
+    return QueryParseError("unterminated string literal", pos)
 
 
 class _Parser:
@@ -170,12 +160,8 @@ class _Parser:
     def expect(self, kind, what=None) -> Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise QueryParseError(
-                f"expected {what or kind}, got {tok.value!r}"
-                if tok.kind != "EOF"
-                else f"expected {what or kind}, got end of input",
-                tok.start,
-            )
+            got = "end of input" if tok.kind == "EOF" else repr(tok.value)
+            raise QueryParseError(f"expected {what or kind}, got {got}", tok.start)
         return self.advance()
 
     def nested(self, parse, tok: Token) -> Formula:
@@ -193,10 +179,15 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "IDENT" and tok.value == word
 
-    def variable_name(self) -> str:
-        tok = self.expect("IDENT", "a variable")
+    def name(self, what) -> Token:
+        """An identifier that is not a keyword."""
+        tok = self.expect("IDENT", what)
         if tok.value in KEYWORDS:
             raise QueryParseError(f"unexpected keyword {tok.value}", tok.start)
+        return tok
+
+    def variable_name(self) -> str:
+        tok = self.name("a variable")
         if not _VAR_RE.match(tok.value):
             raise QueryParseError(
                 f"variables must start with an uppercase letter and contain "
@@ -205,26 +196,24 @@ class _Parser:
             )
         return tok.value
 
-    def parse_declaration(self) -> tuple[str, tuple[str, ...], Formula]:
-        name_tok = self.expect("IDENT", "a query name")
-        if name_tok.value in KEYWORDS:
-            raise QueryParseError(
-                f"unexpected keyword {name_tok.value}", name_tok.start
-            )
+    def parenthesized_list(self, parse_item) -> list:
+        """``'(' [item (',' item)*] ')'``, each item read by ``parse_item``."""
         self.expect("LPAREN", "'('")
-        variables = []
+        items = []
         if self.peek().kind != "RPAREN":
-            while True:
-                variables.append(self.variable_name())
-                if self.peek().kind == "COMMA":
-                    self.advance()
-                    continue
-                break
+            items.append(parse_item())
+            while self.peek().kind == "COMMA":
+                self.advance()
+                items.append(parse_item())
         self.expect("RPAREN", "')'")
+        return items
+
+    def parse_head(self) -> tuple[str, tuple[str, ...]]:
+        """``name '(' [vars] ')' ':='``, the head of a declaration."""
+        name = self.name("a query name").value
+        variables = self.parenthesized_list(self.variable_name)
         self.expect("ASSIGN", "':='")
-        body = self.parse_formula()
-        self.expect("EOF", "end of declaration")
-        return name_tok.value, tuple(variables), body
+        return name, tuple(variables)
 
     def parse_formula(self) -> Formula:
         left = self.parse_conjunction()
@@ -265,36 +254,31 @@ class _Parser:
             f = self.nested(self.parse_formula, tok)
             self.expect("RPAREN", "')'")
             return f
-        if tok.kind in ("STRING", "INT"):
-            self.advance()
-            return self.finish_comparison(Constant(tok.value), tok)
         if tok.kind == "IDENT":
             if tok.value in KEYWORDS:
                 raise QueryParseError(f"unexpected keyword {tok.value}", tok.start)
             if self.peek(1).kind == "LPAREN":
                 return self.parse_atom()
-            if self.peek(1).kind == "OP":
-                name = self.variable_name()
-                return self.finish_comparison(Variable(name), tok)
-            if tok.value in self.registry:
+            if self.peek(1).kind != "OP":
+                if tok.value not in self.registry:
+                    raise QueryParseError(
+                        f"{tok.value!r} is neither a registered query name nor "
+                        f"the start of an atom or comparison",
+                        tok.start,
+                    )
                 self.advance()
-                return self.registry[tok.value].body
+                return _spliced(self.registry[tok.value].body, (tok.start, tok.end))
+        elif tok.kind not in ("STRING", "INT"):
             raise QueryParseError(
-                f"{tok.value!r} is neither a registered query name nor the "
-                f"start of an atom or comparison",
+                "expected a formula"
+                if tok.kind != "EOF"
+                else "unexpected end of input",
                 tok.start,
             )
-        raise QueryParseError(
-            "expected a formula"
-            if tok.kind != "EOF"
-            else "unexpected end of input",
-            tok.start,
-        )
-
-    def finish_comparison(self, left, start_tok) -> Comparison:
+        left = self.parse_term()
         op = self.expect("OP", "a comparison operator")
         right = self.parse_term()
-        return Comparison(left, op.value, right, span=(start_tok.start, self.last_end))
+        return Comparison(left, op.value, right, span=(tok.start, self.last_end))
 
     def parse_term(self):
         tok = self.peek()
@@ -307,16 +291,7 @@ class _Parser:
 
     def parse_atom(self) -> Atom:
         name_tok = self.advance()
-        self.expect("LPAREN", "'('")
-        terms = []
-        if self.peek().kind != "RPAREN":
-            while True:
-                terms.append(self.parse_term())
-                if self.peek().kind == "COMMA":
-                    self.advance()
-                    continue
-                break
-        self.expect("RPAREN", "')'")
+        terms = self.parenthesized_list(self.parse_term)
         if not self.schema.has_table(name_tok.value):
             raise QueryParseError(
                 f"unknown predicate {name_tok.value!r}", name_tok.start
@@ -331,8 +306,20 @@ class _Parser:
         return Atom(name_tok.value, tuple(terms), span=(name_tok.start, self.last_end))
 
 
-def _start(f: Formula) -> int:
-    return f.span[0] if f.span else 0
+def _start(f: Formula, missing=0) -> int | None:
+    return f.span[0] if f.span else missing
+
+
+def _spliced(f: Formula, span) -> Formula:
+    """``f`` with ``span`` on every node: a spliced body's own spans point
+    into the text that declared it, so its nodes take the name's span."""
+    if isinstance(f, And):
+        return And(tuple(_spliced(c, span) for c in f.conjuncts), span=span)
+    if isinstance(f, Or):
+        return Or(_spliced(f.left, span), _spliced(f.right, span), span=span)
+    if isinstance(f, (Not, Exists, Forall)):
+        return replace(f, body=_spliced(f.body, span), span=span)
+    return replace(f, span=span)
 
 
 def check_nesting(f: Formula) -> None:
@@ -369,29 +356,27 @@ def _typecheck(body: Formula, schema: Schema) -> dict[str, str]:
             )
         types[var] = vtype
 
-    comparisons = []
-    for g in subformulas(body):
-        if isinstance(g, Atom):
-            table = schema.table(g.predicate)
-            for f, t in zip(table.fields, g.terms):
-                pos = g.span[0] if g.span else None
-                if isinstance(t, Variable):
-                    note(t.name, f.value_type, pos)
-                else:
-                    ctype = "integer" if type(t.value) is int else "string"
-                    if ctype != f.value_type:
-                        raise QueryParseError(
-                            f"constant {t} does not match the {f.value_type} "
-                            f"field {table.name}.{f.name}",
-                            pos,
-                        )
-        elif isinstance(g, Comparison):
-            comparisons.append(g)
-
     def type_of(t):
         if isinstance(t, Constant):
             return "integer" if type(t.value) is int else "string"
         return types.get(t.name)
+
+    comparisons = []
+    for g in subformulas(body):
+        if isinstance(g, Atom):
+            table = schema.table(g.predicate)
+            pos = _start(g, None)
+            for f, t in zip(table.fields, g.terms):
+                if isinstance(t, Variable):
+                    note(t.name, f.value_type, pos)
+                elif type_of(t) != f.value_type:
+                    raise QueryParseError(
+                        f"constant {t} does not match the {f.value_type} "
+                        f"field {table.name}.{f.name}",
+                        pos,
+                    )
+        elif isinstance(g, Comparison):
+            comparisons.append(g)
 
     # Equalities propagate known types onto untyped variables.
     changed = True
@@ -399,22 +384,20 @@ def _typecheck(body: Formula, schema: Schema) -> dict[str, str]:
         changed = False
         for c in comparisons:
             lt, rt = type_of(c.left), type_of(c.right)
-            pos = c.span[0] if c.span else None
+            pos = _start(c, None)
             if lt is not None and rt is not None and lt != rt:
                 raise QueryParseError(
                     f"comparison mixes {lt} and {rt} operands", pos
                 )
-            if lt is not None and rt is None and isinstance(c.right, Variable):
-                note(c.right.name, lt, pos)
-                changed = True
-            if rt is not None and lt is None and isinstance(c.left, Variable):
-                note(c.left.name, rt, pos)
+            if (lt is None) != (rt is None):
+                # A constant is always typed, so the untyped side is a variable.
+                note((c.left if lt is None else c.right).name, lt or rt, pos)
                 changed = True
 
     for c in comparisons:
         if c.op not in ("=", "!="):
             lt, rt = type_of(c.left), type_of(c.right)
-            pos = c.span[0] if c.span else None
+            pos = _start(c, None)
             if lt is None or rt is None:
                 raise QueryParseError(
                     f"cannot infer an integer type for {c}", pos
@@ -426,22 +409,23 @@ def _typecheck(body: Formula, schema: Schema) -> dict[str, str]:
     return types
 
 
-def parse_formula_text(text: str, schema: Schema, registry=None) -> Formula:
-    """Parse a bare formula (no head); used for rule consequents and bias
-    patterns."""
+def _parse(text: str, schema: Schema, registry, declaration: bool):
+    """The one path of every query text: tokens, the grammar to the end of
+    input, the nesting limit, a declaration's head against its body's free
+    variables, then types.  Returns the name and head (None for a bare
+    formula) and the body."""
     p = _Parser(tokenize(text), schema, registry)
+    name, variables = p.parse_head() if declaration else (None, None)
     body = p.parse_formula()
-    p.expect("EOF", "end of formula")
+    p.expect("EOF", "end of declaration" if declaration else "end of formula")
     check_nesting(body)
+    if declaration:
+        _check_head(name, variables, body)
     _typecheck(body, schema)
-    return body
+    return name, variables, body
 
 
-def parse_query(text: str, schema: Schema, registry=None) -> QueryDecl:
-    """Parse ``name(vars) := body`` and check heads, arities, and types."""
-    p = _Parser(tokenize(text), schema, registry)
-    name, variables, body = p.parse_declaration()
-    check_nesting(body)
+def _check_head(name: str, variables: tuple[str, ...], body: Formula) -> None:
     if len(set(variables)) != len(variables):
         raise QueryParseError(f"query {name}: repeated head variable")
     declared = set(variables)
@@ -455,7 +439,17 @@ def parse_query(text: str, schema: Schema, registry=None) -> QueryDecl:
         if extra:
             detail.append(f"declared but not free in body: {', '.join(extra)}")
         raise QueryParseError(f"query {name}: {'; '.join(detail)}")
-    _typecheck(body, schema)
+
+
+def parse_formula_text(text: str, schema: Schema, registry=None) -> Formula:
+    """Parse a bare formula (no head); used for rule consequents and bias
+    patterns."""
+    return _parse(text, schema, registry, declaration=False)[2]
+
+
+def parse_query(text: str, schema: Schema, registry=None) -> QueryDecl:
+    """Parse ``name(vars) := body`` and check heads, arities, and types."""
+    name, variables, body = _parse(text, schema, registry, declaration=True)
     return QueryDecl(name, variables, body, source=text)
 
 

@@ -16,10 +16,12 @@ from ermine import (
     Or,
     QueryParseError,
     Variable,
+    check_safe,
     free_variables,
     parse_formula_text,
     parse_query,
     parse_query_file,
+    subformulas,
     to_text,
     tokenize,
 )
@@ -90,6 +92,123 @@ def test_tokenize_string_errors():
 def test_tokenize_unexpected_character():
     with pytest.raises(QueryParseError, match="unexpected character"):
         tokenize("F(X) & G(X)")
+
+
+# Golden tokenizer corpus: every token kind with its exact value and
+# offsets, and every lexical error with its exact message and offset (an
+# over-long integer is pinned by test_tokenize_integer_longer_than_int_converts).
+TOKEN_CORPUS = [
+    (
+        'q(X, SN) := EXISTS V. F(X, "hi", -3) AND X >= 10 OR X != Y '
+        'AND X <= 2 AND X < 1 AND X > 0 AND X = "a"',
+        [
+            ("IDENT", "q", 0, 1), ("LPAREN", "(", 1, 2), ("IDENT", "X", 2, 3),
+            ("COMMA", ",", 3, 4), ("IDENT", "SN", 5, 7), ("RPAREN", ")", 7, 8),
+            ("ASSIGN", ":=", 9, 11), ("IDENT", "EXISTS", 12, 18),
+            ("IDENT", "V", 19, 20), ("DOT", ".", 20, 21), ("IDENT", "F", 22, 23),
+            ("LPAREN", "(", 23, 24), ("IDENT", "X", 24, 25), ("COMMA", ",", 25, 26),
+            ("STRING", "hi", 27, 31), ("COMMA", ",", 31, 32), ("INT", -3, 33, 35),
+            ("RPAREN", ")", 35, 36), ("IDENT", "AND", 37, 40), ("IDENT", "X", 41, 42),
+            ("OP", ">=", 43, 45), ("INT", 10, 46, 48), ("IDENT", "OR", 49, 51),
+            ("IDENT", "X", 52, 53), ("OP", "!=", 54, 56), ("IDENT", "Y", 57, 58),
+            ("IDENT", "AND", 59, 62), ("IDENT", "X", 63, 64), ("OP", "<=", 65, 67),
+            ("INT", 2, 68, 69), ("IDENT", "AND", 70, 73), ("IDENT", "X", 74, 75),
+            ("OP", "<", 76, 77), ("INT", 1, 78, 79), ("IDENT", "AND", 80, 83),
+            ("IDENT", "X", 84, 85), ("OP", ">", 86, 87), ("INT", 0, 88, 89),
+            ("IDENT", "AND", 90, 93), ("IDENT", "X", 94, 95), ("OP", "=", 96, 97),
+            ("STRING", "a", 98, 101), ("EOF", None, 101, 101),
+        ],
+    ),
+    (
+        # Hyphens join letters only: '-' before a digit starts an integer.
+        "TV-Program(P) AND A-B-C_1 OR A-1 x_y-Z9 B2-c",
+        [
+            ("IDENT", "TV-Program", 0, 10), ("LPAREN", "(", 10, 11),
+            ("IDENT", "P", 11, 12), ("RPAREN", ")", 12, 13), ("IDENT", "AND", 14, 17),
+            ("IDENT", "A-B-C_1", 18, 25), ("IDENT", "OR", 26, 28), ("IDENT", "A", 29, 30),
+            ("INT", -1, 30, 32), ("IDENT", "x_y-Z9", 33, 39), ("IDENT", "B2-c", 40, 44),
+            ("EOF", None, 44, 44),
+        ],
+    ),
+    (
+        "-12 X=-0 A-B -7-8 007",
+        [
+            ("INT", -12, 0, 3), ("IDENT", "X", 4, 5), ("OP", "=", 5, 6),
+            ("INT", 0, 6, 8), ("IDENT", "A-B", 9, 12), ("INT", -7, 13, 15),
+            ("INT", -8, 15, 17), ("INT", 7, 18, 21), ("EOF", None, 21, 21),
+        ],
+    ),
+    (
+        r'"a \"q\" \\ b" "" "\\" "\"" "é # x"',
+        [
+            ("STRING", 'a "q" \\ b', 0, 14), ("STRING", "", 15, 17),
+            ("STRING", "\\", 18, 22), ("STRING", '"', 23, 27),
+            ("STRING", "é # x", 28, 35), ("EOF", None, 35, 35),
+        ],
+    ),
+    (
+        "F(X) # note\nAND G(X) # end",
+        [
+            ("IDENT", "F", 0, 1), ("LPAREN", "(", 1, 2), ("IDENT", "X", 2, 3),
+            ("RPAREN", ")", 3, 4), ("IDENT", "AND", 12, 15), ("IDENT", "G", 16, 17),
+            ("LPAREN", "(", 17, 18), ("IDENT", "X", 18, 19), ("RPAREN", ")", 19, 20),
+            ("EOF", None, 26, 26),
+        ],
+    ),
+    ("# only a comment", [("EOF", None, 16, 16)]),
+    ("# comment\n", [("EOF", None, 10, 10)]),
+    (
+        "F(X)\t\r\nAND\tG(Y)\r\n",
+        [
+            ("IDENT", "F", 0, 1), ("LPAREN", "(", 1, 2), ("IDENT", "X", 2, 3),
+            ("RPAREN", ")", 3, 4), ("IDENT", "AND", 7, 10), ("IDENT", "G", 11, 12),
+            ("LPAREN", "(", 12, 13), ("IDENT", "Y", 13, 14), ("RPAREN", ")", 14, 15),
+            ("EOF", None, 17, 17),
+        ],
+    ),
+    ("", [("EOF", None, 0, 0)]),
+    (
+        ":=:= <=>= =<",
+        [
+            ("ASSIGN", ":=", 0, 2), ("ASSIGN", ":=", 2, 4), ("OP", "<=", 5, 7),
+            ("OP", ">=", 7, 9), ("OP", "=", 10, 11), ("OP", "<", 11, 12),
+            ("EOF", None, 12, 12),
+        ],
+    ),
+]
+
+TOKEN_ERRORS = [
+    ('X = "open', "unterminated string literal", 4),
+    ('"ab\\', "unterminated string literal", 0),
+    ('"x\\"', "unterminated string literal", 0),
+    (r'X = "bad \n escape"', "unsupported escape \\n", 9),
+    ('X = "a\\\nb"', "unsupported escape \\\n", 6),
+    ('"line\nbreak"', "newline inside string literal", 5),
+    ('"\r\n"', "newline inside string literal", 2),
+    ("X - 1", "unexpected character '-'", 2),
+    ("-", "unexpected character '-'", 0),
+    ("A-", "unexpected character '-'", 1),
+    ("A--1", "unexpected character '-'", 1),
+    ("X : 1", "unexpected character ':'", 2),
+    ("X ! Y", "unexpected character '!'", 2),
+    ("F(X) & G(X)", "unexpected character '&'", 5),
+    ("F(X)\fAND G(X)", "unexpected character '\\x0c'", 4),
+    ("X = ١", "unexpected character '١'", 4),
+    ("²", "unexpected character '²'", 0),
+]
+
+
+@pytest.mark.parametrize("text, expected", TOKEN_CORPUS)
+def test_tokenize_golden_corpus(text, expected):
+    assert [(t.kind, t.value, t.start, t.end) for t in tokenize(text)] == expected
+
+
+@pytest.mark.parametrize("text, message, offset", TOKEN_ERRORS)
+def test_tokenize_golden_errors(text, message, offset):
+    with pytest.raises(QueryParseError) as info:
+        tokenize(text)
+    assert str(info.value) == f"{message} (at offset {offset})"
+    assert info.value.pos == offset
 
 
 def test_parse_builds_expected_ast(tv_schema):
@@ -226,6 +345,33 @@ def test_registry_splices_bodies(tv_schema, queries):
     decl = parse_query("F12(P) := F1 AND F2", tv_schema, queries)
     assert isinstance(decl.body, And)
     assert decl.body.conjuncts == (queries["F1"].body, queries["F2"].body)
+
+
+def test_error_in_a_spliced_body_reports_the_name_offset(tv_schema, queries):
+    # P is an integer through TV-Station and a string inside F1's body; the
+    # offset is F1's in this text, not WeekdayTV's in F1's own declaration.
+    text = "B(P) := EXISTS A. TV-Station(A, P) AND F1"
+    with pytest.raises(QueryParseError) as info:
+        parse_query(text, tv_schema, queries)
+    assert str(info.value) == (
+        "variable P is used both as integer and as string (at offset 39)"
+    )
+    assert text[39:41] == "F1"
+
+
+def test_spliced_body_nodes_take_the_name_span(tv_schema):
+    registry = parse_query_file(
+        "N(P, SN) := TV-Program(P) OR EXISTS A. TV-Station(SN, A)\n", tv_schema
+    )
+    text = 'M(P, SN) := EXISTS V. WeekdayTV(P, SN, V, "Avon") AND N'
+    decl = parse_query(text, tv_schema, registry)
+    spliced = decl.body.body.conjuncts[1]
+    assert spliced == registry["N"].body
+    assert {g.span for g in subformulas(spliced)} == {(54, 55)}
+    [violation] = check_safe(decl.body).violations
+    assert violation.describe() == (
+        "R2-disjunct-vars: TV-Program(P) OR EXISTS A. TV-Station(SN, A) [54..55]"
+    )
 
 
 def test_constant_type_checked_against_field(tv_schema):

@@ -17,6 +17,7 @@ and the query-text property feeds arbitrary text to the parser and the
 command line.
 """
 
+import ast
 import contextlib
 import io
 import itertools
@@ -62,6 +63,7 @@ from ermine import (
     sorted_rows,
     support,
     to_text,
+    tokenize,
 )
 from ermine.access import row_key
 from ermine.cli import main
@@ -468,6 +470,54 @@ QUERY_TEXT = st.one_of(
     ).map("".join),
     st.lists(QUERY_TOKENS | st.text(max_size=3), max_size=12).map(" ".join),
 )
+# Token soup with the lexical extras the query tokens lack: comments with
+# and without a newline, tabs, CRs, escapes, and pieces that join.
+LEXICAL_TEXT = st.lists(
+    st.tuples(
+        QUERY_TOKENS
+        | st.sampled_from(
+            ["# note\n", "#", "\t", "\r\n", r'"say \"hi\" \\"', '""', "7"]
+        ),
+        st.sampled_from([" ", "", "\t", "\n", " # c\n"]),
+    ).map("".join),
+    max_size=8,
+).map("".join)
+
+
+def _is_blank(gap: str) -> bool:
+    """Whether ``gap`` is only whitespace and comments."""
+    return all(not line.split("#", 1)[0].strip(" \t\r") for line in gap.split("\n"))
+
+
+@SETTINGS
+@given(LEXICAL_TEXT)
+def test_tokens_tile_the_text(text):
+    try:
+        tokens = tokenize(text)
+    except QueryParseError as exc:
+        assert 0 <= exc.pos < len(text)
+        return
+    as_tuples = [(t.kind, t.value, t.start, t.end) for t in tokens]
+    assert as_tuples[-1] == ("EOF", None, len(text), len(text))
+    end = 0
+    for kind, value, start, stop in as_tuples[:-1]:
+        assert end <= start < stop
+        assert _is_blank(text[end:start])
+        end = stop
+        piece = text[start:stop]
+        n = len(piece)
+        again = [(t.kind, t.value, t.start, t.end) for t in tokenize(piece)]
+        assert again == [(kind, value, 0, n), ("EOF", None, n, n)]
+        if kind == "IDENT":
+            assert value == piece
+        elif kind == "INT":
+            assert value == int(piece)
+        elif kind == "STRING":
+            # A Python string literal with only \" and \\ escapes reads the same.
+            assert value == ast.literal_eval(piece)
+    assert _is_blank(text[end:])
+
+
 CLI_BASE = [
     "--schema", str(TV_DIR / "schema.json"),
     "--data", str(TV_DIR / "data"),
