@@ -1,23 +1,23 @@
-"""Access paths: lazily built scans, ordered indexes and projections of
-one instance's tables.
+"""Access paths: lazily built ordered indexes and projections of one
+instance's tables.
 
 Every ``DatabaseInstance`` carries one ``AccessPath``.  It starts empty
 and fills as queries read the tables, so loading an instance costs
-nothing extra.  It holds three kinds of entries, none of them specific
+nothing extra.  It holds two kinds of entries, neither of them specific
 to one query:
 
-* **scans** — the rows of a table that fit an atom's *pattern*, projected
-  onto the positions of the atom's distinct variables.  A pattern has one
-  element per table position: the position's value as a 1-tuple for a
-  constant, else the position where that variable first occurs.  The scan
-  of an atom of distinct variables is the table's own frozenset.
 * **ordered indexes** — one per (table, position): the table's rows
   sorted by ``value_key`` of their value there, so that each type's
   values form one sorted run, and where the run of strings starts.
   ``AccessPath.span`` answers ``=`` and the ordering comparisons from it
-  by bisection; a scan with a constant reads its ``=`` the same way.
-* **projections** — a scan projected onto some of its columns, which is
-  what a reference domain reads for an atom.
+  by bisection, an atom's constant among them: the evaluator reads it
+  as an ``=`` test at its position.
+* **projections** — the scan of an atom without constants projected onto
+  some of its columns, which is what an atom without tests reads.  An
+  atom's *pattern* has one element per table position: None for a
+  constant, else the position where that variable first occurs; its scan
+  is the table's rows whose repeated variables agree, projected onto the
+  first positions of its variables.  No key holds a query constant.
 
 Rows are plain tuples throughout; naming columns is the evaluator's job.
 """
@@ -73,13 +73,11 @@ def project(rows, positions):
 
 
 def select(rows, pattern: tuple):
-    """The rows that fit the pattern, projected onto its variables'
-    first positions: ``rows`` itself when the pattern is plain.  The
-    result has no duplicates when ``rows`` has none."""
+    """The rows whose repeated variables agree, projected onto the
+    pattern's variables' first positions: ``rows`` itself when the
+    pattern is plain.  A constant's position is left out, not tested."""
     for i, p in enumerate(pattern):
-        if type(p) is tuple:
-            rows = [r for r in rows if r[i] == p[0]]
-        elif p != i:
+        if p is not None and p != i:
             rows = [r for r in rows if r[i] == r[p]]
     keep = [i for i, p in enumerate(pattern) if p == i]
     if len(keep) == len(pattern):
@@ -88,13 +86,12 @@ def select(rows, pattern: tuple):
 
 
 class AccessPath:
-    """Scans, ordered indexes and projections over a mapping of table rows."""
+    """Ordered indexes and projections over a mapping of table rows."""
 
-    __slots__ = ("_relations", "_scans", "_ordered", "_projections")
+    __slots__ = ("_relations", "_ordered", "_projections")
 
     def __init__(self, relations):
         self._relations = relations
-        self._scans: dict[tuple, frozenset] = {}
         self._ordered: dict[tuple, tuple[list, int]] = {}
         self._projections: dict[tuple, frozenset] = {}
 
@@ -104,23 +101,11 @@ class AccessPath:
         except KeyError:
             raise DataError(f"instance has no table {table!r}") from None
 
-    def scan(self, table: str, pattern: tuple) -> frozenset:
-        """The unfiltered scan of an atom over ``table`` with ``pattern``."""
-        if is_plain(pattern):
-            return self.rows(table)
-        key = (table, pattern)
-        rows = self._scans.get(key)
-        if rows is None:
-            const = next(
-                (i for i, p in enumerate(pattern) if type(p) is tuple), None
-            )
-            if const is None:
-                source = self.rows(table)
-            else:
-                ordered, lo, hi = self.span(table, const, [("=", pattern[const][0])])
-                source = ordered[lo:hi]
-            rows = self._scans[key] = frozenset(select(source, pattern))
-        return rows
+    def scan(self, table: str, pattern: tuple):
+        """The rows of ``table`` that fit ``pattern`` (``select``): the
+        table's own frozenset when the pattern is plain."""
+        rows = self.rows(table)
+        return rows if is_plain(pattern) else select(rows, pattern)
 
     def ordered(self, table: str, position: int) -> tuple[list[tuple], int]:
         """The ordered index of ``table`` at ``position``: the table's rows
@@ -172,13 +157,13 @@ class AccessPath:
         return rows, lo, hi
 
     def projection(self, table: str, pattern: tuple, columns: tuple) -> frozenset:
-        """The scan projected onto ``columns``, positions in its rows."""
-        scan = self.scan(table, pattern)
-        width = sum(1 for i, p in enumerate(pattern) if p == i)
-        if columns == tuple(range(width)):
-            return scan
+        """The scan projected onto ``columns``, positions in its rows; kept
+        unless it is the table's own frozenset."""
+        if is_plain(pattern) and columns == tuple(range(len(pattern))):
+            return self.rows(table)
         key = (table, pattern, columns)
         rows = self._projections.get(key)
         if rows is None:
-            rows = self._projections[key] = frozenset(project(scan, columns))
+            rows = frozenset(project(self.scan(table, pattern), columns))
+            self._projections[key] = rows
         return rows

@@ -68,13 +68,13 @@ def load_session(ns) -> Session:
 
 
 def _resolve_query(session: Session, text: str) -> QueryDecl:
-    text = text.strip()
     if ":=" in text:
         return parse_query(text, session.schema, session.registry)
-    if text in session.registry:
-        return session.registry[text]
+    name = text.strip()
+    if name in session.registry:
+        return session.registry[name]
     raise QueryParseError(
-        f"{text!r} is not a registered query name; pass a declaration "
+        f"{name!r} is not a registered query name; pass a declaration "
         f"'name(vars) := body' or use --queries"
     )
 

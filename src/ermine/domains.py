@@ -34,7 +34,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .access import sort_rows
-from .evaluator import atom_projection
+from .evaluator import atom_rows
 from .formulas import (
     And,
     Atom,
@@ -99,7 +99,7 @@ def _dom(inst, f: Formula, variables: tuple[str, ...], trace: bool):
     if isinstance(f, Atom):
         names = {t.name for t in f.terms if isinstance(t, Variable)}
         if set(variables) <= names:
-            members = atom_projection(inst, f, variables)
+            members = atom_rows(inst, f, (), variables)
             return members, _node(trace, f, "atom-projection", members)
         return frozenset(), _node(trace, f, "atom-missing-variable", frozenset())
     if isinstance(f, Comparison):

@@ -6,26 +6,27 @@ free variables:
 * ``evaluate`` works bottom-up with set operations.  It requires a safe
   query.
   - Atoms read the instance's access path (``ermine.access``): the
-    unfiltered scan of an atom is kept per instance, keyed by its table
-    and its pattern of constants and repeated variables, and renamed to
-    the atom's variables at each use; an atom of distinct variables
-    reads the table's own rows.
+    ordered index of a table position, or the table's rows, whose
+    projections are kept per table, pattern of repeated variables and
+    columns.  A constant in an atom is one more ``=`` test at its
+    position, so ``T(X, 10)`` reads what ``EXISTS V. T(X, V) AND
+    V = 10`` reads.
   - A conjunction first pushes every comparison of a variable with a
     constant (``V op c``, or ``c op V`` with the operator flipped) into
-    the scan of each positive atom that binds the variable.  The atom
-    then reads the shortest of what its tests offer: the tests of one
-    variable other than ``!=`` offer one span of that position's ordered
-    index, an ``=`` the run of equal values and an ordering comparison
-    a range; the whole scan only when no test offers a span.  Filtered
-    scans are not kept: ad-hoc queries rarely repeat, so such entries
-    would only hold memory.
+    each positive atom that binds the variable.  The atom then reads the
+    shortest of what its tests offer: the tests at one position other
+    than ``!=`` offer one span of that position's ordered index, an
+    ``=`` the run of equal values and an ordering comparison a range;
+    the whole table only when no test offers a span.  Filtered rows are
+    not kept: ad-hoc queries rarely repeat, so such entries would only
+    hold memory, and no access-path key holds a query constant.
   - Under a chain of EXISTS, a quantified column that no other positive
     conjunct, negated body or leftover comparison reads is never built:
     before anything is evaluated, the conjunction works out the columns
     each positive part keeps, and an atom builds only those from the
-    rows its span or scan returns (an atom without tests reads the kept
-    projection of its scan, which the access path keeps).  A part that
-    is not an atom is evaluated whole and then projected.  The
+    rows its span or table returns (an atom without tests reads the
+    kept projection of its scan, which the access path keeps).  A part
+    that is not an atom is evaluated whole and then projected.  The
     conjunction step (``conjoin``, shared with the miner) then joins the
     positive parts, smallest first, preferring a part that shares a
     column with the join so far.  The remaining comparisons follow
@@ -308,66 +309,68 @@ def _eval(inst, f: Formula, nonempty: bool, drop=frozenset()) -> Relation:
     return _eval_conjunction(inst, f, nonempty, drop)
 
 
-def _atom_pattern(atom: Atom) -> tuple[tuple, dict[str, int]]:
-    """The atom's access-path pattern (see ``ermine.access``) and the
-    table position where each of its variables first occurs."""
+def _atom_pattern(atom: Atom) -> tuple[tuple, dict[str, int], list]:
+    """The atom's access-path pattern (see ``ermine.access``), the table
+    position where each of its variables first occurs, and a ``(position,
+    "=", constant)`` test per constant."""
     first: dict[str, int] = {}
     pattern = []
+    constants = []
     for i, t in enumerate(atom.terms):
         if isinstance(t, Constant):
-            pattern.append((t.value,))
+            pattern.append(None)
+            constants.append((i, "=", t.value))
         else:
             pattern.append(first.setdefault(t.name, i))
-    return tuple(pattern), first
+    return tuple(pattern), first, constants
 
 
-def _eval_atom(inst, atom: Atom, tests, kept) -> Relation:
-    """The atom's satisfying tuples that pass every ``(variable, op,
+def atom_rows(inst, atom: Atom, tests, kept) -> frozenset[tuple]:
+    """The atom's satisfying tuples that pass every ``(position, op,
     constant)`` test, projected onto the ``kept`` variables (in the
     order they first occur in the atom) and read through the instance's
-    access path.
+    access path.  Each constant of the atom is one more ``=`` test.
 
-    The tests of each variable other than ``!=`` offer one span of its
-    ordered index (``AccessPath.span``).  The shortest span is read
-    instead of the whole scan, and only the tests it does not answer are
+    The tests at each table position other than ``!=`` offer one span of
+    its ordered index (``AccessPath.span``).  The shortest span is read
+    instead of the whole table, and only the tests it does not answer are
     applied to its rows, which then build only the kept columns.  An
-    atom without tests reads the kept projection of its scan."""
-    pattern, first = _atom_pattern(atom)
+    atom without tests reads the kept projection of its scan, which the
+    access path keeps."""
+    pattern, first, constants = _atom_pattern(atom)
+    tests = [*constants, *tests]
     columns = tuple(first)
     positions = tuple(columns.index(v) for v in kept)
     access = inst.access
     table = atom.predicate
     if not tests:
-        return Relation(kept, access.projection(table, pattern, positions))
-    by_var: dict[str, list] = {}
-    for test in tests:
-        if test[1] != "!=":
-            by_var.setdefault(test[0], []).append(test)
-    offers = [
-        (access.span(table, first[var], [t[1:] for t in answered]), answered)
-        for var, answered in by_var.items()
-    ]
-    if offers:
-        (rows, lo, hi), answered = min(offers, key=lambda o: o[0][2] - o[0][1])
-        rows = select(rows[lo:hi], pattern)
+        return access.projection(table, pattern, positions)
+    by_position: dict[int, list] = {}
+    for i, op, value in tests:
+        if op != "!=":
+            by_position.setdefault(i, []).append((op, value))
+    spans = {i: access.span(table, i, t) for i, t in by_position.items()}
+    answered = min(spans, key=lambda i: spans[i][2] - spans[i][1], default=None)
+    if answered is None:
+        rows = access.rows(table)
     else:
-        rows, answered = access.scan(table, pattern), []
-    for var, op, value in tests:
-        if (var, op, value) not in answered:
-            rows = _keep(rows, columns.index(var), op, value)
+        ordered, lo, hi = spans[answered]
+        rows = ordered[lo:hi]
+    for i, op, value in tests:
+        if i != answered or op == "!=":
+            rows = _keep(rows, i, op, value)
+    rows = select(rows, pattern)
     if len(kept) < len(columns):
         rows = project(rows, positions)
-    return Relation(kept, frozenset(rows))
+    return frozenset(rows)
 
 
-def atom_projection(inst, atom: Atom, variables) -> frozenset[tuple]:
-    """The atom's satisfying tuples projected onto ``variables``, all of
-    which it mentions; kept in the instance's access path."""
-    pattern, first = _atom_pattern(atom)
-    columns = tuple(first)
-    return inst.access.projection(
-        atom.predicate, pattern, tuple(columns.index(v) for v in variables)
-    )
+def _eval_atom(inst, atom: Atom, tests, kept) -> Relation:
+    """``atom_rows`` as a relation over ``kept``, for ``(variable, op,
+    constant)`` tests."""
+    first = _atom_pattern(atom)[1]
+    tests = [(first[var], op, value) for var, op, value in tests]
+    return Relation(kept, atom_rows(inst, atom, tests, kept))
 
 
 _OPS = {
@@ -384,8 +387,8 @@ _FLIPPED = {"=": "=", "!=": "!=", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
 
 
 def _keep(rows, i: int, op: str, value) -> list[tuple]:
-    """The rows whose column ``i`` compares true with the constant, by
-    ``_compare``'s rules across types."""
+    """The rows whose value at position ``i`` compares true with the
+    constant, by ``_compare``'s rules across types."""
     is_str = type(value) is str
     if op == "!=":
         return [
@@ -421,7 +424,7 @@ def _eval_conjunction(inst, f: Formula, nonempty: bool, drop) -> Relation:
             positives.append(c)
 
     # Selection pushdown: a comparison of a variable with a constant
-    # filters the scan of every positive atom that binds the variable.
+    # filters the rows of every positive atom that binds the variable.
     tests = [[] for _ in positives]
     pending = []
     for c in comparisons:

@@ -329,11 +329,11 @@ class _Item:
     non-comparison conjuncts, the comparisons as they are and each
     ``NOT`` conjunct with its body's relation.  ``domain_bits`` is the
     item's reference domain (``domains.reference_domain`` of ``part``) as
-    bits over the run's head-tuple index.  ``bits`` is the pair (AND of
-    the positive relations, OR of the ``NOT`` bodies' relations) as bits,
-    the first -1 (every bit set) when there is no positive relation;
-    None when a conjunct is a comparison or a relation is not over
-    exactly the head variables.
+    bits over the run's head-tuple index.  ``bits`` is the item's answers
+    as bits, ``AND of the positive relations & ~OR of the NOT bodies'
+    relations``: a negative int, every tuple except those of ``~bits``,
+    when there is no positive relation; None when a conjunct is a
+    comparison or a relation is not over exactly the head variables.
     """
 
     part: Formula
@@ -345,7 +345,7 @@ class _Item:
     negates: _Item | None
     evaluated: tuple[list, list, list] | None = None
     domain_bits: int | None = None
-    bits: tuple[int, int] | None = None
+    bits: int | None = None
 
 
 @dataclass(slots=True)
@@ -385,13 +385,13 @@ class _Run:
     first seen, so no bit ever moves.  Each item keeps its relations and
     its domain as bits over it (``_Item.bits`` and ``domain_bits``).  A
     set whose items all have answer bits, one with a positive relation,
-    is counted as ``(AND of positives & ~OR of NOT bodies).bit_count()``:
-    its relations are all over the head, so the join is an intersection
-    and each anti-join a difference.  Any other set, one with a
-    comparison such as ``P = "Gilmore"`` or an item over part of the
-    head, is counted by ``evaluator.conjoin`` over its items' relations,
-    as ``evaluate`` would; safety makes each conjunct and negated body
-    safe on its own.
+    is counted as the AND of its items' bits, which is ``(AND of
+    positives & ~OR of NOT bodies).bit_count()``: its relations are all
+    over the head, so the join is an intersection and each anti-join a
+    difference.  Any other set, one with a comparison such as ``P =
+    "Gilmore"`` or an item over part of the head, is counted by
+    ``evaluator.conjoin`` over its items' relations, as ``evaluate``
+    would; safety makes each conjunct and negated body safe on its own.
 
     A set's reference domain is always read from bits.  Under the union
     rule no item equates the whole head with constants, as an item's
@@ -402,8 +402,8 @@ class _Run:
     product's bits.  A negated item reads its domain and its body's
     relation from the item it negates: ``NOT`` is transparent to
     domains, and its body's relation is that item's relations
-    conjoined.  Where that item has answer bits with a positive
-    relation, the body's bits are its ``AND & ~OR``, with no rows read.
+    conjoined.  Where that item has answer bits, the negated item's are
+    their complement, with no rows read.
     Only counts are read from bits; no answer is decoded.
 
     Each conjunct is evaluated over its own vocabulary, not the body's.
@@ -503,22 +503,19 @@ class _Run:
                 )
             else:
                 # NOT is transparent to domains, and the body is the linked
-                # item, whose bits give the body's bits when it has a
-                # positive relation.
+                # item, whose answer bits complemented are this item's.
                 negates = self._counted(negates)
                 item.domain_bits = negates.domain_bits
                 item.evaluated = ([], [], [(item.part, conjoin(*negates.evaluated))])
-                if negates.bits is not None and negates.bits[0] >= 0:
-                    item.bits = (-1, negates.bits[0] & ~negates.bits[1])
+                if negates.bits is not None:
+                    item.bits = ~negates.bits
             parts, comparisons, negations = item.evaluated
             bodies = [body for _, body in negations]
             if item.bits is None and not comparisons and all(
                 set(r.columns) == self._head_set for r in parts + bodies
             ):
-                item.bits = (
-                    reduce(and_, map(self._head_bits, parts), -1),
-                    reduce(or_, map(self._head_bits, bodies), 0),
-                )
+                positive = reduce(and_, map(self._head_bits, parts), -1)
+                item.bits = positive & ~reduce(or_, map(self._head_bits, bodies), 0)
         return item
 
     def _relation(self, f: Formula) -> Relation:
@@ -551,16 +548,13 @@ class _Run:
     def bit_count(self, mask: int) -> int | None:
         """The answer count of the items' conjunction from their bits;
         None when an item has no answer bits or none has a positive
-        relation."""
-        positive, negated = -1, 0
+        relation, which leaves the AND negative (every tuple but some)."""
+        bits = -1
         for item in map(self._counted, self.set(mask).items):
             if item.bits is None:
                 return None
-            positive &= item.bits[0]
-            negated |= item.bits[1]
-        if positive < 0:
-            return None
-        return (positive & ~negated).bit_count()
+            bits &= item.bits
+        return None if bits < 0 else bits.bit_count()
 
     def answers(self, mask: int) -> Relation:
         """Answers of the items' conjunction, which must be safe."""

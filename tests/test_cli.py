@@ -314,6 +314,15 @@ def test_rule_errors(capsys, antecedent, consequent, message):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("blanks", ["", "   "])
+def test_error_offsets_count_from_the_argument_as_typed(capsys, blanks):
+    # 'Nope' starts at offset 8 of the declaration, after any leading blanks.
+    code, out, err = run(capsys, *BASE, "eval", f"{blanks}q(P) := Nope(P)")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: unknown predicate 'Nope' (at offset {8 + len(blanks)})\n"
+
+
 def test_mine_transcript(capsys):
     code, out, _ = run(
         capsys,
