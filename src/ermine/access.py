@@ -101,12 +101,6 @@ class AccessPath:
         except KeyError:
             raise DataError(f"instance has no table {table!r}") from None
 
-    def scan(self, table: str, pattern: tuple):
-        """The rows of ``table`` that fit ``pattern`` (``select``): the
-        table's own frozenset when the pattern is plain."""
-        rows = self.rows(table)
-        return rows if is_plain(pattern) else select(rows, pattern)
-
     def ordered(self, table: str, position: int) -> tuple[list[tuple], int]:
         """The ordered index of ``table`` at ``position``: the table's rows
         sorted by ``value_key`` of their value there, so that each type's
@@ -164,6 +158,6 @@ class AccessPath:
         key = (table, pattern, columns)
         rows = self._projections.get(key)
         if rows is None:
-            rows = frozenset(project(self.scan(table, pattern), columns))
+            rows = frozenset(project(select(self.rows(table), pattern), columns))
             self._projections[key] = rows
         return rows

@@ -360,17 +360,9 @@ def atom_rows(inst, atom: Atom, tests, kept) -> frozenset[tuple]:
         if i != answered or op == "!=":
             rows = _keep(rows, i, op, value)
     rows = select(rows, pattern)
-    if len(kept) < len(columns):
+    if positions != tuple(range(len(columns))):
         rows = project(rows, positions)
     return frozenset(rows)
-
-
-def _eval_atom(inst, atom: Atom, tests, kept) -> Relation:
-    """``atom_rows`` as a relation over ``kept``, for ``(variable, op,
-    constant)`` tests."""
-    first = _atom_pattern(atom)[1]
-    tests = [(first[var], op, value) for var, op, value in tests]
-    return Relation(kept, atom_rows(inst, atom, tests, kept))
 
 
 _OPS = {
@@ -424,25 +416,27 @@ def _eval_conjunction(inst, f: Formula, nonempty: bool, drop) -> Relation:
             positives.append(c)
 
     # Selection pushdown: a comparison of a variable with a constant
-    # filters the rows of every positive atom that binds the variable.
+    # filters the rows of every positive atom that binds the variable, as
+    # a test at the table position where the variable first occurs.
+    firsts = [_atom_pattern(p)[1] if isinstance(p, Atom) else {} for p in positives]
     tests = [[] for _ in positives]
     pending = []
     for c in comparisons:
         test = _variable_test(c)
         pushed = False
         if test is not None:
-            var = Variable(test[0])
-            for k, p in enumerate(positives):
-                if isinstance(p, Atom) and var in p.terms:
-                    tests[k].append(test)
+            var, op, value = test
+            for k, first in enumerate(firsts):
+                if var in first:
+                    tests[k].append((first[var], op, value))
                     pushed = True
         if not pushed:
             pending.append(c)
     # Projection pushdown: a column in ``drop`` that no other positive
     # conjunct, negated body or pending comparison reads is never built.
     columns = [
-        tuple(_atom_pattern(p)[1]) if isinstance(p, Atom) else free_variables(p)
-        for p in positives
+        tuple(first) if isinstance(p, Atom) else free_variables(p)
+        for p, first in zip(positives, firsts)
     ]
     kept = columns
     if drop:
@@ -458,7 +452,9 @@ def _eval_conjunction(inst, f: Formula, nonempty: bool, drop) -> Relation:
             tuple(c for c in cols if c not in drop or read[c] > 1) for cols in columns
         ]
     parts = [
-        _eval_atom(inst, p, t, k) if isinstance(p, Atom) else _eval_part(inst, p, nonempty, k)
+        Relation(k, atom_rows(inst, p, t, k))
+        if isinstance(p, Atom)
+        else _eval_part(inst, p, nonempty, k)
         for p, t, k in zip(positives, tests, kept)
     ]
     subs = [_eval(inst, n.body, nonempty) for n in negations]

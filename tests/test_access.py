@@ -98,9 +98,13 @@ def test_an_atom_with_a_constant_keeps_the_rows_that_hold_it(data):
     terms = [Variable(f"X{i}") for i in range(3)]
     terms[position] = Constant(constant)
     kept = tuple(terms[i].name for i in others)
-    assert atom_rows(inst, Atom("T", tuple(terms)), (), kept) == {
+    expected = {
         tuple(r[i] for i in others) for r in rows if _compare(r[position], "=", constant)
     }
+    atom = Atom("T", tuple(terms))
+    assert atom_rows(inst, atom, (), kept) == expected
+    # The same rows with their columns asked for in reverse.
+    assert atom_rows(inst, atom, (), kept[::-1]) == {t[::-1] for t in expected}
 
 
 def test_an_atom_with_a_constant_keeps_only_an_ordered_index():

@@ -1,7 +1,7 @@
 """Reference domain construction."""
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import strategies
@@ -14,7 +14,9 @@ from ermine import (
     Exists,
     Not,
     Or,
+    QueryDecl,
     Variable,
+    evaluate_naive,
     explain_reference_domain,
     free_variables,
     load_instance,
@@ -228,6 +230,27 @@ def test_a_union_with_an_empty_member_is_the_cached_projection(tv, tv_schema):
     )
     members = reference_domain(tv, normalize(f), ("P",)).members
     assert members is tv.access.projection("WeekdayTV", (0, 1, 2, 3), (0,))
+
+
+def test_an_atom_domain_lists_its_variables_in_the_order_asked(tv, tv_schema):
+    atom = parse_formula_text("WeekdayTV(P, SN, 12, S)", tv_schema)
+    assert dom(tv, atom, ("S", "SN", "P")) == {("La Senza", "CBS", "Gilmore")}
+    # A union with an operand read without a constant keeps one order.
+    f = parse_formula_text(
+        "EXISTS V. EXISTS S. (WeekdayTV(P, SN, 10, S) OR WeekdayTV(P, SN, V, S))",
+        tv_schema,
+    )
+    assert dom(tv, f, ("SN", "P")) == {(sn, p) for p, sn in WEEKDAY_PAIRS}
+
+
+@SETTINGS
+@given(strategies.atom_scan_cases())
+def test_an_atom_domain_is_its_answers_in_the_order_asked(case):
+    inst, atom, _, columns, _ = case
+    assume(columns)
+    order = columns[::-1]
+    expected = evaluate_naive(inst, QueryDecl("q", order, atom)).rows
+    assert dom(inst, atom, order) == expected
 
 
 _ROWS = st.frozensets(st.tuples(st.sampled_from(strategies.NAMES + strategies.WEIGHTS)))

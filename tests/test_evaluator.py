@@ -31,7 +31,7 @@ from ermine import (
     sorted_rows,
 )
 from ermine.cli import build_arg_parser, load_session, run_domain, run_eval, run_freq
-from ermine.evaluator import _eval_atom, _project
+from ermine.evaluator import _project, atom_rows
 
 F1_ROWS = {("Gilmore",), ("Hockey Night",)}
 F2_ROWS = {("Hockey Night",), ("Simpsons",)}
@@ -398,12 +398,20 @@ SETTINGS = settings(
 @given(strategies.atom_scan_cases())
 def test_an_atom_builds_only_its_kept_columns(case):
     inst, atom, tests, columns, kept = case
-    cold = _eval_atom(inst, atom, tests, kept)
-    whole = _eval_atom(inst, atom, tests, columns)
-    assert whole.columns == columns
+    # Each variable's test sits at the table position where it first occurs.
+    first = {}
+    for i, t in enumerate(atom.terms):
+        if isinstance(t, Variable):
+            first.setdefault(t.name, i)
+    tests = [(first[var], op, value) for var, op, value in tests]
+    cold = Relation(kept, atom_rows(inst, atom, tests, kept))
+    whole = Relation(columns, atom_rows(inst, atom, tests, columns))
     assert cold == _project(whole, kept)
+    # Columns asked for in reverse come back reversed.
+    assert atom_rows(inst, atom, tests, kept[::-1]) == {r[::-1] for r in cold.rows}
+    assert atom_rows(inst, atom, tests, columns[::-1]) == {r[::-1] for r in whole.rows}
     # Again on the access path the first two scans filled.
-    assert _eval_atom(inst, atom, tests, kept) == cold
+    assert atom_rows(inst, atom, tests, kept) == cold.rows
 
 
 # Conjunctions under EXISTS in which another part reads a quantified
