@@ -104,6 +104,7 @@ from .stats import (
     frequency,
     itemset_frequency,
     prepare_query,
+    rule_statistics,
     support,
 )
 

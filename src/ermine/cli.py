@@ -39,7 +39,7 @@ from .schema import (
     load_instance_dir,
     load_schema_file,
 )
-from .stats import ErRule, confidence_from_count, frequency, prepare_query, support
+from .stats import ErRule, frequency, prepare_query, rule_statistics
 
 
 @dataclass
@@ -197,9 +197,7 @@ def run_freq(session: Session, query: str) -> int:
 def run_rule(session: Session, antecedent_arg: str, consequent_arg: str) -> int:
     antecedent = _resolve_query(session, antecedent_arg)
     consequent = _resolve_query(session, consequent_arg)
-    rule = ErRule(antecedent, consequent.body)
-    sup = support(session.instance, rule)
-    conf = confidence_from_count(session.instance, antecedent, sup.numerator)
+    sup, conf = rule_statistics(session.instance, ErRule(antecedent, consequent.body))
     print(
         f"rule: {antecedent.name or 'antecedent'} -> "
         f"{consequent.name or 'consequent'}"

@@ -27,9 +27,10 @@ free variables:
     rows its span or table returns (an atom without tests reads the
     kept projection of its scan, which the access path keeps).  A part
     that is not an atom is evaluated whole and then projected.  The
-    conjunction step (``conjoin``, shared with the miner) then joins the
-    positive parts, smallest first, preferring a part that shares a
-    column with the join so far.  The remaining comparisons follow
+    conjunction step (``conjoin``, shared with the miner and the rule
+    statistics, which build its inputs with ``conjunct_relations``) then
+    joins the positive parts, smallest first, preferring a part that
+    shares a column with the join so far.  The remaining comparisons follow
     (equalities can bind still-unbound variables), and negated
     conjuncts are anti-joined.
   - OR unions aligned columns; a chain of EXISTS projects all of its
@@ -402,19 +403,28 @@ def _variable_test(c: Comparison):
     return None
 
 
-def _eval_conjunction(inst, f: Formula, nonempty: bool, drop) -> Relation:
+def _split(f: Formula) -> tuple[list, list, list]:
+    """A normalized formula's conjuncts in three lists: the positive ones
+    that are not comparisons, the comparisons and the negated ones."""
     conjs = conjuncts_of(f)
-    positives = []
-    comparisons = []
-    negations = []
-    for c in conjs:
-        if isinstance(c, Not):
-            negations.append(c)
-        elif isinstance(c, Comparison):
-            comparisons.append(c)
-        else:
-            positives.append(c)
+    positives = [c for c in conjs if not isinstance(c, (Not, Comparison))]
+    comparisons = [c for c in conjs if isinstance(c, Comparison)]
+    return positives, comparisons, [c for c in conjs if isinstance(c, Not)]
 
+
+def conjunct_relations(inst, f: Formula, nonempty: bool) -> tuple[list, list, list]:
+    """What ``conjoin`` takes for a normalized safe formula's conjuncts:
+    the relations of the positive ones that are not comparisons, the
+    comparisons, and each negated conjunct with its body's relation.
+    Each conjunct is evaluated whole, with nothing pushed into it; the
+    miner and the rule statistics build ``conjoin``'s inputs here."""
+    positives, comparisons, negations = _split(f)
+    relations = [_eval(inst, p, nonempty) for p in positives]
+    return relations, comparisons, [(n, _eval(inst, n.body, nonempty)) for n in negations]
+
+
+def _eval_conjunction(inst, f: Formula, nonempty: bool, drop) -> Relation:
+    positives, comparisons, negations = _split(f)
     # Selection pushdown: a comparison of a variable with a constant
     # filters the rows of every positive atom that binds the variable, as
     # a test at the table position where the variable first occurs.
@@ -457,8 +467,7 @@ def _eval_conjunction(inst, f: Formula, nonempty: bool, drop) -> Relation:
         else _eval_part(inst, p, nonempty, k)
         for p, t, k in zip(positives, tests, kept)
     ]
-    subs = [_eval(inst, n.body, nonempty) for n in negations]
-    return conjoin(parts, pending, zip(negations, subs))
+    return conjoin(parts, pending, [(n, _eval(inst, n.body, nonempty)) for n in negations])
 
 
 def _eval_part(inst, f: Formula, nonempty: bool, kept) -> Relation:
@@ -472,7 +481,8 @@ def conjoin(parts, comparisons, negations) -> Relation:
     """The conjunction step: join ``parts`` smallest first, apply the
     ``comparisons`` (an ``=`` binds an unbound variable), then anti-join
     each ``(negated conjunct, relation of its body)`` in ``negations``.
-    ``_eval_conjunction`` runs it after its pushdowns; the miner shares it.
+    ``_eval_conjunction`` runs it after its pushdowns; the miner and the
+    rule statistics run it on what ``conjunct_relations`` gives.
     """
     rel = _join_smallest_first(parts)
     pending = comparisons

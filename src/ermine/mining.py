@@ -66,9 +66,10 @@ intersection and each anti-join with a negated conjunct's body a
 difference, so the answer count is ``(AND of positives & ~OR of negated
 bodies).bit_count()``.  The answer count of any other set, one with a
 comparison such as ``P = "Gilmore"`` or an item over part of the head,
-falls back to the conjunction step of evaluation (``evaluator.conjoin``)
-over its items' kept relations.  Only counts are read from bits; no
-answer is decoded.
+is the conjunction step of evaluation (``evaluator.conjoin``) over its
+items' kept relations, which ``evaluator.conjunct_relations`` builds, as
+it builds the consequent's for ``stats.rule_statistics``.  Only counts
+are read from bits; no answer is decoded.
 Every candidate and every rule antecedent is gated and counted this
 way, through the same set records, so no set is gated or counted twice.
 A candidate with an empty reference domain has no frequency and is
@@ -97,7 +98,7 @@ from operator import and_, or_
 from .domains import reference_domain
 from .entities import GateState, conjunction_gates
 from .errors import BiasError, UnsafeQueryError, ZeroAntecedentError
-from .evaluator import Relation, _eval, _reorder, conjoin, vocabulary_nonempty
+from .evaluator import Relation, _reorder, conjoin, conjunct_relations, vocabulary_nonempty
 from .formulas import (
     And,
     Atom,
@@ -319,13 +320,14 @@ class _Item:
     """A signed pool item as a mining run keeps it.
 
     ``part`` is the item's normalized closure, negated where the sign says
-    so, and ``conjuncts`` its conjuncts; ``state`` is the gate state their
-    summaries (``entities.ConjunctGates``) join to.  ``rendered`` is
+    so; ``state`` is the gate state its conjuncts' summaries
+    (``entities.ConjunctGates``) join to.  ``rendered`` is
     each conjunct rendered once by ``to_text``, and ``texts`` the same
     texts as conjuncts of an And (``formulas.conjunct_text``), which
     ``_Run.text`` joins.  A negated item's ``negates`` is the record of
     the item it negates.  The rest is filled in on first count
-    (``_Run._counted``).  ``evaluated`` is the relations of the positive
+    (``_Run._counted``).  ``evaluated`` is what ``conjoin`` takes for
+    them (``evaluator.conjunct_relations``): the relations of the positive
     non-comparison conjuncts, the comparisons as they are and each
     ``NOT`` conjunct with its body's relation.  ``domain_bits`` is the
     item's reference domain (``domains.reference_domain`` of ``part``) as
@@ -337,7 +339,6 @@ class _Item:
     """
 
     part: Formula
-    conjuncts: tuple[Formula, ...]
     state: GateState
     canonical: str
     rendered: tuple[str, ...]
@@ -406,12 +407,12 @@ class _Run:
     their complement, with no rows read.
     Only counts are read from bits; no answer is decoded.
 
-    Each conjunct is evaluated over its own vocabulary, not the body's.
-    The two differ only in being empty or not, which only vacuous
-    quantifiers read, and only on an empty instance.  No count is taken
-    there: every candidate that passes the gates has an empty reference
-    domain, as a constant equated with a head variable would have to be
-    an entity constant, and an empty instance has none.
+    Each item's conjuncts are evaluated over the item's vocabulary, not
+    the set's.  The two differ only in being empty or not, which only
+    vacuous quantifiers read, and only on an empty instance.  No count is
+    taken there: every candidate that passes the gates has an empty
+    reference domain, as a constant equated with a head variable would
+    have to be an entity constant, and an empty instance has none.
     """
 
     def __init__(self, bias: LanguageBias, inst: DatabaseInstance):
@@ -437,7 +438,6 @@ class _Run:
             rendered = tuple([to_text(c) for c in conjuncts])
             item = self._items[bit] = _Item(
                 part,
-                conjuncts,
                 reduce(GateState.joined, [g.state for g in gates]),
                 _canonical_text(part, self.head),
                 rendered,
@@ -492,15 +492,12 @@ class _Run:
         """The item with its conjuncts' relations, its domain and their
         bits filled in."""
         if item.evaluated is None:
-            own, negates = item.conjuncts, item.negates
+            negates = item.negates
             if negates is None:
                 domain = reference_domain(self.inst, item.part, self.head).members
                 item.domain_bits = self._bitset(domain)
-                item.evaluated = (
-                    [self._relation(c) for c in own if not isinstance(c, (Not, Comparison))],
-                    [c for c in own if isinstance(c, Comparison)],
-                    [(c, self._relation(c.body)) for c in own if isinstance(c, Not)],
-                )
+                nonempty = vocabulary_nonempty(self.inst, item.part)
+                item.evaluated = conjunct_relations(self.inst, item.part, nonempty)
             else:
                 # NOT is transparent to domains, and the body is the linked
                 # item, whose answer bits complemented are this item's.
@@ -517,9 +514,6 @@ class _Run:
                 positive = reduce(and_, map(self._head_bits, parts), -1)
                 item.bits = positive & ~reduce(or_, map(self._head_bits, bodies), 0)
         return item
-
-    def _relation(self, f: Formula) -> Relation:
-        return _eval(self.inst, f, vocabulary_nonempty(self.inst, f))
 
     def _head_bits(self, rel: Relation) -> int:
         """The bits of a relation over exactly the head variables, its
@@ -558,12 +552,9 @@ class _Run:
 
     def answers(self, mask: int) -> Relation:
         """Answers of the items' conjunction, which must be safe."""
-        parts, comparisons, negations = [], [], []
-        for item in map(self._counted, self.set(mask).items):
-            parts += item.evaluated[0]
-            comparisons += item.evaluated[1]
-            negations += item.evaluated[2]
-        return conjoin(parts, comparisons, negations)
+        evaluated = [self._counted(item).evaluated for item in self.set(mask).items]
+        # zip(*evaluated) groups each of conjoin's three inputs across items.
+        return conjoin(*(list(itertools.chain(*kind)) for kind in zip(*evaluated)))
 
     def count(self, mask: int) -> int:
         """Answer count of the items' conjunction, which must be safe;
@@ -721,7 +712,7 @@ def mine_rules(
                 continue
             antecedent = QueryDecl(None, run.head, run.body(ant))
             try:
-                conf = confidence_from_count(inst, antecedent, both, count)
+                conf = confidence_from_count(antecedent, both, count)
             except ZeroAntecedentError as exc:
                 log.debug("rule from %s: %s", c.canonical, exc)
                 continue

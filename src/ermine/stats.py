@@ -9,6 +9,12 @@ rather than dividing by zero).
 A rule F -> G pairs an antecedent query F with a consequent formula G
 whose free variables all occur in F's head.  Support is the frequency of
 the conjunction F AND G; confidence is |tuples(F AND G)| / |tuples(F)|.
+Both come from one evaluation of F (``rule_statistics``): G's conjuncts
+are conjoined onto F's answers by the conjunction step the miner uses,
+so F AND G is never evaluated from scratch.  The checks run in one
+order: a consequent variable outside F's head, F AND G's safety, entity
+and validity gates, an empty reference domain (which ``confidence``
+does not read), F's own safety, and an antecedent without answers.
 All arithmetic uses fractions.Fraction; nothing here ever rounds.
 """
 
@@ -29,7 +35,13 @@ from .errors import (
     UnsafeQueryError,
     ZeroAntecedentError,
 )
-from .evaluator import PreparedQuery, evaluate
+from .evaluator import (
+    PreparedQuery,
+    conjoin,
+    conjunct_relations,
+    evaluate,
+    vocabulary_nonempty,
+)
 from .formulas import (
     Atom,
     Constant,
@@ -113,18 +125,19 @@ def checked_query(inst: DatabaseInstance, query: QueryDecl) -> PreparedQuery:
 def frequency(inst: DatabaseInstance, query: QueryDecl) -> Frequency:
     """Exact |tuples| / |reference domain| for a valid entity query."""
     q = checked_query(inst, query)
-    dom = reference_domain(inst, q.body, q.variables)
-    check_domain(dom.members, q.variables)
-    rel = evaluate(inst, q)
-    return Frequency(len(rel.rows), len(dom.members))
+    size = _domain_size(inst, q)
+    return Frequency(len(evaluate(inst, q).rows), size)
 
 
-def check_domain(members, variables) -> None:
-    """Raise EmptyDomainError when a frequency's denominator would be 0."""
+def _domain_size(inst: DatabaseInstance, q: PreparedQuery) -> int:
+    """The size of a checked query's reference domain, the denominator of
+    its frequency; raises EmptyDomainError when it would be 0."""
+    members = reference_domain(inst, q.body, q.variables).members
     if not members:
         raise EmptyDomainError(
-            f"reference domain of ({', '.join(variables)}) is empty"
+            f"reference domain of ({', '.join(q.variables)}) is empty"
         )
+    return len(members)
 
 
 def rule_conjunction(rule: ErRule) -> QueryDecl:
@@ -145,22 +158,41 @@ def support(inst: DatabaseInstance, rule: ErRule) -> Frequency:
 
 
 def confidence(inst: DatabaseInstance, rule: ErRule) -> Fraction:
-    """|tuples(F AND G)| / |tuples(F)|; needs a non-empty antecedent."""
+    """|tuples(F AND G)| / |tuples(F)|; needs a non-empty antecedent.
+    Reads no reference domain."""
+    return _rule_counts(inst, rule, checked_query(inst, rule_conjunction(rule)))[1]
+
+
+def rule_statistics(inst: DatabaseInstance, rule: ErRule) -> tuple[Frequency, Fraction]:
+    """The support and the confidence of a rule from one evaluation of
+    its antecedent; raises what ``support`` and then ``confidence``
+    would."""
     conj = checked_query(inst, rule_conjunction(rule))
-    return confidence_from_count(inst, rule.antecedent, len(evaluate(inst, conj).rows))
+    size = _domain_size(inst, conj)
+    count, conf = _rule_counts(inst, rule, conj)
+    return Frequency(count, size), conf
+
+
+def _rule_counts(inst, rule: ErRule, conj: PreparedQuery) -> tuple[int, Fraction]:
+    """|tuples(F AND G)| and the confidence, for a rule whose F AND G
+    (``conj``) passed the gates.  F is evaluated once, raising for its own
+    safety, and G's conjuncts are conjoined onto its answers.  They are
+    evaluated over F AND G's vocabulary, as evaluating ``conj`` would;
+    F's own differs only when F's answers are empty either way."""
+    answers = evaluate(inst, rule.antecedent)
+    parts, comparisons, negations = conjunct_relations(
+        inst, normalize(rule.consequent), vocabulary_nonempty(inst, conj.body)
+    )
+    count = len(conjoin([answers, *parts], comparisons, negations).rows)
+    return count, confidence_from_count(rule.antecedent, count, len(answers.rows))
 
 
 def confidence_from_count(
-    inst: DatabaseInstance,
-    antecedent: QueryDecl,
-    conjunction_count: int,
-    antecedent_count: int | None = None,
+    antecedent: QueryDecl, conjunction_count: int, antecedent_count: int
 ) -> Fraction:
     """Confidence of a rule F -> G whose F AND G has ``conjunction_count``
-    result tuples.  F must be safe and non-empty; it is evaluated only
-    when ``antecedent_count``, its known number of result tuples, is None."""
-    if antecedent_count is None:
-        antecedent_count = len(evaluate(inst, antecedent).rows)
+    result tuples and whose F has ``antecedent_count``; raises
+    ZeroAntecedentError when F has none."""
     if not antecedent_count:
         raise ZeroAntecedentError(
             f"antecedent {to_text(antecedent.body)} has no result tuples"

@@ -14,6 +14,11 @@ Every generated query has the single free variable X.  Two families:
   safe, entity, and valid for X by construction, and their reference
   domains are non-empty whenever no table is empty.
 
+rule_cases() pairs an antecedent over X, safe or a negation that is not
+safe on its own, with a consequent: a safe body, a bare comparison of X
+with a constant, a top-level NOT, an OR, or a comparison naming a
+variable outside the head.
+
 atom_scan_cases() makes one atom with constants and repeated variables,
 comparisons of its variables with constants, and a subset of its columns
 to keep, for checks of the evaluator's atom scan.
@@ -35,6 +40,7 @@ from ermine import (
     Atom,
     Comparison,
     Constant,
+    ErRule,
     Exists,
     Not,
     Or,
@@ -353,6 +359,41 @@ def safe_query_cases(draw):
     key, inst = draw(instances())
     body = draw(_safe_body(key))
     return inst, QueryDecl("q", ("X",), body)
+
+
+@st.composite
+def rule_cases(draw):
+    """An instance, empty tables allowed, and a rule F -> G over the head
+    X."""
+    key, inst = draw(instances(non_empty=draw(st.booleans())))
+    kind = draw(st.sampled_from(("entity", "or", "safe", "not")))
+    if kind == "entity":
+        antecedent = draw(_pattern(key))
+    elif kind == "or":
+        antecedent = Or(draw(_pattern(key)), draw(_pattern(key)))
+    else:
+        antecedent = draw(_safe_body(key))
+    if kind == "not":
+        antecedent = Not(antecedent)
+    # Strings the entity gate passes in = and !=, where the instance has any.
+    names = sorted(v for v in inst.entity_constants if type(v) is str) or NAMES
+    kind = draw(st.sampled_from(("plain", "safe", "comparison", "not", "or", "stray")))
+    if kind == "plain":
+        consequent = draw(_pattern(key))
+    elif kind == "safe":
+        consequent = draw(_safe_body(key))
+    elif kind == "comparison":
+        value, op = Constant(draw(st.sampled_from(names))), draw(st.sampled_from(("=", "!=")))
+        terms = (Variable("X"), value) if draw(st.booleans()) else (value, Variable("X"))
+        consequent = Comparison(terms[0], op, terms[1])
+    elif kind == "not":
+        consequent = Not(draw(_pattern(key, plain=draw(st.booleans()))))
+    elif kind == "or":
+        value = Constant(draw(st.sampled_from(names)))
+        consequent = Or(draw(_pattern(key)), Comparison(Variable("X"), "=", value))
+    else:
+        consequent = draw(_constant_comparison("Y"))
+    return inst, ErRule(QueryDecl("f", ("X",), antecedent), consequent)
 
 
 @st.composite

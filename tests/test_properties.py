@@ -8,7 +8,9 @@ access path earlier queries have filled; the statistics properties
 exercise the guarantees the miner relies on: non-empty domains,
 frequency bounds, disjoint-split additivity, and the anti-monotonicity
 that justifies Apriori pruning.  The mining property checks the miner's
-set-algebra counts against ``stats`` computed from scratch, and the
+set-algebra counts against ``stats`` computed from scratch; the rule
+property checks ``rule_statistics``, which evaluates the antecedent once,
+against enumeration and against ``support`` followed by ``confidence``; and the
 Apriori property checks pruned mining against an exhaustive enumeration
 of signed item sets whose items mention the whole head.  The sort
 property checks ``sorted_rows`` against the ``row_key`` order.  The loader
@@ -60,6 +62,7 @@ from ermine import (
     parse_formula_text,
     parse_query,
     reference_domain,
+    rule_statistics,
     sorted_rows,
     support,
     to_text,
@@ -69,6 +72,7 @@ from ermine.access import row_key
 from ermine.cli import main
 from ermine.evaluator import Relation
 from ermine.mining import _Run
+from ermine.stats import rule_conjunction
 
 SETTINGS = settings(
     max_examples=200,
@@ -231,6 +235,32 @@ def mine_frequent_from_scratch(inst, bias, min_support, prune):
         if not extendable:
             break
     return sorted(frequent, key=lambda t: t[:2]), tuple(levels)
+
+
+@SETTINGS
+@given(strategies.rule_cases())
+def test_rule_statistics_match_the_oracle(case):
+    # One evaluation of F, with G's conjuncts conjoined onto its answers,
+    # counts what enumeration counts for F AND G and for F, and fails
+    # where support followed by confidence fails, with the same error.
+    inst, rule = case
+    with contextlib.suppress(ErmineError):
+        # Confidence reads no reference domain, so this holds on an empty
+        # domain too.
+        conj = rule_conjunction(rule)
+        conf = confidence(inst, rule)
+        both = len(evaluate_naive(inst, conj).rows)
+        assert conf == Fraction(both, len(evaluate_naive(inst, rule.antecedent).rows))
+    try:
+        expected = support(inst, rule), confidence(inst, rule)
+    except ErmineError as exc:
+        with pytest.raises(type(exc)) as raised:
+            rule_statistics(inst, rule)
+        assert str(raised.value) == str(exc)
+        return
+    domain = reference_domain(inst, normalize(conj.body), conj.variables)
+    assert expected[0] == Frequency(both, len(domain.members))
+    assert rule_statistics(inst, rule) == expected
 
 
 @SETTINGS

@@ -21,6 +21,7 @@ from ermine import (
     load_instance,
     load_schema,
     parse_query,
+    rule_statistics,
     support,
 )
 
@@ -134,6 +135,100 @@ def test_zero_antecedent_error(tv, tv_schema, queries):
         confidence(tv, rule)
     # Support stays defined: the conjunction still has a domain.
     assert support(tv, rule).value == Fraction(0)
+
+
+EMPTY_T = load_instance(
+    load_schema(
+        {"tables": [{"name": "T", "fields": [{"name": "id", "type": "string", "key": True}]}]}
+    ),
+    {"T": []},
+)
+NOTHING = "a(P) := EXISTS SN. EXISTS V. EXISTS S. WeekdayTV(P, SN, V, S) AND V > 100"
+
+
+# The checks of a rule in order: a consequent variable outside the head,
+# F AND G's safety, entity and validity gates, an empty reference domain
+# (rule_statistics only), F's own safety, and an antecedent without
+# answers.  Each case fails at the first listed step; a later step it
+# also fails shows that the order holds.
+@pytest.mark.parametrize(
+    "antecedent, consequent, error, message, conf_error, conf_message",
+    [
+        # Also unsafe as F AND G.
+        (
+            "a(P) := NOT F2", "G1", InvalidRuleError,
+            "consequent variables not in the antecedent head: SN", None, None,
+        ),
+        (
+            "a(P) := NOT F2", "c(P) := NOT F1", UnsafeQueryError,
+            "query is not safe (R3-unlimited-var, R4-bad-negation)", None, None,
+        ),
+        (
+            'a(V) := EXISTS S. EXISTS SN. WeekdayTV("Gilmore", SN, V, S)',
+            "c(V) := V > 0", NotEntityQueryError,
+            "free variables are not entity variables: V", None, None,
+        ),
+        (
+            "a(X, Y) := TV-Program(X) AND X = Y", "c(X, Y) := X = Y", NotValidError,
+            "query is not valid for (X, Y); first failing subformula: "
+            "TV-Program(X) AND X = Y AND X = Y", None, None,
+        ),
+        # F AND G passes every gate; F alone is not safe, and has no
+        # answers on the empty instance either.
+        (
+            "a(X) := T(X)", "c(X) := T(X)", EmptyDomainError,
+            "reference domain of (X) is empty", ZeroAntecedentError,
+            "antecedent T(X) has no result tuples",
+        ),
+        (
+            "a(X) := NOT T(X)", "c(X) := T(X)", EmptyDomainError,
+            "reference domain of (X) is empty", UnsafeQueryError,
+            "query is not safe (R3-unlimited-var, R4-bad-negation)",
+        ),
+        (
+            "a(P) := NOT F2", "F1", UnsafeQueryError,
+            "query is not safe (R3-unlimited-var, R4-bad-negation)", None, None,
+        ),
+        (
+            NOTHING, "F2", ZeroAntecedentError,
+            f"antecedent {NOTHING.split(' := ')[1]} has no result tuples", None, None,
+        ),
+    ],
+    ids=[
+        "stray-consequent-variable", "unsafe-conjunction", "not-an-entity-query",
+        "not-valid", "empty-domain", "empty-domain-before-unsafe-antecedent",
+        "unsafe-antecedent", "zero-antecedent",
+    ],
+)
+def test_rule_errors_in_order(
+    tv, tv_schema, queries, antecedent, consequent, error, message, conf_error, conf_message
+):
+    inst = EMPTY_T if antecedent.startswith("a(X)") else tv
+
+    def parse(text):
+        return queries.get(text) or parse_query(text, inst.schema, queries)
+
+    rule = ErRule(parse(antecedent), parse(consequent).body)
+    with pytest.raises(error) as raised:
+        rule_statistics(inst, rule)
+    assert str(raised.value) == message
+    # Confidence reads no reference domain; otherwise it fails alike.
+    with pytest.raises(conf_error or error) as raised:
+        confidence(inst, rule)
+    assert str(raised.value) == (conf_message or message)
+
+
+def test_rule_statistics_match_support_and_confidence(tv, queries, combine):
+    for antecedent, consequent in [
+        ("F1", "c(P) := F2"),
+        ("F1", 'c(P) := P = "Gilmore"'),
+        ("F1", 'c(P) := "Gilmore" != P'),
+        ("F1", "c(P) := TV-Program(P) AND NOT F2"),
+        ("F1", 'c(P) := F2 OR P = "Gilmore"'),
+        ("a(P, SN) := G1", 'c(SN) := SN = "CBS"'),
+    ]:
+        rule = ErRule(queries.get(antecedent) or combine(antecedent), combine(consequent).body)
+        assert rule_statistics(tv, rule) == (support(tv, rule), confidence(tv, rule))
 
 
 def test_split_disjunction_adds_up(tv, combine):
