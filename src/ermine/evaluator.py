@@ -26,13 +26,16 @@ free variables:
     each positive part keeps, and an atom builds only those from the
     rows its span or table returns (an atom without tests reads the
     kept projection of its scan, which the access path keeps).  A part
-    that is not an atom is evaluated whole and then projected.  The
-    conjunction step (``conjoin``, shared with the miner and the rule
-    statistics, which build its inputs with ``conjunct_relations``) then
-    joins the positive parts, smallest first, preferring a part that
-    shares a column with the join so far.  The remaining comparisons follow
-    (equalities can bind still-unbound variables), and negated
-    conjuncts are anti-joined.
+    that is not an atom is evaluated whole and then projected.
+  - Both pushdowns happen in one place, ``conjunct_relations``, which
+    builds the inputs of the conjunction step (``conjoin``) for
+    ``evaluate``, for each item of the miner and for each rule
+    consequent of the rule statistics, so all three read the same
+    filtered atoms.  The conjunction step joins the positive parts,
+    smallest first, preferring a part that shares a column with the
+    join so far.  The comparisons that no atom took follow (equalities
+    can bind still-unbound variables), and negated conjuncts are
+    anti-joined.
   - OR unions aligned columns; a chain of EXISTS projects all of its
     quantified columns away at once.
 * ``evaluate_naive`` enumerates every assignment of the free variables
@@ -259,18 +262,19 @@ def _natural_join(a: Relation, b: Relation) -> Relation:
     index: dict[tuple, list[tuple]] = {}
     for key, extra in zip(project(b.rows, b_idx), project(b.rows, extra_idx)):
         index.setdefault(key, []).append(extra)
-    out = set()
-    for row, key in zip(a.rows, project(a.rows, a_idx)):
-        for extra in index.get(key, ()):
-            out.add(row + extra)
-    return Relation(a.columns + tuple(b_only), frozenset(out))
+    rows = frozenset(
+        row + extra
+        for row, key in zip(a.rows, project(a.rows, a_idx))
+        for extra in index.get(key, ())
+    )
+    return Relation(a.columns + tuple(b_only), rows)
 
 
 def _antijoin(a: Relation, b: Relation) -> Relation:
     idx = [a.columns.index(c) for c in b.columns]
     keys = project(a.rows, idx)
-    out = {row for row, key in zip(a.rows, keys) if key not in b.rows}
-    return Relation(a.columns, frozenset(out))
+    rows = frozenset(row for row, key in zip(a.rows, keys) if key not in b.rows)
+    return Relation(a.columns, rows)
 
 
 # -- structural evaluation ---------------------------------------------
@@ -307,7 +311,7 @@ def _eval(inst, f: Formula, nonempty: bool, drop=frozenset()) -> Relation:
         raise EvaluationError("evaluate needs a normalized formula")
     # And, lone atoms, comparisons and negations all go through the
     # conjunction path (a non-And formula is its own single conjunct).
-    return _eval_conjunction(inst, f, nonempty, drop)
+    return conjoin(*conjunct_relations(inst, f, nonempty, drop))
 
 
 def _atom_pattern(atom: Atom) -> tuple[tuple, dict[str, int], list]:
@@ -403,28 +407,20 @@ def _variable_test(c: Comparison):
     return None
 
 
-def _split(f: Formula) -> tuple[list, list, list]:
-    """A normalized formula's conjuncts in three lists: the positive ones
-    that are not comparisons, the comparisons and the negated ones."""
+def conjunct_relations(
+    inst, f: Formula, nonempty: bool, drop=frozenset()
+) -> tuple[list, list, list]:
+    """What ``conjoin`` takes for a normalized safe formula's conjuncts,
+    after the pushdowns: the relations of the positive conjuncts that are
+    not comparisons, the comparisons that no atom took, and each negated
+    conjunct with its body's relation.  A positive relation may leave out
+    variables in ``drop``, which the caller projects away.  ``evaluate``,
+    the miner's items and the rule statistics' consequents all build
+    ``conjoin``'s inputs here."""
     conjs = conjuncts_of(f)
     positives = [c for c in conjs if not isinstance(c, (Not, Comparison))]
     comparisons = [c for c in conjs if isinstance(c, Comparison)]
-    return positives, comparisons, [c for c in conjs if isinstance(c, Not)]
-
-
-def conjunct_relations(inst, f: Formula, nonempty: bool) -> tuple[list, list, list]:
-    """What ``conjoin`` takes for a normalized safe formula's conjuncts:
-    the relations of the positive ones that are not comparisons, the
-    comparisons, and each negated conjunct with its body's relation.
-    Each conjunct is evaluated whole, with nothing pushed into it; the
-    miner and the rule statistics build ``conjoin``'s inputs here."""
-    positives, comparisons, negations = _split(f)
-    relations = [_eval(inst, p, nonempty) for p in positives]
-    return relations, comparisons, [(n, _eval(inst, n.body, nonempty)) for n in negations]
-
-
-def _eval_conjunction(inst, f: Formula, nonempty: bool, drop) -> Relation:
-    positives, comparisons, negations = _split(f)
+    negations = [c for c in conjs if isinstance(c, Not)]
     # Selection pushdown: a comparison of a variable with a constant
     # filters the rows of every positive atom that binds the variable, as
     # a test at the table position where the variable first occurs.
@@ -467,7 +463,7 @@ def _eval_conjunction(inst, f: Formula, nonempty: bool, drop) -> Relation:
         else _eval_part(inst, p, nonempty, k)
         for p, t, k in zip(positives, tests, kept)
     ]
-    return conjoin(parts, pending, [(n, _eval(inst, n.body, nonempty)) for n in negations])
+    return parts, pending, [(n, _eval(inst, n.body, nonempty)) for n in negations]
 
 
 def _eval_part(inst, f: Formula, nonempty: bool, kept) -> Relation:
@@ -481,8 +477,9 @@ def conjoin(parts, comparisons, negations) -> Relation:
     """The conjunction step: join ``parts`` smallest first, apply the
     ``comparisons`` (an ``=`` binds an unbound variable), then anti-join
     each ``(negated conjunct, relation of its body)`` in ``negations``.
-    ``_eval_conjunction`` runs it after its pushdowns; the miner and the
-    rule statistics run it on what ``conjunct_relations`` gives.
+    Its inputs come from ``conjunct_relations``, after the pushdowns, for
+    ``evaluate``, the miner and the rule statistics alike; the miner and
+    the rule statistics may add relations of their own to ``parts``.
     """
     rel = _join_smallest_first(parts)
     pending = comparisons

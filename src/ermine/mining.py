@@ -64,12 +64,15 @@ constant.  Where every conjunct of a set's items yields a relation over
 exactly the head variables, the join of the positive conjuncts is an
 intersection and each anti-join with a negated conjunct's body a
 difference, so the answer count is ``(AND of positives & ~OR of negated
-bodies).bit_count()``.  The answer count of any other set, one with a
-comparison such as ``P = "Gilmore"`` or an item over part of the head,
-is the conjunction step of evaluation (``evaluator.conjoin``) over its
-items' kept relations, which ``evaluator.conjunct_relations`` builds, as
-it builds the consequent's for ``stats.rule_statistics``.  Only counts
-are read from bits; no answer is decoded.
+bodies).bit_count()``.  An item's relations are built by
+``evaluator.conjunct_relations``, as ``evaluate`` builds a conjunction's
+and ``stats.rule_statistics`` a consequent's, so a comparison whose
+variable an atom of the item binds filters that atom's rows and is
+gone: ``TV-Program(P) AND P != "Gilmore"`` has bits.  The answer count
+of any other set, one with a comparison that no atom of its item takes,
+such as ``P = "Gilmore"``, or with an item over part of the head, is the
+conjunction step of evaluation (``evaluator.conjoin``) over its items'
+kept relations.  Only counts are read from bits; no answer is decoded.
 Every candidate and every rule antecedent is gated and counted this
 way, through the same set records, so no set is gated or counted twice.
 A candidate with an empty reference domain has no frequency and is
@@ -327,15 +330,17 @@ class _Item:
     ``_Run.text`` joins.  A negated item's ``negates`` is the record of
     the item it negates.  The rest is filled in on first count
     (``_Run._counted``).  ``evaluated`` is what ``conjoin`` takes for
-    them (``evaluator.conjunct_relations``): the relations of the positive
-    non-comparison conjuncts, the comparisons as they are and each
-    ``NOT`` conjunct with its body's relation.  ``domain_bits`` is the
-    item's reference domain (``domains.reference_domain`` of ``part``) as
-    bits over the run's head-tuple index.  ``bits`` is the item's answers
+    them (``evaluator.conjunct_relations``): the relations of the
+    positive non-comparison conjuncts, each atom's rows filtered by the
+    comparisons of a variable it binds, the comparisons that no atom
+    took, and each ``NOT`` conjunct with its body's relation.
+    ``domain_bits`` is the item's reference domain
+    (``domains.reference_domain`` of ``part``) as bits over the run's
+    head-tuple index.  ``bits`` is the item's answers
     as bits, ``AND of the positive relations & ~OR of the NOT bodies'
     relations``: a negative int, every tuple except those of ``~bits``,
-    when there is no positive relation; None when a conjunct is a
-    comparison or a relation is not over exactly the head variables.
+    when there is no positive relation; None when a comparison is left
+    over or a relation is not over exactly the head variables.
     """
 
     part: Formula
@@ -389,8 +394,11 @@ class _Run:
     is counted as the AND of its items' bits, which is ``(AND of
     positives & ~OR of NOT bodies).bit_count()``: its relations are all
     over the head, so the join is an intersection and each anti-join a
-    difference.  Any other set, one with a comparison such as ``P =
-    "Gilmore"`` or an item over part of the head, is counted by
+    difference.  A comparison of a variable that one of the item's own
+    atoms binds is pushed into that atom, as ``evaluate`` pushes a
+    conjunction's, so it leaves no comparison behind.  Any other set,
+    one with a comparison that no atom of its item takes, such as ``P =
+    "Gilmore"``, or an item over part of the head, is counted by
     ``evaluator.conjoin`` over its items' relations, as ``evaluate``
     would; safety makes each conjunct and negated body safe on its own.
 

@@ -2,13 +2,17 @@
 
 A mining run counts a signed set from bits over its index of head
 tuples where its items allow it, and falls back to ``conjoin``
-otherwise; it always takes a set's reference domain from bits.  These
+otherwise; it always takes a set's reference domain from bits.  An
+item's relations are built with the pushdowns of ``evaluate``, so an
+item whose comparisons its own atoms take, such as ``TV-Program(P) AND
+P != "Gilmore"``, has bits, while a bare comparison falls back.  These
 tests take every signed set of up to three items of several pools, in a
 shuffled order so that the index grows out of level order, and check
-each bit count against the relation the fallback builds and each
-frequency's denominator against ``reference_domain`` of the set's
-conjunction.  A mined instance of 2,000 generated programs checks the
-bits at size against ``stats`` computed from scratch.
+each count against the relation the fallback builds and against
+``evaluate`` of the set's conjunction, which shares none of the run's
+relations, and each frequency's denominator against ``reference_domain``
+of the set's conjunction.  A mined instance of 2,000 generated programs
+checks the bits at size against ``stats`` computed from scratch.
 """
 
 import importlib.util
@@ -20,7 +24,9 @@ import pytest
 import strategies
 from conftest import TV_DIR
 from ermine import (
+    QueryDecl,
     confidence,
+    evaluate,
     frequency,
     load_bias,
     load_bias_file,
@@ -90,6 +96,11 @@ def shuffled_masks(bias, name):
     return masks
 
 
+def evaluated_count(inst, run, mask):
+    """The answer count of the set's conjunction from ``evaluate``."""
+    return len(evaluate(inst, QueryDecl(None, run.head, run.body(mask))).rows)
+
+
 @pytest.mark.parametrize("name", sorted(BIASES))
 def test_bits_agree_with_conjoin_and_conjunction_domain(tv, name):
     # The conjunction's domain is what reference_domain gives its body.
@@ -105,6 +116,7 @@ def test_bits_agree_with_conjoin_and_conjunction_domain(tv, name):
             counted += 1
             assert count == len(run.answers(mask).rows)
         assert run.count(mask) == len(run.answers(mask).rows)
+        assert run.count(mask) == evaluated_count(tv, run, mask)
         size = len(reference_domain(tv, run.body(mask), run.head).members)
         fr = run.frequency(mask)
         if size:
@@ -144,6 +156,24 @@ def test_negated_items_read_the_bits_of_the_item_they_negate(tv, name):
         item = run._counted(run.item(2 * i))
         (positive,) = item.evaluated[0]
         assert run._head_bits(positive) & ~item.bits
+
+
+def test_items_whose_atoms_take_their_comparisons_count_from_bits(tv):
+    bias = BIASES["bias_mixed"]()
+    run = _Run(bias, tv)
+    texts = [item.text for item in bias.items]
+    program, gilmore, not_gilmore = (
+        2 * texts.index(t)
+        for t in ("TV-Program(P)", 'P = "Gilmore"', 'TV-Program(P) AND P != "Gilmore"')
+    )
+    # The atom takes P != "Gilmore", so the item's relation is over P.
+    count = run.bit_count(1 << not_gilmore)
+    assert count is not None
+    assert count == evaluated_count(tv, run, 1 << not_gilmore) > 0
+    # No atom of the bare comparison's item binds P: it stays for conjoin.
+    both = 1 << gilmore | 1 << program
+    assert run.bit_count(both) is None
+    assert run.count(both) == evaluated_count(tv, run, both) == 1
 
 
 def test_partial_head_items_fall_back(tv):

@@ -4,7 +4,9 @@ Each property runs 200 deterministic examples (derandomize=True; the
 Apriori property 100) against the tiny schemas in strategies.py.  The
 evaluation properties compare the set-algebra evaluator with brute-force
 assignment enumeration, on fresh instances and on one instance whose
-access path earlier queries have filled; the statistics properties
+access path earlier queries have filled, and so do the conjunction
+step's answers on what ``conjunct_relations`` builds without ``drop``, as
+the miner and the rule statistics call it; the statistics properties
 exercise the guarantees the miner relies on: non-empty domains,
 frequency bounds, disjoint-split additivity, and the anti-monotonicity
 that justifies Apriori pruning.  The mining property checks the miner's
@@ -70,7 +72,13 @@ from ermine import (
 )
 from ermine.access import row_key
 from ermine.cli import main
-from ermine.evaluator import Relation
+from ermine.evaluator import (
+    Relation,
+    _reorder,
+    conjoin,
+    conjunct_relations,
+    vocabulary_nonempty,
+)
 from ermine.mining import _Run
 from ermine.stats import rule_conjunction
 
@@ -94,6 +102,10 @@ def test_optimized_evaluator_matches_enumeration(case):
     slow = evaluate_naive(inst, decl)
     assert fast.columns == slow.columns
     assert sorted_rows(fast) == sorted_rows(slow)
+    # The builder without ``drop``, as the miner and the rule path call it.
+    body = normalize(decl.body)
+    built = conjoin(*conjunct_relations(inst, body, vocabulary_nonempty(inst, body)))
+    assert sorted_rows(_reorder(built, tuple(decl.variables))) == sorted_rows(slow)
 
 
 _INTS = st.integers(-3, 3)
