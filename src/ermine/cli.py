@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import logging
 import sys
 from dataclasses import dataclass
@@ -422,9 +423,17 @@ def _logging_to_stderr(level: str):
         logger.setLevel(saved)
 
 
+@functools.cache
+def _arg_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads its arguments with, built on first use
+    and kept for the process: parsing leaves no state in it, and its
+    ``prog`` is fixed, so usage and error lines are the same on every
+    call."""
+    return build_arg_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_arg_parser()
-    ns = parser.parse_args(argv)
+    ns = _arg_parser().parse_args(argv)
     with _logging_to_stderr(ns.log_level):
         return _run(ns)
 

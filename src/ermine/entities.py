@@ -23,6 +23,9 @@ the state of a conjunction is its conjuncts' states joined in order
 (``GateState.joined``).  ``gate_reports``, which ``stats.prepare_query``
 uses, reads the verdicts from the joined state and the reports' details
 from the summaries; the miner reads a drop reason from the state alone.
+The state of a negated conjunct follows from its body's summaries
+(``negation_state``), so the miner derives a negated item's state from
+the item it negates.
 """
 
 from __future__ import annotations
@@ -340,6 +343,27 @@ def conjunction_gates(
 ) -> tuple[ConjunctGates, ...]:
     """The summaries of the conjuncts of a normalized body."""
     return tuple(ConjunctGates(c, inst, variables) for c in conjuncts_of(f))
+
+
+def negation_state(body: Formula, parts) -> GateState:
+    """The gate state of ``NOT body``, read from the summaries ``parts``
+    of ``body``'s conjuncts with no walk of the formula.  It is what
+    ``ConjunctGates(Not(body), ...).state`` works out: a negated conjunct
+    has ``body``'s free variables, limits, equates and covers nothing, and
+    is not valid; its entity facts are its conjuncts' merged, links in
+    order; and its one check pairs its free variables with the rule of
+    the first violation inside ``body``."""
+    summaries = [p.safety for p in parts]
+    free = frozenset(free_of(summaries))
+    inner = next(violations(body, summaries), None)
+    facts = [p.entities for p in parts]
+    return GateState(
+        free, frozenset(), (),
+        frozenset().union(*[x.names for x in facts]),
+        frozenset().union(*[x.failures for x in facts]),
+        tuple([link for x in facts for link in x.links]),
+        frozenset(), False, ((free, inner.rule if inner else None),),
+    )
 
 
 def gate_reports(body: Formula, parts, variables):

@@ -251,6 +251,13 @@ def conjunct_text(f: Formula, text: str) -> str:
     return text
 
 
+def negation_text(body: Formula, text: str) -> str:
+    """``NOT`` applied to ``text``, a rendering of ``body``, as ``to_text``
+    renders ``Not(body)``: an atom is negated as it is, anything else in
+    parentheses."""
+    return f"NOT {text}" if isinstance(body, Atom) else f"NOT {_wrap(text)}"
+
+
 def to_text(f: Formula) -> str:
     """Render a formula; parsing the result reproduces the same AST."""
     if isinstance(f, Atom):
@@ -258,10 +265,7 @@ def to_text(f: Formula) -> str:
     if isinstance(f, Comparison):
         return f"{f.left} {f.op} {f.right}"
     if isinstance(f, Not):
-        inner = to_text(f.body)
-        if not isinstance(f.body, Atom):
-            inner = _wrap(inner)
-        return f"NOT {inner}"
+        return negation_text(f.body, to_text(f.body))
     if isinstance(f, And):
         return " AND ".join([conjunct_text(c, to_text(c)) for c in f.conjuncts])
     if isinstance(f, Or):

@@ -21,11 +21,13 @@ A mining run keeps one record per signed item (an item and its sign),
 made on first use: its normalized part, its conjuncts' joined gate state,
 its canonical text, its conjuncts' texts and, once counted, its
 conjuncts' evaluated relations, its reference domain and their bits.
-A negated item links to the record of the item it negates and reads its
-domain, its body's relation and, where it can, their bits from it.  A signed set (a candidate's or
-a rule antecedent's items) is an int over the pool: bit 2i is item i
-taken positively, bit 2i+1 item i negated, so the set bits in ascending
-order are the set's items in the order its conjunction lists them.  Per
+A negated item links to the record of the item it negates.  It derives
+its gate state, its canonical text and its text from that record's, with
+no walk of the formula, and reads its domain, its body's relation and,
+where it can, their bits from it.  A signed set (a candidate's or a rule
+antecedent's items) is an int over the pool: bit 2i is item i taken
+positively, bit 2i+1 item i negated, so the set bits in ascending order
+are the set's items in the order its conjunction lists them.  Per
 signed set the run keeps one record, made from its parent's: its items,
 gate state and gate verdict, and, each on first need, its answer count,
 text, conjunction and safety report.
@@ -99,7 +101,7 @@ from functools import cached_property, reduce
 from operator import and_, or_
 
 from .domains import reference_domain
-from .entities import GateState, conjunction_gates
+from .entities import ConjunctGates, GateState, conjunction_gates, negation_state
 from .errors import BiasError, UnsafeQueryError, ZeroAntecedentError
 from .evaluator import Relation, _reorder, conjoin, conjunct_relations, vocabulary_nonempty
 from .formulas import (
@@ -119,6 +121,7 @@ from .formulas import (
     declaration_text,
     equated_constants,
     free_variables,
+    negation_text,
     normalize,
     to_text,
 )
@@ -132,9 +135,15 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class PoolItem:
+    """A bias item: its pattern text, its closure and whether it may be
+    negated.  ``canonical`` is the closure's ``_canonical_text`` under the
+    bias head, which ``load_bias`` dedupes on; it takes no part in
+    equality."""
+
     text: str
     formula: Formula  # existentially closed over its non-head variables
     negatable: bool
+    canonical: str | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -227,8 +236,9 @@ def _close_over_non_head(f: Formula, head) -> Formula:
 
 def _canonical_text(f: Formula, head) -> str:
     """Render with bound variables renamed in first-use order, so pool
-    items that differ only in bound names collapse together."""
-    counter = itertools.count(1)
+    items that differ only in bound names collapse together.  The fresh
+    names ``B1_``, ``B2_``, ... skip the head variables, which stay free."""
+    fresh_names = (n for n in map("B{}_".format, itertools.count(1)) if n not in head)
 
     def sub(term, env):
         if isinstance(term, Variable) and term.name in env:
@@ -237,7 +247,7 @@ def _canonical_text(f: Formula, head) -> str:
 
     def rebuild(g, env):
         if isinstance(g, (Exists, Forall)):
-            fresh = f"B{next(counter)}_"
+            fresh = next(fresh_names)
             return type(g)(fresh, rebuild(g.body, {**env, g.var: fresh}))
         if isinstance(g, Not):
             return Not(rebuild(g.body, env))
@@ -291,7 +301,7 @@ def load_bias(doc, schema: Schema) -> LanguageBias:
             log.debug("bias: dropping duplicate item %r", pattern)
             continue
         seen.add(canonical)
-        items.append(PoolItem(pattern, closed, negatable))
+        items.append(PoolItem(pattern, closed, negatable, canonical))
     max_conjuncts = doc.get("max_conjuncts", len(items))
     if type(max_conjuncts) is not int or max_conjuncts < 1:  # not a bool
         raise BiasError("'max_conjuncts' must be a positive integer")
@@ -328,7 +338,10 @@ class _Item:
     each conjunct rendered once by ``to_text``, and ``texts`` the same
     texts as conjuncts of an And (``formulas.conjunct_text``), which
     ``_Run.text`` joins.  A negated item's ``negates`` is the record of
-    the item it negates.  The rest is filled in on first count
+    the item it negates, and its state, canonical text and texts are
+    derived from that record's with no walk of the formula.  ``gates``
+    are a positive item's conjuncts' summaries, which that derivation
+    reads; a negated item keeps none.  The rest is filled in on first count
     (``_Run._counted``).  ``evaluated`` is what ``conjoin`` takes for
     them (``evaluator.conjunct_relations``): the relations of the
     positive non-comparison conjuncts, each atom's rows filtered by the
@@ -349,9 +362,16 @@ class _Item:
     rendered: tuple[str, ...]
     texts: tuple[str, ...]
     negates: _Item | None
+    gates: tuple[ConjunctGates, ...] = ()
     evaluated: tuple[list, list, list] | None = None
     domain_bits: int | None = None
     bits: int | None = None
+
+    @property
+    def text(self) -> str:
+        """``to_text(part)``, joined from the kept conjunct texts; a lone
+        conjunct is not wrapped."""
+        return self.rendered[0] if len(self.rendered) == 1 else " AND ".join(self.texts)
 
 
 @dataclass(slots=True)
@@ -436,23 +456,33 @@ class _Run:
         """The record of the signed item at a mask bit."""
         item = self._items.get(bit)
         if item is None:
-            negates = self.item(bit - 1) if bit & 1 else None
-            if negates is None:
-                part = normalize(self.bias.items[bit >> 1].formula)
+            if bit & 1:
+                item = _negation(self.item(bit - 1))
             else:
-                part = Not(negates.part)
-            conjuncts = conjuncts_of(part)
-            gates = conjunction_gates(part, self.inst, self.head)
-            rendered = tuple([to_text(c) for c in conjuncts])
-            item = self._items[bit] = _Item(
-                part,
-                reduce(GateState.joined, [g.state for g in gates]),
-                _canonical_text(part, self.head),
-                rendered,
-                tuple(map(conjunct_text, conjuncts, rendered)),
-                negates,
-            )
+                item = self._positive(self.bias.items[bit >> 1])
+            self._items[bit] = item
         return item
+
+    def _positive(self, pool_item: PoolItem) -> _Item:
+        """The record of a pool item taken positively.  Its canonical text
+        is the one ``load_bias`` worked out where normalizing leaves the
+        closure as it is."""
+        part = normalize(pool_item.formula)
+        canonical = pool_item.canonical
+        if canonical is None or part != pool_item.formula:
+            canonical = _canonical_text(part, self.head)
+        conjuncts = conjuncts_of(part)
+        gates = conjunction_gates(part, self.inst, self.head)
+        rendered = tuple([to_text(c) for c in conjuncts])
+        return _Item(
+            part,
+            reduce(GateState.joined, [g.state for g in gates]),
+            canonical,
+            rendered,
+            tuple(map(conjunct_text, conjuncts, rendered)),
+            None,
+            gates,
+        )
 
     def set(self, mask: int) -> _Set:
         """The record of a signed set, made once from its parent's."""
@@ -475,8 +505,8 @@ class _Run:
         record = self.set(mask)
         if record.text is None:
             items = record.items
-            if len(items) == 1 and len(items[0].rendered) == 1:
-                record.text = items[0].rendered[0]
+            if len(items) == 1:
+                record.text = items[0].text
             else:
                 record.text = " AND ".join([t for item in items for t in item.texts])
         return record.text
@@ -591,6 +621,24 @@ class _Run:
         if not domain:
             return None
         return Frequency(self.count(mask), domain.bit_count())
+
+
+def _negation(negates: _Item) -> _Item:
+    """The record of an item taken negated, derived from the record of
+    the item it negates: ``NOT part`` is one conjunct, whose gate state
+    follows from the part's conjuncts' summaries
+    (``entities.negation_state``) and whose texts and canonical text are
+    the part's, negated as ``to_text`` negates."""
+    body = negates.part
+    text = negation_text(body, negates.text)
+    return _Item(
+        Not(body),
+        negation_state(body, negates.gates),
+        negation_text(body, negates.canonical),
+        (text,),
+        (text,),
+        negates,
+    )
 
 
 def build_candidate(run: _Run, mask: int):

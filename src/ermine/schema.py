@@ -30,6 +30,7 @@ import os
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 from operator import itemgetter
 from typing import NoReturn
@@ -51,6 +52,10 @@ class FieldDecl:
 
 @dataclass(frozen=True)
 class TableDecl:
+    """A table's declaration.  ``key_fields`` and ``is_entity`` are
+    worked out on first read and kept; they take no part in equality or
+    hashing, which compare the declared name and fields only."""
+
     name: str
     fields: tuple[FieldDecl, ...]
 
@@ -69,7 +74,7 @@ class TableDecl:
         if not self.key_fields:
             raise SchemaError(f"table {self.name!r} has no key fields")
 
-    @property
+    @cached_property
     def key_fields(self) -> tuple[FieldDecl, ...]:
         return tuple(f for f in self.fields if f.is_key)
 
@@ -77,7 +82,7 @@ class TableDecl:
     def arity(self) -> int:
         return len(self.fields)
 
-    @property
+    @cached_property
     def is_entity(self) -> bool:
         """Entity tables are exactly the tables with a single-field key."""
         return len(self.key_fields) == 1
@@ -91,6 +96,10 @@ class TableDecl:
 
 @dataclass(frozen=True)
 class Schema:
+    """A schema's tables.  The name index behind ``table`` and
+    ``entity_fields`` are worked out on first use and kept; they take no
+    part in equality or hashing, which compare the tables only."""
+
     tables: tuple[TableDecl, ...]
 
     def __post_init__(self):
@@ -108,7 +117,7 @@ class Schema:
                         f"got {f.references!r}"
                     )
                 tname, fname = f.references.split(".", 1)
-                target = self._find_table(tname)
+                target = self._by_name.get(tname)
                 if target is None:
                     raise SchemaError(
                         f"{t.name}.{f.name} references unknown table {tname!r}"
@@ -129,36 +138,37 @@ class Schema:
                         f"{f.references} ({tfield.value_type}); types must match"
                     )
 
-    def _find_table(self, name: str) -> TableDecl | None:
-        for t in self.tables:
-            if t.name == name:
-                return t
-        return None
+    @cached_property
+    def _by_name(self) -> dict[str, TableDecl]:
+        return {t.name: t for t in self.tables}
 
     def table(self, name: str) -> TableDecl:
-        t = self._find_table(name)
-        if t is None:
-            raise SchemaError(f"unknown table {name!r}")
-        return t
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise SchemaError(f"unknown table {name!r}") from None
 
     def has_table(self, name: str) -> bool:
-        return self._find_table(name) is not None
+        return name in self._by_name
+
+    @cached_property
+    def entity_fields(self) -> frozenset[str]:
+        """``table.field`` names of all entity fields: the key fields of
+        entity tables together with every field that references such a
+        key."""
+        out = set()
+        for t in self.tables:
+            for f in t.fields:
+                if t.is_entity and f.is_key:
+                    out.add(f"{t.name}.{f.name}")
+                if f.references is not None:
+                    out.add(f"{t.name}.{f.name}")
+        return frozenset(out)
 
 
 def entity_fields(schema: Schema) -> frozenset[str]:
-    """Return ``table.field`` names of all entity fields.
-
-    These are the key fields of entity tables together with every field
-    that references such a key.
-    """
-    out = set()
-    for t in schema.tables:
-        for f in t.fields:
-            if t.is_entity and f.is_key:
-                out.add(f"{t.name}.{f.name}")
-            if f.references is not None:
-                out.add(f"{t.name}.{f.name}")
-    return frozenset(out)
+    """Return ``table.field`` names of all entity fields (``Schema.entity_fields``)."""
+    return schema.entity_fields
 
 
 def load_schema(doc) -> Schema:

@@ -16,12 +16,16 @@ from ermine.cli import main
 
 
 def run_commands(argvs):
-    """(exit code, stdout, stderr) of each command line, run in turn."""
+    """(exit code, stdout, stderr) of each command line, run in turn.  A
+    usage error's exit code is the one argparse exits with."""
     out = []
     for argv in argvs:
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(argv)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
         out.append((code, stdout.getvalue(), stderr.getvalue()))
     return out
 

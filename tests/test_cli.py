@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from cli_runs import run_commands
 from conftest import BASKET_DIR, TV_DIR
 from ermine.cli import REPL_HELP, _repl_line, main
 from ermine.parser import MAX_NESTING
@@ -401,6 +402,46 @@ def test_first_dangling_reference_does_not_depend_on_the_hash_seed(tmp_path):
             "error: WeekdayTV.TV-Program value 'Ghost2' has no matching "
             "TV-Program.Prog-Name row\n"
         )
+
+
+def reused_parser_sequences(rules_csv):
+    """Command lines run in turn, each pair once with a fresh parser and
+    once with the parser the first call left behind."""
+    mine = [*BASE, "mine", "--bias", str(TV_DIR / "bias_mixed.json"),
+            "--min-support", "1/4", "--min-confidence", "1/2"]
+    return {
+        "csv-then-plain": [[*mine, "--no-prune", "--max-level", "1", "--csv", rules_csv], mine],
+        "debug-then-default": [["--log-level", "debug", *mine], mine],
+        # --min-support and --min-confidence are missing: argparse exits 2.
+        "usage-error-then-valid": [mine[:-4], mine],
+    }
+
+
+@pytest.mark.parametrize("sequence", sorted(reused_parser_sequences("")))
+def test_main_in_one_process_prints_what_fresh_processes_print(monkeypatch, tmp_path, sequence):
+    # argparse wraps usage lines to the terminal's width; fix it for both.
+    monkeypatch.setenv("COLUMNS", "80")
+    rules_csv = tmp_path / "rules.csv"
+    argvs = reused_parser_sequences(str(rules_csv))[sequence]
+    in_process = run_commands(argvs)
+    written = rules_csv.read_bytes() if rules_csv.exists() else None
+    src = str(TV_DIR.parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = []
+    for argv in argvs:
+        done = subprocess.run(
+            [sys.executable, "-m", "ermine", *argv],
+            env=env, capture_output=True, text=True, encoding="utf-8",
+        )
+        fresh.append([done.returncode, done.stdout, done.stderr])
+    assert [list(r) for r in in_process] == fresh
+    assert fresh[-1][0] == 0 and "rules (min confidence 1/2):" in fresh[-1][1]
+    if sequence == "usage-error-then-valid":
+        assert fresh[0][0] == 2 and "error: the following arguments are required" in fresh[0][2]
+    if sequence == "debug-then-default":
+        assert "DEBUG ermine.mining" in fresh[0][2] and fresh[1][2] == ""
+    if written is not None:
+        assert rules_csv.read_bytes() == written
 
 
 def test_mine_writes_rule_csv(capsys, tmp_path):

@@ -20,6 +20,7 @@ equalities, and not-valid.
 
 import itertools
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -59,9 +60,12 @@ from ermine.entities import (
     REASON_NON_ENTITY_CONSTANT,
     REASON_NON_ENTITY_FIELD,
     REASON_QUANTIFIED,
+    GateState,
+    conjunction_gates,
 )
 from ermine.evaluator import PreparedQuery
-from ermine.mining import _Run
+from ermine.formulas import conjunct_text, to_text
+from ermine.mining import _canonical_text, _Run
 from ermine.safety import RULE_BAD_NEGATION, RULE_DISJUNCT_VARS, RULE_UNLIMITED_VAR
 from ermine.stats import prepare_query
 
@@ -384,3 +388,72 @@ def test_miner_gates_match_plain_queries_on_generated_instances(data):
         st.lists(st.sampled_from(SUBSETS[head]), min_size=50, max_size=150)
     )
     check_subsets(inst, WIDE[head], subsets)
+
+
+# -- negated items derived from the items they negate ---------------------
+
+# Items whose negations exercise every field of the derived state: several
+# conjuncts, links in more than one of them (an item is closed over its
+# non-head variables, so only conjuncts that each close their own
+# variables are top-level conjuncts), an OR, a nested NOT, safety violations
+# inside the item, a non-entity constant and field, a FORALL that
+# normalizing rewrites, and an atom, which is negated unwrapped.
+DERIVATION_ITEMS = {
+    ("P",): (
+        "WeekdayTV(P, SN, V, S) AND P != S AND SN = S AND V >= 3",
+        "(EXISTS Q. TV-Program(Q) AND Q = P) AND "
+        "(EXISTS SN. EXISTS V. EXISTS S. WeekdayTV(P, SN, V, S) AND P != S)",
+        'TV-Program(P) AND NOT (TV-Program(P) AND NOT WeekdayTV(P, "CBS", 10, "RBC"))',
+        "NOT (EXISTS SN. (NOT WeekdayTV(P, SN, 10, \"RBC\") AND TV-Station(SN, 2)))",
+        'P != "Avon" AND P != "Gilmore"',
+        "FORALL SN. NOT WeekdayTV(P, SN, 1, \"Avon\") OR TV-Program(P)",
+    ),
+    ("P", "SN"): (
+        'WeekdayTV(P, SN, V, "RBC") OR WeekendTV(P, SN, V, "Avon")',
+        'WeekendTV(P, SN, V, S) AND P = "Gilmore" AND SN != P',
+        "TV-Program(P) AND P != SN AND (EXISTS V. EXISTS S. WeekdayTV(P, SN, V, S) AND SN = S)",
+    ),
+}
+
+DERIVATION_BIASES = {
+    **{
+        f"fixture-{name}": (
+            lambda name=name: load_bias_file(TV_DIR / f"{name}.json", strategies.TV_SCHEMA)
+        )
+        for name in ("bias_programs", "bias_pairs", "bias_mixed", "bias_cover")
+    },
+    **{
+        f"pool-{'-'.join(head)}": (
+            lambda head=head: pool_bias(
+                strategies.MINING_POOLS[head] + EXTRA_ITEMS[head] + DERIVATION_ITEMS[head], head
+            )
+        )
+        for head in sorted(strategies.MINING_POOLS)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVATION_BIASES))
+def test_negated_items_derive_what_the_formula_walk_gives(tv, name):
+    bias = DERIVATION_BIASES[name]()
+    run = _Run(bias, tv)
+    head = bias.head
+    inner_rules = covers = linked = 0
+    for i, pool_item in enumerate(bias.items):
+        positive, negated = run.item(2 * i), run.item(2 * i + 1)
+        part = normalize(pool_item.formula)
+        assert positive.part == part and negated.part == Not(part)
+        assert positive.canonical == _canonical_text(part, head)
+        assert positive.text == to_text(part)
+        walked = conjunction_gates(Not(part), tv, head)
+        assert negated.state == reduce(GateState.joined, [g.state for g in walked])
+        assert negated.canonical == _canonical_text(Not(part), head)
+        assert negated.rendered == (to_text(Not(part)),)
+        assert negated.texts == (conjunct_text(Not(part), to_text(Not(part))),)
+        assert negated.text == to_text(Not(part))
+        inner_rules += negated.state.checks[0][1] is not None
+        covers += bool(positive.state.cover)
+        linked += sum(bool(g.entities.links) for g in positive.gates) > 1
+    if name.startswith("pool-"):
+        # The pools reach the fields a derivation could get wrong.
+        assert inner_rules and covers and linked

@@ -149,6 +149,23 @@ def test_items_differing_only_in_bound_names_collapse(tv_schema):
     assert len(bias.items) == 1
 
 
+def test_renaming_the_head_variable_changes_nothing_found(tv_schema, tv):
+    # The canonical texts' fresh bound names B1_, B2_, ... skip the head
+    # variables, so an item over the head variable B1_ is no duplicate of
+    # one whose first bound variable becomes B1_.
+    def found(head):
+        items = ["WeekdayTV(SN, SN, V, S)", f"WeekdayTV({head}, SN, V, S)"]
+        bias = load_bias({"head": [head], "items": items}, tv_schema)
+        result = mine(tv, bias, Fraction(1, 4), Fraction(1, 2))
+        texts = [(fq.candidate.text().replace(head, "X"), str(fq.frequency)) for fq in result.frequent]
+        return len(bias.items), result.levels, texts
+
+    assert found("B1_") == found("P")
+    assert found("P")[2] == [
+        ("q(X) := EXISTS SN. EXISTS V. EXISTS S. WeekdayTV(X, SN, V, S)", "2/2 = 1")
+    ]
+
+
 def test_candidate_reason_unsafe(programs_bias, tv):
     candidate, reason = build_candidate(_Run(programs_bias, tv), signed_mask(((0, True),)))
     assert candidate is None

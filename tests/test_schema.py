@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from ermine import (
     DataError,
+    Schema,
     SchemaError,
+    TableDecl,
     entity_fields,
     is_entity_constant,
     load_instance,
@@ -20,6 +22,7 @@ from ermine import (
     load_schema,
     save_instance_dir,
 )
+from strategies import SCHEMAS
 from test_bitsets import load_generator
 
 TV_ENTITY_FIELDS = {
@@ -78,6 +81,43 @@ def test_entity_constants(tv):
         "CBS",
         "CBC",
     }
+
+
+def _fresh_copy(schema):
+    return Schema(tuple(TableDecl(t.name, t.fields) for t in schema.tables))
+
+
+def _fresh_entity_fields(schema):
+    """Entity fields worked out here from the declarations alone."""
+    out = set()
+    for t in schema.tables:
+        single_key = sum(f.is_key for f in t.fields) == 1
+        for f in t.fields:
+            if single_key and f.is_key or f.references is not None:
+                out.add(f"{t.name}.{f.name}")
+    return out
+
+
+@pytest.mark.parametrize("name", ["tv", *sorted(SCHEMAS)])
+def test_kept_schema_facts_match_a_fresh_computation(tv_schema, name):
+    schema = tv_schema if name == "tv" else SCHEMAS[name]
+    filled, fresh = _fresh_copy(schema), _fresh_copy(schema)
+    for _ in range(2):  # the second round reads what the first kept
+        assert entity_fields(filled) == _fresh_entity_fields(schema)
+        for t in schema.tables:
+            kept = filled.table(t.name)
+            assert kept is filled.tables[schema.tables.index(t)]
+            assert filled.has_table(t.name)
+            assert kept.key_fields == tuple(f for f in t.fields if f.is_key)
+            assert kept.is_entity == (len(kept.key_fields) == 1)
+    with pytest.raises(SchemaError, match="unknown table 'Nope'"):
+        filled.table("Nope")
+    assert not filled.has_table("Nope")
+    # What a schema keeps takes no part in equality or hashing.
+    assert filled == fresh and hash(filled) == hash(fresh)
+    for kept, other in zip(filled.tables, fresh.tables):
+        assert kept == other and hash(kept) == hash(other)
+    assert {filled: 1}[fresh] == 1
 
 
 def test_active_domain_covers_all_values(tv):
