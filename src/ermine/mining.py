@@ -66,7 +66,9 @@ constant.  Where every conjunct of a set's items yields a relation over
 exactly the head variables, the join of the positive conjuncts is an
 intersection and each anti-join with a negated conjunct's body a
 difference, so the answer count is ``(AND of positives & ~OR of negated
-bodies).bit_count()``.  An item's relations are built by
+bodies).bit_count()``.  A set keeps its domain bits and its answer bits,
+made from its parent's (the set without its last item) with one OR and
+one AND.  An item's relations are built by
 ``evaluator.conjunct_relations``, as ``evaluate`` builds a conjunction's
 and ``stats.rule_statistics`` a consequent's, so a comparison whose
 variable an atom of the item binds filters that atom's rows and is
@@ -381,11 +383,16 @@ class _Set:
     when a query of the set passes), all made with the record.  The
     answer count, the text, the conjunction and, for an unsafe rule
     antecedent at debug level, the safety report are filled in on first
-    need."""
+    need.  So are ``domain_bits``, the OR of the items' domain bits, and
+    ``bits``, the AND of their answer bits (None when an item has none),
+    each made from the parent's and the last item's (``_Run._set_bits``).
+    """
 
     items: tuple[_Item, ...]
     state: GateState
     reason: str | None
+    domain_bits: int | None = None
+    bits: int | None = None
     count: int | None = None
     text: str | None = None
     body: Formula | None = None
@@ -577,16 +584,28 @@ class _Run:
             buf[p >> 3] |= 1 << (p & 7)
         return int.from_bytes(buf, "little")
 
+    def _set_bits(self, mask: int) -> _Set:
+        """The set's record with its domain bits and answer bits filled
+        in, once, from its parent's and those of its last item."""
+        record = self.set(mask)
+        if record.domain_bits is None:
+            top = mask.bit_length() - 1
+            item = self._counted(self.item(top))
+            domain, bits = item.domain_bits, item.bits
+            parent = mask ^ 1 << top
+            if parent:
+                prefix = self._set_bits(parent)
+                domain |= prefix.domain_bits
+                bits = None if bits is None or prefix.bits is None else bits & prefix.bits
+            record.domain_bits, record.bits = domain, bits
+        return record
+
     def bit_count(self, mask: int) -> int | None:
         """The answer count of the items' conjunction from their bits;
         None when an item has no answer bits or none has a positive
         relation, which leaves the AND negative (every tuple but some)."""
-        bits = -1
-        for item in map(self._counted, self.set(mask).items):
-            if item.bits is None:
-                return None
-            bits &= item.bits
-        return None if bits < 0 else bits.bit_count()
+        bits = self._set_bits(mask).bits
+        return None if bits is None or bits < 0 else bits.bit_count()
 
     def answers(self, mask: int) -> Relation:
         """Answers of the items' conjunction, which must be safe."""
@@ -613,8 +632,8 @@ class _Run:
         reference domain.  The domain is the OR of the items' domain bits,
         with the equality cover's tuples when the set's comparisons equate
         every head variable with a constant."""
-        record = self.set(mask)
-        domain = reduce(or_, [self._counted(item).domain_bits for item in record.items])
+        record = self._set_bits(mask)
+        domain = record.domain_bits
         if self._head_set <= record.state.cover:
             constants = equated_constants(self.body(mask))
             domain |= self._bitset(list(itertools.product(*map(constants.get, self.head))))

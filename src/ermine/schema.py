@@ -20,6 +20,14 @@ Schema documents are JSON:
 CSV file per table (``<table>.csv``, RFC 4180, UTF-8) whose header row must
 equal the declared field names in order.  Integer fields hold unquoted
 decimal integers; there are no NULLs.
+
+An instance is built by one of two entry points, and each check runs
+once.  ``load_instance_dir`` checks each file's header, each row's arity
+and each integer cell as it reads them, then hands the rows to
+``load_instance``, which checks only their keys and references.
+``load_instance`` called on tables from anywhere else checks everything:
+that the tables are a mapping of declared tables to iterables of rows,
+and each row's arity and value types, then keys and references.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -260,6 +269,9 @@ _PYTHON_TYPES = {"integer": int, "string": str}
 # CSV rows are checked and converted this many at a time.
 _CHUNK_ROWS = 512
 
+# Integer literals, one per line.
+_INTEGER_LINES = re.compile(rf"(?:{INTEGER_LITERAL.pattern}\n)*{INTEGER_LITERAL.pattern}")
+
 
 def _shown(value) -> str:
     """``repr(value)``, or a description of a value whose repr raises
@@ -305,18 +317,26 @@ def _raise_row_error(t: TableDecl, rows: list[tuple]) -> NoReturn:
     raise AssertionError(f"a column check of {t.name} failed that no row check fails")
 
 
-def _fits(t: TableDecl, rows: list[tuple]) -> bool:
+def _fits(t: TableDecl, rows: list[tuple], typed: bool) -> bool:
     """Whether every row has ``t``'s arity, values of the declared types,
-    and a key no other row has; checked a column at a time."""
+    and a key no other row has; checked a column at a time.  ``typed``
+    rows are known to have the arity and the types, so only their keys
+    are tested."""
     if not rows:
         return True
-    if set(map(len, rows)) != {t.arity}:
-        return False
-    for i, f in enumerate(t.fields):
-        # type() rather than isinstance(): bool is a subclass of int.
-        if set(map(type, map(itemgetter(i), rows))) != {_PYTHON_TYPES[f.value_type]}:
+    if not typed:
+        if set(map(len, rows)) != {t.arity}:
             return False
+        for i, f in enumerate(t.fields):
+            # type() rather than isinstance(): bool is a subclass of int.
+            if set(map(type, map(itemgetter(i), rows))) != {_PYTHON_TYPES[f.value_type]}:
+                return False
     key = itemgetter(*(i for i, f in enumerate(t.fields) if f.is_key))
+    # Keys with distinct hashes are distinct.  A key is dropped as soon as
+    # it is hashed, so a large table's keys do not wake the cyclic GC;
+    # the keys themselves are compared only when two hashes meet.
+    if len(set(map(hash, map(key, rows)))) == len(rows):
+        return True
     return len(set(map(key, rows))) == len(rows)
 
 
@@ -335,13 +355,23 @@ def _as_rows(t: TableDecl, raw) -> list[tuple]:
         rows.extend(map(tuple, items))
     except TypeError:
         # extend keeps the rows converted before the one that failed.
-        if not _fits(t, rows):
+        if not _fits(t, rows, typed=False):
             _raise_row_error(t, rows)
         raise DataError(
             f"{t.name} row {len(rows) + 1}: expected a row of values, "
             f"got {_shown(items[len(rows)])}"
         ) from None
     return rows
+
+
+class _ReadTables(dict):
+    """Table name -> rows as ``_read_csv`` returned them: each row a tuple
+    of its table's arity whose values have the declared types.
+    ``strings`` is the pool that holds every string cell of every table."""
+
+    def __init__(self, strings: dict[str, str]):
+        super().__init__()
+        self.strings = strings
 
 
 def load_instance(schema: Schema, tables) -> DatabaseInstance:
@@ -353,6 +383,11 @@ def load_instance(schema: Schema, tables) -> DatabaseInstance:
     walked to report it: the table's rows in row order, or a referencing
     field's rows up to the first value with no key row.
 
+    Tables that ``load_instance_dir`` read are taken as they are: their
+    arity and types were checked cell by cell as they were read, so only
+    their keys and references are checked here, and their string pool is
+    the string part of the active domain.
+
     ``tables`` and everything in it are input, so any fault in them is a
     DataError; a ``schema`` that is not a Schema is the caller's error.
     """
@@ -360,6 +395,7 @@ def load_instance(schema: Schema, tables) -> DatabaseInstance:
         raise DataError(
             f"instance data must map table names to rows, got {type(tables).__name__}"
         )
+    read = type(tables) is _ReadTables
     extra = set(tables) - {t.name for t in schema.tables}
     if extra:
         names = sorted(n if type(n) is str else _shown(n) for n in extra)
@@ -368,10 +404,10 @@ def load_instance(schema: Schema, tables) -> DatabaseInstance:
     rows_of: dict[str, list[tuple]] = {}
     relations: dict[str, frozenset[tuple]] = {}
     values_of = {}  # entity field name -> the set of its values
-    active = set()
+    active = set(tables.strings) if read else set()
     for t in schema.tables:
-        rows = rows_of[t.name] = _as_rows(t, tables.get(t.name, ()))
-        if not _fits(t, rows):
+        rows = rows_of[t.name] = tables[t.name] if read else _as_rows(t, tables.get(t.name, ()))
+        if not _fits(t, rows, typed=read):
             _raise_row_error(t, rows)
         # Through a set, as a row-at-a-time build would: its table is sized
         # to fit, and the frozenset's order is the same.
@@ -380,7 +416,9 @@ def load_instance(schema: Schema, tables) -> DatabaseInstance:
             column = map(itemgetter(i), rows)
             if f"{t.name}.{f.name}" in efields:
                 values_of[f"{t.name}.{f.name}"] = column = set(column)
-            active.update(column)
+            # A read table's string cells are all in its pool.
+            if not read or f.value_type != "string":
+                active.update(column)
 
     # Referential integrity: every referencing value must exist as a key
     # value of the referenced table.  The first that does not, in row
@@ -427,12 +465,15 @@ def _check_cell(table: TableDecl, f: FieldDecl, cell: str, path, rno: int):
 def load_instance_dir(schema: Schema, directory) -> DatabaseInstance:
     """Load one ``<table>.csv`` per schema table from a directory.
 
-    Every table's string cells go through one pool, made per call, so the
-    instance holds one ``str`` object per distinct string value: its rows,
-    relations, entity constants and active domain all share it.
+    Each file's header, each row's arity and each integer cell are checked
+    as the file is read (``_read_csv``); ``load_instance`` then checks
+    keys and references only.  Every table's string cells go through one
+    pool, made per call, so the instance holds one ``str`` object per
+    distinct string value: its rows, relations, entity constants and
+    active domain all share it.
     """
-    tables = {}
     strings: dict[str, str] = {}
+    tables = _ReadTables(strings)
     for t in schema.tables:
         path = os.path.join(directory, f"{t.name}.csv")
         if not os.path.exists(path):
@@ -486,7 +527,10 @@ def _converted(t: TableDecl, chunk: list[list[str]], strings: dict[str, str]):
     for i, f in enumerate(t.fields):
         cells = list(map(itemgetter(i), chunk))
         if f.value_type == "integer":
-            if not all(map(INTEGER_LITERAL.fullmatch, cells)):
+            # One match over the column's cells, one per line; a count of
+            # the line breaks rules out a cell that holds one itself.
+            joined = "\n".join(cells)
+            if not _INTEGER_LINES.fullmatch(joined) or joined.count("\n") != len(cells) - 1:
                 return None
             columns.append(map(int, cells))
         else:
