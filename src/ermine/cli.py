@@ -336,7 +336,11 @@ def _repl_line(session: Session, line: str) -> bool:
     return False
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The process's one argument parser, built on first call: parsing
+    leaves no state in it, and its ``prog`` is fixed, so usage and error
+    lines are the same on every call."""
     parser = argparse.ArgumentParser(
         prog="ermine",
         description="evaluate entity-relationship queries and mine rules",
@@ -423,17 +427,8 @@ def _logging_to_stderr(level: str):
         logger.setLevel(saved)
 
 
-@functools.cache
-def _arg_parser() -> argparse.ArgumentParser:
-    """The parser ``main`` reads its arguments with, built on first use
-    and kept for the process: parsing leaves no state in it, and its
-    ``prog`` is fixed, so usage and error lines are the same on every
-    call."""
-    return build_arg_parser()
-
-
 def main(argv=None) -> int:
-    ns = _arg_parser().parse_args(argv)
+    ns = build_arg_parser().parse_args(argv)
     with _logging_to_stderr(ns.log_level):
         return _run(ns)
 

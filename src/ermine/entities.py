@@ -26,6 +26,13 @@ from the summaries; the miner reads a drop reason from the state alone.
 The state of a negated conjunct follows from its body's summaries
 (``negation_state``), so the miner derives a negated item's state from
 the item it negates.
+
+The state holds no entity names: ``_entity_facts`` names both ends of
+every =/!= link, so a link's far end is a non-candidate just when it
+failed.  Nor does it hold a negated conjunct's free variables: they are
+free variables of the conjunction, so one that is not limited is an R3
+violation, which comes first in report order, and R4 never decides a
+drop reason.
 """
 
 from __future__ import annotations
@@ -51,7 +58,6 @@ from .formulas import (
     subformulas,
 )
 from .safety import (
-    RULE_BAD_NEGATION,
     RULE_UNLIMITED_VAR,
     SafetyReport,
     closed_limited,
@@ -220,12 +226,12 @@ def _valid(f: Formula, varset: frozenset[str]) -> ValidityReport:
 class GateState:
     """The gate state of a conjunction of conjuncts, all its three
     verdicts need: free variables; limited variables, already closed
-    under the ``=`` pairs ``equates``; the entity names, the variables
-    with an entity failure and the =/!= links; the variables a comparison
-    equates with a constant (``cover``); whether some conjunct is valid;
-    and per conjunct that can make the conjunction unsafe, in order, a
-    negated conjunct's free variables (R4 when one is not limited) and the
-    rule of the first violation inside it.
+    under the ``=`` pairs ``equates``; the variables with an entity
+    failure and the =/!= links; the variables a comparison equates with a
+    constant (``cover``); whether some conjunct is valid; and the rule of
+    the first violation inside a conjunct (``inner``), None when no
+    conjunct has one.  It needs no entity names and no R4 test (see the
+    module docstring).
 
     A single conjunct is valid just when ``cover`` includes the head or
     it is valid on its own, so ``valid`` and ``cover`` give validity for
@@ -235,12 +241,11 @@ class GateState:
     free: frozenset[str]
     limited: frozenset[str]
     equates: tuple[tuple[str, str], ...]
-    names: frozenset[str]
     failed: frozenset[str]
     links: tuple[tuple[str, str], ...]
     cover: frozenset[str]
     valid: bool
-    checks: tuple[tuple[frozenset[str], str | None], ...]
+    inner: str | None
 
     def joined(self, other: GateState) -> GateState:
         """The state of this conjunction followed by the other's conjuncts."""
@@ -252,34 +257,31 @@ class GateState:
             _union(self.free, other.free),
             limited,
             equates,
-            _union(self.names, other.names),
             _union(self.failed, other.failed),
             self.links + other.links,
             _union(self.cover, other.cover),
             self.valid or other.valid,
-            self.checks + other.checks,
+            self.inner or other.inner,
         )
 
     def linked_out(self) -> set[str]:
-        """The variables a =/!= comparison links to a non-candidate.  A
-        link is read against the final candidates: a later conjunct can
-        fail a variable an earlier one linked to."""
-        candidates = self.names - self.failed
-        return {a for a, b in self.links if b not in candidates}
+        """The variables a =/!= comparison links to a non-candidate, that
+        is to a variable with an entity failure.  A link is read against
+        the final failures: a later conjunct can fail a variable an
+        earlier one linked to."""
+        return {a for a, b in self.links if b in self.failed}
 
     def drop_reason(self, head: frozenset[str]) -> str | None:
         """Why a query of this body and head is dropped, None if it passes.
-        An unsafe one names its first violation: R3, then per conjunct
-        its R4 and the violations inside it."""
+        An unsafe one names its first violation: R3, else the first
+        inside a conjunct.  R4 cannot come first, as R3 reports each
+        negated conjunct's unlimited free variable before it."""
         if self.free != head:
             return "free-variable-mismatch"
         if not self.free <= self.limited:
             return f"unsafe ({RULE_UNLIMITED_VAR})"
-        for negated_free, inner in self.checks:
-            if not negated_free <= self.limited:
-                return f"unsafe ({RULE_BAD_NEGATION})"
-            if inner is not None:
-                return f"unsafe ({inner})"
+        if self.inner is not None:
+            return f"unsafe ({self.inner})"
         if head & self.failed or head & self.linked_out():
             return "not-an-entity-query"
         if not (head <= self.cover or self.valid):
@@ -327,14 +329,12 @@ class ConjunctGates:
     def state(self) -> GateState:
         """The gate state of this conjunct alone; its own ``=`` pair spreads
         no limitation, as a comparison of two variables limits neither."""
-        s, facts, negated = self.safety, self.entities, isinstance(self.conjunct, Not)
-        inner = s.violations[0].rule if s.violations else None
-        checks = ((frozenset(s.free if negated else ()), inner),) if negated or inner else ()
+        s, facts = self.safety, self.entities
         return GateState(
             frozenset(s.free), s.limits, (s.equates,) if s.equates else (),
-            facts.names, frozenset(facts.failures), facts.links,
+            frozenset(facts.failures), facts.links,
             s.limits if isinstance(self.conjunct, Comparison) else frozenset(),
-            self.validity.valid, checks,
+            self.validity.valid, s.violations[0].rule if s.violations else None,
         )
 
 
@@ -350,19 +350,18 @@ def negation_state(body: Formula, parts) -> GateState:
     of ``body``'s conjuncts with no walk of the formula.  It is what
     ``ConjunctGates(Not(body), ...).state`` works out: a negated conjunct
     has ``body``'s free variables, limits, equates and covers nothing, and
-    is not valid; its entity facts are its conjuncts' merged, links in
-    order; and its one check pairs its free variables with the rule of
-    the first violation inside ``body``."""
+    is not valid; its entity failures and links are its conjuncts'
+    merged, links in order; and its ``inner`` is the rule of the first
+    violation inside ``body``.  Its free variables are the only input R4
+    would read, and R3 reads them first in any conjunction it joins."""
     summaries = [p.safety for p in parts]
-    free = frozenset(free_of(summaries))
     inner = next(violations(body, summaries), None)
     facts = [p.entities for p in parts]
     return GateState(
-        free, frozenset(), (),
-        frozenset().union(*[x.names for x in facts]),
+        frozenset(free_of(summaries)), frozenset(), (),
         frozenset().union(*[x.failures for x in facts]),
         tuple([link for x in facts for link in x.links]),
-        frozenset(), False, ((free, inner.rule if inner else None),),
+        frozenset(), False, inner.rule if inner else None,
     )
 
 

@@ -45,9 +45,9 @@ differs.  A set's gate state (``entities.GateState``) is its parent's
 state, the set without its highest bit, joined with that item's own
 state, which is its conjuncts' states joined: the free variables, the
 limited variables closed under the ``=`` pairs of all the set's
-conjuncts, the merged entity names, failures and links, the variables
-equated with constants, whether some conjunct is valid, and the
-conjuncts that can make the set unsafe.  Limitation, entity failures and
+conjuncts, the merged entity failures and links, the variables equated
+with constants, whether some conjunct is valid, and the rule of the
+first violation inside a conjunct.  Limitation, entity failures and
 validity only grow as conjuncts are added, so the drop reason is read
 from the state alone and is the verdict ``stats.prepare_query`` gives
 the set's query.  The miner builds no gate report but one: the safety

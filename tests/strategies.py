@@ -19,6 +19,11 @@ safe on its own, with a consequent: a safe body, a bare comparison of X
 with a constant, a top-level NOT, an OR, or a comparison naming a
 variable outside the head.
 
+gate_formula_cases() makes formulas over X and a stray variable Y that
+may fail any gate: conjunctions of safe bodies, comparisons of X or Y
+with a constant or with each other, and negations of these, nested and
+quantified, for checks of facts the gates rely on.
+
 atom_scan_cases() makes one atom with constants and repeated variables,
 comparisons of its variables with constants, and a subset of its columns
 to keep, for checks of the evaluator's atom scan.
@@ -318,6 +323,28 @@ def _safe_body(draw, key):
         draw(_pattern(key, plain=False)),
         Comparison(Variable("X"), "=", Constant(draw(st.sampled_from(NAMES)))),
     )
+
+
+_XY = (Variable("X"), Variable("Y"))
+
+
+@st.composite
+def gate_formula_cases(draw):
+    """An instance and a formula over X and Y that may fail any gate: a
+    conjunction of one to four parts, each a safe body, a comparison of X
+    or Y with a constant or with each other, or the negation of a
+    conjunction of parts; the whole is kept, negated, or closed over Y."""
+    key, inst = draw(instances())
+    part = st.one_of(
+        _safe_body(key),
+        _constant_comparison("X"),
+        _constant_comparison("Y"),
+        st.builds(Comparison, st.sampled_from(_XY), st.sampled_from(OPS), st.sampled_from(_XY)),
+    )
+    negated = st.lists(part, min_size=1, max_size=3).map(lambda parts: Not(conjunction(parts)))
+    body = conjunction(draw(st.lists(st.one_of(part, negated), min_size=1, max_size=4)))
+    wrap = draw(st.sampled_from((lambda f: f, Not, lambda f: Exists("Y", f))))
+    return inst, wrap(body)
 
 
 @st.composite

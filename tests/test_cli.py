@@ -12,7 +12,7 @@ import pytest
 
 from cli_runs import run_commands
 from conftest import BASKET_DIR, TV_DIR
-from ermine.cli import REPL_HELP, _repl_line, main
+from ermine.cli import REPL_HELP, _repl_line, build_arg_parser, main
 from ermine.parser import MAX_NESTING
 
 SCHEMA = str(TV_DIR / "schema.json")
@@ -73,6 +73,12 @@ def test_eval_inline_declaration(capsys):
     code, out, _ = run(capsys, *BASE, "eval", "q(P) := F1 AND F2")
     assert code == 0
     assert out == "P\nHockey Night\n"
+
+
+@pytest.mark.parametrize("program, printed", [("Gilmore", "true\n"), ("Nobody", "false\n")])
+def test_eval_of_a_headless_query_prints_true_or_false(capsys, program, printed):
+    query = f'q() := EXISTS P. TV-Program(P) AND P = "{program}"'
+    assert run(capsys, *BASE, "eval", query) == (0, printed, "")
 
 
 def test_check_passing_query(capsys):
@@ -415,6 +421,10 @@ def reused_parser_sequences(rules_csv):
         # --min-support and --min-confidence are missing: argparse exits 2.
         "usage-error-then-valid": [mine[:-4], mine],
     }
+
+
+def test_the_process_has_one_argument_parser():
+    assert build_arg_parser() is build_arg_parser()
 
 
 @pytest.mark.parametrize("sequence", sorted(reused_parser_sequences("")))

@@ -1,7 +1,9 @@
 """Entity variables, entity queries, and validity."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+import strategies
 from ermine import (
     And,
     Atom,
@@ -19,6 +21,7 @@ from ermine import (
     parse_formula_text,
     to_text,
 )
+from ermine.entities import _entity_facts
 
 
 def test_head_variable_of_fixture_query_is_entity(tv, queries):
@@ -183,6 +186,13 @@ def test_both_disjuncts_must_be_valid(tv_schema):
     assert isinstance(report.failing, Comparison)
 
 
+def test_an_invalid_left_disjunct_is_the_one_reported(tv_schema):
+    f = parse_formula_text('X != "CBS" OR TV-Program(X)', tv_schema)
+    report = is_valid_for(f, ("X",))
+    assert not report.valid
+    assert report.failing == f.left
+
+
 def test_quantifier_capturing_a_variable_is_invalid():
     f = Exists("X", Atom("TV-Program", (Variable("X"),)))
     assert not is_valid_for(f, ("X",)).valid
@@ -204,3 +214,19 @@ def test_fixture_single_variable_queries_are_valid(tv, queries, tv_schema):
         f = normalize(parse_formula_text(text, tv_schema, queries))
         assert is_er_query(f, tv).is_er
         assert is_valid_for(f, ("P",)).valid
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(strategies.gate_formula_cases())
+def test_every_entity_link_names_both_its_ends(case):
+    # The gate state keeps no names: a link's far end is read as a
+    # non-candidate just when it failed, which needs it to be named.
+    inst, f = case
+    facts = _entity_facts(normalize(f), inst)
+    for a, b in facts.links:
+        assert {a, b} <= facts.names, to_text(f)

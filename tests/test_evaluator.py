@@ -452,3 +452,22 @@ def test_a_quantified_column_read_elsewhere_is_built_on_the_fixture(tv, tv_schem
 def test_a_quantified_column_read_elsewhere_is_built(tv_schema, name, inst):
     decl = parse_query(f"q(P) := {QUANTIFIED_COLUMN_READERS[name]}", tv_schema)
     assert evaluate(inst, decl) == evaluate_naive(inst, decl)
+
+
+def test_naive_enumeration_reads_forall_as_evaluate_reads_its_rewrite(tv, tv_schema):
+    # Programs all of whose weekend listings are on CBC.  A FORALL over a
+    # variable its body mentions is never safe, so evaluate takes the
+    # safe-range form of the same query.
+    forall = parse_query(
+        "q(P) := TV-Program(P) AND FORALL SN. "
+        '(NOT EXISTS V. EXISTS S. WeekendTV(P, SN, V, S)) OR SN = "CBC"',
+        tv_schema,
+    )
+    rewritten = parse_query(
+        "q(P) := TV-Program(P) AND NOT (EXISTS SN. EXISTS V. EXISTS S. "
+        'WeekendTV(P, SN, V, S) AND SN != "CBC")',
+        tv_schema,
+    )
+    expected = evaluate(tv, rewritten)
+    assert sorted_rows(expected) == [("Daily Show",), ("Hockey Night",)]
+    assert evaluate_naive(tv, forall) == expected

@@ -451,7 +451,7 @@ def test_negated_items_derive_what_the_formula_walk_gives(tv, name):
         assert negated.rendered == (to_text(Not(part)),)
         assert negated.texts == (conjunct_text(Not(part), to_text(Not(part))),)
         assert negated.text == to_text(Not(part))
-        inner_rules += negated.state.checks[0][1] is not None
+        inner_rules += negated.state.inner is not None
         covers += bool(positive.state.cover)
         linked += sum(bool(g.entities.links) for g in positive.gates) > 1
     if name.startswith("pool-"):

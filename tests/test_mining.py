@@ -542,6 +542,30 @@ def test_zero_count_antecedent_is_logged_and_dropped(monkeypatch, caplog, progra
     assert "has no result tuples" in caplog.text
 
 
+def test_a_set_that_repeats_a_query_is_logged_as_a_duplicate(caplog, tv_schema, tv):
+    # Items 0 and 1 conjoin the same conjuncts as items 2 and 3.
+    items = [
+        'P != "Gilmore" AND P != "Hockey Night"',
+        "TV-Program(P)",
+        'P != "Gilmore"',
+        'P != "Hockey Night" AND TV-Program(P)',
+    ]
+    bias = load_bias({"head": ["P"], "items": items, "max_conjuncts": 2}, tv_schema)
+    run = _Run(bias, tv)
+    caplog.set_level(logging.DEBUG, logger="ermine")
+    level2 = enumerate_level(run, 2, enumerate_level(run, 1))
+    canonicals = [c.canonical for c in level2]
+    assert len(canonicals) == len(set(canonicals))
+    assert [c.signed_items for c in level2] == [
+        ((0, False), (1, False)), ((1, False), (2, False)),
+        ((1, False), (3, False)), ((0, False), (3, False)),
+    ]
+    duplicates = [r.getMessage() for r in caplog.records if "duplicate" in r.getMessage()]
+    assert duplicates == [
+        "level 2: dropping ((2, False), (3, False)): duplicate query",
+    ]
+
+
 def mine_cli_cases(test):
     """Run a test on ``bias_mixed`` and both ``MINING_POOLS``, each pruned
     and with ``--no-prune``."""

@@ -448,3 +448,17 @@ def test_round_trip_of_mixed_connectives(tv_schema):
     )
     f = parse_formula_text(text, tv_schema)
     assert parse_formula_text(to_text(f), tv_schema) == f
+
+
+def test_or_spliced_on_the_right_of_an_or_round_trips(tv_schema):
+    registry = parse_query_file('B(P) := P = "Gilmore" OR P = "Simpsons"\n', tv_schema)
+    decl = parse_query("q(P) := TV-Program(P) OR B", tv_schema, registry)
+    assert decl.body.right == registry["B"].body
+    text = to_text(decl.body)
+    assert text == 'TV-Program(P) OR (P = "Gilmore" OR P = "Simpsons")'
+    assert parse_formula_text(text, tv_schema) == decl.body
+
+
+def test_keyword_where_a_formula_starts_is_an_error(tv_schema):
+    with pytest.raises(QueryParseError, match=r"^unexpected keyword OR \(at offset 26\)$"):
+        parse_query("q(P) := TV-Program(P) AND OR", tv_schema)

@@ -1,15 +1,18 @@
 """Randomized invariants over generated instances and queries.
 
 Each property runs 200 deterministic examples (derandomize=True; the
-Apriori property 100) against the tiny schemas in strategies.py.  The
-evaluation properties compare the set-algebra evaluator with brute-force
-assignment enumeration, on fresh instances and on one instance whose
-access path earlier queries have filled, and so do the conjunction
-step's answers on what ``conjunct_relations`` builds without ``drop``, as
-the miner and the rule statistics call it; the statistics properties
-exercise the guarantees the miner relies on: non-empty domains,
-frequency bounds, disjoint-split additivity, and the anti-monotonicity
-that justifies Apriori pruning.  The mining property checks the miner's
+Apriori property 100, the domain property 400) against the tiny schemas
+in strategies.py.  The evaluation properties compare the set-algebra
+evaluator with brute-force assignment enumeration, on fresh instances
+and on one instance whose access path earlier queries have filled, and
+so do the conjunction step's answers on what ``conjunct_relations``
+builds without ``drop``, as the miner and the rule statistics call it;
+the statistics properties exercise the guarantees the miner relies on:
+non-empty domains, frequency bounds, answers inside the reference domain
+for every query that passes the gates (also every gated set of
+``MINING_POOLS`` items, on small instances and on 2,000 generated
+programs), disjoint-split additivity, and the anti-monotonicity that
+justifies Apriori pruning.  The mining property checks the miner's
 set-algebra counts against ``stats`` computed from scratch; the rule
 property checks ``rule_statistics``, which evaluates the antecedent once,
 against enumeration and against ``support`` followed by ``confidence``; and the
@@ -32,7 +35,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import strategies
-from conftest import TV_DIR, split_rules_from_scratch
+from conftest import TV_DIR, signed_mask, split_rules_from_scratch
 from ermine import (
     And,
     EmptyDomainError,
@@ -80,7 +83,9 @@ from ermine.evaluator import (
     vocabulary_nonempty,
 )
 from ermine.mining import _Run
-from ermine.stats import rule_conjunction
+from ermine.stats import prepare_query, rule_conjunction
+from test_bitsets import load_generator
+from test_gates import signed_subsets
 
 SETTINGS = settings(
     max_examples=200,
@@ -167,14 +172,63 @@ def test_frequency_stays_within_bounds(case):
     assert f.value == Fraction(f.numerator, f.denominator)
 
 
-@SETTINGS
-@given(strategies.valid_query_cases(non_empty=False))
+@settings(SETTINGS, max_examples=400)
+@given(st.one_of(strategies.valid_query_cases(non_empty=False), strategies.safe_query_cases()))
 def test_answers_stay_within_the_domain(case):
+    # Queries built to pass the gates, and any safe query that passes them.
     inst, decl = case
-    body = normalize(decl.body)
-    answers = set(evaluate(inst, decl).rows)
-    dom = reference_domain(inst, body, decl.variables)
-    assert answers <= set(dom.members)
+    q = prepare_query(inst, decl)
+    assume(q.er.is_er and q.validity.valid)
+    assert set(evaluate(inst, q).rows) <= reference_domain(inst, q.body, q.variables).members
+
+
+def gated_sets_stay_within_the_domain(inst, bias):
+    """Check every signed set of the bias whose query passes the gates:
+    its answers lie in its reference domain.  Returns how many passed."""
+    run = _Run(bias, inst)
+    gated = 0
+    for signed in signed_subsets(len(bias.items), bias.max_conjuncts):
+        mask = signed_mask(signed)
+        if run.set(mask).reason is not None:
+            continue
+        gated += 1
+        body = run.body(mask)
+        answers = set(evaluate(inst, QueryDecl(None, bias.head, body)).rows)
+        assert answers <= reference_domain(inst, body, bias.head).members, to_text(body)
+    return gated
+
+
+@SETTINGS
+@given(strategies.mining_cases())
+def test_gated_sets_of_mining_pools_stay_within_the_domain(case):
+    gated_sets_stay_within_the_domain(*case)
+
+
+# The pools' entity constants renamed to entities of the generated data,
+# so that sets equating the head with constants pass the entity gate.
+GENERATED_NAMES = {'"Gilmore"': '"P00000"', '"Hockey"': '"P00001"', '"CBS"': '"S000"'}
+
+
+def generated_item(pattern):
+    for old, new in GENERATED_NAMES.items():
+        pattern = pattern.replace(old, new)
+    return pattern
+
+
+@pytest.mark.parametrize("head", sorted(strategies.MINING_POOLS))
+def test_gated_sets_stay_within_the_domain_at_size(head):
+    # Every signed set of up to three pool items on 2,000 generated programs.
+    inst = load_instance(strategies.TV_SCHEMA, load_generator().generate(3, 2000, 20))
+    bias = load_bias(
+        {
+            "head": list(head),
+            "items": [generated_item(p) for p in strategies.MINING_POOLS[head]],
+            "max_conjuncts": 3,
+            "allow_negation": True,
+        },
+        strategies.TV_SCHEMA,
+    )
+    assert gated_sets_stay_within_the_domain(inst, bias) > 400
 
 
 @SETTINGS

@@ -1,7 +1,9 @@
 """Safety rules and formula normalization."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+import strategies
 from ermine import (
     And,
     Atom,
@@ -17,8 +19,10 @@ from ermine import (
     limited_variables,
     normalize,
     parse_formula_text,
+    subformulas,
     to_text,
 )
+from ermine.safety import RULE_BAD_NEGATION
 
 
 def test_normalize_rewrites_forall(tv_schema):
@@ -180,3 +184,23 @@ def test_printer_parenthesizes_or_under_and(tv_schema):
         'TV-Program(X) AND (X = "Simpsons" OR X = "Gilmore")', tv_schema
     )
     assert to_text(f) == 'TV-Program(X) AND (X = "Simpsons" OR X = "Gilmore")'
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(strategies.gate_formula_cases())
+def test_no_first_violation_is_a_bad_negation(case):
+    # A negated conjunct's free variables are free variables of its
+    # conjunction, so an unlimited one is reported as R3 before R4 (the
+    # safe-range order): the miner's drop reason never reads R4.
+    _, f = case
+    body = normalize(f)
+    nested = [g.body for g in subformulas(body) if isinstance(g, (Not, Exists))]
+    for g in [body, *nested]:
+        report = check_safe(g)
+        if not report.safe:
+            assert report.violations[0].rule != RULE_BAD_NEGATION, to_text(g)
