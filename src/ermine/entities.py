@@ -23,14 +23,15 @@ the state of a conjunction is its conjuncts' states joined in order
 (``GateState.joined``).  ``gate_reports``, which ``stats.prepare_query``
 uses, reads the verdicts from the joined state and the reports' details
 from the summaries; the miner reads a drop reason from the state alone.
-The state of a negated conjunct follows from its body's summaries
-(``negation_state``), so the miner derives a negated item's state from
-the item it negates.
+A conjunction is valid just when its state's ``valid_for`` holds, and
+the state of ``NOT body`` follows from the body's joined state
+(``GateState.negated``), so the miner derives a negated item's state
+from the item it negates.
 
-The state holds no entity names: ``_entity_facts`` names both ends of
-every =/!= link, so a link's far end is a non-candidate just when it
-failed.  Nor does it hold a negated conjunct's free variables: they are
-free variables of the conjunction, so one that is not limited is an R3
+The state holds no entity names: ``_entity_facts`` links only
+variables, so a link's far end is a non-candidate just when it failed.
+Nor does it hold a negated conjunct's free variables: they are free
+variables of the conjunction, so one that is not limited is an R3
 violation, which comes first in report order, and R4 never decides a
 drop reason.
 """
@@ -54,6 +55,7 @@ from .formulas import (
     Variable,
     conjuncts_of,
     equated_constants,
+    free_variables,
     normalize,
     subformulas,
 )
@@ -90,17 +92,15 @@ class ErReport:
 @dataclass(frozen=True)
 class EntityFacts:
     """What the entity check needs of a formula, from one walk over its
-    subformulas: the variables it names, the reasons some of them fail
-    to be entity variable candidates, and the variable pairs its =/!=
-    comparisons link, in both directions."""
+    subformulas: the reasons some of its variables fail to be entity
+    variable candidates, and the variable pairs its =/!= comparisons
+    link, in both directions."""
 
-    names: frozenset[str]
     failures: dict[str, frozenset[str]]
     links: tuple[tuple[str, str], ...]
 
 
 def _entity_facts(f: Formula, inst: DatabaseInstance) -> EntityFacts:
-    names: set[str] = set()
     failures: dict[str, set[str]] = {}
     links: list[tuple[str, str]] = []
 
@@ -110,13 +110,11 @@ def _entity_facts(f: Formula, inst: DatabaseInstance) -> EntityFacts:
     efields = entity_fields(inst.schema)
     for g in subformulas(f):
         if isinstance(g, (Exists, Forall)):
-            names.add(g.var)
             fail(g.var, REASON_QUANTIFIED)
         elif isinstance(g, Comparison):
             for side, other in ((g.left, g.right), (g.right, g.left)):
                 if not isinstance(side, Variable):
                     continue
-                names.add(side.name)
                 if g.op not in ("=", "!="):
                     fail(side.name, REASON_BAD_OP)
                 elif isinstance(other, Variable):
@@ -128,19 +126,19 @@ def _entity_facts(f: Formula, inst: DatabaseInstance) -> EntityFacts:
         elif isinstance(g, Atom):
             table = inst.schema.table(g.predicate)
             for fld, t in zip(table.fields, g.terms):
-                if isinstance(t, Variable):
-                    names.add(t.name)
-                    if f"{table.name}.{fld.name}" not in efields:
-                        fail(t.name, REASON_NON_ENTITY_FIELD)
+                if isinstance(t, Variable) and f"{table.name}.{fld.name}" not in efields:
+                    fail(t.name, REASON_NON_ENTITY_FIELD)
     frozen = {v: frozenset(reasons) for v, reasons in failures.items()}
-    return EntityFacts(frozenset(names), frozen, tuple(links))
+    return EntityFacts(frozen, tuple(links))
 
 
 def entity_variable_candidates(f: Formula, inst: DatabaseInstance) -> frozenset[str]:
     """Variables of f (free or bound) that individually qualify as
     entity variable candidates."""
-    facts = _entity_facts(normalize(f), inst)
-    return facts.names - facts.failures.keys()
+    body = normalize(f)
+    bound = [g.var for g in subformulas(body) if isinstance(g, Exists)]
+    named = frozenset(free_variables(body)).union(bound)
+    return named - _entity_facts(body, inst).failures.keys()
 
 
 def is_er_query(f: Formula, inst: DatabaseInstance) -> ErReport:
@@ -232,10 +230,6 @@ class GateState:
     the first violation inside a conjunct (``inner``), None when no
     conjunct has one.  It needs no entity names and no R4 test (see the
     module docstring).
-
-    A single conjunct is valid just when ``cover`` includes the head or
-    it is valid on its own, so ``valid`` and ``cover`` give validity for
-    one conjunct and for many alike.
     """
 
     free: frozenset[str]
@@ -264,6 +258,25 @@ class GateState:
             self.inner or other.inner,
         )
 
+    def negated(self) -> GateState:
+        """The state of ``NOT body``, one conjunct, for a body whose joined
+        state this is: the same free variables, entity failures and links;
+        nothing limited, equated or covered, and not valid.  Its first
+        violation inside is the body's R3 when some free variable is not
+        limited, as safe-range checking reports R3 before any R4 or inner
+        violation, and otherwise the body's own first one."""
+        inner = self.inner if self.free <= self.limited else RULE_UNLIMITED_VAR
+        return GateState(
+            self.free, frozenset(), (), self.failed, self.links, frozenset(), False, inner
+        )
+
+    def valid_for(self, head: frozenset[str]) -> bool:
+        """Whether the conjunction is valid for the head: its comparisons
+        equate every head variable with a constant, or some conjunct is
+        valid.  A single conjunct is valid just when this holds, so it
+        gives validity for one conjunct and for many alike."""
+        return head <= self.cover or self.valid
+
     def linked_out(self) -> set[str]:
         """The variables a =/!= comparison links to a non-candidate, that
         is to a variable with an entity failure.  A link is read against
@@ -284,7 +297,7 @@ class GateState:
             return f"unsafe ({self.inner})"
         if head & self.failed or head & self.linked_out():
             return "not-an-entity-query"
-        if not (head <= self.cover or self.valid):
+        if not self.valid_for(head):
             return "not-valid"
         return None
 
@@ -345,26 +358,6 @@ def conjunction_gates(
     return tuple(ConjunctGates(c, inst, variables) for c in conjuncts_of(f))
 
 
-def negation_state(body: Formula, parts) -> GateState:
-    """The gate state of ``NOT body``, read from the summaries ``parts``
-    of ``body``'s conjuncts with no walk of the formula.  It is what
-    ``ConjunctGates(Not(body), ...).state`` works out: a negated conjunct
-    has ``body``'s free variables, limits, equates and covers nothing, and
-    is not valid; its entity failures and links are its conjuncts'
-    merged, links in order; and its ``inner`` is the rule of the first
-    violation inside ``body``.  Its free variables are the only input R4
-    would read, and R3 reads them first in any conjunction it joins."""
-    summaries = [p.safety for p in parts]
-    inner = next(violations(body, summaries), None)
-    facts = [p.entities for p in parts]
-    return GateState(
-        frozenset(free_of(summaries)), frozenset(), (),
-        frozenset().union(*[x.failures for x in facts]),
-        tuple([link for x in facts for link in x.links]),
-        frozenset(), False, inner.rule if inner else None,
-    )
-
-
 def gate_reports(body: Formula, parts, variables):
     """The safety, entity, and validity reports of a normalized body whose
     conjuncts' summaries are ``parts`` (made for the same head).
@@ -384,7 +377,7 @@ def gate_reports(body: Formula, parts, variables):
         validity = ValidityReport(False)
     elif len(parts) == 1:
         validity = parts[0].validity
-    elif frozenset(variables) <= state.cover or state.valid:
+    elif state.valid_for(frozenset(variables)):
         validity = ValidityReport(True)
     else:
         validity = ValidityReport(False, body)

@@ -22,12 +22,13 @@ made on first use: its normalized part, its conjuncts' joined gate state,
 its canonical text, its conjuncts' texts and, once counted, its
 conjuncts' evaluated relations, its reference domain and their bits.
 A negated item links to the record of the item it negates.  It derives
-its gate state, its canonical text and its text from that record's, with
-no walk of the formula, and reads its domain, its body's relation and,
-where it can, their bits from it.  A signed set (a candidate's or a rule
-antecedent's items) is an int over the pool: bit 2i is item i taken
-positively, bit 2i+1 item i negated, so the set bits in ascending order
-are the set's items in the order its conjunction lists them.  Per
+its gate state (``GateState.negated``), its canonical text and its text
+from that record's, with no walk of the formula, and reads its domain,
+its body's relation and, where it can, their bits from it.  A signed
+set (a candidate's or a rule antecedent's items) is an int over the
+pool: bit 2i is item i taken positively, bit 2i+1 item i negated, so
+the set bits in ascending order are the set's items in the order its
+conjunction lists them.  Per
 signed set the run keeps one record, made from its parent's: its items,
 gate state and gate verdict, and, each on first need, its answer count,
 text, conjunction and safety report.
@@ -58,28 +59,28 @@ Counting is vertical, in the manner of Eclat's tidsets (Zaki 2000) kept
 as MAFIA's vertical bitmaps (Burdick et al. 2001): each conjunct of each
 signed item is evaluated once and each item's reference domain computed
 once.  A mining run keeps one index of head tuples, each given the next
-free bit position when first seen, and each item keeps its relations
-and its domain as Python ints over it.  A set's reference domain is
-always the OR of its items' domain bits, with the tuples of the equality
-cover when the set's comparisons equate every head variable with a
-constant.  Where every conjunct of a set's items yields a relation over
-exactly the head variables, the join of the positive conjuncts is an
-intersection and each anti-join with a negated conjunct's body a
-difference, so the answer count is ``(AND of positives & ~OR of negated
-bodies).bit_count()``.  A set keeps its domain bits and its answer bits,
-made from its parent's (the set without its last item) with one OR and
-one AND.  An item's relations are built by
+free bit position when first seen, and each item keeps its relations and
+its domain as Python ints over it.  A set's reference domain is the OR
+of its items' domain bits, unless the set's comparisons equate every
+head variable with a constant: then it is ``domains.reference_domain``
+of the set's conjunction.  Where every conjunct of a set's items yields
+a relation over exactly the head variables, the join of the positive
+conjuncts is an intersection and each anti-join with a negated
+conjunct's body a difference, so the answer count is ``(AND of positives
+& ~OR of negated bodies).bit_count()``.  A set keeps its domain bits and
+its answer bits, made from its parent's (the set without its last item)
+with one OR and one AND.  An item's relations are built by
 ``evaluator.conjunct_relations``, as ``evaluate`` builds a conjunction's
 and ``stats.rule_statistics`` a consequent's, so a comparison whose
-variable an atom of the item binds filters that atom's rows and is
-gone: ``TV-Program(P) AND P != "Gilmore"`` has bits.  The answer count
-of any other set, one with a comparison that no atom of its item takes,
-such as ``P = "Gilmore"``, or with an item over part of the head, is the
+variable an atom of the item binds filters that atom's rows and is gone:
+``TV-Program(P) AND P != "Gilmore"`` has bits.  The answer count of any
+other set, one with a comparison that no atom of its item takes, such as
+``P = "Gilmore"``, or with an item over part of the head, is the
 conjunction step of evaluation (``evaluator.conjoin``) over its items'
 kept relations.  Only counts are read from bits; no answer is decoded.
-Every candidate and every rule antecedent is gated and counted this
-way, through the same set records, so no set is gated or counted twice.
-A candidate with an empty reference domain has no frequency and is
+Every candidate and every rule antecedent is gated and counted this way,
+through the same set records, so no set is gated or counted twice.  A
+candidate with an empty reference domain has no frequency and is
 skipped.
 
 Bias documents are JSON:
@@ -103,7 +104,7 @@ from functools import cached_property, reduce
 from operator import and_, or_
 
 from .domains import reference_domain
-from .entities import ConjunctGates, GateState, conjunction_gates, negation_state
+from .entities import GateState, conjunction_gates
 from .errors import BiasError, UnsafeQueryError, ZeroAntecedentError
 from .evaluator import Relation, _reorder, conjoin, conjunct_relations, vocabulary_nonempty
 from .formulas import (
@@ -121,7 +122,6 @@ from .formulas import (
     conjunction,
     conjuncts_of,
     declaration_text,
-    equated_constants,
     free_variables,
     negation_text,
     normalize,
@@ -340,10 +340,9 @@ class _Item:
     each conjunct rendered once by ``to_text``, and ``texts`` the same
     texts as conjuncts of an And (``formulas.conjunct_text``), which
     ``_Run.text`` joins.  A negated item's ``negates`` is the record of
-    the item it negates, and its state, canonical text and texts are
-    derived from that record's with no walk of the formula.  ``gates``
-    are a positive item's conjuncts' summaries, which that derivation
-    reads; a negated item keeps none.  The rest is filled in on first count
+    the item it negates, and its state (``GateState.negated``), canonical
+    text and texts are derived from that record's with no walk of the
+    formula.  The rest is filled in on first count
     (``_Run._counted``).  ``evaluated`` is what ``conjoin`` takes for
     them (``evaluator.conjunct_relations``): the relations of the
     positive non-comparison conjuncts, each atom's rows filtered by the
@@ -364,7 +363,6 @@ class _Item:
     rendered: tuple[str, ...]
     texts: tuple[str, ...]
     negates: _Item | None
-    gates: tuple[ConjunctGates, ...] = ()
     evaluated: tuple[list, list, list] | None = None
     domain_bits: int | None = None
     bits: int | None = None
@@ -429,18 +427,18 @@ class _Run:
     ``evaluator.conjoin`` over its items' relations, as ``evaluate``
     would; safety makes each conjunct and negated body safe on its own.
 
-    A set's reference domain is always read from bits.  Under the union
-    rule no item equates the whole head with constants, as an item's
-    cover is part of its set's, so the domain is the OR of the items'
-    domain bits.  Under the cover rule (``head <= state.cover``) each
-    item's own domain and each equating comparison's tuples lie in the
-    product of the set's constants, so the domain is that OR with the
-    product's bits.  A negated item reads its domain and its body's
-    relation from the item it negates: ``NOT`` is transparent to
-    domains, and its body's relation is that item's relations
-    conjoined.  Where that item has answer bits, the negated item's are
-    their complement, with no rows read.
-    Only counts are read from bits; no answer is decoded.
+    A set's reference domain is the OR of its items' domain bits: no
+    item equates the whole head with constants while its set does not,
+    as an item's cover is part of its set's, so each item's domain, like
+    the set's, is the union of its conjuncts'.  A set whose comparisons
+    do equate the whole head (``head <= state.cover``) takes the bits of
+    ``domains.reference_domain`` of its conjunction, the one place the
+    equality cover rule is worked out.  A negated item reads its domain
+    and its body's relation from the item it negates: ``NOT`` is
+    transparent to domains, and its body's relation is that item's
+    relations conjoined.  Where that item has answer bits, the negated
+    item's are their complement, with no rows read.  Only counts are
+    read from bits; no answer is decoded.
 
     Each item's conjuncts are evaluated over the item's vocabulary, not
     the set's.  The two differ only in being empty or not, which only
@@ -488,7 +486,6 @@ class _Run:
             rendered,
             tuple(map(conjunct_text, conjuncts, rendered)),
             None,
-            gates,
         )
 
     def set(self, mask: int) -> _Set:
@@ -630,13 +627,13 @@ class _Run:
     def frequency(self, mask: int) -> Frequency | None:
         """The frequency of a candidate's signed set, None on an empty
         reference domain.  The domain is the OR of the items' domain bits,
-        with the equality cover's tuples when the set's comparisons equate
-        every head variable with a constant."""
+        or, when the set's comparisons equate every head variable with a
+        constant, that of the set's conjunction."""
         record = self._set_bits(mask)
         domain = record.domain_bits
         if self._head_set <= record.state.cover:
-            constants = equated_constants(self.body(mask))
-            domain |= self._bitset(list(itertools.product(*map(constants.get, self.head))))
+            members = reference_domain(self.inst, self.body(mask), self.head).members
+            domain = self._bitset(members)
         if not domain:
             return None
         return Frequency(self.count(mask), domain.bit_count())
@@ -645,14 +642,13 @@ class _Run:
 def _negation(negates: _Item) -> _Item:
     """The record of an item taken negated, derived from the record of
     the item it negates: ``NOT part`` is one conjunct, whose gate state
-    follows from the part's conjuncts' summaries
-    (``entities.negation_state``) and whose texts and canonical text are
-    the part's, negated as ``to_text`` negates."""
+    follows from the part's (``GateState.negated``) and whose texts and
+    canonical text are the part's, negated as ``to_text`` negates."""
     body = negates.part
     text = negation_text(body, negates.text)
     return _Item(
         Not(body),
-        negation_state(body, negates.gates),
+        negates.state.negated(),
         negation_text(body, negates.canonical),
         (text,),
         (text,),

@@ -630,6 +630,19 @@ def test_missing_schema_flag(capsys):
     assert "--schema is required" in err
 
 
+def test_missing_data_flag(capsys):
+    code, out, err = run(capsys, "--schema", SCHEMA, "eval", "F1")
+    assert (code, out, err) == (2, "", "error: --data is required\n")
+
+
+def test_reference_to_an_unknown_field(capsys, tmp_path):
+    schema = tmp_path / "schema.json"
+    text = (TV_DIR / "schema.json").read_text(encoding="utf-8")
+    schema.write_text(text.replace('"TV-Program.Prog-Name"', '"TV-Program.nope"'), encoding="utf-8")
+    code, out, err = run(capsys, "--schema", str(schema), "--data", DATA, "validate")
+    assert (code, out, err) == (2, "", "error: table 'TV-Program' has no field 'nope'\n")
+
+
 @pytest.mark.skipif(
     not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
     reason="int() converts integers of any length",
@@ -836,3 +849,18 @@ def test_repl_loop(capsys, monkeypatch):
     assert "Gilmore" in out
     assert "unknown command" in out
     assert "error:" in out  # freq of an unregistered name reports, not crashes
+
+
+def test_repl_without_queries_lists_none_and_ends_at_end_of_input(capsys, monkeypatch):
+    lines = iter(["names"])
+
+    def read(prompt=""):
+        try:
+            return next(lines)
+        except StopIteration:
+            raise EOFError from None
+
+    monkeypatch.setattr("builtins.input", read)
+    code, out, err = run(capsys, "--schema", SCHEMA, "--data", DATA, "repl")
+    assert (code, err) == (0, "")
+    assert out == "ermine repl; 'help' lists commands\n(no registered queries)\n\n"

@@ -225,8 +225,11 @@ def test_fixture_single_variable_queries_are_valid(tv, queries, tv_schema):
 @given(strategies.gate_formula_cases())
 def test_every_entity_link_names_both_its_ends(case):
     # The gate state keeps no names: a link's far end is read as a
-    # non-candidate just when it failed, which needs it to be named.
+    # non-candidate just when it failed, which needs every link to join
+    # two variables.
     inst, f = case
-    facts = _entity_facts(normalize(f), inst)
+    body = normalize(f)
+    candidates = entity_variable_candidates(body, inst)
+    facts = _entity_facts(body, inst)
     for a, b in facts.links:
-        assert {a, b} <= facts.names, to_text(f)
+        assert (b not in candidates) == (b in facts.failures), to_text(f)

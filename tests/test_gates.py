@@ -60,6 +60,7 @@ from ermine.entities import (
     REASON_NON_ENTITY_CONSTANT,
     REASON_NON_ENTITY_FIELD,
     REASON_QUANTIFIED,
+    ConjunctGates,
     GateState,
     conjunction_gates,
 )
@@ -453,7 +454,25 @@ def test_negated_items_derive_what_the_formula_walk_gives(tv, name):
         assert negated.text == to_text(Not(part))
         inner_rules += negated.state.inner is not None
         covers += bool(positive.state.cover)
-        linked += sum(bool(g.entities.links) for g in positive.gates) > 1
+        linked += sum(bool(g.entities.links) for g in conjunction_gates(part, tv, head)) > 1
     if name.startswith("pool-"):
         # The pools reach the fields a derivation could get wrong.
         assert inner_rules and covers and linked
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(strategies.gate_formula_cases())
+def test_negated_state_follows_from_the_joined_state(case):
+    # The state of NOT body, from the body's joined state alone, is what
+    # the walk of NOT body gives, for the formula and each body under it.
+    inst, f = case
+    body = normalize(f)
+    nested = [g.body for g in subformulas(body) if isinstance(g, (Not, Exists))]
+    for g in [body, *nested]:
+        joined = reduce(GateState.joined, [p.state for p in conjunction_gates(g, inst, ("X",))])
+        assert joined.negated() == ConjunctGates(Not(g), inst, ("X",)).state, to_text(g)

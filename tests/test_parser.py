@@ -326,6 +326,12 @@ def test_variables_must_start_uppercase(tv_schema):
         parse_query("q(x) := TV-Program(x)", tv_schema)
 
 
+def test_operator_without_a_right_term(tv_schema):
+    with pytest.raises(QueryParseError) as info:
+        parse_query("q(P) := TV-Program(P) AND P = AND", tv_schema)
+    assert str(info.value) == "expected a term (variable or constant) (at offset 30)"
+
+
 def test_error_positions_are_reported(tv_schema):
     with pytest.raises(QueryParseError, match="at offset 8"):
         parse_query("q(X) := Nope(X)", tv_schema)
