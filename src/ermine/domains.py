@@ -10,9 +10,11 @@ variables could range over:
 * a lone comparison contributes {(c,)} when it equates the single
   requested variable with the constant c, else nothing;
 * a conjunction whose conjuncts equate every requested variable with a
-  constant contributes those constant tuples on top of the domain of the
-  remaining conjuncts; any other conjunction contributes the union over
-  its conjuncts;
+  constant contributes the cross product of those constants on top of
+  the domain of its remaining conjuncts (all but the comparisons that
+  equate a requested variable), taken as one conjunction by these same
+  rules; any other conjunction contributes the union over its
+  conjuncts;
 * OR contributes the union of both branches;
 * NOT is transparent (the domain of the negated formula);
 * EXISTS is transparent unless it captures a requested variable, in
@@ -127,29 +129,25 @@ def _dom(inst, f: Formula, variables: tuple[str, ...], trace: bool):
     if isinstance(f, Forall):
         raise ValueError("reference_domain needs a normalized formula")
     if isinstance(f, And):
-        subs = [_dom(inst, c, variables, trace) for c in f.conjuncts]
         constants = equated_constants(f)
         if not constants.keys() >= set(variables):
-            members = _union(m for m, _ in subs)
-            children = [node for _, node in subs]
-            return members, _node(trace, f, "conjunction-union", members, *children)
+            sets, nodes = zip(*[_dom(inst, c, variables, trace) for c in f.conjuncts])
+            members = _union(sets)
+            return members, _node(trace, f, "conjunction-union", members, *nodes)
         # The cover's tuples stand in for the comparisons that equate a
-        # requested variable; the other conjuncts add their domains.
+        # requested variable; the remaining conjuncts, which equate none,
+        # add their conjunction's domain, a union by this same rule.
         rest = [
-            k
-            for k, c in enumerate(f.conjuncts)
+            c
+            for c in f.conjuncts
             if not (isinstance(c, Comparison) and equated_constants(c).keys() & set(variables))
         ]
-        tuples = frozenset(itertools.product(*(constants[v] for v in variables)))
-        members = _union((tuples, *(subs[k][0] for k in rest)))
-        children = [subs[k][1] for k in rest]
-        if trace and len(rest) > 1:
-            # The cover reads its remaining conjuncts as one conjunction.
-            g = conjunction([f.conjuncts[k] for k in rest])
-            union = _union(subs[k][0] for k in rest)
-            children = [_node(trace, g, "conjunction-union", union, *children)]
-        rule = "conjunction-equality-cover"
-        return members, _node(trace, f, rule, members, *children)
+        members = frozenset(itertools.product(*(constants[v] for v in variables)))
+        child = None
+        if rest:
+            others, child = _dom(inst, conjunction(rest), variables, trace)
+            members = _union((members, others))
+        return members, _node(trace, f, "conjunction-equality-cover", members, child)
     raise TypeError(f"not a formula: {f!r}")
 
 

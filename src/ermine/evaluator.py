@@ -204,7 +204,11 @@ class PreparedQuery(QueryDecl):
 
     Built by ``stats.prepare_query`` against one instance.  ``er`` and
     ``validity`` are None when the body is not safe, because entity
-    status and validity are only defined for safe queries.
+    status and validity are only defined for safe queries.  Its verdicts
+    hold for that instance only: ``prepare_query``, ``checked_query`` and
+    ``frequency`` gate a PreparedQuery again against the instance they
+    are given.  ``evaluate`` reads only its safety report, which does not
+    depend on the instance.
     """
 
     safety: SafetyReport

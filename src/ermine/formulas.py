@@ -290,7 +290,6 @@ class QueryDecl:
     name: str | None
     variables: tuple[str, ...]
     body: Formula
-    source: str | None = field(default=None, compare=False, repr=False)
 
     def text(self) -> str:
         return declaration_text(self.name, self.variables, to_text(self.body))

@@ -19,7 +19,7 @@ was dropped by a gate is never built.
 
 A mining run keeps one record per signed item (an item and its sign),
 made on first use: its normalized part, its conjuncts' joined gate state,
-its canonical text, its conjuncts' texts and, once counted, its
+its canonical text, its text, its conjuncts' texts and, once counted, its
 conjuncts' evaluated relations, its reference domain and their bits.
 A negated item links to the record of the item it negates.  It derives
 its gate state (``GateState.negated``), its canonical text and its text
@@ -336,13 +336,14 @@ class _Item:
 
     ``part`` is the item's normalized closure, negated where the sign says
     so; ``state`` is the gate state its conjuncts' summaries
-    (``entities.ConjunctGates``) join to.  ``rendered`` is
-    each conjunct rendered once by ``to_text``, and ``texts`` the same
-    texts as conjuncts of an And (``formulas.conjunct_text``), which
-    ``_Run.text`` joins.  A negated item's ``negates`` is the record of
-    the item it negates, and its state (``GateState.negated``), canonical
-    text and texts are derived from that record's with no walk of the
-    formula.  The rest is filled in on first count
+    (``entities.ConjunctGates``) join to.  ``texts`` is each conjunct
+    rendered once by ``to_text`` as a conjunct of an And
+    (``formulas.conjunct_text``), which ``_Run.text`` joins, and ``text``
+    is ``to_text(part)``: a lone conjunct's own text, unwrapped, or the
+    joined ``texts``.  A negated item's ``negates`` is the record of the
+    item it negates, and its state (``GateState.negated``), canonical
+    text, text and texts are derived from that record's with no walk of
+    the formula.  The rest is filled in on first count
     (``_Run._counted``).  ``evaluated`` is what ``conjoin`` takes for
     them (``evaluator.conjunct_relations``): the relations of the
     positive non-comparison conjuncts, each atom's rows filtered by the
@@ -360,18 +361,12 @@ class _Item:
     part: Formula
     state: GateState
     canonical: str
-    rendered: tuple[str, ...]
+    text: str
     texts: tuple[str, ...]
     negates: _Item | None
     evaluated: tuple[list, list, list] | None = None
     domain_bits: int | None = None
     bits: int | None = None
-
-    @property
-    def text(self) -> str:
-        """``to_text(part)``, joined from the kept conjunct texts; a lone
-        conjunct is not wrapped."""
-        return self.rendered[0] if len(self.rendered) == 1 else " AND ".join(self.texts)
 
 
 @dataclass(slots=True)
@@ -478,13 +473,14 @@ class _Run:
             canonical = _canonical_text(part, self.head)
         conjuncts = conjuncts_of(part)
         gates = conjunction_gates(part, self.inst, self.head)
-        rendered = tuple([to_text(c) for c in conjuncts])
+        rendered = [to_text(c) for c in conjuncts]
+        texts = tuple(map(conjunct_text, conjuncts, rendered))
         return _Item(
             part,
             reduce(GateState.joined, [g.state for g in gates]),
             canonical,
-            rendered,
-            tuple(map(conjunct_text, conjuncts, rendered)),
+            rendered[0] if len(rendered) == 1 else " AND ".join(texts),
+            texts,
             None,
         )
 
@@ -650,7 +646,7 @@ def _negation(negates: _Item) -> _Item:
         Not(body),
         negates.state.negated(),
         negation_text(body, negates.canonical),
-        (text,),
+        text,
         (text,),
         negates,
     )

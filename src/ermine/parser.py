@@ -56,6 +56,13 @@ KEYWORDS = frozenset({"EXISTS", "FORALL", "AND", "OR", "NOT"})
 # default recursion limit of 1000, leaving the rest to the caller.
 MAX_NESTING = 100
 
+# Most formula nodes that the registered query names of one text may splice
+# in.  Each name is spliced as a full copy of its query's body, so a chain
+# of queries that each name the one before twice doubles at every link;
+# without a bound, 25 such lines would need gigabytes.  The bound refuses
+# the text before its copies are made.
+MAX_SPLICED_NODES = 10_000
+
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*(?:-[A-Za-z][A-Za-z0-9_]*)*")
 _VAR_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
 
@@ -146,6 +153,7 @@ class _Parser:
         self.registry = registry or {}
         self.last_end = 0
         self.depth = 0
+        self.spliced = 0
 
     def peek(self, ahead=0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -267,7 +275,13 @@ class _Parser:
                         tok.start,
                     )
                 self.advance()
-                return _spliced(self.registry[tok.value].body, (tok.start, tok.end))
+                body = self.registry[tok.value].body
+                self.spliced += sum(1 for _ in subformulas(body))
+                if self.spliced > MAX_SPLICED_NODES:
+                    raise QueryParseError(
+                        f"splices add more than {MAX_SPLICED_NODES} formula nodes", tok.start
+                    )
+                return _spliced(body, (tok.start, tok.end))
         elif tok.kind not in ("STRING", "INT"):
             raise QueryParseError(
                 "expected a formula"
@@ -450,7 +464,7 @@ def parse_formula_text(text: str, schema: Schema, registry=None) -> Formula:
 def parse_query(text: str, schema: Schema, registry=None) -> QueryDecl:
     """Parse ``name(vars) := body`` and check heads, arities, and types."""
     name, variables, body = _parse(text, schema, registry, declaration=True)
-    return QueryDecl(name, variables, body, source=text)
+    return QueryDecl(name, variables, body)
 
 
 def parse_query_file(text: str, schema: Schema, registry=None) -> dict[str, QueryDecl]:

@@ -85,21 +85,22 @@ class ErRule:
 
 def prepare_query(inst: DatabaseInstance, query: QueryDecl) -> PreparedQuery:
     """Normalize the body once and run the safety, entity, and validity
-    gates once each, keeping every report; a PreparedQuery comes back as
-    it is.  Raises nothing for a query that fails a gate.
+    gates once each against ``inst``, keeping every report.  Raises
+    nothing for a query that fails a gate.
+
+    A PreparedQuery is gated again like any other query: entity status
+    reads the instance's entity constants, so a verdict made against one
+    instance is never reused on another.
 
     The gates summarize each conjunct of the normalized body and combine
     the summaries (``entities.gate_reports``); the miner joins the same
     summaries' gate states per signed set.
     """
-    if isinstance(query, PreparedQuery):
-        return query
     body = normalize(query.body)
     parts = conjunction_gates(body, inst, query.variables)
     safety, er, validity = gate_reports(body, parts, query.variables)
     return PreparedQuery(
-        query.name, query.variables, body, source=query.source,
-        safety=safety, er=er, validity=validity,
+        query.name, query.variables, body, safety=safety, er=er, validity=validity
     )
 
 

@@ -13,7 +13,7 @@ import pytest
 from cli_runs import run_commands
 from conftest import BASKET_DIR, TV_DIR
 from ermine.cli import REPL_HELP, _repl_line, build_arg_parser, main
-from ermine.parser import MAX_NESTING
+from ermine.parser import MAX_NESTING, MAX_SPLICED_NODES
 
 SCHEMA = str(TV_DIR / "schema.json")
 DATA = str(TV_DIR / "data")
@@ -168,6 +168,28 @@ def test_nesting_at_the_limit_still_evaluates(capsys, body):
     code, _, err = run(capsys, *BASE, "eval", f"q(P) := EXISTS Y. {body}")
     assert code == 1
     assert err.startswith(NESTING_ERROR)
+
+
+def test_queries_that_splice_past_the_bound_are_a_parse_error(capsys, tmp_path):
+    # Line k + 1 names line k's query twice, so its splices double: they
+    # add 2**k + 2 formula nodes (an And of 2**(k - 1) atoms, twice).
+    lines = ["q0(P) := TV-Program(P)"]
+    lines += [f"q{k}(P) := q{k - 1} AND q{k - 1}" for k in range(1, 17)]
+    past = next(k for k in range(1, 17) if 2**k + 2 > MAX_SPLICED_NODES)
+    path = tmp_path / "doubling.erq"
+    argv = ["--schema", SCHEMA, "--data", DATA, "--queries", str(path), "validate"]
+    path.write_text("\n".join(lines[:past]) + "\n")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.endswith(f"queries: {', '.join(f'q{k}' for k in range(past))}\nOK\n")
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"error: line {past + 1}: splices add more than {MAX_SPLICED_NODES} formula "
+        f"nodes (at offset {lines[past].rindex(f'q{past - 1}')})\n"
+    )
 
 
 def test_domain_of_named_query(capsys):

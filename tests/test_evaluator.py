@@ -10,6 +10,7 @@ from ermine import (
     Atom,
     Comparison,
     Constant,
+    DataError,
     EvaluationError,
     Exists,
     QueryDecl,
@@ -110,6 +111,21 @@ def test_result_columns_follow_declared_head(tv, tv_schema):
     rel = evaluate(tv, decl)
     assert rel.columns == ("SN", "P")
     assert rel.rows == {("CBS", "Gilmore"), ("CBC", "Hockey Night")}
+
+
+def test_a_head_other_than_the_evaluated_columns_is_an_error(tv):
+    decl = QueryDecl(None, ("P", "Q"), Atom("TV-Program", (Variable("P"),)))
+    with pytest.raises(
+        EvaluationError,
+        match=r"^evaluated columns \('P',\) do not match the declared head \('P', 'Q'\)$",
+    ):
+        evaluate(tv, decl)
+
+
+def test_an_atom_over_an_unknown_table_is_a_data_error(tv):
+    decl = QueryDecl(None, ("P",), Atom("Nope", (Variable("P"),)))
+    with pytest.raises(DataError, match="^instance has no table 'Nope'$"):
+        evaluate(tv, decl)
 
 
 def test_constant_in_atom_filters(tv, tv_schema):

@@ -449,7 +449,6 @@ def test_negated_items_derive_what_the_formula_walk_gives(tv, name):
         walked = conjunction_gates(Not(part), tv, head)
         assert negated.state == reduce(GateState.joined, [g.state for g in walked])
         assert negated.canonical == _canonical_text(Not(part), head)
-        assert negated.rendered == (to_text(Not(part)),)
         assert negated.texts == (conjunct_text(Not(part), to_text(Not(part))),)
         assert negated.text == to_text(Not(part))
         inner_rules += negated.state.inner is not None

@@ -21,6 +21,7 @@ from ermine import (
     load_instance,
     load_schema,
     parse_query,
+    prepare_query,
     rule_statistics,
     support,
 )
@@ -110,6 +111,25 @@ def test_checked_query_rejections(tv, combine):
         )
     with pytest.raises(NotValidError, match="not valid for \\(X, Y\\)"):
         checked_query(tv, combine("q(X, Y) := TV-Program(X) AND X = Y"))
+
+
+def test_a_prepared_query_is_gated_against_the_instance_it_is_given(tv, tv_schema):
+    # "Gilmore" is an entity constant of tv only, so P = "Gilmore" keeps
+    # the query an entity query there and not on the other instance.
+    q = parse_query('q(P) := TV-Program(P) AND P = "Gilmore"', tv_schema)
+    other = load_instance(
+        tv_schema,
+        {name: [r for r in rows if "Gilmore" not in r] for name, rows in tv.relations.items()},
+    )
+    prepared = prepare_query(tv, q)
+    assert prepared.er.is_er
+    assert frequency(tv, prepared) == frequency(tv, q) == Frequency(1, 4)
+    assert not prepare_query(other, prepared).er.is_er
+    for query in (q, prepared):
+        with pytest.raises(NotEntityQueryError):
+            checked_query(other, query)
+        with pytest.raises(NotEntityQueryError):
+            frequency(other, query)
 
 
 def test_empty_table_gives_empty_domain_error():
