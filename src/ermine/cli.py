@@ -7,7 +7,8 @@ Commands: validate, check, eval, domain, freq, rule, mine, repl.  Query
 arguments are either a name registered via --queries (or the repl) or a
 full declaration ``name(vars) := body``.  Exit codes: 0 on success, 1 on
 user errors (bad queries, unsafe formulas, empty domains, failed
-checks), 2 on I/O and format errors (missing or malformed files).
+checks) and, with nothing on stderr, when stdout's reader closes the
+pipe, 2 on I/O and format errors (missing or malformed files).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import contextlib
 import csv
 import functools
 import logging
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,7 +42,7 @@ from .schema import (
     load_instance_dir,
     load_schema_file,
 )
-from .stats import ErRule, frequency, prepare_query, rule_statistics
+from .stats import ErRule, fraction_text, frequency, prepare_query, rule_statistics
 
 
 @dataclass
@@ -226,39 +228,36 @@ def run_mine(session: Session, ns) -> int:
         max_level=ns.max_level,
         prune=not ns.no_prune,
     )
-    for level in result.levels:
-        print(
-            f"level {level.level}: {level.candidates} candidates, "
-            f"{level.survivors} frequent"
-        )
-    print(f"frequent queries (min support {min_support}):")
-    if result.frequent:
-        for fq in result.frequent:
-            print(f"  {fq.candidate.text()}  [frequency {fq.frequency}]")
-    else:
-        print("  (none)")
-    print(f"rules (min confidence {min_confidence}):")
-    if result.rules:
-        for rule in result.rules:
-            print(
-                f"  {rule.text()}  [support {rule.support.value}, "
-                f"confidence {rule.confidence}]"
-            )
-    else:
-        print("  (none)")
+    lines = [
+        f"level {level.level}: {level.candidates} candidates, {level.survivors} frequent"
+        for level in result.levels
+    ]
+    lines.append(f"frequent queries (min support {min_support}):")
+    for fq in result.frequent:
+        lines.append(f"  {fq.candidate.text()}  [frequency {fq.frequency}]")
+    if not result.frequent:
+        lines.append("  (none)")
+    lines.append(f"rules (min confidence {min_confidence}):")
+    # Rules split from one frequent query share its Frequency object, so
+    # the support's text is made once per query, from its two counts.
+    rows = []
+    support = None
+    for rule in result.rules:
+        if rule.support is not support:
+            support = rule.support
+            support_text = fraction_text(support.numerator, support.denominator)
+        confidence = str(rule.confidence)
+        lines.append(f"  {rule.text()}  [support {support_text}, confidence {confidence}]")
+        rows.append((rule.antecedent_text, rule.consequent_text, support_text, confidence))
+    if not result.rules:
+        lines.append("  (none)")
+    lines.append("")
+    sys.stdout.write("\n".join(lines))
     if ns.csv:
         with open(ns.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["antecedent", "consequent", "support", "confidence"])
-            for rule in result.rules:
-                writer.writerow(
-                    [
-                        rule.antecedent_text,
-                        rule.consequent_text,
-                        str(rule.support.value),
-                        str(rule.confidence),
-                    ]
-                )
+            writer.writerows(rows)
     return 0
 
 
@@ -430,13 +429,36 @@ def _logging_to_stderr(level: str):
 def main(argv=None) -> int:
     ns = build_arg_parser().parse_args(argv)
     with _logging_to_stderr(ns.log_level):
-        return _run(ns)
+        try:
+            code = _run(ns)
+            sys.stdout.flush()
+            return code
+        except BrokenPipeError:
+            # The reader of stdout has gone (``ermine ... | head -1``).  As
+            # the Python docs advise, point stdout's descriptor at devnull,
+            # so the flush at exit cannot fail again, and exit 1 quietly.
+            _stdout_to_devnull()
+            return 1
+
+
+def _stdout_to_devnull() -> None:
+    """Point a real stdout's file descriptor at ``os.devnull``; a stdout
+    redirected to an object with no descriptor is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _run(ns) -> int:
     try:
         session = load_session(ns)
         return ns.func(session, ns)
+    except BrokenPipeError:  # a closed stdout, not a bad file: see main
+        raise
     except (SchemaError, DataError, BiasError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

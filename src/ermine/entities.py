@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from typing import NamedTuple
 
 from .errors import UnsafeQueryError
 from .formulas import (
@@ -220,8 +221,7 @@ def _valid(f: Formula, varset: frozenset[str]) -> ValidityReport:
     raise TypeError(f"not a formula: {f!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class GateState:
+class GateState(NamedTuple):
     """The gate state of a conjunction of conjuncts, all its three
     verdicts need: free variables; limited variables, already closed
     under the ``=`` pairs ``equates``; the variables with an entity
@@ -229,7 +229,9 @@ class GateState:
     constant (``cover``); whether some conjunct is valid; and the rule of
     the first violation inside a conjunct (``inner``), None when no
     conjunct has one.  It needs no entity names and no R4 test (see the
-    module docstring).
+    module docstring).  The miner makes one per signed set, so it is a
+    named tuple: immutable, and built without a frozen dataclass's
+    per-field ``object.__setattr__``.
     """
 
     free: frozenset[str]

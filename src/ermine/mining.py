@@ -30,8 +30,11 @@ pool: bit 2i is item i taken positively, bit 2i+1 item i negated, so
 the set bits in ascending order are the set's items in the order its
 conjunction lists them.  Per
 signed set the run keeps one record, made from its parent's: its items,
-gate state and gate verdict, and, each on first need, its answer count,
-text, conjunction and safety report.
+gate state and gate verdict, and, each on first need, its answer count
+and domain size as ints, its text, its conjunction, its one declaration
+over the head and its safety report.  Support and confidence are tested
+on those ints; a ``Frequency`` is built only for a frequent query and a
+confidence ``Fraction`` only for a kept rule.
 
 Each signed item's conjuncts are rendered once per run.  The text of a
 frequent query, and of a rule's antecedent and consequent, is what
@@ -100,7 +103,7 @@ import itertools
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from operator import and_, or_
 
 from .domains import reference_domain
@@ -180,10 +183,11 @@ class Candidate:
     def level(self) -> int:
         return self.mask.bit_count()
 
-    @cached_property
+    @property
     def decl(self) -> QueryDecl:
-        """The conjunction of the parts over the run's head, built once."""
-        return QueryDecl(None, self.run.head, self.run.body(self.mask))
+        """The conjunction of the parts over the run's head: the run's one
+        declaration of the mask (``_Run.decl``)."""
+        return self.run.decl(self.mask)
 
     def text(self) -> str:
         """``decl.text()``, joined from the run's kept conjunct texts."""
@@ -373,12 +377,15 @@ class _Item:
 class _Set:
     """A signed set as a mining run keeps it: its items' records in
     order, their joined gate state and the drop reason read from it (None
-    when a query of the set passes), all made with the record.  The
-    answer count, the text, the conjunction and, for an unsafe rule
-    antecedent at debug level, the safety report are filled in on first
-    need.  So are ``domain_bits``, the OR of the items' domain bits, and
-    ``bits``, the AND of their answer bits (None when an item has none),
-    each made from the parent's and the last item's (``_Run._set_bits``).
+    when a query of the set passes), all made with the record.  The rest
+    is filled in on first need: ``domain_bits``, the OR of the items'
+    domain bits, and ``bits``, the AND of their answer bits (None when an
+    item has none), each made from the parent's and the last item's
+    (``_Run._set_bits``); the answer count (``count``) and the reference
+    domain's size (``size``, 0 when it is empty), plain ints that the
+    support and confidence tests compare; the text, the conjunction and
+    its one declaration over the head (``decl``); and, for an unsafe rule
+    antecedent at debug level, the safety report.
     """
 
     items: tuple[_Item, ...]
@@ -387,9 +394,37 @@ class _Set:
     domain_bits: int | None = None
     bits: int | None = None
     count: int | None = None
+    size: int | None = None
     text: str | None = None
     body: Formula | None = None
+    decl: QueryDecl | None = None
     safety: SafetyReport | None = None
+
+    def joined_text(self) -> str:
+        """``to_text`` of the items' conjunction, joined once from their
+        kept conjunct texts; a lone conjunct is not wrapped."""
+        if self.text is None:
+            items = self.items
+            if len(items) == 1:
+                self.text = items[0].text
+            else:
+                self.text = " AND ".join([t for item in items for t in item.texts])
+        return self.text
+
+    def conjunction(self) -> Formula:
+        """The items' conjunction, built once: a set is the antecedent or
+        consequent of many kept rules."""
+        if self.body is None:
+            self.body = conjunction([item.part for item in self.items])
+        return self.body
+
+    def declared(self, head: tuple[str, ...]) -> QueryDecl:
+        """The conjunction over the run's head, declared once: a
+        candidate's ``decl`` and the antecedent of every kept rule that
+        splits it off are this one object."""
+        if self.decl is None:
+            self.decl = QueryDecl(None, head, self.conjunction())
+        return self.decl
 
 
 class _Run:
@@ -398,6 +433,14 @@ class _Run:
     (``_Set``), looked up by its mask, each made on first use, so each
     set is gated and counted at most once.  All of it holds for one
     instance: the entity gate reads the instance's entity constants.
+
+    A set's answer count (``count``, the one counting step, which the
+    level loop, rule splitting and ``frequency`` all read) and its
+    reference domain's size (``size``) are ints kept on its record, and
+    so is its one ``QueryDecl`` (``decl``), shared by a candidate and
+    every kept rule with that antecedent.  Text, conjunction and
+    declaration are made by the record itself (``_Set``), so a caller
+    holding the record looks nothing up again.
 
     A set's record is made from its parent's (the set without its highest
     bit): its gate state is the parent's joined with the state of that
@@ -500,30 +543,19 @@ class _Run:
         return record
 
     def text(self, mask: int) -> str:
-        """``to_text`` of the items' conjunction, joined once from their
-        kept conjunct texts; a lone conjunct is not wrapped."""
-        record = self.set(mask)
-        if record.text is None:
-            items = record.items
-            if len(items) == 1:
-                record.text = items[0].text
-            else:
-                record.text = " AND ".join([t for item in items for t in item.texts])
-        return record.text
+        return self.set(mask).joined_text()
 
     def body(self, mask: int) -> Formula:
-        """The items' conjunction, built once: a set is the antecedent or
-        consequent of many kept rules."""
-        record = self.set(mask)
-        if record.body is None:
-            record.body = conjunction([item.part for item in record.items])
-        return record.body
+        return self.set(mask).conjunction()
+
+    def decl(self, mask: int) -> QueryDecl:
+        return self.set(mask).declared(self.head)
 
     def safety(self, mask: int) -> SafetyReport:
         """``check_safe`` of the items' conjunction, made on first need."""
         record = self.set(mask)
         if record.safety is None:
-            record.safety = check_safe(self.body(mask))
+            record.safety = check_safe(record.conjunction())
         return record.safety
 
     def _counted(self, item: _Item) -> _Item:
@@ -608,7 +640,8 @@ class _Run:
 
     def count(self, mask: int) -> int:
         """Answer count of the items' conjunction, which must be safe;
-        counted once."""
+        counted once.  The one counting step: candidates, rule
+        antecedents and ``frequency`` all read their counts here."""
         record = self.set(mask)
         if record.count is None:
             record.count = self._answer_count(mask)
@@ -620,19 +653,25 @@ class _Run:
         count = self.bit_count(mask)
         return len(self.answers(mask).rows) if count is None else count
 
-    def frequency(self, mask: int) -> Frequency | None:
-        """The frequency of a candidate's signed set, None on an empty
-        reference domain.  The domain is the OR of the items' domain bits,
+    def size(self, mask: int) -> int:
+        """The size of a candidate's reference domain, 0 when it is empty;
+        worked out once.  The domain is the OR of the items' domain bits,
         or, when the set's comparisons equate every head variable with a
         constant, that of the set's conjunction."""
         record = self._set_bits(mask)
-        domain = record.domain_bits
-        if self._head_set <= record.state.cover:
-            members = reference_domain(self.inst, self.body(mask), self.head).members
-            domain = self._bitset(members)
-        if not domain:
-            return None
-        return Frequency(self.count(mask), domain.bit_count())
+        if record.size is None:
+            domain = record.domain_bits
+            if self._head_set <= record.state.cover:
+                members = reference_domain(self.inst, record.conjunction(), self.head).members
+                domain = self._bitset(members)
+            record.size = domain.bit_count()
+        return record.size
+
+    def frequency(self, mask: int) -> Frequency | None:
+        """The frequency of a candidate's signed set, None on an empty
+        reference domain."""
+        size = self.size(mask)
+        return Frequency(self.count(mask), size) if size else None
 
 
 def _negation(negates: _Item) -> _Item:
@@ -659,7 +698,7 @@ def build_candidate(run: _Run, mask: int):
     if record.reason is not None:
         return None, record.reason
     items = record.items
-    canonical = " AND ".join(sorted(item.canonical for item in items))
+    canonical = " AND ".join(sorted([item.canonical for item in items]))
     return Candidate(mask, tuple(item.part for item in items), canonical, run), None
 
 
@@ -712,6 +751,7 @@ def mine_frequent(
         raise ValueError("max_level must be >= 1")
     levels = bias.max_conjuncts if max_level is None else min(max_level, bias.max_conjuncts)
     run = _Run(bias, inst)
+    least, per = min_support.numerator, min_support.denominator
     frequent: list[FrequentQuery] = []
     stats: list[LevelStats] = []
     extendable: list[Candidate] = []
@@ -720,15 +760,16 @@ def mine_frequent(
         evaluated = []
         survivors = []
         for c in candidates:
-            fr = run.frequency(c.mask)
-            if fr is None:
+            size = run.size(c.mask)
+            if not size:
                 log.debug("level %d: empty domain for %s", level, c.canonical)
                 continue
             evaluated.append(c)
-            # fr >= min_support, without normalizing a Fraction.
-            if fr.numerator * min_support.denominator >= min_support.numerator * fr.denominator:
+            count = run.count(c.mask)
+            # count / size >= min_support, in integers.
+            if count * per >= least * size:
                 survivors.append(c)
-                frequent.append(FrequentQuery(c, fr))
+                frequent.append(FrequentQuery(c, Frequency(count, size)))
         stats.append(LevelStats(level, len(candidates), len(survivors)))
         extendable = survivors if prune else evaluated
         if not extendable:
@@ -750,19 +791,24 @@ def mine_rules(
     submasks of the candidate's mask in ascending order; the antecedent's
     gate verdict and count come from its record in the candidate's mining
     run (``_Run.set`` and ``_Run.count``), as the candidates' did.
-    Confidence is compared as integers; the antecedent, the consequent
-    and the confidence are built only for a rule that is kept.
+    Confidence is compared as integers.  Only a kept rule gets objects:
+    its confidence Fraction, its consequent's conjunction and the run's
+    one declaration of its antecedent (``_Run.decl``), which every rule
+    with that antecedent, and the candidate of that mask, share.
     """
     min_confidence = Fraction(min_confidence)
     if not 0 <= min_confidence <= 1:
         raise ValueError("min_confidence must be in [0, 1]")
+    least, per = min_confidence.numerator, min_confidence.denominator
     rules = []
     for fq in sorted(frequent, key=lambda q: (q.level, q.candidate.canonical)):
         c = fq.candidate
         run = c.run
-        both = fq.frequency.numerator
+        support = fq.frequency
+        both = support.numerator
         for ant in _proper_submasks(c.mask):
-            reason = run.set(ant).reason
+            antecedent = run.set(ant)
+            reason = antecedent.reason
             if reason == "free-variable-mismatch":
                 log.debug(
                     "rule from %s: antecedent drops head variables", c.canonical
@@ -773,20 +819,25 @@ def mine_rules(
                     log.debug("rule from %s: %s", c.canonical, UnsafeQueryError(run.safety(ant)))
                 continue
             count = run.count(ant)
-            # both / count < min_confidence, without a Fraction.  A zero
-            # count is not skipped here, so confidence_from_count rejects it.
-            if both * min_confidence.denominator < min_confidence.numerator * count:
+            # both / count < min_confidence, in integers.  A zero count is
+            # not skipped here, so confidence_from_count rejects it.
+            if both * per < least * count:
                 continue
-            antecedent = QueryDecl(None, run.head, run.body(ant))
+            decl = antecedent.declared(run.head)
             try:
-                conf = confidence_from_count(antecedent, both, count)
+                conf = confidence_from_count(decl, both, count)
             except ZeroAntecedentError as exc:
                 log.debug("rule from %s: %s", c.canonical, exc)
                 continue
-            con = c.mask ^ ant
+            consequent = run.set(c.mask ^ ant)
             rules.append(
                 MinedRule(
-                    antecedent, run.body(con), fq.frequency, conf, run.text(ant), run.text(con)
+                    decl,
+                    consequent.conjunction(),
+                    support,
+                    conf,
+                    antecedent.joined_text(),
+                    consequent.joined_text(),
                 )
             )
     return tuple(rules)

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from .domains import reference_domain
 from .entities import conjunction_gates, gate_reports
@@ -58,6 +59,11 @@ from .schema import DatabaseInstance
 
 @dataclass(frozen=True)
 class Frequency:
+    """An answer count over a reference domain size, kept as the two ints.
+    ``value`` is the ratio as a normalized Fraction, built on first use;
+    ``str`` prints both counts and the ratio's text (``fraction_text``)
+    without building one."""
+
     numerator: int
     denominator: int
 
@@ -67,11 +73,21 @@ class Frequency:
 
     @cached_property
     def value(self) -> Fraction:
-        """The frequency as a normalized Fraction, built on first use."""
         return Fraction(self.numerator, self.denominator)
 
     def __str__(self):
-        return f"{self.numerator}/{self.denominator} = {self.value}"
+        n, d = self.numerator, self.denominator
+        return f"{n}/{d} = {fraction_text(n, d)}"
+
+
+def fraction_text(numerator: int, denominator: int) -> str:
+    """``str(Fraction(numerator, denominator))`` for a non-negative
+    numerator and a positive denominator, from one gcd: the reduced
+    numerator alone when the reduced denominator is 1."""
+    g = gcd(numerator, denominator)
+    if g == denominator:
+        return str(numerator // g)
+    return f"{numerator // g}/{denominator // g}"
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from cli_runs import run_commands
 from conftest import BASKET_DIR, TV_DIR
 from ermine.cli import REPL_HELP, _repl_line, build_arg_parser, main
 from ermine.parser import MAX_NESTING, MAX_SPLICED_NODES
+from test_bitsets import load_generator
 
 SCHEMA = str(TV_DIR / "schema.json")
 DATA = str(TV_DIR / "data")
@@ -432,6 +433,25 @@ def test_first_dangling_reference_does_not_depend_on_the_hash_seed(tmp_path):
         )
 
 
+def test_a_reader_that_closes_the_pipe_ends_the_command_quietly(tmp_path):
+    # The reader takes the header of some 15,000 rows and closes the pipe,
+    # so a later write fails: that is no bad input file, and the command
+    # exits 1 with nothing on stderr.
+    gen = load_generator()
+    data = tmp_path / "data"
+    gen.write_csvs(gen.generate(1, 5000, 50), str(data))
+    args = [sys.executable, "-m", "ermine", "--schema", SCHEMA, "--data", str(data),
+            "eval", "q(P, SN) := EXISTS V. EXISTS S. WeekdayTV(P, SN, V, S)"]
+    src = str(TV_DIR.parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with subprocess.Popen(args, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"P,SN\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == 1
+    assert err == b""
+
+
 def reused_parser_sequences(rules_csv):
     """Command lines run in turn, each pair once with a fresh parser and
     once with the parser the first call left behind."""
@@ -529,6 +549,26 @@ def test_mine_mixed_bias_debug_log_matches_the_recorded_log(capsys):
     assert code == 0
     assert out.encode("utf-8") == (TV_DIR / "mine_mixed.stdout").read_bytes()
     assert err.encode("utf-8") == (TV_DIR / "mine_mixed.debug").read_bytes()
+
+
+@pytest.mark.parametrize("bias", ["cover", "mixed"])
+def test_mine_at_confidence_0_matches_the_recorded_output(capsys, tmp_path, bias):
+    # Every split at support 1/100, recorded before lines were formatted
+    # from counts.  The cover bias prints frequencies "= 1", supports "1"
+    # and confidences "1", whose reduced denominator is 1.
+    out_csv = tmp_path / "rules.csv"
+    code, out, _ = run(
+        capsys,
+        *BASE,
+        "mine",
+        "--bias", str(TV_DIR / f"bias_{bias}.json"),
+        "--min-support", "1/100",
+        "--min-confidence", "0",
+        "--csv", str(out_csv),
+    )
+    assert code == 0
+    assert out.encode("utf-8") == (TV_DIR / f"mine_{bias}_all.stdout").read_bytes()
+    assert out_csv.read_bytes() == (TV_DIR / f"mine_{bias}_all.csv").read_bytes()
 
 
 def test_mine_cover_bias_matches_the_recorded_output(capsys, tmp_path):

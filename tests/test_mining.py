@@ -36,6 +36,8 @@ from ermine.evaluator import evaluate
 from ermine.formulas import to_text
 from ermine.mining import _Run
 from ermine.stats import checked_query, frequency
+from test_bitsets import load_generator
+from test_metamorphic import MINE_DATA_BIAS
 
 QUARTER = Fraction(1, 4)
 HALF = Fraction(1, 2)
@@ -486,6 +488,54 @@ def test_mining_gates_each_signed_set_once(
         decl = fq.candidate.decl
         assert fq.candidate.decl is decl
         assert checked_query(tv, decl).variables == head
+
+
+def test_result_objects_are_built_only_for_what_is_kept(monkeypatch, tv_schema, tv):
+    # Counts and thresholds stay ints: a Frequency and a FrequentQuery are
+    # built for each frequent query and for no other candidate.  A kept
+    # rule's antecedent is the run's one declaration of its mask, which a
+    # frequent candidate of that mask shares.
+    gen = load_generator()
+    generated = load_instance(strategies.TV_SCHEMA, gen.generate(5, 100, 20))
+    cases = [
+        (tv, load_bias_file(TV_DIR / "bias_mixed.json", tv_schema), QUARTER),
+        *(
+            (tv, load_bias(pool_bias(head), tv_schema), Fraction(1, 10))
+            for head in sorted(strategies.MINING_POOLS)
+        ),
+        (generated, load_bias(MINE_DATA_BIAS, tv_schema), Fraction(1, 10)),
+    ]
+    built = collections.Counter()
+    for name in ("Frequency", "FrequentQuery"):
+        def counting(*args, _build=getattr(mining, name), _name=name):
+            built[_name] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(mining, name, counting)
+    shared = 0
+    for inst, bias, min_support in cases:
+        built.clear()
+        result = mine(inst, bias, min_support, HALF)
+        frequent = len(result.frequent)
+        assert built == {"Frequency": frequent, "FrequentQuery": frequent}
+        assert sum(level.candidates for level in result.levels) > frequent
+        assert result.rules
+        run = result.frequent[0].candidate.run
+        decls = {fq.candidate.mask: fq.candidate.decl for fq in result.frequent}
+        split_from = {id(fq.frequency): fq.candidate.mask for fq in result.frequent}
+        for rule in result.rules:
+            mask = split_from[id(rule.support)]
+            [ant] = [
+                ant
+                for ant in mining._proper_submasks(mask)
+                if (run.text(ant), run.text(mask ^ ant))
+                == (rule.antecedent_text, rule.consequent_text)
+            ]
+            assert rule.antecedent is run.decl(ant)
+            if ant in decls:
+                assert rule.antecedent is decls[ant]
+                shared += 1
+    assert shared > 100
 
 
 def test_rules_with_one_mask_share_its_text(tv_schema, tv):

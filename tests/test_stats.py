@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ermine import (
     DataError,
@@ -25,10 +27,32 @@ from ermine import (
     rule_statistics,
     support,
 )
+from ermine.stats import fraction_text
 
 
 def fr(inst, decl):
     return frequency(inst, decl).value
+
+
+def counts():
+    """Pairs (n, d) with 0 <= n <= d and d > 0: small and of hundreds of
+    digits, n = 0, n = d, and both multiplied by a shared factor."""
+    small = st.integers(min_value=1, max_value=50)
+    big = st.integers(min_value=1, max_value=10**300)
+    denominator = st.one_of(small, big)
+    below = denominator.flatmap(lambda d: st.tuples(st.integers(0, d), st.just(d)))
+    edges = st.one_of(denominator.map(lambda d: (0, d)), denominator.map(lambda d: (d, d)))
+    plain = st.one_of(below, edges)
+    shared = st.tuples(plain, denominator).map(lambda p: (p[0][0] * p[1], p[0][1] * p[1]))
+    return st.one_of(plain, shared)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(counts())
+def test_counts_print_as_their_fraction(pair):
+    n, d = pair
+    assert fraction_text(n, d) == str(Fraction(n, d))
+    assert str(Frequency(n, d)) == f"{n}/{d} = {Fraction(n, d)}"
 
 
 def test_frequency_formatting():
