@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import itertools
 import logging
 import os
 import sys
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .evaluator import Relation, evaluate, sorted_rows
 from .formulas import QueryDecl, normalize, to_text
-from .mining import load_bias_file, mine
+from .mining import kept_splits, load_bias_file, mine_frequent
 from .parser import parse_query, parse_query_file
 from .schema import (
     DatabaseInstance,
@@ -211,6 +212,12 @@ def run_rule(session: Session, antecedent_arg: str, consequent_arg: str) -> int:
 
 
 def run_mine(session: Session, ns) -> int:
+    """Mine frequent queries (``mine_frequent``), then print the levels,
+    the frequent queries and each rule as ``kept_splits`` splits it off,
+    from its counts and kept texts, with no rule object.  Every bias,
+    threshold and load error is raised before the first line is written,
+    and stdout is written in chunks of ``MINE_CHUNK_LINES`` lines; the
+    CSV, when asked for, is written after stdout."""
     bias = load_bias_file(ns.bias, session.schema)
     min_support = _parse_fraction(ns.min_support, "--min-support")
     if not 0 < min_support <= 1:
@@ -220,45 +227,60 @@ def run_mine(session: Session, ns) -> int:
         raise ErmineError(f"--min-confidence must be in [0, 1], got {ns.min_confidence!r}")
     if ns.max_level is not None and ns.max_level < 1:
         raise ErmineError(f"--max-level must be at least 1, got {ns.max_level}")
-    result = mine(
+    result = mine_frequent(
         session.instance,
         bias,
         min_support,
-        min_confidence,
         max_level=ns.max_level,
         prune=not ns.no_prune,
     )
-    lines = [
-        f"level {level.level}: {level.candidates} candidates, {level.survivors} frequent"
-        for level in result.levels
-    ]
-    lines.append(f"frequent queries (min support {min_support}):")
-    for fq in result.frequent:
-        lines.append(f"  {fq.candidate.text()}  [frequency {fq.frequency}]")
-    if not result.frequent:
-        lines.append("  (none)")
-    lines.append(f"rules (min confidence {min_confidence}):")
-    # Rules split from one frequent query share its Frequency object, so
-    # the support's text is made once per query, from its two counts.
-    rows = []
-    support = None
-    for rule in result.rules:
-        if rule.support is not support:
-            support = rule.support
-            support_text = fraction_text(support.numerator, support.denominator)
-        confidence = str(rule.confidence)
-        lines.append(f"  {rule.text()}  [support {support_text}, confidence {confidence}]")
-        rows.append((rule.antecedent_text, rule.consequent_text, support_text, confidence))
-    if not result.rules:
-        lines.append("  (none)")
-    lines.append("")
-    sys.stdout.write("\n".join(lines))
+    rows = [] if ns.csv else None
+    _write_lines(_mine_lines(result, min_support, min_confidence, rows))
     if ns.csv:
         with open(ns.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["antecedent", "consequent", "support", "confidence"])
             writer.writerows(rows)
     return 0
+
+
+def _mine_lines(result, min_support, min_confidence, rows):
+    """The lines of the ``mine`` transcript.  Each rule's line is made as
+    ``kept_splits`` yields its split, from the two counts and the sets'
+    kept texts, with no rule object; its CSV row is appended to ``rows``
+    unless ``rows`` is None."""
+    for level in result.levels:
+        yield f"level {level.level}: {level.candidates} candidates, {level.survivors} frequent"
+    yield f"frequent queries (min support {min_support}):"
+    for fq in result.frequent:
+        yield f"  {fq.candidate.text()}  [frequency {fq.frequency}]"
+    if not result.frequent:
+        yield "  (none)"
+    yield f"rules (min confidence {min_confidence}):"
+    # The support's text is made once per frequent query, from its counts.
+    support = None
+    for fq, antecedent, consequent, count in kept_splits(result.frequent, min_confidence):
+        if fq.frequency is not support:
+            support = fq.frequency
+            support_text = fraction_text(support.numerator, support.denominator)
+        confidence = fraction_text(support.numerator, count)
+        a, c = antecedent.joined_text(), consequent.joined_text()
+        yield f"  {a} -> {c}  [support {support_text}, confidence {confidence}]"
+        if rows is not None:
+            rows.append((a, c, support_text, confidence))
+    if support is None:
+        yield "  (none)"
+
+
+MINE_CHUNK_LINES = 4096
+
+
+def _write_lines(lines) -> None:
+    """Write each line and a newline to stdout, ``MINE_CHUNK_LINES``
+    lines per write, so no more than one chunk of them is held."""
+    lines = iter(lines)
+    while chunk := list(itertools.islice(lines, MINE_CHUNK_LINES)):
+        sys.stdout.write("\n".join(chunk) + "\n")
 
 
 REPL_HELP = """\

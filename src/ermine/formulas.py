@@ -157,31 +157,33 @@ def equated_constants(f: Formula) -> dict[str, list]:
 def free_variables(f: Formula) -> tuple[str, ...]:
     """Free variables in order of first syntactic occurrence."""
     seen: dict[str, None] = {}
-
-    def walk(g, bound):
-        if isinstance(g, Atom):
-            for t in g.terms:
-                if isinstance(t, Variable) and t.name not in bound:
-                    seen.setdefault(t.name)
-        elif isinstance(g, Comparison):
-            for t in (g.left, g.right):
-                if isinstance(t, Variable) and t.name not in bound:
-                    seen.setdefault(t.name)
-        elif isinstance(g, Not):
-            walk(g.body, bound)
-        elif isinstance(g, And):
-            for c in g.conjuncts:
-                walk(c, bound)
-        elif isinstance(g, Or):
-            walk(g.left, bound)
-            walk(g.right, bound)
-        elif isinstance(g, (Exists, Forall)):
-            walk(g.body, bound | {g.var})
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-
-    walk(f, frozenset())
+    _note_free(f, frozenset(), seen)
     return tuple(seen)
+
+
+def _note_free(g: Formula, bound: frozenset, seen: dict) -> None:
+    """Add to ``seen`` each variable of ``g`` bound neither in ``g`` nor
+    by ``bound``, in order of first occurrence."""
+    if isinstance(g, Atom):
+        for t in g.terms:
+            if isinstance(t, Variable) and t.name not in bound:
+                seen.setdefault(t.name)
+    elif isinstance(g, Comparison):
+        for t in (g.left, g.right):
+            if isinstance(t, Variable) and t.name not in bound:
+                seen.setdefault(t.name)
+    elif isinstance(g, Not):
+        _note_free(g.body, bound, seen)
+    elif isinstance(g, And):
+        for c in g.conjuncts:
+            _note_free(c, bound, seen)
+    elif isinstance(g, Or):
+        _note_free(g.left, bound, seen)
+        _note_free(g.right, bound, seen)
+    elif isinstance(g, (Exists, Forall)):
+        _note_free(g.body, bound | {g.var}, seen)
+    else:
+        raise TypeError(f"not a formula: {g!r}")
 
 
 def subformulas(f: Formula):

@@ -33,13 +33,17 @@ signed set the run keeps one record, made from its parent's: its items,
 gate state and gate verdict, and, each on first need, its answer count
 and domain size as ints, its text, its conjunction, its one declaration
 over the head and its safety report.  Support and confidence are tested
-on those ints; a ``Frequency`` is built only for a frequent query and a
-confidence ``Fraction`` only for a kept rule.
+on those ints; a ``Frequency`` is built only for a frequent query.  Rule
+splitting is one generator (``kept_splits``) that yields each kept split
+as its frequent query, its antecedent's and consequent's records and the
+antecedent's count.  ``mine_rules`` builds a ``MinedRule``, with its
+confidence ``Fraction``, from each; the CLI formats each rule's line from
+the counts and the records' texts as it is yielded, with no rule object.
 
 Each signed item's conjuncts are rendered once per run.  The text of a
 frequent query, and of a rule's antecedent and consequent, is what
 ``to_text`` gives for the conjunction, joined once per set from those
-kept texts (``_Run.text``), so no printed line renders a formula again.
+kept texts (``_Set.joined_text``), so no printed line renders a formula again.
 
 Gating is carried from parent to child.  Each item is existentially
 closed over its non-head variables, so whatever the safety, entity, and
@@ -245,29 +249,32 @@ def _canonical_text(f: Formula, head) -> str:
     items that differ only in bound names collapse together.  The fresh
     names ``B1_``, ``B2_``, ... skip the head variables, which stay free."""
     fresh_names = (n for n in map("B{}_".format, itertools.count(1)) if n not in head)
+    return to_text(_renamed(f, {}, fresh_names))
 
-    def sub(term, env):
-        if isinstance(term, Variable) and term.name in env:
-            return Variable(env[term.name])
-        return term
 
-    def rebuild(g, env):
-        if isinstance(g, (Exists, Forall)):
-            fresh = next(fresh_names)
-            return type(g)(fresh, rebuild(g.body, {**env, g.var: fresh}))
-        if isinstance(g, Not):
-            return Not(rebuild(g.body, env))
-        if isinstance(g, And):
-            return conjunction([rebuild(c, env) for c in g.conjuncts])
-        if isinstance(g, Or):
-            return Or(rebuild(g.left, env), rebuild(g.right, env))
-        if isinstance(g, Comparison):
-            return Comparison(sub(g.left, env), g.op, sub(g.right, env))
-        if isinstance(g, Atom):
-            return Atom(g.predicate, tuple(sub(t, env) for t in g.terms))
-        raise TypeError(f"not a formula: {g!r}")
+def _renamed(g: Formula, env: dict, fresh_names) -> Formula:
+    """``g`` with each variable bound in it given the next of
+    ``fresh_names`` and each variable that ``env`` maps renamed."""
+    if isinstance(g, (Exists, Forall)):
+        fresh = next(fresh_names)
+        return type(g)(fresh, _renamed(g.body, {**env, g.var: fresh}, fresh_names))
+    if isinstance(g, Not):
+        return Not(_renamed(g.body, env, fresh_names))
+    if isinstance(g, And):
+        return conjunction([_renamed(c, env, fresh_names) for c in g.conjuncts])
+    if isinstance(g, Or):
+        return Or(_renamed(g.left, env, fresh_names), _renamed(g.right, env, fresh_names))
+    if isinstance(g, Comparison):
+        return Comparison(_renamed_term(g.left, env), g.op, _renamed_term(g.right, env))
+    if isinstance(g, Atom):
+        return Atom(g.predicate, tuple(_renamed_term(t, env) for t in g.terms))
+    raise TypeError(f"not a formula: {g!r}")
 
-    return to_text(rebuild(f, {}))
+
+def _renamed_term(term, env: dict):
+    if isinstance(term, Variable) and term.name in env:
+        return Variable(env[term.name])
+    return term
 
 
 def load_bias(doc, schema: Schema) -> LanguageBias:
@@ -435,7 +442,7 @@ class _Run:
     instance: the entity gate reads the instance's entity constants.
 
     A set's answer count (``count``, the one counting step, which the
-    level loop, rule splitting and ``frequency`` all read) and its
+    level loop and rule splitting both read) and its
     reference domain's size (``size``) are ints kept on its record, and
     so is its one ``QueryDecl`` (``decl``), shared by a candidate and
     every kept rule with that antecedent.  Text, conjunction and
@@ -545,9 +552,6 @@ class _Run:
     def text(self, mask: int) -> str:
         return self.set(mask).joined_text()
 
-    def body(self, mask: int) -> Formula:
-        return self.set(mask).conjunction()
-
     def decl(self, mask: int) -> QueryDecl:
         return self.set(mask).declared(self.head)
 
@@ -640,8 +644,8 @@ class _Run:
 
     def count(self, mask: int) -> int:
         """Answer count of the items' conjunction, which must be safe;
-        counted once.  The one counting step: candidates, rule
-        antecedents and ``frequency`` all read their counts here."""
+        counted once.  The one counting step: candidates and rule
+        antecedents both read their counts here."""
         record = self.set(mask)
         if record.count is None:
             record.count = self._answer_count(mask)
@@ -666,12 +670,6 @@ class _Run:
                 domain = self._bitset(members)
             record.size = domain.bit_count()
         return record.size
-
-    def frequency(self, mask: int) -> Frequency | None:
-        """The frequency of a candidate's signed set, None on an empty
-        reference domain."""
-        size = self.size(mask)
-        return Frequency(self.count(mask), size) if size else None
 
 
 def _negation(negates: _Item) -> _Item:
@@ -778,34 +776,28 @@ def mine_frequent(
     return MiningResult(tuple(frequent), (), tuple(stats))
 
 
-def mine_rules(
-    inst: DatabaseInstance,
-    frequent,
-    min_confidence: Fraction,
-) -> tuple[MinedRule, ...]:
+def kept_splits(frequent, min_confidence: Fraction):
     """Split each frequent multi-item query into antecedent -> consequent
-    rules and keep those at or above the confidence threshold.
+    and yield each split at or above ``min_confidence`` (a Fraction in
+    [0, 1], checked by the caller) as (frequent query, antecedent's
+    record, consequent's record, antecedent's answer count).
 
-    A split's A AND C has exactly the candidate's conjuncts, so its
-    answer count is the candidate's frequency numerator.  Splits are the
-    submasks of the candidate's mask in ascending order; the antecedent's
-    gate verdict and count come from its record in the candidate's mining
-    run (``_Run.set`` and ``_Run.count``), as the candidates' did.
-    Confidence is compared as integers.  Only a kept rule gets objects:
-    its confidence Fraction, its consequent's conjunction and the run's
-    one declaration of its antecedent (``_Run.decl``), which every rule
-    with that antecedent, and the candidate of that mask, share.
+    Frequent queries are taken in (level, canonical) order and each one's
+    splits are the submasks of its mask in ascending order, so splits come
+    in the order ``mine_rules`` keeps its rules.  A split's A AND C has
+    exactly the candidate's conjuncts, so its answer count is the
+    candidate's frequency numerator.  The antecedent's gate verdict and
+    count come from its record in the candidate's mining run (``_Run.set``
+    and ``_Run.count``), as the candidates' did, and confidence is
+    compared as integers.  A split whose antecedent drops head variables,
+    is unsafe or has no answers is logged at debug level and skipped.
+    Nothing is built for a split but the records, which the run keeps.
     """
-    min_confidence = Fraction(min_confidence)
-    if not 0 <= min_confidence <= 1:
-        raise ValueError("min_confidence must be in [0, 1]")
     least, per = min_confidence.numerator, min_confidence.denominator
-    rules = []
     for fq in sorted(frequent, key=lambda q: (q.level, q.candidate.canonical)):
         c = fq.candidate
         run = c.run
-        support = fq.frequency
-        both = support.numerator
+        both = fq.frequency.numerator
         for ant in _proper_submasks(c.mask):
             antecedent = run.set(ant)
             reason = antecedent.reason
@@ -819,27 +811,47 @@ def mine_rules(
                     log.debug("rule from %s: %s", c.canonical, UnsafeQueryError(run.safety(ant)))
                 continue
             count = run.count(ant)
-            # both / count < min_confidence, in integers.  A zero count is
-            # not skipped here, so confidence_from_count rejects it.
+            # both / count < min_confidence, in integers.
             if both * per < least * count:
                 continue
-            decl = antecedent.declared(run.head)
-            try:
-                conf = confidence_from_count(decl, both, count)
-            except ZeroAntecedentError as exc:
-                log.debug("rule from %s: %s", c.canonical, exc)
+            if not count:
+                # A zero count passes any threshold; the debug line is the
+                # error confidence_from_count raises for it.
+                try:
+                    confidence_from_count(antecedent.declared(run.head), both, count)
+                except ZeroAntecedentError as exc:
+                    log.debug("rule from %s: %s", c.canonical, exc)
                 continue
-            consequent = run.set(c.mask ^ ant)
-            rules.append(
-                MinedRule(
-                    decl,
-                    consequent.conjunction(),
-                    support,
-                    conf,
-                    antecedent.joined_text(),
-                    consequent.joined_text(),
-                )
+            yield fq, antecedent, run.set(c.mask ^ ant), count
+
+
+def mine_rules(
+    inst: DatabaseInstance,
+    frequent,
+    min_confidence: Fraction,
+) -> tuple[MinedRule, ...]:
+    """The rules split from the frequent queries at or above the
+    confidence threshold (``kept_splits``), each with its confidence
+    Fraction, its consequent's conjunction and the run's one declaration
+    of its antecedent (``_Run.decl``), which every rule with that
+    antecedent, and the candidate of that mask, share.
+    """
+    min_confidence = Fraction(min_confidence)
+    if not 0 <= min_confidence <= 1:
+        raise ValueError("min_confidence must be in [0, 1]")
+    rules = []
+    for fq, antecedent, consequent, count in kept_splits(frequent, min_confidence):
+        decl = antecedent.declared(fq.candidate.run.head)
+        rules.append(
+            MinedRule(
+                decl,
+                consequent.conjunction(),
+                fq.frequency,
+                confidence_from_count(decl, fq.frequency.numerator, count),
+                antecedent.joined_text(),
+                consequent.joined_text(),
             )
+        )
     return tuple(rules)
 
 

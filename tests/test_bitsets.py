@@ -98,7 +98,7 @@ def shuffled_masks(bias, name):
 
 def evaluated_count(inst, run, mask):
     """The answer count of the set's conjunction from ``evaluate``."""
-    return len(evaluate(inst, QueryDecl(None, run.head, run.body(mask))).rows)
+    return len(evaluate(inst, QueryDecl(None, run.head, run.set(mask).conjunction())).rows)
 
 
 @pytest.mark.parametrize("name", sorted(BIASES))
@@ -117,12 +117,8 @@ def test_bits_agree_with_conjoin_and_conjunction_domain(tv, name):
             assert count == len(run.answers(mask).rows)
         assert run.count(mask) == len(run.answers(mask).rows)
         assert run.count(mask) == evaluated_count(tv, run, mask)
-        size = len(reference_domain(tv, run.body(mask), run.head).members)
-        fr = run.frequency(mask)
-        if size:
-            assert (fr.numerator, fr.denominator) == (run.count(mask), size)
-        else:
-            assert fr is None
+        size = len(reference_domain(tv, run.set(mask).conjunction(), run.head).members)
+        assert run.size(mask) == size
     # Every pool has sets on the bit path and sets that fall back.
     assert 0 < counted < checked
     # Every index position is taken by one head tuple.

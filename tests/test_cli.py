@@ -12,9 +12,11 @@ import pytest
 
 from cli_runs import run_commands
 from conftest import BASKET_DIR, TV_DIR
+from ermine import cli
 from ermine.cli import REPL_HELP, _repl_line, build_arg_parser, main
 from ermine.parser import MAX_NESTING, MAX_SPLICED_NODES
 from test_bitsets import load_generator
+from test_metamorphic import MINE_DATA_BIAS
 
 SCHEMA = str(TV_DIR / "schema.json")
 DATA = str(TV_DIR / "data")
@@ -452,6 +454,32 @@ def test_a_reader_that_closes_the_pipe_ends_the_command_quietly(tmp_path):
     assert err == b""
 
 
+def test_a_reader_that_closes_the_pipe_mid_mine_ends_the_command_quietly(tmp_path):
+    # The mine-data bias on 100 generated programs prints more than a pipe
+    # buffer holds, so the transcript is still being written when the
+    # reader has taken the first line and gone.  stdout is buffered, as
+    # by default: unbuffered, a write cut short by the closed pipe goes
+    # unreported when it is the last one.
+    gen = load_generator()
+    data = tmp_path / "data"
+    gen.write_csvs(gen.generate(3, 100, 20), str(data))
+    bias = tmp_path / "bias.json"
+    bias.write_text(json.dumps(MINE_DATA_BIAS), encoding="utf-8")
+    args = [sys.executable, "-m", "ermine", "--schema", SCHEMA, "--data", str(data),
+            "mine", "--bias", str(bias), "--min-support", "1/10", "--min-confidence", "1/2"]
+    src = str(TV_DIR.parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    done = subprocess.run(args, env=env, capture_output=True, check=True)
+    assert len(done.stdout) > 2 * 65536
+    with subprocess.Popen(args, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"level 1: ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == 1
+    assert err == b""
+
+
 def reused_parser_sequences(rules_csv):
     """Command lines run in turn, each pair once with a fresh parser and
     once with the parser the first call left behind."""
@@ -532,6 +560,29 @@ def test_mine_mixed_bias_matches_the_recorded_output(capsys, tmp_path):
     assert code == 0
     assert out.encode("utf-8") == (TV_DIR / "mine_mixed.stdout").read_bytes()
     assert out_csv.read_bytes() == (TV_DIR / "mine_mixed.csv").read_bytes()
+
+
+def test_mine_writes_stdout_in_chunks(monkeypatch):
+    # At three lines per write, the recorded transcript arrives in
+    # ceil(lines / 3) writes of whole lines.
+    writes = []
+
+    class Stdout:
+        write = writes.append
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(cli, "MINE_CHUNK_LINES", 3)
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    code = main([*BASE, "mine", "--bias", str(TV_DIR / "bias_mixed.json"),
+                 "--min-support", "1/4", "--min-confidence", "1/2"])
+    monkeypatch.undo()
+    recorded = (TV_DIR / "mine_mixed.stdout").read_text(encoding="utf-8")
+    assert code == 0
+    assert "".join(writes) == recorded
+    assert len(writes) == -(-recorded.count("\n") // 3)
+    assert all(chunk.endswith("\n") and chunk.count("\n") <= 3 for chunk in writes)
 
 
 def test_mine_mixed_bias_debug_log_matches_the_recorded_log(capsys):
@@ -647,6 +698,46 @@ def test_mine_rejects_other_thresholds_out_of_range(capsys, option, value, messa
     assert code == 1
     assert out == ""
     assert err == f"error: {option} {message}\n"
+
+
+# (id, option, value, exit code) of bias, threshold and load errors;
+# "{tmp}" is the test's directory of broken inputs.
+MINE_ERRORS = [
+    ("missing-bias", "--bias", "{tmp}/no-such-bias.json", 2),
+    ("bias-not-json", "--bias", str(TV_DIR / "data" / "WeekdayTV.csv"), 2),
+    ("bias-not-a-query", "--bias", "{tmp}/bad-pattern.json", 1),
+    ("bias-bad-head", "--bias", "{tmp}/bad-head.json", 2),
+    ("support-junk", "--min-support", "lots", 1),
+    ("support-zero", "--min-support", "0", 1),
+    ("confidence-above-one", "--min-confidence", "3/2", 1),
+    ("max-level-zero", "--max-level", "0", 1),
+    ("missing-schema", "--schema", "{tmp}/no-such-schema.json", 2),
+    ("missing-data", "--data", "{tmp}/no-such-data", 2),
+    ("data-bad-cell", "--data", "{tmp}/bad-cell", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "option, value, code", [case[1:] for case in MINE_ERRORS], ids=[case[0] for case in MINE_ERRORS]
+)
+def test_mine_errors_leave_stdout_empty(capsys, tmp_path, option, value, code):
+    # Every bias, threshold and load error is raised before the first
+    # line of the transcript is written.
+    (tmp_path / "bad-pattern.json").write_text('{"head": ["P"], "items": ["Nope(P)"]}')
+    (tmp_path / "bad-head.json").write_text('{"head": ["p"], "items": ["TV-Program(P)"]}')
+    shutil.copytree(DATA, tmp_path / "bad-cell")
+    listings = tmp_path / "bad-cell" / "WeekdayTV.csv"
+    header, first, *rest = listings.read_text(encoding="utf-8").splitlines(True)
+    listings.write_text(header + first.replace(",10,", ",1_0,") + "".join(rest), encoding="utf-8")
+    options = {
+        "--schema": SCHEMA, "--data": DATA, "--bias": BIAS,
+        "--min-support": "1/4", "--min-confidence": "1/2",
+        option: value.format(tmp=tmp_path),
+    }
+    argv = [f"--schema={options.pop('--schema')}", f"--data={options.pop('--data')}", "mine"]
+    got, out, err = run(capsys, *argv, *(f"{k}={v}" for k, v in options.items()))
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("threshold", ["0", "1"])

@@ -322,7 +322,7 @@ def check_subset(inst, bias, run, signed):
         assert prepare_query(inst, QueryDecl(None, bias.head, body)).safety == report, ant
         if not report.safe:
             assert run.set(signed_mask(ant)).reason == f"unsafe ({report.violations[0].rule})"
-            assert check_safe(run.body(signed_mask(ant))) == report, ant
+            assert check_safe(run.set(signed_mask(ant)).conjunction()) == report, ant
             assert run.safety(signed_mask(ant)) == report, ant
             seen.add("unsafe antecedent")
     return seen

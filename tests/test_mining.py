@@ -1,6 +1,8 @@
 """Language bias loading and the level-wise rule miner."""
 
 import collections
+import csv
+import gc
 import json
 import logging
 import sys
@@ -123,6 +125,23 @@ def test_bias_defaults(tv_schema):
 def test_bias_validation(tv_schema, doc, message):
     with pytest.raises(BiasError, match=message):
         load_bias(doc, tv_schema)
+
+
+def test_loading_a_bias_leaves_no_cyclic_garbage(tv_schema):
+    # The recursive walks of a formula (free variables, renaming bound
+    # variables) are module-level functions, not nested ones whose
+    # closures refer to themselves, so nothing that load_bias makes waits
+    # for the cyclic collector.
+    doc = json.loads((TV_DIR / "bias_mixed.json").read_text(encoding="utf-8"))
+    load_bias(doc, tv_schema)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            load_bias(doc, tv_schema)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_bias_file_rejects_bad_json(tmp_path, tv_schema):
@@ -632,7 +651,7 @@ def mine_cli_cases(test):
 def mine_cli(capsys, tmp_path, bias, prune):
     """``ermine mine`` at the default log level with ``--csv`` on a fixture
     bias or a ``MINING_POOLS`` pool; checks that rules were printed and
-    written."""
+    written, and returns stdout."""
     if isinstance(bias, tuple):
         path = tmp_path / "bias.json"
         path.write_text(json.dumps(pool_bias(bias)), encoding="utf-8")
@@ -652,8 +671,10 @@ def mine_cli(capsys, tmp_path, bias, prune):
         ]
     )
     assert code == 0
-    assert " -> " in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert " -> " in out
     assert len(out_csv.read_text(encoding="utf-8").splitlines()) > 1
+    return out
 
 
 def patch_everywhere(monkeypatch, fn, replacement):
@@ -703,3 +724,36 @@ def test_mine_builds_no_gate_report_below_debug(monkeypatch, capsys, tmp_path, b
     mine_cli(capsys, tmp_path, bias, prune)
     monkeypatch.undo()
     assert calls == []
+
+
+@pytest.mark.parametrize("prune", [[], ["--no-prune"]], ids=["pruned", "no-prune"])
+@pytest.mark.parametrize(
+    "bias",
+    [*sorted(p.stem for p in TV_DIR.glob("bias_*.json")), *sorted(strategies.MINING_POOLS)],
+    ids=lambda bias: bias if isinstance(bias, str) else "pool-" + "-".join(bias),
+)
+def test_cli_rules_are_the_rules_mine_returns(monkeypatch, capsys, tmp_path, tv_schema, tv, bias, prune):
+    # One decision path, two consumers: mine_rules builds a MinedRule of
+    # each split kept_splits yields, and the CLI prints the same split
+    # from its counts and kept texts with no rule object.  The expected
+    # lines and rows are formatted here from the MinedRule tuple.
+    if isinstance(bias, tuple):
+        loaded = load_bias(pool_bias(bias), tv_schema)
+    else:
+        loaded = load_bias_file(TV_DIR / f"{bias}.json", tv_schema)
+    threshold = Fraction(1, 100)
+    rules = mine(tv, loaded, threshold, threshold, prune=not prune).rules
+    rows = [
+        [to_text(r.antecedent.body), to_text(r.consequent), str(r.support.value), str(r.confidence)]
+        for r in rules
+    ]
+    built = []
+    monkeypatch.setattr(mining, "MinedRule", lambda *args: built.append(args))
+    monkeypatch.setattr(mining._Set, "declared", lambda *args: built.append(args))
+    out = mine_cli(capsys, tmp_path, bias, prune)
+    monkeypatch.undo()
+    assert built == []
+    printed = out.split(f"rules (min confidence {threshold}):\n")[1].splitlines()
+    assert printed == [f"  {a} -> {c}  [support {s}, confidence {k}]" for a, c, s, k in rows]
+    with open(tmp_path / "rules.csv", newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh))[1:] == rows

@@ -192,7 +192,7 @@ def gated_sets_stay_within_the_domain(inst, bias):
         if run.set(mask).reason is not None:
             continue
         gated += 1
-        body = run.body(mask)
+        body = run.set(mask).conjunction()
         answers = set(evaluate(inst, QueryDecl(None, bias.head, body)).rows)
         assert answers <= reference_domain(inst, body, bias.head).members, to_text(body)
     return gated
