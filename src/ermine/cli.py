@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import io
 import itertools
 import logging
 import os
@@ -277,10 +278,30 @@ MINE_CHUNK_LINES = 4096
 
 def _write_lines(lines) -> None:
     """Write each line and a newline to stdout, ``MINE_CHUNK_LINES``
-    lines per write, so no more than one chunk of them is held."""
+    lines per write, so no more than one chunk of them is held.
+
+    Every byte of each chunk is written.  An unbuffered stdout
+    (``python -u``, ``PYTHONUNBUFFERED``) sits on the raw file, whose
+    write may take only part of a chunk, as when the reader closes the
+    pipe mid-write, and its text layer drops that short count.  There the
+    chunk is encoded as the text layer would (POSIX newlines) and written
+    to the raw file until all of it is out, so a reader gone mid-chunk
+    makes the next write raise ``BrokenPipeError``."""
+    out = sys.stdout
+    raw = getattr(out, "buffer", None)
+    if isinstance(raw, io.RawIOBase):
+        out.flush()
+    else:
+        raw = None
     lines = iter(lines)
     while chunk := list(itertools.islice(lines, MINE_CHUNK_LINES)):
-        sys.stdout.write("\n".join(chunk) + "\n")
+        text = "\n".join(chunk) + "\n"
+        if raw is None:
+            out.write(text)
+        else:
+            data = memoryview(text.encode(out.encoding, out.errors))
+            while data:
+                data = data[raw.write(data) or 0:]
 
 
 REPL_HELP = """\

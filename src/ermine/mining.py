@@ -29,11 +29,12 @@ set (a candidate's or a rule antecedent's items) is an int over the
 pool: bit 2i is item i taken positively, bit 2i+1 item i negated, so
 the set bits in ascending order are the set's items in the order its
 conjunction lists them.  Per
-signed set the run keeps one record, made from its parent's: its items,
-gate state and gate verdict, and, each on first need, its answer count
-and domain size as ints, its text, its conjunction, its one declaration
-over the head and its safety report.  Support and confidence are tested
-on those ints; a ``Frequency`` is built only for a frequent query.  Rule
+signed set the run keeps one record, made from its parent's and linked
+to it: its items, gate state and gate verdict, and, each on first need,
+its answer count and domain size as ints, its text, its conjunction, its
+one declaration over the head and its safety report.  Support and
+confidence are tested on those ints; a ``Frequency`` is built only for a
+frequent query.  Rule
 splitting is one generator (``kept_splits``) that yields each kept split
 as its frequent query, its antecedent's and consequent's records and the
 antecedent's count.  ``mine_rules`` builds a ``MinedRule``, with its
@@ -58,9 +59,13 @@ with constants, whether some conjunct is valid, and the rule of the
 first violation inside a conjunct.  Limitation, entity failures and
 validity only grow as conjuncts are added, so the drop reason is read
 from the state alone and is the verdict ``stats.prepare_query`` gives
-the set's query.  The miner builds no gate report but one: the safety
-report of an unsafe rule antecedent (``check_safe``), for its debug
-line only.
+the set's query.  Many sets share few states, so a run interns gate
+states by value and keeps one verdict, the joined state and its drop
+reason, per distinct (parent's state, item's state) pair, in the manner
+of hash-consing (Filliâtre & Conchon 2006): the join and the drop
+reason are worked out once per distinct pair, not once per set.  The
+miner builds no gate report but one: the safety report of an unsafe rule
+antecedent (``check_safe``), for its debug line only.
 
 Counting is vertical, in the manner of Eclat's tidsets (Zaki 2000) kept
 as MAFIA's vertical bitmaps (Burdick et al. 2001): each conjunct of each
@@ -383,12 +388,13 @@ class _Item:
 @dataclass(slots=True)
 class _Set:
     """A signed set as a mining run keeps it: its items' records in
-    order, their joined gate state and the drop reason read from it (None
-    when a query of the set passes), all made with the record.  The rest
-    is filled in on first need: ``domain_bits``, the OR of the items'
+    order, their joined gate state (the run's interned one) and the drop
+    reason read from it (None when a query of the set passes), and its
+    parent's record (None for one item), all made with the record.  The
+    rest is filled in on first need: ``domain_bits``, the OR of the items'
     domain bits, and ``bits``, the AND of their answer bits (None when an
     item has none), each made from the parent's and the last item's
-    (``_Run._set_bits``); the answer count (``count``) and the reference
+    (``_Run._filled``); the answer count (``count``) and the reference
     domain's size (``size``, 0 when it is empty), plain ints that the
     support and confidence tests compare; the text, the conjunction and
     its one declaration over the head (``decl``); and, for an unsafe rule
@@ -398,6 +404,7 @@ class _Set:
     items: tuple[_Item, ...]
     state: GateState
     reason: str | None
+    parent: _Set | None
     domain_bits: int | None = None
     bits: int | None = None
     count: int | None = None
@@ -450,11 +457,18 @@ class _Run:
     holding the record looks nothing up again.
 
     A set's record is made from its parent's (the set without its highest
-    bit): its gate state is the parent's joined with the state of that
-    bit's item, so a set of k items costs one join however it is reached,
-    as a candidate, a rule antecedent, or out of level order.  A set's
-    safety report is made only when asked for (``safety``), by the debug
-    line of an unsafe rule antecedent.
+    bit) and links to it: its gate state is the parent's joined with the
+    state of that bit's item.  Gate states are interned by value, one
+    object per distinct state, and the run keeps one verdict per distinct
+    (parent's state, item's state) pair: the joined state, interned, and
+    the drop reason read from it.  So ``GateState.joined`` and
+    ``drop_reason`` run once per distinct pair, however many sets share
+    it, and a set costs one lookup of its pair however it is reached, as
+    a candidate, a rule antecedent, or out of level order.  The join is
+    always the parent's state, then the last item's, never regrouped: the
+    first violation inside a conjunct (``GateState.inner``) depends on
+    that order.  A set's safety report is made only when asked for
+    (``safety``), by the debug line of an unsafe rule antecedent.
 
     Counting reads one index per run: a dict from head tuples, in head
     order, to bit positions, a tuple taking the next free position when
@@ -501,17 +515,27 @@ class _Run:
         self._items: dict[int, _Item] = {}
         self._sets: dict[int, _Set] = {}
         self._index: dict[tuple, int] = {}
+        self._states: dict[GateState, GateState] = {}
+        # Keyed by the ids of interned states, which _states keeps alive;
+        # a one-item set's parent state is None.
+        self._verdicts: dict[tuple[int | None, int], tuple[GateState, str | None]] = {}
 
     def item(self, bit: int) -> _Item:
-        """The record of the signed item at a mask bit."""
+        """The record of the signed item at a mask bit, its gate state
+        interned."""
         item = self._items.get(bit)
         if item is None:
             if bit & 1:
                 item = _negation(self.item(bit - 1))
             else:
                 item = self._positive(self.bias.items[bit >> 1])
+            item.state = self._interned(item.state)
             self._items[bit] = item
         return item
+
+    def _interned(self, state: GateState) -> GateState:
+        """The run's one object for a gate state of this value."""
+        return self._states.setdefault(state, state)
 
     def _positive(self, pool_item: PoolItem) -> _Item:
         """The record of a pool item taken positively.  Its canonical text
@@ -535,18 +559,25 @@ class _Run:
         )
 
     def set(self, mask: int) -> _Set:
-        """The record of a signed set, made once from its parent's."""
+        """The record of a signed set, made once from its parent's, with
+        the verdict of its (parent's state, last item's state) pair."""
         record = self._sets.get(mask)
         if record is None:
             top = mask.bit_length() - 1
             parent = mask ^ 1 << top
             item = self.item(top)
-            items, state = (item,), item.state
             if parent:
                 prefix = self.set(parent)
-                items, state = prefix.items + items, prefix.state.joined(state)
-            reason = state.drop_reason(self._head_set)
-            record = self._sets[mask] = _Set(items, state, reason)
+                items, pair = prefix.items + (item,), (id(prefix.state), id(item.state))
+            else:
+                prefix, items, pair = None, (item,), (None, id(item.state))
+            verdict = self._verdicts.get(pair)
+            if verdict is None:
+                state = item.state
+                if prefix is not None:
+                    state = self._interned(prefix.state.joined(state))
+                verdict = self._verdicts[pair] = state, state.drop_reason(self._head_set)
+            record = self._sets[mask] = _Set(items, *verdict, prefix)
         return record
 
     def text(self, mask: int) -> str:
@@ -613,17 +644,15 @@ class _Run:
             buf[p >> 3] |= 1 << (p & 7)
         return int.from_bytes(buf, "little")
 
-    def _set_bits(self, mask: int) -> _Set:
-        """The set's record with its domain bits and answer bits filled
-        in, once, from its parent's and those of its last item."""
-        record = self.set(mask)
+    def _filled(self, record: _Set) -> _Set:
+        """A set's record with its domain bits and answer bits filled in,
+        once, from its parent's and those of its last item."""
         if record.domain_bits is None:
-            top = mask.bit_length() - 1
-            item = self._counted(self.item(top))
+            item = self._counted(record.items[-1])
             domain, bits = item.domain_bits, item.bits
-            parent = mask ^ 1 << top
-            if parent:
-                prefix = self._set_bits(parent)
+            prefix = record.parent
+            if prefix is not None:
+                self._filled(prefix)
                 domain |= prefix.domain_bits
                 bits = None if bits is None or prefix.bits is None else bits & prefix.bits
             record.domain_bits, record.bits = domain, bits
@@ -633,7 +662,7 @@ class _Run:
         """The answer count of the items' conjunction from their bits;
         None when an item has no answer bits or none has a positive
         relation, which leaves the AND negative (every tuple but some)."""
-        bits = self._set_bits(mask).bits
+        bits = self._filled(self.set(mask)).bits
         return None if bits is None or bits < 0 else bits.bit_count()
 
     def answers(self, mask: int) -> Relation:
@@ -662,7 +691,7 @@ class _Run:
         worked out once.  The domain is the OR of the items' domain bits,
         or, when the set's comparisons equate every head variable with a
         constant, that of the set's conjunction."""
-        record = self._set_bits(mask)
+        record = self._filled(self.set(mask))
         if record.size is None:
             domain = record.domain_bits
             if self._head_set <= record.state.cover:
@@ -708,6 +737,7 @@ def enumerate_level(run: _Run, level: int, previous=None) -> list[Candidate]:
     if level < 1:
         raise ValueError("level must be >= 1")
     bias = run.bias
+    debug = log.isEnabledFor(logging.DEBUG)
     prefixes = [0] if level == 1 else [c.mask for c in previous or ()]
     out = []
     seen_signed = set()
@@ -723,11 +753,13 @@ def enumerate_level(run: _Run, level: int, previous=None) -> list[Candidate]:
                 seen_signed.add(mask)
                 candidate, reason = build_candidate(run, mask)
                 if candidate is None:
-                    log.debug("level %d: dropping %r: %s", level, signed_items(mask), reason)
+                    if debug:
+                        log.debug("level %d: dropping %r: %s", level, signed_items(mask), reason)
                 elif candidate.canonical in seen_canonical:
-                    log.debug(
-                        "level %d: dropping %r: duplicate query", level, signed_items(mask)
-                    )
+                    if debug:
+                        log.debug(
+                            "level %d: dropping %r: duplicate query", level, signed_items(mask)
+                        )
                 else:
                     seen_canonical.add(candidate.canonical)
                     out.append(candidate)
@@ -798,8 +830,9 @@ def kept_splits(frequent, min_confidence: Fraction):
         c = fq.candidate
         run = c.run
         both = fq.frequency.numerator
+        sets = run._sets
         for ant in _proper_submasks(c.mask):
-            antecedent = run.set(ant)
+            antecedent = sets.get(ant) or run.set(ant)
             reason = antecedent.reason
             if reason == "free-variable-mismatch":
                 log.debug(
@@ -822,7 +855,7 @@ def kept_splits(frequent, min_confidence: Fraction):
                 except ZeroAntecedentError as exc:
                     log.debug("rule from %s: %s", c.canonical, exc)
                 continue
-            yield fq, antecedent, run.set(c.mask ^ ant), count
+            yield fq, antecedent, sets.get(c.mask ^ ant) or run.set(c.mask ^ ant), count
 
 
 def mine_rules(

@@ -458,8 +458,20 @@ def test_a_reader_that_closes_the_pipe_mid_mine_ends_the_command_quietly(tmp_pat
     # The mine-data bias on 100 generated programs prints more than a pipe
     # buffer holds, so the transcript is still being written when the
     # reader has taken the first line and gone.  stdout is buffered, as
-    # by default: unbuffered, a write cut short by the closed pipe goes
-    # unreported when it is the last one.
+    # by default.
+    mine_into_a_pipe_closed_after_one_line(tmp_path, unbuffered=False)
+
+
+def test_a_reader_that_closes_the_pipe_mid_mine_ends_an_unbuffered_command_quietly(tmp_path):
+    # Unbuffered, the whole transcript is one chunk written to the raw
+    # file, whose write the closed pipe cuts short; the rest of the chunk
+    # is still written, so the cut is reported and the exit code is 1.
+    mine_into_a_pipe_closed_after_one_line(tmp_path, unbuffered=True)
+
+
+def mine_into_a_pipe_closed_after_one_line(tmp_path, unbuffered):
+    """Run ``mine`` on the mine-data bias over 100 generated programs,
+    read its first line and close the pipe: exit 1, nothing on stderr."""
     gen = load_generator()
     data = tmp_path / "data"
     gen.write_csvs(gen.generate(3, 100, 20), str(data))
@@ -470,6 +482,8 @@ def test_a_reader_that_closes_the_pipe_mid_mine_ends_the_command_quietly(tmp_pat
     src = str(TV_DIR.parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     done = subprocess.run(args, env=env, capture_output=True, check=True)
     assert len(done.stdout) > 2 * 65536
     with subprocess.Popen(args, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:

@@ -11,7 +11,7 @@ writes) byte for byte:
 * round trip: the instance ``load_instance_dir`` reads from one
   directory, written to another by ``save_instance_dir``.
 
-Two more relations run ``mine`` on the fixture instance with each
+Three more relations run ``mine`` on the fixture instance with each
 fixture bias, pruned and with ``--no-prune``:
 
 * duplicate items: a bias that names every item twice prints the same
@@ -19,7 +19,12 @@ fixture bias, pruned and with ``--no-prune``:
 * level prefix: a ``--max-level`` one below the bias's conjunct limit
   prints the full run's level lines up to that level, the full run's
   frequent queries up to the number those lines count, and a prefix of
-  its rules and of its ``--csv`` rows.
+  its rules and of its ``--csv`` rows;
+* item order: the fixture biases and the mining pools of strategies.py,
+  their items reversed or shuffled, find the same frequent queries and
+  rules, keyed by their items' sorted canonical texts, with the same
+  frequencies, supports and confidences.  Printed conjunct order and
+  rule order follow item order, so keys are compared, not lines.
 
 The instances are small TV survey instances from strategies.py, mined
 with a bias drawn from its pools, and instances of perfbench/gen.py,
@@ -37,6 +42,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -46,7 +52,8 @@ import pytest
 import strategies
 from cli_runs import run_commands
 from conftest import TV_DIR
-from ermine import load_instance_dir, save_instance_dir
+from ermine import load_bias, load_instance_dir, mine_frequent, save_instance_dir
+from ermine.mining import kept_splits
 from test_bitsets import load_generator
 
 SCHEMA = str(TV_DIR / "schema.json")
@@ -333,3 +340,68 @@ def test_a_lower_max_level_prints_a_prefix_of_the_full_run(name, options, tmp_pa
     assert cut_rules == rules[: len(cut_rules)]
     cut_csv = cut[3].splitlines()
     assert cut_csv == full[3].splitlines()[: len(cut_csv)]
+
+
+def item_orders(items):
+    """The items reversed and in two shuffled orders."""
+    orders = [items[::-1]]
+    for seed in (1, 2):
+        shuffled = list(items)
+        random.Random(seed).shuffle(shuffled)
+        orders.append(shuffled)
+    return orders
+
+
+def mined_by_key(inst, bias, prune):
+    """The frequent queries and kept rules of ``bias`` at support 1/10 and
+    confidence 1/2, keyed apart from item order.  A query's key is its
+    candidate's canonical text, its items' canonical texts sorted; a
+    rule's is the sorted canonical texts of its antecedent's and of its
+    consequent's items.  Queries carry their answer count and domain
+    size, rules their support and confidence."""
+    result = mine_frequent(inst, bias, Fraction(1, 10), prune=prune)
+    queries = sorted(
+        (fq.candidate.canonical, fq.frequency.numerator, fq.frequency.denominator)
+        for fq in result.frequent
+    )
+    rules = sorted(
+        (
+            " AND ".join(sorted(item.canonical for item in antecedent.items)),
+            " AND ".join(sorted(item.canonical for item in consequent.items)),
+            fq.frequency.value,
+            Fraction(fq.frequency.numerator, count),
+        )
+        for fq, antecedent, consequent, count in kept_splits(result.frequent, Fraction(1, 2))
+    )
+    return queries, rules
+
+
+def bias_document(name):
+    """A fixture bias document, or a ``strategies.MINING_POOLS`` pool at
+    three conjuncts with negation."""
+    if name in FIXTURE_BIASES:
+        with open(TV_DIR / f"{name}.json", encoding="utf-8") as fh:
+            return json.load(fh)
+    head = tuple(name.removeprefix("pool-").split("-"))
+    return {
+        "head": list(head),
+        "items": list(strategies.MINING_POOLS[head]),
+        "max_conjuncts": 3,
+        "allow_negation": True,
+    }
+
+
+POOL_NAMES = tuple("pool-" + "-".join(head) for head in sorted(strategies.MINING_POOLS))
+
+
+@pytest.mark.parametrize("prune", [True, False], ids=["pruned", "no-prune"])
+@pytest.mark.parametrize("name", FIXTURE_BIASES + POOL_NAMES)
+def test_the_order_of_bias_items_changes_nothing_found(name, prune, tv_schema, tv):
+    # Printed conjunct order and rule order follow item order, so what is
+    # compared is keyed by sorted canonical texts, not printed lines.
+    doc = bias_document(name)
+    expected = mined_by_key(tv, load_bias(doc, tv_schema), prune)
+    assert expected[0] and expected[1]
+    for items in item_orders(doc["items"]):
+        permuted = load_bias({**doc, "items": items}, tv_schema)
+        assert mined_by_key(tv, permuted, prune) == expected

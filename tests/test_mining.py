@@ -7,6 +7,7 @@ import json
 import logging
 import sys
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -33,10 +34,10 @@ from ermine import (
     normalize,
 )
 from ermine.cli import main
-from ermine.entities import GateState, gate_reports
+from ermine.entities import GateState, conjunction_gates, gate_reports
 from ermine.evaluator import evaluate
-from ermine.formulas import to_text
-from ermine.mining import _Run
+from ermine.formulas import conjuncts_of, to_text
+from ermine.mining import _Run, signed_items
 from ermine.stats import checked_query, frequency
 from test_bitsets import load_generator
 from test_metamorphic import MINE_DATA_BIAS
@@ -469,14 +470,16 @@ def test_mining_gates_each_signed_set_once(
 ):
     # Rule antecedents read the verdicts candidates left, and an unsafe
     # antecedent keeps its verdict for every later split that reaches it.
-    # A set of two or more items gets its gate state by one join of its
-    # parent's kept state with its last item's kept state, so a set gated
-    # twice would repeat a pair; the joined states are kept alive, so no
-    # id is reused.  At debug level the safety report of an unsafe
-    # antecedent is made at most once per set: the run keeps one body per
-    # set, kept alive here too, so its identity names the set.  No other
-    # gate report is made; a frequent query's decl is its plain query,
-    # built once, and passes the single-query gates.
+    # A set of two or more items gets its gate state from the run's one
+    # verdict for its (parent's state, last item's state) pair, and a pair
+    # is joined once, so a join repeated would repeat a pair; the joined
+    # states are kept alive, so no id is reused.  The run makes hundreds
+    # of records, but joins no more than it has distinct pairs, besides
+    # the joins of an item's own conjuncts.  At debug level the safety
+    # report of an unsafe antecedent is made at most once per set: the run
+    # keeps one body per set, kept alive here too, so its identity names
+    # the set.  No other gate report is made; a frequent query's decl is
+    # its plain query, built once, and passes the single-query gates.
     bias = load_bias(pool_bias(head), tv_schema)
     joined, kept = collections.Counter(), []
     join = GateState.joined
@@ -499,7 +502,17 @@ def test_mining_gates_each_signed_set_once(
     result = mine(tv, bias, Fraction(1, 100), Fraction(1, 10**9), prune=prune)
     monkeypatch.undo()
     assert result.rules
-    assert len(joined) > 400
+    run = result.frequent[0].candidate.run
+    assert len(run._sets) > 400
+    pairs = {
+        (id(record.parent.state), id(record.items[-1].state))
+        for record in run._sets.values()
+        if record.parent is not None
+    }
+    item_joins = sum(
+        len(conjuncts_of(item.part)) - 1 for bit, item in run._items.items() if not bit & 1
+    )
+    assert sum(joined.values()) - item_joins <= len(pairs)
     assert max(joined.values()) == 1
     assert reported
     assert max(reported.values()) == 1
@@ -507,6 +520,33 @@ def test_mining_gates_each_signed_set_once(
         decl = fq.candidate.decl
         assert fq.candidate.decl is decl
         assert checked_query(tv, decl).variables == head
+
+
+@pytest.mark.parametrize("prune", [True, False])
+@pytest.mark.parametrize("head", sorted(strategies.MINING_POOLS))
+def test_each_set_keeps_the_verdict_of_its_own_items(tv_schema, tv, head, prune):
+    # Sets share verdicts by their (parent's state, last item's state)
+    # pair.  Each record's state and reason are still those of its own
+    # items' conjuncts, summarized afresh and joined in mask order, and its
+    # parent is the record of the set without its highest bit.
+    bias = load_bias(pool_bias(head), tv_schema)
+    result = mine(tv, bias, Fraction(1, 100), Fraction(1, 10**9), prune=prune)
+    run = result.frequent[0].candidate.run
+    assert len(run._sets) > 100
+    states = set()
+    for mask, record in run._sets.items():
+        conjuncts = []
+        for i, negated in signed_items(mask):
+            part = normalize(bias.items[i].formula)
+            conjuncts += conjunction_gates(Not(part) if negated else part, tv, head)
+        state = reduce(GateState.joined, [g.state for g in conjuncts])
+        assert record.state == state, mask
+        assert record.reason == state.drop_reason(frozenset(head)), mask
+        top = 1 << mask.bit_length() - 1
+        assert record.parent is run._sets.get(mask ^ top), mask
+        assert record.items[-1] is run.item(top.bit_length() - 1), mask
+        states.add(state)
+    assert len(states) > 1
 
 
 def test_result_objects_are_built_only_for_what_is_kept(monkeypatch, tv_schema, tv):
