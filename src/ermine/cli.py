@@ -254,7 +254,9 @@ def _mine_lines(result, min_support, min_confidence, rows):
         yield f"level {level.level}: {level.candidates} candidates, {level.survivors} frequent"
     yield f"frequent queries (min support {min_support}):"
     for fq in result.frequent:
-        yield f"  {fq.candidate.text()}  [frequency {fq.frequency}]"
+        record = fq.candidate.record
+        n, d = record.count, record.size
+        yield f"  {fq.candidate.text()}  [frequency {n}/{d} = {fraction_text(n, d)}]"
     if not result.frequent:
         yield "  (none)"
     yield f"rules (min confidence {min_confidence}):"

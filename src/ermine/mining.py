@@ -32,7 +32,11 @@ conjunction lists them.  Per
 signed set the run keeps one record, made from its parent's and linked
 to it: its items, gate state and gate verdict, and, each on first need,
 its answer count and domain size as ints, its text, its conjunction, its
-one declaration over the head and its safety report.  Support and
+one declaration over the head and its safety report.  A set is looked
+up by its mask only where the miner starts from a mask: when the level
+loop visits a set and for a rule split's antecedent and consequent.  A
+candidate holds its set's record, from which the level loop reads its
+domain size and answer count and the CLI prints its line.  Support and
 confidence are tested on those ints; a ``Frequency`` is built only for a
 frequent query.  Rule
 splitting is one generator (``kept_splits``) that yields each kept split
@@ -168,21 +172,27 @@ class LanguageBias:
     allow_negation: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Candidate:
     """A candidate query: a signed set of pool items that passed the gates.
 
-    ``mask`` is the signed set (bit 2i item i, bit 2i+1 item i negated),
-    and ``parts`` the run's normalized part of each signed item (the
-    item's closure, negated where the sign says so).  ``run`` is the
+    ``mask`` is the signed set (bit 2i item i, bit 2i+1 item i negated)
+    and ``record`` the mining run's record of it (``_Set``), which the
+    level loop counts and the transcript prints from.  ``run`` is the
     mining run that built the candidate; rule splitting regroups the
     signed items through it and reuses its records and counts.
     """
 
     mask: int
-    parts: tuple[Formula, ...]
     canonical: str
+    record: _Set = field(compare=False, repr=False)
     run: _Run = field(compare=False, repr=False)
+
+    @property
+    def parts(self) -> tuple[Formula, ...]:
+        """The run's normalized part of each signed item (the item's
+        closure, negated where the sign says so)."""
+        return tuple(item.part for item in self.record.items)
 
     @property
     def signed_items(self) -> tuple[tuple[int, bool], ...]:
@@ -194,13 +204,13 @@ class Candidate:
 
     @property
     def decl(self) -> QueryDecl:
-        """The conjunction of the parts over the run's head: the run's one
-        declaration of the mask (``_Run.decl``)."""
-        return self.run.decl(self.mask)
+        """The conjunction of the parts over the run's head: the record's
+        one declaration (``_Set.declared``)."""
+        return self.record.declared(self.run.head)
 
     def text(self) -> str:
         """``decl.text()``, joined from the run's kept conjunct texts."""
-        return declaration_text(None, self.run.head, self.run.text(self.mask))
+        return declaration_text(None, self.run.head, self.record.joined_text())
 
 
 @dataclass(frozen=True)
@@ -354,7 +364,7 @@ class _Item:
     so; ``state`` is the gate state its conjuncts' summaries
     (``entities.ConjunctGates``) join to.  ``texts`` is each conjunct
     rendered once by ``to_text`` as a conjunct of an And
-    (``formulas.conjunct_text``), which ``_Run.text`` joins, and ``text``
+    (``formulas.conjunct_text``), which ``_Set.joined_text`` joins, and ``text``
     is ``to_text(part)``: a lone conjunct's own text, unwrapped, or the
     joined ``texts``.  A negated item's ``negates`` is the record of the
     item it negates, and its state (``GateState.negated``), canonical
@@ -449,12 +459,16 @@ class _Run:
     instance: the entity gate reads the instance's entity constants.
 
     A set's answer count (``count``, the one counting step, which the
-    level loop and rule splitting both read) and its
-    reference domain's size (``size``) are ints kept on its record, and
-    so is its one ``QueryDecl`` (``decl``), shared by a candidate and
-    every kept rule with that antecedent.  Text, conjunction and
-    declaration are made by the record itself (``_Set``), so a caller
-    holding the record looks nothing up again.
+    level loop and rule splitting both read) and its reference domain's
+    size (``size``) are ints kept on its record, and so is its one
+    ``QueryDecl`` (``_Set.decl``), shared by a candidate and every kept
+    rule with that antecedent.  ``count``, ``size`` and ``safety`` take
+    the record, and text, conjunction and declaration are made by the
+    record itself (``_Set``), so a caller holding the record, as a
+    candidate does, looks nothing up again: ``set`` is called once per
+    set the level loop visits and once per parent a new record finds
+    missing, and by rule splitting only for an antecedent or consequent
+    that has no record yet.
 
     A set's record is made from its parent's (the set without its highest
     bit) and links to it: its gate state is the parent's joined with the
@@ -561,13 +575,14 @@ class _Run:
     def set(self, mask: int) -> _Set:
         """The record of a signed set, made once from its parent's, with
         the verdict of its (parent's state, last item's state) pair."""
-        record = self._sets.get(mask)
+        sets = self._sets
+        record = sets.get(mask)
         if record is None:
             top = mask.bit_length() - 1
             parent = mask ^ 1 << top
-            item = self.item(top)
+            item = self._items.get(top) or self.item(top)
             if parent:
-                prefix = self.set(parent)
+                prefix = sets.get(parent) or self.set(parent)
                 items, pair = prefix.items + (item,), (id(prefix.state), id(item.state))
             else:
                 prefix, items, pair = None, (item,), (None, id(item.state))
@@ -577,18 +592,11 @@ class _Run:
                 if prefix is not None:
                     state = self._interned(prefix.state.joined(state))
                 verdict = self._verdicts[pair] = state, state.drop_reason(self._head_set)
-            record = self._sets[mask] = _Set(items, *verdict, prefix)
+            record = sets[mask] = _Set(items, *verdict, prefix)
         return record
 
-    def text(self, mask: int) -> str:
-        return self.set(mask).joined_text()
-
-    def decl(self, mask: int) -> QueryDecl:
-        return self.set(mask).declared(self.head)
-
-    def safety(self, mask: int) -> SafetyReport:
+    def safety(self, record: _Set) -> SafetyReport:
         """``check_safe`` of the items' conjunction, made on first need."""
-        record = self.set(mask)
         if record.safety is None:
             record.safety = check_safe(record.conjunction())
         return record.safety
@@ -652,48 +660,43 @@ class _Run:
             domain, bits = item.domain_bits, item.bits
             prefix = record.parent
             if prefix is not None:
-                self._filled(prefix)
+                if prefix.domain_bits is None:
+                    self._filled(prefix)
                 domain |= prefix.domain_bits
                 bits = None if bits is None or prefix.bits is None else bits & prefix.bits
             record.domain_bits, record.bits = domain, bits
         return record
 
-    def bit_count(self, mask: int) -> int | None:
+    def bit_count(self, record: _Set) -> int | None:
         """The answer count of the items' conjunction from their bits;
         None when an item has no answer bits or none has a positive
         relation, which leaves the AND negative (every tuple but some)."""
-        bits = self._filled(self.set(mask)).bits
+        bits = self._filled(record).bits
         return None if bits is None or bits < 0 else bits.bit_count()
 
-    def answers(self, mask: int) -> Relation:
+    def answers(self, record: _Set) -> Relation:
         """Answers of the items' conjunction, which must be safe."""
-        evaluated = [self._counted(item).evaluated for item in self.set(mask).items]
+        evaluated = [self._counted(item).evaluated for item in record.items]
         # zip(*evaluated) groups each of conjoin's three inputs across items.
         return conjoin(*(list(itertools.chain(*kind)) for kind in zip(*evaluated)))
 
-    def count(self, mask: int) -> int:
-        """Answer count of the items' conjunction, which must be safe;
-        counted once.  The one counting step: candidates and rule
-        antecedents both read their counts here."""
-        record = self.set(mask)
+    def count(self, record: _Set) -> int:
+        """Answer count of the items' conjunction, which must be safe,
+        from bits where the items have them, else by conjoining their
+        relations; counted once.  The one counting step: candidates and
+        rule antecedents both read their counts here."""
         if record.count is None:
-            record.count = self._answer_count(mask)
+            count = self.bit_count(record)
+            record.count = len(self.answers(record).rows) if count is None else count
         return record.count
 
-    def _answer_count(self, mask: int) -> int:
-        """The answer count from bits where the items have them, else by
-        conjoining their relations."""
-        count = self.bit_count(mask)
-        return len(self.answers(mask).rows) if count is None else count
-
-    def size(self, mask: int) -> int:
+    def size(self, record: _Set) -> int:
         """The size of a candidate's reference domain, 0 when it is empty;
         worked out once.  The domain is the OR of the items' domain bits,
         or, when the set's comparisons equate every head variable with a
         constant, that of the set's conjunction."""
-        record = self._filled(self.set(mask))
         if record.size is None:
-            domain = record.domain_bits
+            domain = self._filled(record).domain_bits
             if self._head_set <= record.state.cover:
                 members = reference_domain(self.inst, record.conjunction(), self.head).members
                 domain = self._bitset(members)
@@ -724,9 +727,8 @@ def build_candidate(run: _Run, mask: int):
     record = run.set(mask)
     if record.reason is not None:
         return None, record.reason
-    items = record.items
-    canonical = " AND ".join(sorted([item.canonical for item in items]))
-    return Candidate(mask, tuple(item.part for item in items), canonical, run), None
+    canonical = " AND ".join(sorted([item.canonical for item in record.items]))
+    return Candidate(mask, canonical, record, run), None
 
 
 def enumerate_level(run: _Run, level: int, previous=None) -> list[Candidate]:
@@ -739,15 +741,22 @@ def enumerate_level(run: _Run, level: int, previous=None) -> list[Candidate]:
     bias = run.bias
     debug = log.isEnabledFor(logging.DEBUG)
     prefixes = [0] if level == 1 else [c.mask for c in previous or ()]
+    # Each item's two bits, which a set extended by it must not hold, and
+    # the bits it may be added as: positive, then negated where allowed.
+    extensions = [
+        (3 << 2 * i, (1 << 2 * i, 2 << 2 * i) if bias.allow_negation and item.negatable
+         else (1 << 2 * i,))
+        for i, item in enumerate(bias.items)
+    ]
     out = []
     seen_signed = set()
     seen_canonical = set()
     for prefix in prefixes:
-        for i, item in enumerate(bias.items):
-            if prefix >> 2 * i & 3:
+        for used, bits in extensions:
+            if prefix & used:
                 continue
-            for neg in (False, True) if bias.allow_negation and item.negatable else (False,):
-                mask = prefix | 1 << (2 * i + neg)
+            for bit in bits:
+                mask = prefix | bit
                 if mask in seen_signed:
                     continue
                 seen_signed.add(mask)
@@ -789,22 +798,25 @@ def mine_frequent(
         candidates = enumerate_level(run, level, extendable)
         evaluated = []
         survivors = []
+        found = []
         for c in candidates:
-            size = run.size(c.mask)
+            record = c.record
+            size = run.size(record)
             if not size:
                 log.debug("level %d: empty domain for %s", level, c.canonical)
                 continue
             evaluated.append(c)
-            count = run.count(c.mask)
+            count = run.count(record)
             # count / size >= min_support, in integers.
             if count * per >= least * size:
                 survivors.append(c)
-                frequent.append(FrequentQuery(c, Frequency(count, size)))
+                found.append(FrequentQuery(c, Frequency(count, size)))
+        # Levels come in order, so this sorts by (level, canonical text).
+        frequent += sorted(found, key=lambda fq: fq.candidate.canonical)
         stats.append(LevelStats(level, len(candidates), len(survivors)))
         extendable = survivors if prune else evaluated
         if not extendable:
             break
-    frequent.sort(key=lambda fq: (fq.level, fq.candidate.canonical))
     return MiningResult(tuple(frequent), (), tuple(stats))
 
 
@@ -841,9 +853,11 @@ def kept_splits(frequent, min_confidence: Fraction):
                 continue
             if reason is not None and reason.startswith("unsafe"):
                 if log.isEnabledFor(logging.DEBUG):
-                    log.debug("rule from %s: %s", c.canonical, UnsafeQueryError(run.safety(ant)))
+                    log.debug(
+                        "rule from %s: %s", c.canonical, UnsafeQueryError(run.safety(antecedent))
+                    )
                 continue
-            count = run.count(ant)
+            count = run.count(antecedent)
             # both / count < min_confidence, in integers.
             if both * per < least * count:
                 continue
@@ -865,9 +879,9 @@ def mine_rules(
 ) -> tuple[MinedRule, ...]:
     """The rules split from the frequent queries at or above the
     confidence threshold (``kept_splits``), each with its confidence
-    Fraction, its consequent's conjunction and the run's one declaration
-    of its antecedent (``_Run.decl``), which every rule with that
-    antecedent, and the candidate of that mask, share.
+    Fraction, its consequent's conjunction and the one declaration of
+    its antecedent's record (``_Set.declared``), which every rule with
+    that antecedent, and the candidate of that mask, share.
     """
     min_confidence = Fraction(min_confidence)
     if not 0 <= min_confidence <= 1:

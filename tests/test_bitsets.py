@@ -108,17 +108,18 @@ def test_bits_agree_with_conjoin_and_conjunction_domain(tv, name):
     run = _Run(bias, tv)
     counted = checked = 0
     for mask in shuffled_masks(bias, name):
-        if not countable(run.set(mask).reason):
+        record = run.set(mask)
+        if not countable(record.reason):
             continue
         checked += 1
-        count = run.bit_count(mask)
+        count = run.bit_count(record)
         if count is not None:
             counted += 1
-            assert count == len(run.answers(mask).rows)
-        assert run.count(mask) == len(run.answers(mask).rows)
-        assert run.count(mask) == evaluated_count(tv, run, mask)
-        size = len(reference_domain(tv, run.set(mask).conjunction(), run.head).members)
-        assert run.size(mask) == size
+            assert count == len(run.answers(record).rows)
+        assert run.count(record) == len(run.answers(record).rows)
+        assert run.count(record) == evaluated_count(tv, run, mask)
+        size = len(reference_domain(tv, record.conjunction(), run.head).members)
+        assert run.size(record) == size
     # Every pool has sets on the bit path and sets that fall back.
     assert 0 < counted < checked
     # Every index position is taken by one head tuple.
@@ -130,8 +131,9 @@ def test_negated_items_read_the_bits_of_the_item_they_negate(tv, name):
     bias = BIASES[name]()
     run = _Run(bias, tv)
     for mask in shuffled_masks(bias, name):
-        if countable(run.set(mask).reason):
-            run.count(mask)
+        record = run.set(mask)
+        if countable(record.reason):
+            run.count(record)
     negated_items = [
         item for bit, item in run._items.items() if bit & 1 and item.evaluated is not None
     ]
@@ -163,13 +165,13 @@ def test_items_whose_atoms_take_their_comparisons_count_from_bits(tv):
         for t in ("TV-Program(P)", 'P = "Gilmore"', 'TV-Program(P) AND P != "Gilmore"')
     )
     # The atom takes P != "Gilmore", so the item's relation is over P.
-    count = run.bit_count(1 << not_gilmore)
+    count = run.bit_count(run.set(1 << not_gilmore))
     assert count is not None
     assert count == evaluated_count(tv, run, 1 << not_gilmore) > 0
     # No atom of the bare comparison's item binds P: it stays for conjoin.
     both = 1 << gilmore | 1 << program
-    assert run.bit_count(both) is None
-    assert run.count(both) == evaluated_count(tv, run, both) == 1
+    assert run.bit_count(run.set(both)) is None
+    assert run.count(run.set(both)) == evaluated_count(tv, run, both) == 1
 
 
 def test_partial_head_items_fall_back(tv):
@@ -178,15 +180,17 @@ def test_partial_head_items_fall_back(tv):
         2 * i for i in range(len(PARTIAL_HEAD_POOL))
     )
     # Counted first, the pairs' answers all take new index positions.
-    assert run.bit_count(1 << pairs) == len(run.answers(1 << pairs).rows) > 0
-    assert run.set(1 << pairs).reason == "not-valid"
-    assert run.bit_count(1 << weekend | 1 << rbc) is not None
-    assert run.bit_count(1 << program | 1 << weekend) is None
-    assert run.bit_count(1 << gilmore | 1 << weekend) is None
+    pairs_set = run.set(1 << pairs)
+    assert run.bit_count(pairs_set) == len(run.answers(pairs_set).rows) > 0
+    assert pairs_set.reason == "not-valid"
+    assert run.bit_count(run.set(1 << weekend | 1 << rbc)) is not None
+    assert run.bit_count(run.set(1 << program | 1 << weekend)) is None
+    assert run.bit_count(run.set(1 << gilmore | 1 << weekend)) is None
     # Every RBC listing is a listing on a known station.
     (relation,) = run._counted(run.item(listed)).evaluated[0]
     assert relation.columns == ("SN", "P")
-    assert run.bit_count(1 << rbc | 1 << listed) == len(run.answers(1 << rbc).rows) > 0
+    listed_rbc = run.bit_count(run.set(1 << rbc | 1 << listed))
+    assert listed_rbc == len(run.answers(run.set(1 << rbc)).rows) > 0
 
 
 def load_generator():
@@ -215,7 +219,7 @@ def test_mined_statistics_at_size_match_stats():
     assert len(result.frequent) > 100 and len(result.rules) > 100
     run = result.frequent[0].candidate.run
     for fq in result.frequent:
-        assert run.bit_count(fq.candidate.mask) is not None
+        assert run.bit_count(fq.candidate.record) is not None
     for fq in result.frequent:
         assert fq.frequency == frequency(inst, fq.candidate.decl)
     for rule in result.rules:

@@ -321,9 +321,10 @@ def check_subset(inst, bias, run, signed):
         assert report == reference_safety(body), ant
         assert prepare_query(inst, QueryDecl(None, bias.head, body)).safety == report, ant
         if not report.safe:
-            assert run.set(signed_mask(ant)).reason == f"unsafe ({report.violations[0].rule})"
-            assert check_safe(run.set(signed_mask(ant)).conjunction()) == report, ant
-            assert run.safety(signed_mask(ant)) == report, ant
+            record = run.set(signed_mask(ant))
+            assert record.reason == f"unsafe ({report.violations[0].rule})"
+            assert check_safe(record.conjunction()) == report, ant
+            assert run.safety(record) == report, ant
             seen.add("unsafe antecedent")
     return seen
 

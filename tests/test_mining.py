@@ -3,6 +3,7 @@
 import collections
 import csv
 import gc
+import itertools
 import json
 import logging
 import sys
@@ -33,7 +34,7 @@ from ermine import (
     mining,
     normalize,
 )
-from ermine.cli import main
+from ermine.cli import _mine_lines, main
 from ermine.entities import GateState, conjunction_gates, gate_reports
 from ermine.evaluator import evaluate
 from ermine.formulas import conjuncts_of, to_text
@@ -446,21 +447,63 @@ def test_mining_never_evaluates_a_whole_query(monkeypatch, tv_schema, tv, head):
 def test_mining_counts_each_signed_set_once(monkeypatch, tv_schema, tv, head, prune):
     # A rule antecedent that never was a candidate splits from several
     # frequent queries of the (P, SN) pool; its count is kept too.  Every
-    # count, from bits or by conjoin, is taken in _Run._answer_count.
+    # count, from bits or by conjoin, is taken in _Run.count, the one
+    # counting step, which counts a record whose count is not yet kept.
+    # A set is named by its items' records, one per signed item and kept
+    # alive by the run, so a second record of one set would count again.
     bias = load_bias(pool_bias(head), tv_schema)
     counted = collections.Counter()
-    answer_count = _Run._answer_count
+    count = _Run.count
 
-    def counting(run, mask):
-        counted[id(run), mask] += 1
-        return answer_count(run, mask)
+    def counting(run, record):
+        if record.count is None:
+            counted[id(run), tuple(map(id, record.items))] += 1
+        return count(run, record)
 
-    monkeypatch.setattr(_Run, "_answer_count", counting)
+    monkeypatch.setattr(_Run, "count", counting)
     result = mine(tv, bias, Fraction(1, 100), Fraction(1, 10**9), prune=prune)
     monkeypatch.undo()
     assert result.rules
     assert len(counted) > 300
     assert max(counted.values()) == 1
+
+
+@pytest.mark.parametrize("prune", [True, False])
+@pytest.mark.parametrize("head", sorted(strategies.MINING_POOLS))
+def test_candidates_are_measured_and_printed_from_their_records(
+    monkeypatch, tv_schema, tv, head, prune
+):
+    # A candidate holds its set's record, so once enumerate_level has
+    # returned, the level loop's size and count and the transcript's
+    # frequent-query lines look no record up by its mask.  The lines are
+    # the ones the query and its Frequency print.
+    bias = load_bias(pool_bias(head), tv_schema)
+    phase = ["mining"]
+    looked_up = collections.Counter()
+    lookup, enumerate_ = _Run.set, mining.enumerate_level
+
+    def counting_lookups(run, mask):
+        looked_up[phase[0]] += 1
+        return lookup(run, mask)
+
+    def enumerating(*args):
+        phase[0] = "enumerating"
+        candidates = enumerate_(*args)
+        phase[0] = "measuring"
+        return candidates
+
+    monkeypatch.setattr(_Run, "set", counting_lookups)
+    monkeypatch.setattr(mining, "enumerate_level", enumerating)
+    result = mine_frequent(tv, bias, Fraction(1, 100), prune=prune)
+    phase[0] = "printing"
+    lines = _mine_lines(result, Fraction(1, 100), HALF, None)
+    printed = list(itertools.takewhile(lambda line: not line.startswith("rules "), lines))
+    monkeypatch.undo()
+    assert len(result.levels) == 3 and len(result.frequent) > 50
+    assert looked_up.keys() == {"enumerating"}
+    assert printed[-len(result.frequent):] == [
+        f"  {fq.candidate.decl.text()}  [frequency {fq.frequency}]" for fq in result.frequent
+    ]
 
 
 @pytest.mark.parametrize("prune", [True, False])
@@ -587,10 +630,10 @@ def test_result_objects_are_built_only_for_what_is_kept(monkeypatch, tv_schema, 
             [ant] = [
                 ant
                 for ant in mining._proper_submasks(mask)
-                if (run.text(ant), run.text(mask ^ ant))
+                if (run.set(ant).joined_text(), run.set(mask ^ ant).joined_text())
                 == (rule.antecedent_text, rule.consequent_text)
             ]
-            assert rule.antecedent is run.decl(ant)
+            assert rule.antecedent is run.set(ant).declared(run.head)
             if ant in decls:
                 assert rule.antecedent is decls[ant]
                 shared += 1
@@ -644,7 +687,7 @@ def test_zero_count_antecedent_is_logged_and_dropped(monkeypatch, caplog, progra
     count = _Run.count
     # Every one-item antecedent reads as answerless.
     monkeypatch.setattr(
-        _Run, "count", lambda run, mask: 0 if mask.bit_count() == 1 else count(run, mask)
+        _Run, "count", lambda run, record: 0 if len(record.items) == 1 else count(run, record)
     )
     caplog.set_level(logging.DEBUG, logger="ermine")
     assert mine_rules(tv, result.frequent, Fraction(0)) == ()
