@@ -34,7 +34,7 @@ from .errors import (
     SchemaError,
 )
 from .evaluator import Relation, evaluate, sorted_rows
-from .formulas import QueryDecl, normalize, to_text
+from .formulas import QueryDecl, declaration_text, normalize, to_text
 from .mining import kept_splits, load_bias_file, mine_frequent
 from .parser import parse_query, parse_query_file
 from .schema import (
@@ -246,33 +246,52 @@ def run_mine(session: Session, ns) -> int:
 
 
 def _mine_lines(result, min_support, min_confidence, rows):
-    """The lines of the ``mine`` transcript.  Each rule's line is made as
-    ``kept_splits`` yields its split, from the two counts and the sets'
-    kept texts, with no rule object; its CSV row is appended to ``rows``
-    unless ``rows`` is None."""
+    """The lines of the ``mine`` transcript.  Each line is made from the
+    counts and kept texts its set's record holds, read as fields, and
+    each rule's line as ``kept_splits`` yields its split, with no rule
+    object; its CSV row is appended to ``rows`` unless ``rows`` is None.
+    The text of each distinct (numerator, denominator) pair is made once
+    (``_Ratios``)."""
     for level in result.levels:
         yield f"level {level.level}: {level.candidates} candidates, {level.survivors} frequent"
     yield f"frequent queries (min support {min_support}):"
-    for fq in result.frequent:
+    ratios = _Ratios()
+    frequent = result.frequent
+    if frequent:
+        # A declaration's text ends with its body's.
+        lead = declaration_text(None, frequent[0].candidate.run.head, "")
+    for fq in frequent:
         record = fq.candidate.record
         n, d = record.count, record.size
-        yield f"  {fq.candidate.text()}  [frequency {n}/{d} = {fraction_text(n, d)}]"
-    if not result.frequent:
+        text = record.text or record.joined_text()
+        yield f"  {lead}{text}  [frequency {n}/{d} = {ratios[n, d]}]"
+    if not frequent:
         yield "  (none)"
     yield f"rules (min confidence {min_confidence}):"
-    # The support's text is made once per frequent query, from its counts.
+    # The support's text is looked up once per frequent query.
     support = None
-    for fq, antecedent, consequent, count in kept_splits(result.frequent, min_confidence):
+    for fq, antecedent, consequent, count in kept_splits(frequent, min_confidence):
         if fq.frequency is not support:
             support = fq.frequency
-            support_text = fraction_text(support.numerator, support.denominator)
-        confidence = fraction_text(support.numerator, count)
-        a, c = antecedent.joined_text(), consequent.joined_text()
+            n = support.numerator
+            support_text = ratios[n, support.denominator]
+        confidence = ratios[n, count]
+        a = antecedent.text or antecedent.joined_text()
+        c = consequent.text or consequent.joined_text()
         yield f"  {a} -> {c}  [support {support_text}, confidence {confidence}]"
         if rows is not None:
             rows.append((a, c, support_text, confidence))
     if support is None:
         yield "  (none)"
+
+
+class _Ratios(dict):
+    """``fraction_text`` of each (numerator, denominator) key, made on
+    its first lookup and kept."""
+
+    def __missing__(self, key):
+        text = self[key] = fraction_text(*key)
+        return text
 
 
 MINE_CHUNK_LINES = 4096

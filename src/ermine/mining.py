@@ -35,15 +35,21 @@ its answer count and domain size as ints, its text, its conjunction, its
 one declaration over the head and its safety report.  A set is looked
 up by its mask only where the miner starts from a mask: when the level
 loop visits a set and for a rule split's antecedent and consequent.  A
-candidate holds its set's record, from which the level loop reads its
-domain size and answer count and the CLI prints its line.  Support and
-confidence are tested on those ints; a ``Frequency`` is built only for a
-frequent query.  Rule
-splitting is one generator (``kept_splits``) that yields each kept split
-as its frequent query, its antecedent's and consequent's records and the
+candidate holds its set's record, which the level loop measures in one
+step (``_Run.measure``: its domain bits and answer bits, its domain size
+and, when that is not 0, its answer count, taken by ``_Run.count``), and
+from which the CLI prints its line.  Support and confidence are tested
+on those ints; a ``Frequency`` is built only for a frequent query.
+``Candidate``, ``FrequentQuery`` and ``Frequency`` set their fields
+directly in their constructors, not through the frozen ``__setattr__``.
+Rule splitting is one generator (``kept_splits``) that walks each
+frequent query's proper submasks, reads each antecedent's verdict and
+count from its record as fields, and yields each kept split as its
+frequent query, its antecedent's and consequent's records and the
 antecedent's count.  ``mine_rules`` builds a ``MinedRule``, with its
 confidence ``Fraction``, from each; the CLI formats each rule's line from
-the counts and the records' texts as it is yielded, with no rule object.
+the counts and the records' kept texts as it is yielded, with no rule
+object, and the text of each distinct (count, count) ratio once.
 
 Each signed item's conjuncts are rendered once per run.  The text of a
 frequent query, and of a rule's antecedent and consequent, is what
@@ -114,10 +120,10 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import reduce
-from operator import and_, or_
+from operator import and_, attrgetter, or_
 
 from .domains import reference_domain
 from .entities import GateState, conjunction_gates
@@ -172,7 +178,7 @@ class LanguageBias:
     allow_negation: bool
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Candidate:
     """A candidate query: a signed set of pool items that passed the gates.
 
@@ -180,13 +186,20 @@ class Candidate:
     and ``record`` the mining run's record of it (``_Set``), which the
     level loop counts and the transcript prints from.  ``run`` is the
     mining run that built the candidate; rule splitting regroups the
-    signed items through it and reuses its records and counts.
+    signed items through it and reuses its records and counts.  The
+    constructor sets each field through its slot (``_slot_setters``).
     """
 
     mask: int
     canonical: str
     record: _Set = field(compare=False, repr=False)
     run: _Run = field(compare=False, repr=False)
+
+    def __init__(self, mask: int, canonical: str, record: _Set, run: _Run):
+        _set_mask(self, mask)
+        _set_canonical(self, canonical)
+        _set_record(self, record)
+        _set_run(self, run)
 
     @property
     def parts(self) -> tuple[Formula, ...]:
@@ -213,14 +226,30 @@ class Candidate:
         return declaration_text(None, self.run.head, self.record.joined_text())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FrequentQuery:
     candidate: Candidate
     frequency: Frequency
 
+    def __init__(self, candidate: Candidate, frequency: Frequency):
+        _set_candidate(self, candidate)
+        _set_frequency(self, frequency)
+
     @property
     def level(self) -> int:
         return self.candidate.level
+
+
+def _slot_setters(cls) -> tuple:
+    """The ``__set__`` of each field's slot of a frozen slotted dataclass,
+    in field order.  Its constructor sets its fields through these, which
+    costs half of the generated ``__init__``'s ``object.__setattr__``
+    calls; the frozen ``__setattr__`` still refuses every later write."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+_set_mask, _set_canonical, _set_record, _set_run = _slot_setters(Candidate)
+_set_candidate, _set_frequency = _slot_setters(FrequentQuery)
 
 
 @dataclass(frozen=True)
@@ -395,6 +424,10 @@ class _Item:
     bits: int | None = None
 
 
+_CANONICAL = attrgetter("canonical")
+_BY_CANONICAL = attrgetter("candidate.canonical")
+
+
 @dataclass(slots=True)
 class _Set:
     """A signed set as a mining run keeps it: its items' records in
@@ -458,17 +491,25 @@ class _Run:
     set is gated and counted at most once.  All of it holds for one
     instance: the entity gate reads the instance's entity constants.
 
-    A set's answer count (``count``, the one counting step, which the
-    level loop and rule splitting both read) and its reference domain's
-    size (``size``) are ints kept on its record, and so is its one
-    ``QueryDecl`` (``_Set.decl``), shared by a candidate and every kept
-    rule with that antecedent.  ``count``, ``size`` and ``safety`` take
-    the record, and text, conjunction and declaration are made by the
-    record itself (``_Set``), so a caller holding the record, as a
-    candidate does, looks nothing up again: ``set`` is called once per
-    set the level loop visits and once per parent a new record finds
-    missing, and by rule splitting only for an antecedent or consequent
-    that has no record yet.
+    A set's answer count (``count``, the one step that takes a fresh
+    count) and its reference domain's size are ints kept on its record,
+    and so is its one ``QueryDecl`` (``_Set.decl``), shared by a
+    candidate and every kept rule with that antecedent.  The level loop
+    measures a candidate's record in one step (``measure``): its bits,
+    its size and, for a non-empty domain, its count.  Rule splitting
+    reads an antecedent's verdict and count from its record as fields and
+    calls ``count`` only for a record that holds none.  ``count``,
+    ``measure`` and ``safety`` take the record, and text, conjunction and
+    declaration are made by the record itself (``_Set``), so a caller
+    holding the record, as a candidate does, looks nothing up again:
+    ``set`` is called once per set the level loop visits and once per
+    parent a new record finds missing, and by rule splitting only for an
+    antecedent or consequent that has no record yet.
+
+    A reference domain's member set is made into bits once per run
+    (``_domain_bits``), keyed by the set's id and held beside its bits so
+    that no id is reused while the run holds it: items over one table
+    share its access path's projection.
 
     A set's record is made from its parent's (the set without its highest
     bit) and links to it: its gate state is the parent's joined with the
@@ -533,6 +574,9 @@ class _Run:
         # Keyed by the ids of interned states, which _states keeps alive;
         # a one-item set's parent state is None.
         self._verdicts: dict[tuple[int | None, int], tuple[GateState, str | None]] = {}
+        # Keyed by the ids of reference domains' member sets, each held
+        # beside its bits, so no id is reused while the run holds it.
+        self._domains: dict[int, tuple[frozenset, int]] = {}
 
     def item(self, bit: int) -> _Item:
         """The record of the signed item at a mask bit, its gate state
@@ -592,7 +636,8 @@ class _Run:
                 if prefix is not None:
                     state = self._interned(prefix.state.joined(state))
                 verdict = self._verdicts[pair] = state, state.drop_reason(self._head_set)
-            record = sets[mask] = _Set(items, *verdict, prefix)
+            state, reason = verdict
+            record = sets[mask] = _Set(items, state, reason, prefix)
         return record
 
     def safety(self, record: _Set) -> SafetyReport:
@@ -608,7 +653,7 @@ class _Run:
             negates = item.negates
             if negates is None:
                 domain = reference_domain(self.inst, item.part, self.head).members
-                item.domain_bits = self._bitset(domain)
+                item.domain_bits = self._domain_bits(domain)
                 nonempty = vocabulary_nonempty(self.inst, item.part)
                 item.evaluated = conjunct_relations(self.inst, item.part, nonempty)
             else:
@@ -633,6 +678,14 @@ class _Run:
         columns taken in head order."""
         return self._bitset(_reorder(rel, self.head).rows)
 
+    def _domain_bits(self, members: frozenset) -> int:
+        """The bits of a reference domain's members, built once per member
+        set: items over one table share its access path's set."""
+        held = self._domains.get(id(members))
+        if held is None:
+            held = self._domains[id(members)] = members, self._bitset(members)
+        return held[1]
+
     def _bitset(self, tuples) -> int:
         """The int whose set bits are the head tuples' index positions;
         a tuple seen for the first time takes the next free position.
@@ -652,27 +705,21 @@ class _Run:
             buf[p >> 3] |= 1 << (p & 7)
         return int.from_bytes(buf, "little")
 
-    def _filled(self, record: _Set) -> _Set:
-        """A set's record with its domain bits and answer bits filled in,
-        once, from its parent's and those of its last item."""
-        if record.domain_bits is None:
-            item = self._counted(record.items[-1])
-            domain, bits = item.domain_bits, item.bits
-            prefix = record.parent
-            if prefix is not None:
-                if prefix.domain_bits is None:
-                    self._filled(prefix)
-                domain |= prefix.domain_bits
-                bits = None if bits is None or prefix.bits is None else bits & prefix.bits
-            record.domain_bits, record.bits = domain, bits
-        return record
-
-    def bit_count(self, record: _Set) -> int | None:
-        """The answer count of the items' conjunction from their bits;
-        None when an item has no answer bits or none has a positive
-        relation, which leaves the AND negative (every tuple but some)."""
-        bits = self._filled(record).bits
-        return None if bits is None or bits < 0 else bits.bit_count()
+    def _filled(self, record: _Set) -> None:
+        """Fill in a set's domain bits and answer bits from its parent's,
+        filled first where they are not yet, and those of its last item.
+        Callers fill a record whose ``domain_bits`` is None."""
+        item = record.items[-1]
+        if item.evaluated is None:
+            self._counted(item)
+        domain, bits = item.domain_bits, item.bits
+        prefix = record.parent
+        if prefix is not None:
+            if prefix.domain_bits is None:
+                self._filled(prefix)
+            domain |= prefix.domain_bits
+            bits = None if bits is None or prefix.bits is None else bits & prefix.bits
+        record.domain_bits, record.bits = domain, bits
 
     def answers(self, record: _Set) -> Relation:
         """Answers of the items' conjunction, which must be safe."""
@@ -682,26 +729,40 @@ class _Run:
 
     def count(self, record: _Set) -> int:
         """Answer count of the items' conjunction, which must be safe,
-        from bits where the items have them, else by conjoining their
-        relations; counted once.  The one counting step: candidates and
-        rule antecedents both read their counts here."""
+        counted once: from its answer bits where every item has them and
+        one has a positive relation (else the AND is None or negative,
+        every tuple but some), else by conjoining their relations.  The
+        one counting step: a candidate's count (``measure``) and a rule
+        antecedent's are taken here."""
         if record.count is None:
-            count = self.bit_count(record)
-            record.count = len(self.answers(record).rows) if count is None else count
+            if record.domain_bits is None:
+                self._filled(record)
+            bits = record.bits
+            if bits is None or bits < 0:
+                record.count = len(self.answers(record).rows)
+            else:
+                record.count = bits.bit_count()
         return record.count
 
-    def size(self, record: _Set) -> int:
-        """The size of a candidate's reference domain, 0 when it is empty;
-        worked out once.  The domain is the OR of the items' domain bits,
-        or, when the set's comparisons equate every head variable with a
-        constant, that of the set's conjunction."""
-        if record.size is None:
-            domain = self._filled(record).domain_bits
+    def measure(self, record: _Set) -> int:
+        """Measure a candidate's set in one step: its domain bits and
+        answer bits, its reference domain's size (returned; 0 when it is
+        empty) and, when that is not 0, its answer count (``count``).  The
+        domain is the OR of the items' domain bits, or, when the set's
+        comparisons equate every head variable with a constant, that of
+        the set's conjunction."""
+        if record.domain_bits is None:
+            self._filled(record)
+        size = record.size
+        if size is None:
+            domain = record.domain_bits
             if self._head_set <= record.state.cover:
                 members = reference_domain(self.inst, record.conjunction(), self.head).members
-                domain = self._bitset(members)
-            record.size = domain.bit_count()
-        return record.size
+                domain = self._domain_bits(members)
+            size = record.size = domain.bit_count()
+        if size:
+            self.count(record)
+        return size
 
 
 def _negation(negates: _Item) -> _Item:
@@ -727,7 +788,7 @@ def build_candidate(run: _Run, mask: int):
     record = run.set(mask)
     if record.reason is not None:
         return None, record.reason
-    canonical = " AND ".join(sorted([item.canonical for item in record.items]))
+    canonical = " AND ".join(sorted(map(_CANONICAL, record.items)))
     return Candidate(mask, canonical, record, run), None
 
 
@@ -790,6 +851,7 @@ def mine_frequent(
         raise ValueError("max_level must be >= 1")
     levels = bias.max_conjuncts if max_level is None else min(max_level, bias.max_conjuncts)
     run = _Run(bias, inst)
+    measure = run.measure
     least, per = min_support.numerator, min_support.denominator
     frequent: list[FrequentQuery] = []
     stats: list[LevelStats] = []
@@ -800,19 +862,18 @@ def mine_frequent(
         survivors = []
         found = []
         for c in candidates:
-            record = c.record
-            size = run.size(record)
+            size = measure(c.record)
             if not size:
                 log.debug("level %d: empty domain for %s", level, c.canonical)
                 continue
             evaluated.append(c)
-            count = run.count(record)
+            count = c.record.count
             # count / size >= min_support, in integers.
             if count * per >= least * size:
                 survivors.append(c)
                 found.append(FrequentQuery(c, Frequency(count, size)))
         # Levels come in order, so this sorts by (level, canonical text).
-        frequent += sorted(found, key=lambda fq: fq.candidate.canonical)
+        frequent += sorted(found, key=_BY_CANONICAL)
         stats.append(LevelStats(level, len(candidates), len(survivors)))
         extendable = survivors if prune else evaluated
         if not extendable:
@@ -826,38 +887,50 @@ def kept_splits(frequent, min_confidence: Fraction):
     [0, 1], checked by the caller) as (frequent query, antecedent's
     record, consequent's record, antecedent's answer count).
 
-    Frequent queries are taken in (level, canonical) order and each one's
-    splits are the submasks of its mask in ascending order, so splits come
-    in the order ``mine_rules`` keeps its rules.  A split's A AND C has
-    exactly the candidate's conjuncts, so its answer count is the
-    candidate's frequency numerator.  The antecedent's gate verdict and
-    count come from its record in the candidate's mining run (``_Run.set``
-    and ``_Run.count``), as the candidates' did, and confidence is
-    compared as integers.  A split whose antecedent drops head variables,
-    is unsafe or has no answers is logged at debug level and skipped.
-    Nothing is built for a split but the records, which the run keeps.
+    Frequent queries are taken in the order given, and each one's splits
+    are the proper submasks of its mask in ascending order, walked here:
+    ``mine_frequent`` returns its queries in (level, canonical) order, so
+    their splits come in the order ``mine_rules`` keeps its rules.  A
+    split's A AND C has exactly the candidate's conjuncts, so its answer
+    count is the candidate's frequency numerator.  The antecedent's
+    record in the candidate's mining run is looked up by its mask, made
+    (``_Run.set``) only where the run has none, and its gate verdict and
+    count are read from it as fields, counted (``_Run.count``) only where
+    it holds no count yet; confidence is compared as integers.  A split
+    whose antecedent drops head variables, is unsafe or has no answers is
+    logged at debug level and skipped.  Nothing is built for a split but
+    the records, which the run keeps.
     """
     least, per = min_confidence.numerator, min_confidence.denominator
-    for fq in sorted(frequent, key=lambda q: (q.level, q.candidate.canonical)):
+    # Read once, not per split: on the mine-data bias a quarter of the
+    # splits have an unsafe antecedent.
+    debug = log.isEnabledFor(logging.DEBUG)
+    for fq in frequent:
         c = fq.candidate
-        run = c.run
+        run, mask = c.run, c.mask
         both = fq.frequency.numerator
         sets = run._sets
-        for ant in _proper_submasks(c.mask):
+        sub = -mask & mask
+        while sub != mask:
+            ant, sub = sub, (sub - mask) & mask
             antecedent = sets.get(ant) or run.set(ant)
             reason = antecedent.reason
-            if reason == "free-variable-mismatch":
-                log.debug(
-                    "rule from %s: antecedent drops head variables", c.canonical
-                )
-                continue
-            if reason is not None and reason.startswith("unsafe"):
-                if log.isEnabledFor(logging.DEBUG):
-                    log.debug(
-                        "rule from %s: %s", c.canonical, UnsafeQueryError(run.safety(antecedent))
-                    )
-                continue
-            count = run.count(antecedent)
+            if reason is not None:
+                if reason == "free-variable-mismatch":
+                    if debug:
+                        log.debug("rule from %s: antecedent drops head variables", c.canonical)
+                    continue
+                if reason.startswith("unsafe"):
+                    if debug:
+                        log.debug(
+                            "rule from %s: %s",
+                            c.canonical,
+                            UnsafeQueryError(run.safety(antecedent)),
+                        )
+                    continue
+            count = antecedent.count
+            if count is None:
+                count = run.count(antecedent)
             # both / count < min_confidence, in integers.
             if both * per < least * count:
                 continue
@@ -869,7 +942,7 @@ def kept_splits(frequent, min_confidence: Fraction):
                 except ZeroAntecedentError as exc:
                     log.debug("rule from %s: %s", c.canonical, exc)
                 continue
-            yield fq, antecedent, sets.get(c.mask ^ ant) or run.set(c.mask ^ ant), count
+            yield fq, antecedent, sets.get(mask ^ ant) or run.set(mask ^ ant), count
 
 
 def mine_rules(
@@ -881,13 +954,16 @@ def mine_rules(
     confidence threshold (``kept_splits``), each with its confidence
     Fraction, its consequent's conjunction and the one declaration of
     its antecedent's record (``_Set.declared``), which every rule with
-    that antecedent, and the candidate of that mask, share.
+    that antecedent, and the candidate of that mask, share.  Rules come
+    in the order of their frequent queries by (level, canonical text),
+    whatever the order given, then by antecedent mask.
     """
     min_confidence = Fraction(min_confidence)
     if not 0 <= min_confidence <= 1:
         raise ValueError("min_confidence must be in [0, 1]")
     rules = []
-    for fq, antecedent, consequent, count in kept_splits(frequent, min_confidence):
+    ordered = sorted(frequent, key=lambda q: (q.level, q.candidate.canonical))
+    for fq, antecedent, consequent, count in kept_splits(ordered, min_confidence):
         decl = antecedent.declared(fq.candidate.run.head)
         rules.append(
             MinedRule(
@@ -900,14 +976,6 @@ def mine_rules(
             )
         )
     return tuple(rules)
-
-
-def _proper_submasks(mask: int):
-    """The non-empty submasks of a mask other than itself, ascending."""
-    sub = -mask & mask
-    while sub != mask:
-        yield sub
-        sub = (sub - mask) & mask
 
 
 def mine(

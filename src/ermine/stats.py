@@ -57,19 +57,24 @@ from .formulas import (
 from .schema import DatabaseInstance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Frequency:
     """An answer count over a reference domain size, kept as the two ints.
     ``value`` is the ratio as a normalized Fraction, built on first use;
     ``str`` prints both counts and the ratio's text (``fraction_text``)
-    without building one."""
+    without building one.  The constructor writes the two fields into the
+    instance's ``__dict__``, as ``cached_property`` writes ``value``, not
+    through the frozen ``__setattr__`` that refuses every other write."""
 
     numerator: int
     denominator: int
 
-    def __post_init__(self):
-        if self.denominator <= 0:
+    def __init__(self, numerator: int, denominator: int):
+        if denominator <= 0:
             raise ValueError("frequency denominator must be positive")
+        fields = self.__dict__
+        fields["numerator"] = numerator
+        fields["denominator"] = denominator
 
     @cached_property
     def value(self) -> Fraction:

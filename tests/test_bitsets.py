@@ -96,6 +96,15 @@ def shuffled_masks(bias, name):
     return masks
 
 
+def bit_count(run, record):
+    """The set's answer count as the run takes it from bits; None where
+    it falls back to ``conjoin``: an item has no answer bits, or none has
+    a positive relation, which leaves the AND negative."""
+    run.count(record)
+    bits = record.bits
+    return None if bits is None or bits < 0 else bits.bit_count()
+
+
 def evaluated_count(inst, run, mask):
     """The answer count of the set's conjunction from ``evaluate``."""
     return len(evaluate(inst, QueryDecl(None, run.head, run.set(mask).conjunction())).rows)
@@ -112,14 +121,14 @@ def test_bits_agree_with_conjoin_and_conjunction_domain(tv, name):
         if not countable(record.reason):
             continue
         checked += 1
-        count = run.bit_count(record)
+        count = bit_count(run, record)
         if count is not None:
             counted += 1
             assert count == len(run.answers(record).rows)
         assert run.count(record) == len(run.answers(record).rows)
         assert run.count(record) == evaluated_count(tv, run, mask)
         size = len(reference_domain(tv, record.conjunction(), run.head).members)
-        assert run.size(record) == size
+        assert run.measure(record) == size
     # Every pool has sets on the bit path and sets that fall back.
     assert 0 < counted < checked
     # Every index position is taken by one head tuple.
@@ -165,12 +174,12 @@ def test_items_whose_atoms_take_their_comparisons_count_from_bits(tv):
         for t in ("TV-Program(P)", 'P = "Gilmore"', 'TV-Program(P) AND P != "Gilmore"')
     )
     # The atom takes P != "Gilmore", so the item's relation is over P.
-    count = run.bit_count(run.set(1 << not_gilmore))
+    count = bit_count(run, run.set(1 << not_gilmore))
     assert count is not None
     assert count == evaluated_count(tv, run, 1 << not_gilmore) > 0
     # No atom of the bare comparison's item binds P: it stays for conjoin.
     both = 1 << gilmore | 1 << program
-    assert run.bit_count(run.set(both)) is None
+    assert bit_count(run, run.set(both)) is None
     assert run.count(run.set(both)) == evaluated_count(tv, run, both) == 1
 
 
@@ -181,15 +190,15 @@ def test_partial_head_items_fall_back(tv):
     )
     # Counted first, the pairs' answers all take new index positions.
     pairs_set = run.set(1 << pairs)
-    assert run.bit_count(pairs_set) == len(run.answers(pairs_set).rows) > 0
+    assert bit_count(run, pairs_set) == len(run.answers(pairs_set).rows) > 0
     assert pairs_set.reason == "not-valid"
-    assert run.bit_count(run.set(1 << weekend | 1 << rbc)) is not None
-    assert run.bit_count(run.set(1 << program | 1 << weekend)) is None
-    assert run.bit_count(run.set(1 << gilmore | 1 << weekend)) is None
+    assert bit_count(run, run.set(1 << weekend | 1 << rbc)) is not None
+    assert bit_count(run, run.set(1 << program | 1 << weekend)) is None
+    assert bit_count(run, run.set(1 << gilmore | 1 << weekend)) is None
     # Every RBC listing is a listing on a known station.
     (relation,) = run._counted(run.item(listed)).evaluated[0]
     assert relation.columns == ("SN", "P")
-    listed_rbc = run.bit_count(run.set(1 << rbc | 1 << listed))
+    listed_rbc = bit_count(run, run.set(1 << rbc | 1 << listed))
     assert listed_rbc == len(run.answers(run.set(1 << rbc)).rows) > 0
 
 
@@ -219,7 +228,7 @@ def test_mined_statistics_at_size_match_stats():
     assert len(result.frequent) > 100 and len(result.rules) > 100
     run = result.frequent[0].candidate.run
     for fq in result.frequent:
-        assert run.bit_count(fq.candidate.record) is not None
+        assert bit_count(run, fq.candidate.record) is not None
     for fq in result.frequent:
         assert fq.frequency == frequency(inst, fq.candidate.decl)
     for rule in result.rules:

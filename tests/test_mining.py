@@ -2,6 +2,7 @@
 
 import collections
 import csv
+import dataclasses
 import gc
 import itertools
 import json
@@ -35,11 +36,12 @@ from ermine import (
     normalize,
 )
 from ermine.cli import _mine_lines, main
+from ermine.domains import reference_domain
 from ermine.entities import GateState, conjunction_gates, gate_reports
 from ermine.evaluator import evaluate
 from ermine.formulas import conjuncts_of, to_text
 from ermine.mining import _Run, signed_items
-from ermine.stats import checked_query, frequency
+from ermine.stats import Frequency, checked_query, frequency
 from test_bitsets import load_generator
 from test_metamorphic import MINE_DATA_BIAS
 
@@ -476,15 +478,27 @@ def test_candidates_are_measured_and_printed_from_their_records(
     # A candidate holds its set's record, so once enumerate_level has
     # returned, the level loop's size and count and the transcript's
     # frequent-query lines look no record up by its mask.  The lines are
-    # the ones the query and its Frequency print.
+    # the ones the query and its Frequency print.  Once mine_frequent has
+    # returned, the rule lines read each split's records, verdicts and
+    # counts as fields: _Run.set is called only for a set with no record
+    # yet, and _Run.count only for a record with no count yet.
     bias = load_bias(pool_bias(head), tv_schema)
     phase = ["mining"]
     looked_up = collections.Counter()
-    lookup, enumerate_ = _Run.set, mining.enumerate_level
+    lookup, enumerate_, count = _Run.set, mining.enumerate_level, _Run.count
+    again = []
 
     def counting_lookups(run, mask):
         looked_up[phase[0]] += 1
+        if phase[0] == "printing" and mask in run._sets:
+            again.append(("set", mask))
         return lookup(run, mask)
+
+    def counting_counts(run, record):
+        looked_up[phase[0], "count"] += 1
+        if phase[0] == "printing" and record.count is not None:
+            again.append(("count", record))
+        return count(run, record)
 
     def enumerating(*args):
         phase[0] = "enumerating"
@@ -493,14 +507,19 @@ def test_candidates_are_measured_and_printed_from_their_records(
         return candidates
 
     monkeypatch.setattr(_Run, "set", counting_lookups)
+    monkeypatch.setattr(_Run, "count", counting_counts)
     monkeypatch.setattr(mining, "enumerate_level", enumerating)
     result = mine_frequent(tv, bias, Fraction(1, 100), prune=prune)
     phase[0] = "printing"
-    lines = _mine_lines(result, Fraction(1, 100), HALF, None)
-    printed = list(itertools.takewhile(lambda line: not line.startswith("rules "), lines))
+    lines = list(_mine_lines(result, Fraction(1, 100), HALF, None))
     monkeypatch.undo()
+    printed = list(itertools.takewhile(lambda line: not line.startswith("rules "), lines))
     assert len(result.levels) == 3 and len(result.frequent) > 50
-    assert looked_up.keys() == {"enumerating"}
+    assert len(lines) > len(printed) + 50
+    assert looked_up.keys() - {"printing", ("printing", "count")} == {
+        "enumerating", ("measuring", "count")
+    }
+    assert looked_up["printing"] and again == []
     assert printed[-len(result.frequent):] == [
         f"  {fq.candidate.decl.text()}  [frequency {fq.frequency}]" for fq in result.frequent
     ]
@@ -592,6 +611,11 @@ def test_each_set_keeps_the_verdict_of_its_own_items(tv_schema, tv, head, prune)
     assert len(states) > 1
 
 
+def mask_bits(mask):
+    """The set bits of a mask, each as an int."""
+    return [1 << b for b in range(mask.bit_length()) if mask >> b & 1]
+
+
 def test_result_objects_are_built_only_for_what_is_kept(monkeypatch, tv_schema, tv):
     # Counts and thresholds stay ints: a Frequency and a FrequentQuery are
     # built for each frequent query and for no other candidate.  A kept
@@ -629,7 +653,8 @@ def test_result_objects_are_built_only_for_what_is_kept(monkeypatch, tv_schema, 
             mask = split_from[id(rule.support)]
             [ant] = [
                 ant
-                for ant in mining._proper_submasks(mask)
+                for k in range(1, mask.bit_count())
+                for ant in map(sum, itertools.combinations(mask_bits(mask), k))
                 if (run.set(ant).joined_text(), run.set(mask ^ ant).joined_text())
                 == (rule.antecedent_text, rule.consequent_text)
             ]
@@ -638,6 +663,40 @@ def test_result_objects_are_built_only_for_what_is_kept(monkeypatch, tv_schema, 
                 assert rule.antecedent is decls[ant]
                 shared += 1
     assert shared > 100
+
+
+def test_result_objects_keep_their_dataclass_behaviour(programs_bias, tv):
+    # Candidate, FrequentQuery and Frequency set their fields in their own
+    # constructors; they keep their fields, equality, hashing, repr and
+    # immutability, and Frequency its denominator check.
+    fq = mine_frequent(tv, programs_bias, QUARTER).frequent[-1]
+    c, f = fq.candidate, fq.frequency
+    assert [x.name for x in dataclasses.fields(mining.Candidate)] == [
+        "mask", "canonical", "record", "run"
+    ]
+    assert [x.name for x in dataclasses.fields(mining.FrequentQuery)] == ["candidate", "frequency"]
+    assert [x.name for x in dataclasses.fields(Frequency)] == ["numerator", "denominator"]
+    # record and run take no part in equality, hashing or repr.
+    again = mining.Candidate(mask=c.mask, canonical=c.canonical, record=None, run=None)
+    assert (again.mask, again.canonical, again.record, again.run) == (c.mask, c.canonical, None, None)
+    assert again == c and hash(again) == hash(c)
+    assert repr(again) == repr(c) == f"Candidate(mask={c.mask!r}, canonical={c.canonical!r})"
+    assert mining.Candidate(c.mask, c.canonical + " ", c.record, c.run) != c
+    copy = mining.FrequentQuery(again, Frequency(f.numerator, f.denominator))
+    assert (copy.candidate, copy.frequency) == (again, f)
+    assert copy == fq and hash(copy) == hash(fq) and repr(copy) == repr(fq)
+    assert mining.FrequentQuery(c, Frequency(f.numerator + 1, f.denominator)) != fq
+    assert Frequency(numerator=2, denominator=4) == Frequency(2, 4) != Frequency(1, 2)
+    assert hash(Frequency(2, 4)) == hash(Frequency(2, 4))
+    assert repr(Frequency(2, 4)) == "Frequency(numerator=2, denominator=4)"
+    for obj, name in [(c, "mask"), (c, "record"), (fq, "frequency"), (f, "numerator")]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, name)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            Frequency(1, bad)
 
 
 def test_rules_with_one_mask_share_its_text(tv_schema, tv):
@@ -682,14 +741,66 @@ def test_unsafe_antecedents_build_no_error_below_debug(monkeypatch, caplog, tv_s
     assert [(r.text(), r.support, r.confidence) for r in result.rules] == kept
 
 
-def test_zero_count_antecedent_is_logged_and_dropped(monkeypatch, caplog, programs_bias, tv):
+@pytest.mark.parametrize("head", sorted(strategies.MINING_POOLS))
+def test_mine_rules_orders_frequent_queries_given_in_any_order(tv_schema, tv, head):
+    # kept_splits takes frequent queries in the order given, and
+    # mine_frequent gives them in (level, canonical) order; mine_rules
+    # keeps that order of its rules whatever order it is given.
+    bias = load_bias(pool_bias(head), tv_schema)
+    result = mine(tv, bias, Fraction(1, 100), HALF)
+    backwards = result.frequent[::-1]
+    assert len(result.rules) > 20
+    assert mine_rules(tv, backwards, HALF) == result.rules
+    assert [r.text() for r in mine_rules(tv, backwards, HALF)] == [
+        r.text() for r in result.rules
+    ]
+    levels = [fq.level for fq, *_ in mining.kept_splits(backwards, HALF)]
+    assert levels == sorted(levels, reverse=True) and levels[0] > levels[-1]
+
+
+def test_each_domain_member_set_gets_one_bitset(monkeypatch, tv_schema):
+    # The mine-data bias's 8 items take their domains from 2 access-path
+    # projections, one per listing table, and each projection is made
+    # into bits once.  The other builds are the 8 positive items' answer
+    # bits; a negated item complements the bits of the item it negates.
+    gen = load_generator()
+    inst = load_instance(strategies.TV_SCHEMA, gen.generate(5, 100, 20))
+    bias = load_bias(MINE_DATA_BIAS, tv_schema)
+    built = []
+    bitset = _Run._bitset
+
+    def counting(run, tuples):
+        built.append(tuples)
+        return bitset(run, tuples)
+
+    monkeypatch.setattr(_Run, "_bitset", counting)
+    result = mine(inst, bias, Fraction(1, 10), HALF)
+    monkeypatch.undo()
+    run = result.frequent[0].candidate.run
+    positives = [item for bit, item in run._items.items() if not bit & 1]
+    domains = {
+        id(members): members
+        for members in (reference_domain(inst, item.part, run.head).members for item in positives)
+    }
+    assert len(positives) == len(bias.items) == 8
+    assert len(domains) == 2
+    assert len(built) == len(domains) + len(positives)
+    assert len({id(tuples) for tuples in built}) == len(built)
+    assert sum(any(tuples is d for d in domains.values()) for tuples in built) == len(domains)
+
+
+def test_zero_count_antecedent_is_logged_and_dropped(caplog, programs_bias, tv):
     result = mine_frequent(tv, programs_bias, QUARTER)
-    count = _Run.count
-    # Every one-item antecedent reads as answerless.
-    monkeypatch.setattr(
-        _Run, "count", lambda run, record: 0 if len(record.items) == 1 else count(run, record)
-    )
+    # Every one-item antecedent reads as answerless: level 1 made a record
+    # of each signed item, and rule splitting reads a record's count as a
+    # field, so each one-item record's count is set to 0.
+    run = result.frequent[0].candidate.run
+    ones = [record for mask, record in run._sets.items() if mask.bit_count() == 1]
+    assert len(ones) == 2 * len(programs_bias.items)
+    for record in ones:
+        record.count = 0
     caplog.set_level(logging.DEBUG, logger="ermine")
+    assert [fq.level for fq in result.frequent].count(2) > 0
     assert mine_rules(tv, result.frequent, Fraction(0)) == ()
     assert "has no result tuples" in caplog.text
 
